@@ -440,7 +440,6 @@ def positivity_diagnostic(
     if np.min(vals) < -1e-10 * max(1.0, float(np.max(np.abs(vals)))):
         raise ValueError("symbol is not nonnegative on the sample set")
 
-    rng = np.random.default_rng(seed)
     fitted = {}
     for N in (g.N, 2 * g.N):
         gN = Grid(g.n, g.L, N)

@@ -1,12 +1,20 @@
 """Linear IVP solver for du/dt = i A u + f and the smoothing-estimate harness.
 
-Time stepping is classical RK4 in method-of-lines form, or Lawson
-integrating-factor RK4 ("if_rk4"): the x-independent part a0(xi) of the symbol
-propagates exactly through e^{i t a0(D)} while the remainder is stepped with
-RK4 in the rotated frame.  Real separable remainder terms f(x) g(xi) are
-applied in the symmetrized form (fG + Gf)/2, which keeps the discrete
-generator exactly Hermitian, so real-symbol runs conserve the L^2 norm up to
-time-integration error only.
+One Lawson integrating-factor RK4 stepper (Lawson, SIAM J. Numer. Anal. 4,
+1967) serves every time integration of the package: `solve_linear` here and
+the Picard and direct nonlinear solves of `weylab.nonlinear`.  Its state is
+the raw FFT coefficient array uhat = Grid.fftn(u).  The x-independent part
+a0(xi) of the symbol propagates exactly through the diagonal factor
+e^{i dt a0}; the remainder (`EvolutionOperator.apply_remainder`, coefficients
+in and out) and any forcing are stepped with RK4 in the rotated frame, and
+they alone pay for transforms.  A pure multiplier with no source therefore
+steps as uhat <- e^{i dt a0} uhat with no transform at all, and a frame is
+inverse-transformed only when it is stored.  Scheme "rk4" is the same stepper
+with identity factors and the multiplier moved into the stepped part.
+
+Real separable remainder terms f(x) g(xi) are applied in the symmetrized form
+(fG + Gf)/2, which keeps the discrete generator exactly Hermitian, so
+real-symbol runs conserve the L^2 norm up to time-integration error only.
 
 Every run on localized data records a wrap-guard horizon
 
@@ -45,6 +53,7 @@ __all__ = [
     "PropagatorProbeReport",
     "build_evolution_operator",
     "wrap_guard",
+    "lawson_stepper",
     "solve_linear",
     "smoothing_report",
     "weighted_propagator_probe",
@@ -126,30 +135,41 @@ class EvolutionOperator:
             self.dense = quantize_dense(symbol, grid, "weyl")
 
     # -- application -----------------------------------------------------------
+    # Operators act on raw FFT coefficients (Grid.fftn of the samples): the
+    # (-1)^k phases and the dx^n factor of `transform` are diagonal, so they
+    # commute with every multiplier and cancel in each sandwich below.
 
-    def _mult_apply(self, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        # the (-1)^k node-offset phases cancel in multiplier sandwiches
+    def apply_remainder(self, uhat: np.ndarray) -> np.ndarray:
+        """Coefficients of (A - a0(D)) u, given the coefficients uhat of u.
+
+        Real pairs act as (fG + Gf)/2, complex ones as fG, and the dense
+        fallback acts on the samples.  A pure multiplier has no remainder:
+        the result is zero and no transform runs.
+        """
+        if not self.pairs and self.dense is None:
+            return np.zeros_like(uhat)
         g = self.grid
-        return g.ifftn(g.fftn(values) * mult)
-
-    def apply_remainder(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
+        values = g.ifftn(uhat)
+        phys = np.zeros_like(uhat)  # terms summed in physical space
+        spec = np.zeros_like(uhat)  # terms summed in coefficient space
         for fv, gv, herm in self.pairs:
             if herm:
-                out = out + 0.5 * (
-                    fv * self._mult_apply(values, gv) + self._mult_apply(fv * values, gv)
-                )
+                phys += 0.5 * fv * g.ifftn(uhat * gv)
+                spec += 0.5 * gv * g.fftn(fv * values)
             else:
-                out = out + fv * self._mult_apply(values, gv)
+                phys += fv * g.ifftn(uhat * gv)
         if self.dense is not None:
-            out = out + self.dense.apply_values(values)
-        return out
+            phys += self.dense.apply_values(values)
+        return g.fftn(phys) + spec
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out = self.apply_remainder(values)
+        """Samples of A u, given the samples of u."""
+        g = self.grid
+        uhat = g.fftn(values)
+        out = self.apply_remainder(uhat)
         if self.multiplier is not None:
-            out = out + self._mult_apply(values, self.multiplier)
-        return out
+            out += self.multiplier * uhat
+        return g.ifftn(out)
 
     def apply_field(self, u: Field) -> Field:
         return Field(self.grid, self.apply(u.values))
@@ -242,8 +262,14 @@ def wrap_guard(
     if not localized or not np.any(mask):
         return WrapGuard(None, np.nan, np.nan, margin, localized)
     xi_act = g.xi_mesh.reshape(-1, g.n)[mask.ravel()]
-    probe_axis = np.linspace(-g.L / 2, g.L / 2, 9)
-    x_probe = np.stack(np.meshgrid(*([probe_axis] * g.n), indexing="ij"), axis=-1).reshape(-1, g.n)
+    if a.x_independent:
+        # grad_xi a does not depend on x: one probe gives the lattice v_max
+        x_probe = np.zeros((1, g.n))
+    else:
+        probe_axis = np.linspace(-g.L / 2, g.L / 2, 9)
+        x_probe = np.stack(np.meshgrid(*([probe_axis] * g.n), indexing="ij"), axis=-1).reshape(
+            -1, g.n
+        )
     grads = a.grad_xi(x_probe[:, None, :], xi_act[None, :, :])
     v_max = float(np.max(np.sqrt(np.sum(np.real(grads) ** 2, axis=-1))))
     r_data = _data_radius(g, fields)
@@ -306,6 +332,96 @@ def _trapezoid(times: np.ndarray, series: np.ndarray) -> float:
     return float(np.trapezoid(series, times))
 
 
+# -- the Lawson stepper -----------------------------------------------------------------
+
+# (uhat, t) -> FFT coefficients: a step, or the forcing the stepper adds
+SpectralMap = Callable[[np.ndarray, float], np.ndarray]
+
+
+def lawson_stepper(
+    op: EvolutionOperator,
+    dt: float,
+    forcing: Optional[SpectralMap] = None,
+    *,
+    integrating_factor: bool = True,
+) -> SpectralMap:
+    """Lawson RK4 step uhat(t) -> uhat(t + dt) on raw FFT coefficients for
+
+        d uhat/dt = i (a0 uhat + R uhat) + forcing(uhat, t),
+
+    with a0 = op.multiplier and R = op.apply_remainder.  With the integrating
+    factor a0 is propagated exactly by the diagonal factors e^{i dt a0/2} and
+    e^{i dt a0}; without it (classical RK4) a0 is stepped with R.  When
+    nothing is left to step, the step is the diagonal multiply alone.
+    """
+    mult = op.multiplier if integrating_factor else None
+    stepped_mult = None if integrating_factor else op.multiplier
+    if mult is None:
+        e_h = e_f = 1.0
+    else:
+        e_h = np.exp(1j * mult * (dt / 2.0))
+        e_f = e_h * e_h
+    if not op.pairs and op.dense is None and stepped_mult is None and forcing is None:
+        return lambda uhat, t: e_f * uhat
+
+    def rhs(uhat, t):
+        out = 1j * op.apply_remainder(uhat)
+        if stepped_mult is not None:
+            out += 1j * stepped_mult * uhat
+        if forcing is not None:
+            out += forcing(uhat, t)
+        return out
+
+    def step(u, t):
+        a1 = rhs(u, t)
+        a2 = rhs(e_h * (u + (dt / 2.0) * a1), t + dt / 2.0)
+        a3 = rhs(e_h * u + (dt / 2.0) * a2, t + dt / 2.0)
+        a4 = rhs(e_f * u + dt * e_h * a3, t + dt)
+        return e_f * u + (dt / 6.0) * (e_f * a1 + 2.0 * e_h * (a2 + a3) + a4)
+
+    return step
+
+
+def _march(
+    step: SpectralMap,
+    g: Grid,
+    u0: np.ndarray,
+    steps: int,
+    dt: float,
+    stride: int = 1,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Take `steps` steps from the samples u0; return the times and samples of
+    u0, of every stride-th state and of the last one."""
+    uhat = g.fftn(u0)
+    times = [0.0]
+    frames = [u0.copy()]
+    for k in range(steps):
+        uhat = step(uhat, k * dt)
+        if (k + 1) % stride == 0 or k + 1 == steps:
+            times.append((k + 1) * dt)
+            frames.append(g.ifftn(uhat))
+    return np.array(times), frames
+
+
+def _pick_dt(op: EvolutionOperator, u0: Field, T: float, extra_mag: float = 0.0) -> float:
+    """Integrating-factor step for the nonlinear solves, with extra_mag bounding
+    the stepped forcing: stability C_STAB over the remainder, accuracy Y_ACC
+    over the whole active operator, and at least MIN_STEPS steps."""
+    g = op.grid
+    mask = _active_mask(g, [transform(u0).coeffs])
+    stab = op.max_abs_remainder(None) + extra_mag
+    act = (
+        (op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) + extra_mag)
+        if np.any(mask)
+        else 0.0
+    )
+    dt_stab = C_STAB / stab if stab > 0 else np.inf
+    dt_acc = Y_ACC / act if act > 0 else np.inf
+    dt = min(dt_stab, dt_acc, T / MIN_STEPS)
+    steps = max(MIN_STEPS, int(np.ceil(T / dt - 1e-12)))
+    return T / steps
+
+
 def solve_linear(
     a: Symbol,
     u0: Field,
@@ -365,58 +481,19 @@ def solve_linear(
     steps = max(1, int(np.ceil(T / dt - 1e-12)))
     dt = T / steps
 
-    # Lawson integrating-factor RK4; identity factors reduce it to classical RK4
-    if scheme == "if_rk4" and op.multiplier is not None:
-        mult = op.multiplier
-        e_h = np.exp(1j * mult * (dt / 2.0))
-        e_f = e_h * e_h
+    fhat = g.fftn(f.values) if isinstance(f, Field) else None
 
-        # the (-1)^k node-offset phases cancel in multiplier sandwiches, so the
-        # propagator acts directly on the raw FFT coefficients
-        def prop_h(v):
-            return g.ifftn(g.fftn(v) * e_h)
+    def source(uhat, t):
+        return fhat if fhat is not None else g.fftn(f(t).values)
 
-        def prop_f(v):
-            return g.ifftn(g.fftn(v) * e_f)
-
-        def rhs(v, t):
-            out = 1j * op.apply_remainder(v)
-            if f is not None:
-                fsrc = f if isinstance(f, Field) else f(t)
-                out = out + fsrc.values
-            return out
-
-    else:
-        prop_h = prop_f = lambda v: v
-
-        def rhs(v, t):
-            out = 1j * op.apply(v)
-            if f is not None:
-                fsrc = f if isinstance(f, Field) else f(t)
-                out = out + fsrc.values
-            return out
-
-    u = u0.values.copy()
-    t = 0.0
-    times = [0.0]
-    stored = [u.copy()]
-    for k in range(steps):
-        a1 = rhs(u, t)
-        u2 = prop_h(u + (dt / 2.0) * a1)
-        a2 = rhs(u2, t + dt / 2.0)
-        u3 = prop_h(u) + (dt / 2.0) * a2
-        a3 = rhs(u3, t + dt / 2.0)
-        u4 = prop_f(u) + dt * prop_h(a3)
-        a4 = rhs(u4, t + dt)
-        u = prop_f(u) + (dt / 6.0) * (prop_f(a1) + 2.0 * prop_h(a2 + a3) + a4)
-        t = (k + 1) * dt
-        if (k + 1) % store_stride == 0 or k + 1 == steps:
-            times.append(t)
-            stored.append(u.copy())
+    step = lawson_stepper(
+        op, dt, None if f is None else source, integrating_factor=scheme == "if_rk4"
+    )
+    times, stored = _march(step, g, u0.values, steps, dt, store_stride)
     return Solution(
         grid=g,
         symbol=a,
-        times=np.array(times),
+        times=times,
         values=stored,
         dt=dt,
         scheme=scheme,

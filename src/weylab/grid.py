@@ -12,6 +12,7 @@ so that the continuous (2pi)^{-n} oscillatory-integral prefactor maps onto
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -198,11 +199,29 @@ class Grid:
             self._cache["dealias"] = m
         return self._cache["dealias"]
 
+    # -- transforms ----------------------------------------------------------
+    # The one FFT seam: every transform of the grid, evolve and nonlinear
+    # layers goes through this pair.  Both act on the last n axes, so leading
+    # axes index a stack of arrays that share one call.
+
     def fftn(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values)
+        """Unnormalized forward DFT over the last n axes."""
+        fft = _scipy_fft()
+        return fft.fft(values) if self.n == 1 else fft.fft2(values)
 
     def ifftn(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(values)
+        """Inverse DFT over the last n axes (1/N^n normalization)."""
+        fft = _scipy_fft()
+        return fft.ifft(values) if self.n == 1 else fft.ifft2(values)
+
+
+@functools.cache
+def _scipy_fft():
+    # imported on first use: a module-level import adds about 0.09 s to the
+    # start-up of every process that imports weylab
+    import scipy.fft
+
+    return scipy.fft
 
 
 def make_grid(n: int, L: float, N: int) -> Grid:

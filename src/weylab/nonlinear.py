@@ -27,15 +27,14 @@ from typing import Optional
 import numpy as np
 
 from .evolve import (
-    C_STAB,
-    MIN_STEPS,
-    EvolutionOperator,
     Solution,
-    _active_mask,
+    _march,
+    _pick_dt,
     build_evolution_operator,
+    lawson_stepper,
     wrap_guard,
 )
-from .grid import Field, Grid, sobolev_norm, tail_mass_fraction, transform, weighted_pairing
+from .grid import Field, Grid, sobolev_norm, tail_mass_fraction, weighted_pairing
 from .symbol.core import Symbol
 from .weights import WeightFn
 
@@ -219,52 +218,6 @@ class PicardRun:
         return self.contraction_factors[-1] if self.contraction_factors else None
 
 
-def _lawson_stepper(op: EvolutionOperator, dt: float, extra_linear=None):
-    """One Lawson-RK4 step u -> u(t+dt) for du/dt = i A u + extra_linear(u)."""
-    g = op.grid
-    if op.multiplier is not None:
-        e_h = np.exp(1j * op.multiplier * (dt / 2.0))
-        e_f = e_h * e_h
-
-        def prop_h(v):
-            return g.ifftn(g.fftn(v) * e_h)
-
-        def prop_f(v):
-            return g.ifftn(g.fftn(v) * e_f)
-
-    else:
-        prop_h = prop_f = lambda v: v
-
-    def rhs(v):
-        out = 1j * op.apply_remainder(v) if op.multiplier is not None else 1j * op.apply(v)
-        if extra_linear is not None:
-            out = out + extra_linear(v)
-        return out
-
-    def step(u):
-        a1 = rhs(u)
-        u2 = prop_h(u + (dt / 2.0) * a1)
-        a2 = rhs(u2)
-        u3 = prop_h(u) + (dt / 2.0) * a2
-        a3 = rhs(u3)
-        u4 = prop_f(u) + dt * prop_h(a3)
-        a4 = rhs(u4)
-        return prop_f(u) + (dt / 6.0) * (prop_f(a1) + 2.0 * prop_h(a2 + a3) + a4)
-
-    return step
-
-
-def _pick_dt(op: EvolutionOperator, g: Grid, u0: Field, T: float, extra_mag: float = 0.0) -> float:
-    mask = _active_mask(g, [transform(u0).coeffs])
-    stab = op.max_abs_remainder(None) + extra_mag
-    act = (op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) + extra_mag) if np.any(mask) else 0.0
-    dt_stab = C_STAB / stab if stab > 0 else np.inf
-    dt_acc = 0.03 / act if act > 0 else np.inf
-    dt = min(dt_stab, dt_acc, T / MIN_STEPS)
-    steps = max(MIN_STEPS, int(np.ceil(T / dt - 1e-12)))
-    return T / steps
-
-
 def picard_solve(
     a: Symbol,
     u0: Field,
@@ -304,23 +257,25 @@ def picard_solve(
     op = build_evolution_operator(a, g)
     mult_alpha = _xi_alpha(g, spec.alpha)
     c_frozen = _monomial(u0.values, spec.p, spec.q)
-    extra = None
+    extra = frozen_term = None
     if frozen:
-        def extra(v):  # noqa: E731 - closure over the frozen coefficient
+
+        def extra(v):  # on samples
             return c_frozen * _dalpha(g, v, mult_alpha)
+
+        def frozen_term(uhat, t):  # on coefficients, for the stepper
+            return g.fftn(c_frozen * g.ifftn(uhat * mult_alpha))
 
     extra_mag = float(np.max(np.abs(c_frozen)) * np.max(np.abs(mult_alpha))) if frozen else 0.0
     if dt is None:
-        dt = _pick_dt(op, g, u0, T, extra_mag)
+        dt = _pick_dt(op, u0, T, extra_mag)
     steps = max(1, int(np.round(T / dt)))
     dt = T / steps
     times = dt * np.arange(steps + 1)
-    step = _lawson_stepper(op, dt, extra)
+    step = lawson_stepper(op, dt, frozen_term)
 
     # homogeneous trajectory W(t) u0
-    hom = [u0.values.copy()]
-    for _ in range(steps):
-        hom.append(step(hom[-1]))
+    _, hom = _march(step, g, u0.values, steps, dt)
 
     def nonlinear_series(traj):
         out = []
@@ -335,10 +290,12 @@ def picard_solve(
         return out
 
     def duhamel(nl_series):
-        acc = [np.zeros(g.shape, dtype=complex)]
+        nl_hat = [g.fftn(v) for v in nl_series]
+        acc_hat = np.zeros(g.shape, dtype=complex)
+        acc = [acc_hat.copy()]
         for i in range(steps):
-            nxt = step(acc[-1] + (dt / 2.0) * nl_series[i]) + (dt / 2.0) * nl_series[i + 1]
-            acc.append(nxt)
+            acc_hat = step(acc_hat + (dt / 2.0) * nl_hat[i], i * dt) + (dt / 2.0) * nl_hat[i + 1]
+            acc.append(g.ifftn(acc_hat))
         return acc
 
     def x_norm_of(traj, rhs_traj, gate=None):
@@ -468,28 +425,20 @@ def direct_nonlinear_solve(
         np.max(np.abs(_monomial(u0.values, spec.p, spec.q))) * np.max(np.abs(mult_alpha))
     )
     if dt is None:
-        dt = _pick_dt(op, g, u0, T, nl_mag)
+        dt = _pick_dt(op, u0, T, nl_mag)
     steps = max(1, int(np.round(T / dt)))
     dt = T / steps
 
-    base_step_nl = _lawson_stepper(
-        op,
-        dt,
-        lambda v: nonlinearity_eval(Field(g, v), spec).values,
-    )
-    u = u0.values.copy()
-    times = [0.0]
-    stored = [u.copy()]
-    for k in range(steps):
-        u = base_step_nl(u)
-        if (k + 1) % store_stride == 0 or k + 1 == steps:
-            times.append((k + 1) * dt)
-            stored.append(u.copy())
+    def nonlinearity(uhat, t):
+        return g.fftn(nonlinearity_eval(Field(g, g.ifftn(uhat)), spec).values)
+
+    step = lawson_stepper(op, dt, nonlinearity)
+    times, stored = _march(step, g, u0.values, steps, dt, store_stride)
     guard = wrap_guard(a, u0)
     return Solution(
         grid=g,
         symbol=a,
-        times=np.array(times),
+        times=times,
         values=stored,
         dt=dt,
         scheme="nonlinear_if_rk4",

@@ -1,17 +1,33 @@
 """Linear IVP solver, wrap guard, smoothing reports, weighted propagator probe."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
+import sympy as sp
 
 from weylab.evolve import (
     WrapGuardError,
+    _active_mask,
+    build_evolution_operator,
     smoothing_report,
     solve_linear,
     weighted_propagator_probe,
     wrap_guard,
 )
-from weylab.grid import Field, l2_norm, make_grid, sobolev_norm
-from weylab.symbol import catalog
+from weylab.grid import (
+    Field,
+    Grid,
+    SpectralField,
+    gaussian_wavepacket,
+    inverse,
+    l2_norm,
+    make_grid,
+    sobolev_norm,
+    transform,
+)
+from weylab.symbol import SympySymbol, catalog
+from weylab.symbol.core import phase_symbols
 from weylab.weights import WeightFn
 
 
@@ -57,6 +73,103 @@ def test_rk4_step_halving_order():
         sol = solve_linear(a, u0, T=0.3, dt=dt, scheme="if_rk4", store_stride=10**6)
         errs.append(l2_norm(sol.final - fine.final))
     assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+@dataclass(frozen=True)
+class CountingGrid(Grid):
+    """Grid that records every transform made through its FFT seam."""
+
+    transforms: list = field(default_factory=list, compare=False, repr=False)
+
+    def fftn(self, values):
+        self.transforms.append("fftn")
+        return super().fftn(values)
+
+    def ifftn(self, values):
+        self.transforms.append("ifftn")
+        return super().ifftn(values)
+
+
+def _zk_packet(g):
+    return gaussian_wavepacket(g, [1.0, 0.0], width2=4.0)
+
+
+def test_pure_multiplier_matches_exact_propagator():
+    # zk has no remainder: every stored frame is e^{i t a(xi)} uhat0 exactly
+    g = make_grid(2, 8 * np.pi, 64)
+    a = catalog("zk")
+    u0 = _zk_packet(g)
+    T, stride = 0.15, 5
+    sol = solve_linear(a, u0, T=T, store_stride=stride)
+    steps = int(round(T / sol.dt))
+    kept = list(range(0, steps + 1, stride))
+    if kept[-1] != steps:
+        kept.append(steps)
+    assert np.array_equal(sol.times, np.array(kept) * sol.dt)
+    assert sol.times[-1] == pytest.approx(T, rel=1e-15)
+
+    xi = g.xi_mesh.reshape(-1, 2)
+    symbol = a.eval(np.zeros((1, 2)), xi).reshape(g.shape)
+    symbol = np.where(g.nyquist_mask, 0.0, symbol)  # odd order: Nyquist zeroed
+    uhat0 = transform(u0).coeffs
+    for t, vals in zip(sol.times, sol.values):
+        exact = inverse(SpectralField(g, np.exp(1j * t * symbol) * uhat0)).values
+        assert np.linalg.norm(vals - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_pure_multiplier_transforms_independent_of_steps():
+    # stepping a pure multiplier is a diagonal multiply; only set-up and stored
+    # frames transform, however many steps are taken
+    counts = []
+    for steps, stride in ((64, 16), (256, 64)):
+        g = CountingGrid(2, 8 * np.pi, 64)
+        T = 0.15
+        sol = solve_linear(catalog("zk"), _zk_packet(g), T=T, dt=T / steps, store_stride=stride)
+        assert len(sol.times) == 5
+        counts.append(len(g.transforms))
+        assert counts[-1] <= len(sol.times) + 4
+    assert counts[0] == counts[1]
+
+
+def _remainder_reference(op, values):
+    """(A - a0(D)) u on samples, term by term with numpy's FFT."""
+
+    def G(v, gv):
+        return np.fft.ifftn(np.fft.fftn(v) * gv)
+
+    out = np.zeros(op.grid.shape, dtype=complex)
+    for fv, gv, herm in op.pairs:
+        out += 0.5 * (fv * G(values, gv) + G(fv * values, gv)) if herm else fv * G(values, gv)
+    if op.dense is not None:
+        out += op.dense.apply_values(values)
+    return out
+
+
+def _no_separable_split():
+    # x-dependent and without separable terms: evolves through the dense fallback
+    xs, xis = phase_symbols(1)
+    return SympySymbol((1 + 0.1 * sp.exp(-xs[0] ** 2)) * xis[0] ** 2, 1, 2.0, real_valued=True)
+
+
+@pytest.mark.parametrize(
+    "make_symbol, grid",
+    [
+        (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128)),
+        (lambda: catalog("ultrahyperbolic", eps=0.3), (2, 4.0, 32)),
+        (_no_separable_split, (1, 6.0, 48)),
+    ],
+    ids=["gaussian_kdv", "ultrahyperbolic", "dense"],
+)
+def test_spectral_remainder_matches_physical_reference(make_symbol, grid):
+    g = make_grid(*grid)
+    op = build_evolution_operator(make_symbol(), g)
+    assert op.pairs or op.dense is not None
+    u = gaussian_wavepacket(g, [1.0] + [0.5] * (g.n - 1), width2=2.0).values
+    ref = _remainder_reference(op, u)
+    got = g.ifftn(op.apply_remainder(g.fftn(u)))
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    full = ref + (0 if op.multiplier is None else np.fft.ifftn(np.fft.fftn(u) * op.multiplier))
+    assert np.linalg.norm(op.apply(u) - full) <= 1e-13 * np.linalg.norm(full)
 
 
 def test_user_dt_stability_rejection():
@@ -123,6 +236,26 @@ def test_wrap_guard_velocity_estimate():
     g = make_grid(1, 40 * np.pi, 1024)
     gw = wrap_guard(catalog("airy"), airy_packet(g, k=4.0))
     assert 3 * 4.0**2 <= gw.v_max <= 3 * 12.0**2
+
+
+@pytest.mark.parametrize(
+    "name, grid, carrier",
+    [("zk", (2, 40 * np.pi, 128), [1.0, 0.0]), ("airy", (1, 40 * np.pi, 1024), [4.0])],
+)
+def test_wrap_guard_x_independent_matches_lattice(name, grid, carrier):
+    # an x-independent symbol is probed at one x; the 9^n lattice gives the same v_max
+    g = make_grid(*grid)
+    a = catalog(name)
+    u0 = gaussian_wavepacket(g, carrier, width2=8.0)
+    gw = wrap_guard(a, u0)
+    mask = _active_mask(g, [transform(u0).coeffs])
+    xi_act = g.xi_mesh.reshape(-1, g.n)[mask.ravel()]
+    axis = np.linspace(-g.L / 2, g.L / 2, 9)
+    x_lat = np.stack(np.meshgrid(*([axis] * g.n), indexing="ij"), axis=-1).reshape(-1, g.n)
+    grads = a.grad_xi(x_lat[:, None, :], xi_act[None, :, :])
+    v_lat = float(np.max(np.sqrt(np.sum(np.real(grads) ** 2, axis=-1))))
+    assert gw.v_max == v_lat
+    assert gw.horizon == (g.L - gw.data_radius - gw.margin) / v_lat
 
 
 # -- smoothing reports ----------------------------------------------------------------

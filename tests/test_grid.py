@@ -87,6 +87,18 @@ def test_transform_round_trip(seed, n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_fft_seam_transforms_last_n_axes(n):
+    # a stack of fields shares one call; each slice is the DFT of that field
+    rng = np.random.default_rng(3)
+    g = make_grid(n, 2.0, 16)
+    stack = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+    spec = g.fftn(stack)
+    for i in range(3):
+        assert np.allclose(spec[i], np.fft.fftn(stack[i]), rtol=0, atol=1e-12)
+    assert np.allclose(g.ifftn(spec), stack, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_parseval(n):
     rng = np.random.default_rng(7)
     g = make_grid(n, 3.0, 32)
