@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 import sympy as sp
 
-from .grid import Field, Grid
+from .grid import Field, Grid, wavepacket_probes
 from .symbol.core import Symbol, SympySymbol, multi_factorial, multi_indices_upto
 
 __all__ = [
@@ -84,32 +84,6 @@ class LemmaA1Report:
             "probes": self.probe_count,
             "passed": self.passed,
         }
-
-
-def _default_probes(g: Grid, count: int = 4) -> list[Field]:
-    """Gaussians localized to ~1e-13 both at the box seam and at the Nyquist
-    frequency; requires a fine-enough grid (roughly N >= 48)."""
-    width = 0.11 * g.L
-    # seam decay exp(-(0.85 L / width)^2 / 2) and spectral decay
-    # exp(-(xi_max width)^2 / 2) must both reach ~1e-13
-    if 0.85 * g.L / width < 7.6 or g.xi_max * width < 7.6:
-        raise ValueError(
-            "grid too coarse for machine-localized probes; increase N (need "
-            "roughly N >= 48 per axis)"
-        )
-    rng = np.random.default_rng(12345)
-    out = []
-    for _ in range(count):
-        center = rng.uniform(-0.1 * g.L, 0.1 * g.L, size=g.n)
-        k = rng.uniform(-0.15 * g.xi_max, 0.15 * g.xi_max, size=g.n)
-        mesh = g.x_mesh
-        sq = np.zeros(g.shape)
-        ph = np.zeros(g.shape)
-        for d in range(g.n):
-            sq += (mesh[..., d] - center[d]) ** 2
-            ph += k[d] * mesh[..., d]
-        out.append(Field(g, np.exp(-sq / (2 * width**2)) * np.exp(1j * ph)))
-    return out
 
 
 def lemmatec1_residual(
@@ -172,7 +146,18 @@ def lemmatec1_residual(
         corrections.append((dw_vals / multi_factorial(beta), dp_sym))
         terms += 1
 
-    probes = probes or _default_probes(g)
+    if not probes:
+        # Gaussians of width w = 0.11 L must decay to ~1e-13 at the box seam,
+        # exp(-(0.85 L / w)^2 / 2), which holds on every grid, and at the
+        # Nyquist frequency, exp(-(xi_max w)^2 / 2), which needs N >= ~48
+        if g.xi_max * 0.11 * g.L < 7.6:
+            raise ValueError(
+                "grid too coarse for machine-localized probes; increase N (need "
+                "roughly N >= 48 per axis)"
+            )
+        probes = wavepacket_probes(
+            g, 4, np.random.default_rng(12345), center=(-0.1, 0.1), carrier=(-0.15, 0.15), width=(0.11, 0.11)
+        )
     worst = 0.0
     for u in probes:
         lhs = w_vals * apply_fast(p_sym, u).values

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .grid import Field, Grid, apply_multiplier
+from .grid import Field, Grid, apply_multiplier, wavepacket_probes
 from .symbol.checks import SampleSet
 from .symbol.core import (
     Symbol,
@@ -160,9 +160,10 @@ def _multiplier_values(a: Symbol, g: Grid) -> np.ndarray:
 def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
     """Matrix-free Kohn-Nirenberg application.
 
-    Paths: exact Fourier multiplier for x-independent symbols, pointwise
-    product for xi-independent symbols, separable-term sum when the symbol
-    declares f(x) g(xi) structure, and the O(N^{2n}) direct KN sum otherwise.
+    Paths: exact Fourier multiplier for x-independent symbols, separable-term
+    sum when the symbol declares f(x) g(xi) structure, pointwise product for
+    sympy symbols whose expression has no xi, and the O(N^{2n}) direct KN sum
+    otherwise.
     """
     if tag != "kn":
         raise ValueError("apply_fast implements the KN quantization only")
@@ -173,9 +174,9 @@ def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
     if a.x_independent:
         return apply_multiplier(u, _multiplier_values(a, g))
 
+    x_pts = g.x_mesh.reshape(-1, g.n)
+    xi_pts = g.xi_mesh.reshape(-1, g.n)
     if a.separable_terms is not None:
-        x_pts = g.x_mesh.reshape(-1, g.n)
-        xi_pts = g.xi_mesh.reshape(-1, g.n)
         out = np.zeros(g.shape, dtype=complex)
         for term in a.separable_terms:
             gv = term.frequency_values(xi_pts).reshape(g.shape)
@@ -186,15 +187,9 @@ def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
             out += fv * w
         return Field(g, out)
 
-    # xi-independent: pointwise multiplication
-    probe_xi = np.zeros((1, g.n))
-    x_pts = g.x_mesh.reshape(-1, g.n)
-    e1 = np.zeros((1, g.n))
-    e1[0, 0] = 1.0
-    v0 = a.eval(x_pts, probe_xi)
-    v1 = a.eval(x_pts, e1)
-    if np.max(np.abs(v1 - v0)) <= 1e-14 * max(1.0, float(np.max(np.abs(v0)))):
-        return Field(g, v0.reshape(g.shape) * u.values)
+    if isinstance(a, SympySymbol) and not a.expr.has(*a._xis):
+        # xi-independent: pointwise multiplication
+        return Field(g, a.eval(x_pts, np.zeros((1, g.n))).reshape(g.shape) * u.values)
 
     # general direct KN sum, blocked over rows
     if not g.dense_eligible:
@@ -202,7 +197,6 @@ def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
     from .grid import transform
 
     uhat = transform(u).coeffs.ravel()
-    xi_pts = g.xi_mesh.reshape(-1, g.n)
     if a.zero_nyquist:
         uhat = np.where(g.nyquist_mask.ravel(), 0.0, uhat)
     out = np.empty(g.size, dtype=complex)
@@ -308,32 +302,26 @@ def change_quantization(a_kn: Symbol, K: int = 3) -> Symbol:
     )
 
 
-def poisson_bracket(a: Symbol, b: Symbol) -> Symbol:
-    """{a, b} = grad_xi a . grad_x b - grad_x a . grad_xi b."""
+def poisson_bracket(a: SympySymbol, b: SympySymbol) -> SympySymbol:
+    """{a, b} = grad_xi a . grad_x b - grad_x a . grad_xi b, exact in sympy.
+
+    Numeric Hamilton derivatives go through hamilton.hamilton_derivative."""
     if a.n != b.n:
         raise ValueError("symbols have different dimensions")
-    if isinstance(a, SympySymbol) and isinstance(b, SympySymbol):
-        import sympy as sp
+    if not (isinstance(a, SympySymbol) and isinstance(b, SympySymbol)):
+        raise TypeError("poisson_bracket is exact and needs sympy-backed symbols")
+    import sympy as sp
 
-        xs = a._xs
-        xis = a._xis
-        expr = sp.expand(
-            sum(
-                sp.diff(a.expr, xis[i]) * sp.diff(b.expr, xs[i])
-                - sp.diff(a.expr, xs[i]) * sp.diff(b.expr, xis[i])
-                for i in range(a.n)
-            )
+    xs = a._xs
+    xis = a._xis
+    expr = sp.expand(
+        sum(
+            sp.diff(a.expr, xis[i]) * sp.diff(b.expr, xs[i])
+            - sp.diff(a.expr, xs[i]) * sp.diff(b.expr, xis[i])
+            for i in range(a.n)
         )
-        return SympySymbol(expr, a.n, a.order + b.order - 2.0, label=f"{{{a.label},{b.label}}}")
-
-    def ev(X, XI):
-        ga_xi = a.grad_xi(X, XI)
-        gb_x = b.grad_x(X, XI)
-        ga_x = a.grad_x(X, XI)
-        gb_xi = b.grad_xi(X, XI)
-        return np.sum(ga_xi * gb_x - ga_x * gb_xi, axis=-1)
-
-    return FuncSymbol(ev, a.n, a.order + b.order - 2.0, label=f"{{{a.label},{b.label}}}")
+    )
+    return SympySymbol(expr, a.n, a.order + b.order - 2.0, label=f"{{{a.label},{b.label}}}")
 
 
 @dataclass
@@ -356,28 +344,6 @@ class PositivityReport:
         }
 
 
-def _wavepacket_probes(g: Grid, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Band-limited Gaussian wavepackets at varied centers/frequencies (plus a
-    first-order Hermite variant every other draw)."""
-    out = []
-    kmax = 0.5 * g.xi_max
-    for i in range(count):
-        center = rng.uniform(-0.4 * g.L, 0.4 * g.L, size=g.n)
-        kvec = rng.uniform(-kmax, kmax, size=g.n)
-        width = rng.uniform(0.05 * g.L, 0.15 * g.L)
-        mesh = g.x_mesh
-        sq = np.zeros(g.shape)
-        phase = np.zeros(g.shape)
-        for d in range(g.n):
-            sq = sq + (mesh[..., d] - center[d]) ** 2
-            phase = phase + kvec[d] * mesh[..., d]
-        vals = np.exp(-sq / (2.0 * width**2)) * np.exp(1j * phase)
-        if i % 2 == 1:
-            vals = vals * (mesh[..., 0] - center[0]) / width
-        out.append(vals)
-    return out
-
-
 def _fit_positivity(a: Symbol, g: Grid, sigma: float, probes: int, rng) -> float:
     from .grid import inner_product, sobolev_norm
     from .symbol.core import bessel_symbol
@@ -387,9 +353,9 @@ def _fit_positivity(a: Symbol, g: Grid, sigma: float, probes: int, rng) -> float
 
     # probe-family fit
     worst = 0.0
-    for vals in _wavepacket_probes(g, probes, rng):
-        u = Field(g, vals)
-        quad = float(np.real(inner_product(Field(g, op.apply_values(vals)), u)))
+    draws = {"center": (-0.4, 0.4), "carrier": (-0.5, 0.5), "width": (0.05, 0.15)}
+    for u in wavepacket_probes(g, probes, rng, hermite=True, **draws):
+        quad = float(np.real(inner_product(Field(g, op.apply_values(u.values)), u)))
         denom = sobolev_norm(u, sigma) ** 2
         worst = max(worst, -quad / denom)
 

@@ -26,6 +26,7 @@ config error.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -155,6 +156,50 @@ _DATUM_KEYS = {"kind": "str", "carrier": None, "width2": "number", "amplitude": 
 _NONLIN_KEYS = {"p": "int", "q": "int", "alpha": "list"}
 
 
+_COEFF_FUNCTIONS = ("exp", "sin", "cos", "tanh", "sqrt")
+_COEFF_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _check_coefficient(c, n: int, path: str) -> None:
+    """Accept a number, or a string of numbers, x1..xn, + - * / **, unary minus
+    and calls to exp, sin, cos, tanh, sqrt.  The string goes to sympy.sympify,
+    which evaluates Python, so nothing else may reach it."""
+    if isinstance(c, (int, float)) and not isinstance(c, bool):
+        return
+    if not isinstance(c, str):
+        raise ConfigError(f"{path}: expected a number or an expression string")
+    names = {f"x{i + 1}" for i in range(n)}
+
+    def allowed(node) -> bool:
+        if isinstance(node, ast.Constant):
+            return type(node.value) in (int, float)
+        if isinstance(node, ast.Name):
+            return node.id in names
+        if isinstance(node, ast.BinOp):
+            return isinstance(node.op, _COEFF_OPS) and allowed(node.left) and allowed(node.right)
+        if isinstance(node, ast.UnaryOp):
+            return isinstance(node.op, ast.USub) and allowed(node.operand)
+        if isinstance(node, ast.Call):
+            return (
+                isinstance(node.func, ast.Name)
+                and node.func.id in _COEFF_FUNCTIONS
+                and not node.keywords
+                and len(node.args) == 1
+                and allowed(node.args[0])
+            )
+        return False
+
+    try:
+        ok = allowed(ast.parse(c, mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError):
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"{path}: {c!r} is not an expression in numbers, {', '.join(sorted(names))}, "
+            f"+ - * / ** and {', '.join(_COEFF_FUNCTIONS)}"
+        )
+
+
 def _validate_experiment(cfg: dict, path: str) -> None:
     _expect(
         cfg,
@@ -177,6 +222,12 @@ def _validate_experiment(cfg: dict, path: str) -> None:
         sym = cfg["symbol"]
         if kind == "kdv-type-build":
             _expect(sym, f"{path}.symbol", {"coefficients": "list", "n": "int"}, ("coefficients",))
+            n = sym.get("n", len(sym["coefficients"]))
+            for i, row in enumerate(sym["coefficients"]):
+                if not isinstance(row, list):
+                    raise ConfigError(f"{path}.symbol.coefficients[{i}]: expected a list")
+                for j, c in enumerate(row):
+                    _check_coefficient(c, n, f"{path}.symbol.coefficients[{i}][{j}]")
         else:
             _expect(sym, f"{path}.symbol", {"name": "str", "params": "dict"}, ("name",))
             if sym["name"] not in CATALOG:
@@ -329,10 +380,10 @@ def _exp_doi_weight(cfg, rng, outdir, prefix):
 def _exp_trace_bichar(cfg, rng, outdir, prefix):
     from .hamilton import (
         classify_strong_ellipticity,
+        escape_verdict,
         integrate_bicharacteristic,
         qdelta_monotonicity,
         trajectory_to_csv,
-        trapping_probe,
     )
 
     a = _build_symbol(cfg)
@@ -344,7 +395,7 @@ def _exp_trace_bichar(cfg, rng, outdir, prefix):
     delta = run.get("delta", 0.5)
     traj = integrate_bicharacteristic(a, x0, xi0, T=T, h=h)
     cls = classify_strong_ellipticity(a, traj)
-    probe = trapping_probe(a, x0, xi0, R=run.get("R", 10.0), T_max=T, h=h)
+    probe = escape_verdict(traj, R=run.get("R", 10.0), horizon=T)
     details = {
         "drift": traj.drift,
         "xi_range": [traj.xi_min, traj.xi_max],

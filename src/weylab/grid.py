@@ -32,6 +32,7 @@ __all__ = [
     "weighted_pairing",
     "inner_product",
     "tail_mass_fraction",
+    "wavepacket_probes",
 ]
 
 # Dense N^n-by-N^n operator matrices are allowed up to this many entries.
@@ -381,6 +382,35 @@ def gaussian_wavepacket(
         sq = sq + (mesh[..., d] - center[d]) ** 2
         ph = ph + carrier[d] * mesh[..., d]
     return Field(grid, amplitude * np.exp(1j * ph) * np.exp(-sq / width2))
+
+
+def wavepacket_probes(
+    grid: Grid,
+    count: int,
+    rng: np.random.Generator,
+    *,
+    center: tuple[float, float],
+    carrier: tuple[float, float],
+    width: tuple[float, float],
+    hermite: bool = False,
+) -> list[Field]:
+    """count random Gaussian wavepackets exp(i k.x) exp(-|x - c|^2 / (2 w^2)).
+
+    Each packet draws c uniform in center * L (per axis), then k uniform in
+    carrier * xi_max (per axis), then w uniform in width * L.  With hermite,
+    every other packet is multiplied by (x_1 - c_1) / w.
+    """
+    mesh = grid.x_mesh
+    out = []
+    for i in range(count):
+        c = rng.uniform(center[0] * grid.L, center[1] * grid.L, size=grid.n)
+        k = rng.uniform(carrier[0] * grid.xi_max, carrier[1] * grid.xi_max, size=grid.n)
+        w = rng.uniform(width[0] * grid.L, width[1] * grid.L)
+        u = gaussian_wavepacket(grid, k, 2 * w**2, center=c)
+        if hermite and i % 2 == 1:
+            u = Field(grid, u.values * (mesh[..., 0] - c[0]) / w)
+        out.append(u)
+    return out
 
 
 def tail_mass_fraction(u: Field, radius: float) -> float:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import sympy as sp
 
-from .symbol.core import Symbol, as_points
+from .symbol.core import Symbol, SympySymbol, as_points
 
 __all__ = [
     "Trajectory",
@@ -26,8 +27,11 @@ __all__ = [
     "EllipticityClassification",
     "QDeltaReport",
     "hamiltonian_field",
+    "hamilton_derivative",
+    "qdelta_symbol",
     "integrate_bicharacteristic",
     "classify_strong_ellipticity",
+    "escape_verdict",
     "trapping_probe",
     "qdelta_monotonicity",
     "qdelta_values",
@@ -43,6 +47,28 @@ def hamiltonian_field(a: Symbol, x, xi) -> tuple[np.ndarray, np.ndarray]:
     xdot = np.real(a.grad_xi(x, xi))
     xidot = -np.real(a.grad_x(x, xi))
     return xdot, xidot
+
+
+def hamilton_derivative(a: Symbol, b: Symbol, x, xi) -> np.ndarray:
+    """H_a b = {a, b} = x_dot . grad_x b + xi_dot . grad_xi b along the H_a flow
+    (real parts: the calculus runs on Re(a))."""
+    xdot, xidot = hamiltonian_field(a, x, xi)
+    return np.sum(xdot * np.real(b.grad_x(x, xi)) + xidot * np.real(b.grad_xi(x, xi)), axis=-1)
+
+
+def qdelta_symbol(a: Symbol, delta: float, scale: float = 1.0) -> SympySymbol:
+    """scale <xi>_delta^{-(m-1)} sum_j x_j d_{xi_j} a, <xi>_delta = (delta+|xi|^2)^{1/2},
+    derived from the sympy expression of a (delta = 1 gives the Garding weight)."""
+    if not isinstance(a, SympySymbol):
+        raise TypeError("q_delta is derived from the sympy expression; pass a SympySymbol")
+    xs, xis = a._xs, a._xis
+    bes = (sp.nsimplify(delta, rational=True) + sum(v**2 for v in xis)) ** (
+        -sp.Rational(1, 2) * sp.nsimplify(a.order - 1)
+    )
+    expr = sp.nsimplify(scale, rational=False) * bes * sum(
+        xs[j] * sp.diff(a.expr, xis[j]) for j in range(a.n)
+    )
+    return SympySymbol(expr, a.n, 0.0, real_valued=a.real_valued, zero_nyquist=False, label="q")
 
 
 @dataclass
@@ -75,11 +101,8 @@ def _rk4_path(a: Symbol, z0: np.ndarray, T: float, h: float, direction: float):
     n = z0.size // 2
 
     def f(z):
-        x = z[:n][None, :]
-        xi = z[n:][None, :]
-        xd = np.real(a.grad_xi(x, xi))[0]
-        xid = -np.real(a.grad_x(x, xi))[0]
-        return np.concatenate([xd, xid])
+        xd, xid = hamiltonian_field(a, z[None, :n], z[None, n:])
+        return np.concatenate([xd[0], xid[0]])
 
     steps = max(1, int(np.ceil(T / h - 1e-12)))
     hh = direction * T / steps
@@ -212,9 +235,8 @@ def _first_escape(t: np.ndarray, x: np.ndarray, R: float, *, refine_tol: float =
     return t_lo + hi * (t_hi - t_lo)
 
 
-def trapping_probe(a_m: Symbol, x0, xi0, R: float, T_max: float, h: float) -> TrappingVerdict:
-    """Certify escape from |x| < R within the horizon, in either direction."""
-    traj = integrate_bicharacteristic(a_m, x0, xi0, T_max, h)
+def escape_verdict(traj: Trajectory, R: float, horizon: float) -> TrappingVerdict:
+    """Certify escape from |x| < R along a trajectory, in either direction."""
     i0 = traj.start_index
     fwd = _first_escape(traj.t[i0:], traj.x[i0:], R)
     bwd = _first_escape(traj.t[: i0 + 1][::-1], traj.x[: i0 + 1][::-1], R)
@@ -230,52 +252,19 @@ def trapping_probe(a_m: Symbol, x0, xi0, R: float, T_max: float, h: float) -> Tr
         forward_escape_time=fwd,
         backward_escape_time=bwd,
         radius=R,
-        horizon=T_max,
+        horizon=horizon,
         verdict=verdict,
     )
 
 
+def trapping_probe(a_m: Symbol, x0, xi0, R: float, T_max: float, h: float) -> TrappingVerdict:
+    """Certify escape from |x| < R within the horizon, in either direction."""
+    return escape_verdict(integrate_bicharacteristic(a_m, x0, xi0, T_max, h), R, T_max)
+
+
 def qdelta_values(a_m: Symbol, x, xi, delta: float) -> np.ndarray:
     """q_delta = <xi>_delta^{-(m-1)} sum_j x_j d_{xi_j} a_m, <xi>_delta = (delta+|xi|^2)^{1/2}."""
-    X = as_points(x, a_m.n)
-    XI = as_points(xi, a_m.n)
-    grad = np.real(a_m.grad_xi(X, XI))
-    base = (delta + np.sum(XI**2, axis=-1)) ** (-(a_m.order - 1.0) / 2.0)
-    return base * np.sum(X * grad, axis=-1)
-
-
-def _hamilton_qdelta(a_m: Symbol, x, xi, delta: float) -> np.ndarray:
-    """H_{a_m} q_delta via the symbols' closures (first derivatives of q_delta
-    assembled by chain rule; needs second derivatives of a_m)."""
-    n = a_m.n
-    X = as_points(x, n)
-    XI = as_points(xi, n)
-    m = a_m.order
-    bes2 = delta + np.sum(XI**2, axis=-1)
-    base = bes2 ** (-(m - 1.0) / 2.0)
-    grad_xi_a = np.real(a_m.grad_xi(X, XI))
-    grad_x_a = np.real(a_m.grad_x(X, XI))
-    s0 = np.sum(X * grad_xi_a, axis=-1)
-
-    out = np.zeros(X.shape[:-1])
-    zeros = (0,) * n
-    for k in range(n):
-        ek = tuple(1 if i == k else 0 for i in range(n))
-        # d_{x_k} q_delta
-        sx = np.real(a_m.deriv(ek, zeros, X, XI)) + 0.0
-        acc = np.zeros_like(sx)
-        for j in range(n):
-            ej = tuple(1 if i == j else 0 for i in range(n))
-            acc += X[..., j] * np.real(a_m.deriv(ej, ek, X, XI))
-        dq_xk = base * (sx + acc)
-        # d_{xi_k} q_delta
-        acc2 = np.zeros_like(sx)
-        for j in range(n):
-            ejk = tuple((1 if i == j else 0) + (1 if i == k else 0) for i in range(n))
-            acc2 += X[..., j] * np.real(a_m.deriv(ejk, zeros, X, XI))
-        dq_xik = -(m - 1.0) * XI[..., k] / bes2 * base * s0 + base * acc2
-        out += grad_xi_a[..., k] * dq_xk - grad_x_a[..., k] * dq_xik
-    return out
+    return qdelta_symbol(a_m, delta).eval(x, xi).real
 
 
 @dataclass
@@ -303,8 +292,9 @@ def qdelta_monotonicity(a_m: Symbol, traj: Trajectory, delta: float) -> QDeltaRe
     t = traj.t[i0:]
     x = traj.x[i0:]
     xi = traj.xi[i0:]
-    qv = qdelta_values(a_m, x, xi, delta)
-    hv = _hamilton_qdelta(a_m, x, xi, delta)
+    q = qdelta_symbol(a_m, delta)
+    qv = q.eval(x, xi).real
+    hv = hamilton_derivative(a_m, q, x, xi)
     # cumulative composite trapezoid of H q_delta against the endpoint values
     integ = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (hv[1:] + hv[:-1]))])
     scale = float(np.max(np.abs(qv - qv[0])))

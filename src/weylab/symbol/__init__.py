@@ -15,14 +15,12 @@ from .core import (
     SeparableTerm,
     Symbol,
     SympySymbol,
-    add_symbols,
     bessel_symbol,
     kn_to_weyl_expr,
     multi_factorial,
     multi_indices,
     multi_indices_upto,
     phase_symbols,
-    product_symbol,
     scale_symbol,
     weyl_product_expr,
     zero_symbol,
@@ -51,8 +49,6 @@ __all__ = [
     "bessel_symbol",
     "zero_symbol",
     "scale_symbol",
-    "add_symbols",
-    "product_symbol",
     "weyl_product_expr",
     "kn_to_weyl_expr",
     "phase_symbols",

@@ -9,7 +9,6 @@ h = 1e-4 (1 + |coordinate|).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -32,8 +31,6 @@ __all__ = [
     "bessel_symbol",
     "zero_symbol",
     "scale_symbol",
-    "add_symbols",
-    "product_symbol",
 ]
 
 FD_STEP = 1e-4
@@ -61,18 +58,6 @@ def multi_factorial(alpha: MultiIndex) -> int:
     for a in alpha:
         out *= math.factorial(a)
     return out
-
-
-def _multi_binom(alpha: MultiIndex, alpha1: MultiIndex) -> int:
-    out = 1
-    for a, b in zip(alpha, alpha1):
-        out *= math.comb(a, b)
-    return out
-
-
-def _sub_indices(alpha: MultiIndex) -> Iterable[MultiIndex]:
-    ranges = [range(a + 1) for a in alpha]
-    return itertools.product(*ranges)
 
 
 def phase_symbols(n: int) -> tuple[list[sp.Symbol], list[sp.Symbol]]:
@@ -342,77 +327,8 @@ class _Scaled(Symbol):
         return fn
 
 
-class _Sum(Symbol):
-    def __init__(self, terms: list[Symbol], order: Optional[float] = None):
-        n = terms[0].n
-        if any(t.n != n for t in terms):
-            raise ValueError("summands have mismatched dimensions")
-        super().__init__(
-            n,
-            order if order is not None else max(t.order for t in terms),
-            real_valued=all(t.real_valued for t in terms),
-            zero_nyquist=any(t.zero_nyquist for t in terms),
-            x_independent=all(t.x_independent for t in terms),
-            label=" + ".join(t.label for t in terms),
-        )
-        self._terms = terms
-
-    def _eval(self, X, XI):
-        return sum(t._eval(X, XI) for t in self._terms)
-
-    def _analytic_deriv(self, alpha, beta):
-        terms = self._terms
-
-        def fn(X, XI):
-            return sum(t._deriv_arrays(alpha, beta, X, XI) for t in terms)
-
-        return fn
-
-
-class _Product(Symbol):
-    def __init__(self, a: Symbol, b: Symbol):
-        if a.n != b.n:
-            raise ValueError("factors have mismatched dimensions")
-        super().__init__(
-            a.n,
-            a.order + b.order,
-            real_valued=a.real_valued and b.real_valued,
-            zero_nyquist=a.zero_nyquist or b.zero_nyquist,
-            x_independent=a.x_independent and b.x_independent,
-            label=f"({a.label})*({b.label})",
-        )
-        self._a = a
-        self._b = b
-
-    def _eval(self, X, XI):
-        return self._a._eval(X, XI) * self._b._eval(X, XI)
-
-    def _analytic_deriv(self, alpha, beta):
-        a, b = self._a, self._b
-
-        def fn(X, XI):
-            out = 0.0
-            for a1 in _sub_indices(alpha):
-                for b1 in _sub_indices(beta):
-                    a2 = tuple(p - q for p, q in zip(alpha, a1))
-                    b2 = tuple(p - q for p, q in zip(beta, b1))
-                    coeff = _multi_binom(alpha, a1) * _multi_binom(beta, b1)
-                    out = out + coeff * a._deriv_arrays(a1, b1, X, XI) * b._deriv_arrays(a2, b2, X, XI)
-            return out
-
-        return fn
-
-
 def scale_symbol(a: Symbol, c: complex) -> Symbol:
     return _Scaled(a, c)
-
-
-def add_symbols(*terms: Symbol, order: Optional[float] = None) -> Symbol:
-    return _Sum(list(terms), order=order)
-
-
-def product_symbol(a: Symbol, b: Symbol) -> Symbol:
-    return _Product(a, b)
 
 
 def zero_symbol(n: int, order: float = 0.0) -> SympySymbol:

@@ -30,7 +30,8 @@ import numpy as np
 import sympy as sp
 
 from .calculus import DenseOperator, quantize_dense
-from .grid import Field, Grid, apply_bessel, l2_norm, sobolev_norm
+from .grid import Field, Grid, apply_bessel, l2_norm, sobolev_norm, wavepacket_probes
+from .hamilton import hamilton_derivative, qdelta_symbol
 from .symbol.checks import (
     XI_FLOOR,
     ConditionReport,
@@ -39,7 +40,7 @@ from .symbol.checks import (
     check_im_smallness,
     check_x_decay,
 )
-from .symbol.core import FirstOrderSymbol, Symbol, SympySymbol, multi_indices_upto
+from .symbol.core import FirstOrderSymbol, Symbol, multi_indices_upto
 
 __all__ = [
     "WeightFn",
@@ -163,16 +164,6 @@ def _fit_lower_bound(values, weight, S: SampleSet, description: str) -> SlackFit
     return SlackFit(slope, C2, verdict, description, S.X, S.XI, values, weight)
 
 
-def _hamilton_values(a: Symbol, q: Symbol, S: SampleSet) -> np.ndarray:
-    """H_a q = grad_xi a . grad_x q - grad_x a . grad_xi q on the samples
-    (real parts: the calculus runs on Re(a))."""
-    ga_xi = np.real(a.grad_xi(S.X, S.XI))
-    ga_x = np.real(a.grad_x(S.X, S.XI))
-    gq_x = np.real(q.grad_x(S.X, S.XI))
-    gq_xi = np.real(q.grad_xi(S.X, S.XI))
-    return np.sum(ga_xi * gq_x - ga_x * gq_xi, axis=-1)
-
-
 # -- Garding weight ---------------------------------------------------------------
 
 
@@ -222,8 +213,9 @@ def garding_weight(
 ) -> GardingWeight:
     """Build q = 2 C1 C^2 <xi>^{-(m-1)} sum_j x_j d_{xi_j} a.
 
-    Requires a (passing) gradient-ellipticity report, which supplies C.
-    C1 defaults to 1/(2 C^2), normalizing the prefactor to 1.
+    Requires a sympy-backed symbol (TypeError otherwise) and a (passing)
+    gradient-ellipticity report, which supplies C.  C1 defaults to 1/(2 C^2),
+    normalizing the prefactor to 1.
     """
     if S is None:
         S = SampleSet.standard(a.n)
@@ -235,68 +227,7 @@ def garding_weight(
     if C1 is None:
         C1 = 1.0 / (2.0 * C**2)
     C1 = float(C1)
-    m = a.order
-    pref = 2.0 * C1 * C**2
-
-    if isinstance(a, SympySymbol):
-        xs, xis = a._xs, a._xis
-        bes = (1 + sum(v**2 for v in xis)) ** (-sp.Rational(1, 2) * sp.nsimplify(m - 1))
-        expr = sp.nsimplify(pref, rational=False) * bes * sum(
-            xs[j] * sp.diff(a.expr, xis[j]) for j in range(a.n)
-        )
-        q = SympySymbol(expr, a.n, 0.0, real_valued=a.real_valued, zero_nyquist=False, label="q")
-    else:
-        n = a.n
-
-        def q_eval(X, XI):
-            bes = (1.0 + np.sum(XI**2, axis=-1)) ** (-(m - 1) / 2.0)
-            acc = 0.0
-            for j in range(n):
-                e = tuple(1 if i == j else 0 for i in range(n))
-                acc = acc + X[..., j] * np.real(a._deriv_arrays(e, (0,) * n, X, XI))
-            return pref * bes * acc
-
-        def dq_x(k):
-            def fn(X, XI):
-                bes = (1.0 + np.sum(XI**2, axis=-1)) ** (-(m - 1) / 2.0)
-                ek = tuple(1 if i == k else 0 for i in range(n))
-                acc = np.real(a._deriv_arrays(ek, (0,) * n, X, XI))
-                for j in range(n):
-                    ej = tuple(1 if i == j else 0 for i in range(n))
-                    acc = acc + X[..., j] * np.real(a._deriv_arrays(ej, ek, X, XI))
-                return pref * bes * acc
-
-            return fn
-
-        def dq_xi(k):
-            def fn(X, XI):
-                b2 = 1.0 + np.sum(XI**2, axis=-1)
-                bes = b2 ** (-(m - 1) / 2.0)
-                ek = tuple(1 if i == k else 0 for i in range(n))
-                s0 = 0.0
-                s1 = 0.0
-                for j in range(n):
-                    ej = tuple(1 if i == j else 0 for i in range(n))
-                    ejk = tuple(
-                        (1 if i == j else 0) + (1 if i == k else 0) for i in range(n)
-                    )
-                    s0 = s0 + X[..., j] * np.real(a._deriv_arrays(ej, (0,) * n, X, XI))
-                    s1 = s1 + X[..., j] * np.real(a._deriv_arrays(ejk, (0,) * n, X, XI))
-                return pref * (-(m - 1) * XI[..., k] / b2 * bes * s0 + bes * s1)
-
-            return fn
-
-        q = FirstOrderSymbol(
-            q_eval,
-            [dq_x(k) for k in range(n)],
-            [dq_xi(k) for k in range(n)],
-            n,
-            0.0,
-            real_valued=True,
-            zero_nyquist=False,
-            label="q",
-        )
-
+    q = qdelta_symbol(a, 1.0, 2.0 * C1 * C**2)
     gw = GardingWeight(q=q, C1=C1, C=C, source=a)
     gw.bound_fit = _envelope_fit(q, S)
     return gw
@@ -304,7 +235,7 @@ def garding_weight(
 
 def hamilton_slack(a: Symbol, q: Symbol, S: SampleSet) -> SlackFit:
     """Fit H_a q >= C1 |xi|^{m-1} - C2 over the sample set."""
-    H = _hamilton_values(a, q, S)
+    H = hamilton_derivative(a, q, S.X, S.XI)
     w = np.maximum(S.xi_norm, XI_FLOOR) ** (a.order - 1.0)
     return _fit_lower_bound(H, w, S, "H_a q >= C1 |xi|^(m-1) - C2")
 
@@ -510,7 +441,7 @@ def doi_slack(
 ) -> SlackFit:
     """Fit H_a p >= C lam(|x|) |xi|^{m-1} - C' over the sample set."""
     psym = p.symbol if isinstance(p, DoiWeight) else p
-    H = _hamilton_values(a, psym, S)
+    H = hamilton_derivative(a, psym, S.X, S.XI)
     w = lam(S.x_norm) * np.maximum(S.xi_norm, XI_FLOOR) ** (a.order - 1.0)
     return _fit_lower_bound(H, w, S, "H_a p >= C lam(|x|) |xi|^(m-1) - C'")
 
@@ -539,6 +470,11 @@ class _ExpSymbol(Symbol):
         return fn
 
 
+# probe draws for the exp-weight fits: center and width as fractions of L,
+# carrier as a fraction of xi_max
+_BAND = {"center": (-0.3, 0.3), "carrier": (-1 / 3, 1 / 3), "width": (0.08, 0.15)}
+
+
 @dataclass
 class ExpWeightPair:
     """E = Op^w(e^p), Et = Op^w(e^{-p}), with the order(-2) conjugation fit."""
@@ -557,28 +493,10 @@ class ExpWeightPair:
     def equivalence_fit(self, s: float = 0.0, count: int = 24, seed: int = 0) -> tuple[float, float]:
         """Fitted c1, c2 with c1 ||u||_s <= N(u) <= c2 ||u||_s on wavepackets."""
         lo, hi = np.inf, 0.0
-        for u in _band_probes(self.grid, count, seed):
+        for u in wavepacket_probes(self.grid, count, np.random.default_rng(seed), **_BAND):
             ratio = self.n_norm(u, s) / sobolev_norm(u, s)
             lo, hi = min(lo, ratio), max(hi, ratio)
         return float(lo), float(hi)
-
-
-def _band_probes(g: Grid, count: int, seed: int) -> list[Field]:
-    rng = np.random.default_rng(seed)
-    out = []
-    kcap = g.xi_max / 3.0
-    for _ in range(count):
-        center = rng.uniform(-0.3 * g.L, 0.3 * g.L, size=g.n)
-        kvec = rng.uniform(-kcap, kcap, size=g.n)
-        width = rng.uniform(0.08 * g.L, 0.15 * g.L)
-        mesh = g.x_mesh
-        sq = np.zeros(g.shape)
-        ph = np.zeros(g.shape)
-        for d in range(g.n):
-            sq += (mesh[..., d] - center[d]) ** 2
-            ph += kvec[d] * mesh[..., d]
-        out.append(Field(g, np.exp(-sq / (2 * width**2)) * np.exp(1j * ph)))
-    return out
 
 
 def exp_weight_operators(
@@ -590,8 +508,7 @@ def exp_weight_operators(
     Et = quantize_dense(_ExpSymbol(psym, -1.0), g, "weyl")
     R = Et.matrix @ E.matrix - np.eye(g.size)
     worst = 0.0
-    probes_list = _band_probes(g, probes, seed)
-    for u in probes_list:
+    for u in wavepacket_probes(g, probes, np.random.default_rng(seed), **_BAND):
         v = Field(g, (R @ u.values.ravel()).reshape(g.shape))
         denom = sobolev_norm(u, s_fit - 2.0)
         worst = max(worst, sobolev_norm(v, s_fit) / denom)

@@ -157,6 +157,24 @@ def test_apply_fast_general_matches_dense():
     assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * np.max(np.abs(dense.values))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_apply_fast_xi_dependent_symbols_match_dense(n):
+    # each symbol vanishes at xi = 0 and xi = e1 for every x, yet depends on xi
+    xs, xis = phase_symbols(n)
+    if n == 1:
+        expr = sp.exp(-xs[0] ** 2) * xis[0] * (xis[0] - 1)
+        g = make_grid(1, 10.0, 64)
+    else:
+        expr = sp.exp(-xs[0] ** 2) * xis[1]
+        g = make_grid(2, 6.0, 24)
+    a = SympySymbol(expr, n, float(sp.Poly(expr, *xis).total_degree()), zero_nyquist=False)
+    u = gaussian_probe(g, k=2.0)
+    fast = apply_fast(a, u)
+    dense = quantize_dense(a, g, "kn").apply(u)
+    assert np.max(np.abs(dense.values)) > 0.1 * np.max(np.abs(u.values))
+    assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * np.max(np.abs(dense.values))
+
+
 def test_apply_fast_rejects_weyl_tag():
     g = make_grid(1, np.pi, 32)
     with pytest.raises(ValueError):
@@ -274,6 +292,14 @@ def test_poisson_bracket_airy():
     q = SympySymbol(xs[0] * xis[0] ** 2, 1, 1.0, zero_nyquist=False)
     br = poisson_bracket(catalog("airy"), q)
     assert sp.expand(br.expr - 3 * xis[0] ** 4) == 0
+
+
+def test_poisson_bracket_rejects_numeric_symbols():
+    from weylab.symbol import FuncSymbol
+
+    f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0)
+    with pytest.raises(TypeError):
+        poisson_bracket(catalog("airy"), f)
 
 
 # -- positivity ---------------------------------------------------------------------

@@ -150,6 +150,31 @@ def test_kdv_type_build_experiment(tmp_path):
     assert rep["verdicts"]["a3_admissible"] == "pass"
 
 
+def test_kdv_type_build_rejects_python_in_coefficients(tmp_path, capsys):
+    for bad in ["__import__('os').getpid()", "x1.__class__", "exp(x=1)", "x2", "x1 ^ 2", "lambda: 1"]:
+        cfg = {"experiment": "kdv-type-build", "symbol": {"coefficients": [[bad]], "n": 1}}
+        assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == 1
+        assert "coefficients[0][0]" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        _validate_config({"experiment": "kdv-type-build", "symbol": {"coefficients": [[True]]}})
+
+
+def test_kdv_type_build_coefficient_symbol_unchanged(tmp_path):
+    # the whitelist only gates the string; sympy still builds the same symbol
+    import sympy as sp
+
+    from weylab.symbol import VectorFieldSystem, build_kdv_type
+
+    text = "1 + 0.02*exp(-x1**2)"
+    cfg = {"experiment": "kdv-type-build", "symbol": {"coefficients": [[text]], "n": 1}}
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == 0
+    rep = json.loads(next(tmp_path.glob("*_report.json")).read_text())
+    coeff = sp.sympify(text, locals={"x1": sp.Symbol("x1", real=True)})
+    build = build_kdv_type(VectorFieldSystem(1, [[coeff]]))
+    assert rep["details"]["corrections"] == [str(c) for c in build.corrections]
+    assert build.corrections[0] != 0
+
+
 def test_batch_with_threads(tmp_path):
     cfg = {
         "threads": 2,

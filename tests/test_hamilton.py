@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+from weylab.calculus import poisson_bracket
 from weylab.hamilton import (
     classify_strong_ellipticity,
+    escape_verdict,
+    hamilton_derivative,
     hamiltonian_field,
     integrate_bicharacteristic,
     qdelta_monotonicity,
+    qdelta_symbol,
     qdelta_values,
     trajectory_to_csv,
     trapping_probe,
 )
-from weylab.symbol import catalog
+from weylab.symbol import FuncSymbol, SampleSet, catalog
+from weylab.weights import garding_weight
 
 
 def test_hamiltonian_field_airy():
@@ -29,6 +34,26 @@ def test_hamiltonian_field_gaussian_kdv_symmetry():
     # even coefficient: grad_x a = 0 at x = 0
     xd, xid = hamiltonian_field(catalog("gaussian_kdv", eps=0.3), 0.0, 1.0)
     assert abs(xid.ravel()[0]) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["gaussian_kdv", "zk"])
+def test_hamilton_derivative_matches_exact_bracket(name):
+    # H_a q of the Garding weight against the exact sympy bracket {a, q}
+    a = catalog(name)
+    S = SampleSet.standard(a.n, x_points=9)
+    q = garding_weight(a, S=S).q
+    got = hamilton_derivative(a, q, S.X, S.XI)
+    ref = poisson_bracket(a, q).eval(S.X, S.XI).real
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_qdelta_symbol_is_derived_from_sympy_only():
+    f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0)
+    with pytest.raises(TypeError):
+        qdelta_symbol(f, 0.5)
+    # delta = 1 and a scale give the Garding normalization 2 C1 C^2 = 54 for airy
+    q = qdelta_symbol(catalog("airy"), 1.0, 54.0)
+    assert np.isclose(q.eval(1.0, 2.0).real.item(), 54.0 * 3 * 4 / 5, rtol=1e-14)
 
 
 def test_integrate_airy_straight_line():
@@ -111,6 +136,12 @@ def test_trapping_probe_monotone_in_horizon():
         verdicts.append(trapping_probe(a, 0.0, 1.0, R=8.0, T_max=T, h=0.01).nontrapped)
     for earlier, later in zip(verdicts, verdicts[1:]):
         assert later or not earlier
+
+
+def test_escape_verdict_reuses_trajectory():
+    a = catalog("gaussian_kdv", eps=0.05)
+    traj = integrate_bicharacteristic(a, 0.0, 1.0, 4.0, 0.01)
+    assert escape_verdict(traj, 8.0, 4.0) == trapping_probe(a, 0.0, 1.0, R=8.0, T_max=4.0, h=0.01)
 
 
 def test_qdelta_airy_hand_values():

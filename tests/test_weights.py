@@ -59,6 +59,14 @@ def test_garding_weight_zero_scale(lam, S1):
     assert fit.C1 == 0.0 and not fit.passed
 
 
+def test_garding_weight_needs_sympy_symbol(S1):
+    from weylab.symbol import FuncSymbol
+
+    f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0, real_valued=True)
+    with pytest.raises(TypeError):
+        garding_weight(f, S=S1)
+
+
 def test_garding_weight_rejects_degenerate():
     from weylab.symbol import SympySymbol
 
@@ -234,6 +242,33 @@ def test_exp_weights_conjugation_order(airy_doi):
         fits[N] = pair.conjugation_C
     ratio = fits[128] / fits[64]
     assert 0.4 <= ratio <= 2.5
+
+
+def test_probe_generator_reproduces_band_probes():
+    # reference: the exp-weight probe loop the shared generator replaced
+    from weylab.grid import Field, wavepacket_probes
+
+    g = make_grid(1, 8.0, 64)
+    rng = np.random.default_rng(0)
+    ref = []
+    kcap = g.xi_max / 3.0
+    for _ in range(24):
+        center = rng.uniform(-0.3 * g.L, 0.3 * g.L, size=g.n)
+        kvec = rng.uniform(-kcap, kcap, size=g.n)
+        width = rng.uniform(0.08 * g.L, 0.15 * g.L)
+        mesh = g.x_mesh
+        sq = np.zeros(g.shape)
+        ph = np.zeros(g.shape)
+        for d in range(g.n):
+            sq += (mesh[..., d] - center[d]) ** 2
+            ph += kvec[d] * mesh[..., d]
+        ref.append(Field(g, np.exp(-sq / (2 * width**2)) * np.exp(1j * ph)))
+    got = wavepacket_probes(
+        g, 24, np.random.default_rng(0), center=(-0.3, 0.3), carrier=(-1 / 3, 1 / 3), width=(0.08, 0.15)
+    )
+    assert len(got) == 24
+    for u, v in zip(got, ref):
+        assert np.array_equal(u.values, v.values)
 
 
 # -- bundled admissibility -------------------------------------------------------------
