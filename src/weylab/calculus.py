@@ -61,7 +61,11 @@ class DenseOperator:
         return Field(self.grid, v.reshape(self.grid.shape))
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return (self.matrix @ values.ravel()).reshape(self.grid.shape)
+        """The matrix applied to samples; leading axes index a stack."""
+        # one matrix-vector product per array: a matrix-matrix product rounds
+        # differently, and each result must not depend on the stack it is in
+        flat = values.reshape(-1, self.grid.size)
+        return np.stack([self.matrix @ v for v in flat]).reshape(values.shape)
 
     @property
     def adjoint_residual(self) -> float:

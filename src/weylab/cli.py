@@ -490,6 +490,7 @@ def _exp_smoothing_report(cfg, rng, outdir, prefix):
     unweighted = {}
     rows = []
     for k, u0 in data.items():
+        sol = None  # free the previous frame stack before the next solve fills one
         if forced:
             sol = solve_linear(a, Field.zero(g), u0, T=T, store_stride=stride)
             rep = smoothing_report(sol, estimate, s, lam, f=u0)

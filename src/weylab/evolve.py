@@ -9,8 +9,9 @@ e^{i dt a0}; the remainder (`EvolutionOperator.apply_remainder`, coefficients
 in and out) and any forcing are stepped with RK4 in the rotated frame, and
 they alone pay for transforms.  A pure multiplier with no source therefore
 steps as uhat <- e^{i dt a0} uhat with no transform at all, and a frame is
-inverse-transformed only when it is stored.  Scheme "rk4" is the same stepper
-with identity factors and the multiplier moved into the stepped part.
+inverse-transformed only when it is stored, into one (frames, *grid.shape)
+array.  Scheme "rk4" is the same stepper with identity factors and the
+multiplier moved into the stepped part.
 
 Real separable remainder terms f(x) g(xi) are applied in the symmetrized form
 (fG + Gf)/2, which keeps the discrete generator exactly Hermitian, so
@@ -18,7 +19,7 @@ real-symbol runs conserve the L^2 norm up to time-integration error only.
 
 Every run on localized data records a wrap-guard horizon
 
-    T_wrap = (L - R_data - margin) / v_max,
+    T_wrap = (L - R_data - WRAP_MARGIN L) / v_max,
 
 with v_max the largest group speed |grad_xi a| over the active frequencies;
 runs beyond the horizon are refused (the torus stops approximating R^n once
@@ -36,10 +37,11 @@ import numpy as np
 from .grid import (
     Field,
     Grid,
+    _spectrum,
+    _tail_fraction,
     l2_norm,
     sobolev_norm,
     tail_mass_fraction,
-    transform,
     weighted_pairing,
 )
 from .symbol.core import Symbol
@@ -62,6 +64,7 @@ __all__ = [
 C_STAB = 2.5  # RK4 stability margin for imaginary spectra (|y| < 2.828)
 Y_ACC = 0.03  # accuracy target dt * |a_active| for conservation-grade runs
 MIN_STEPS = 64
+WRAP_MARGIN = 0.05  # wrap-guard margin, as a fraction of the half-width L
 ACTIVE_REL_THRESHOLD = 1e-8
 DATA_RADIUS_REL_THRESHOLD = 1e-9
 LOCALIZED_TAIL_TOL = 1e-6
@@ -144,7 +147,8 @@ class EvolutionOperator:
 
         Real pairs act as (fG + Gf)/2, complex ones as fG, and the dense
         fallback acts on the samples.  A pure multiplier has no remainder:
-        the result is zero and no transform runs.
+        the result is zero and no transform runs.  Leading axes of uhat
+        index a stack of arrays, each mapped on its own.
         """
         if not self.pairs and self.dense is None:
             return np.zeros_like(uhat)
@@ -163,16 +167,13 @@ class EvolutionOperator:
         return g.fftn(phys) + spec
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Samples of A u, given the samples of u."""
+        """Samples of A u, given the samples of u (leading axes: a stack)."""
         g = self.grid
         uhat = g.fftn(values)
         out = self.apply_remainder(uhat)
         if self.multiplier is not None:
             out += self.multiplier * uhat
         return g.ifftn(out)
-
-    def apply_field(self, u: Field) -> Field:
-        return Field(self.grid, self.apply(u.values))
 
     # -- magnitude estimates ------------------------------------------------------
 
@@ -211,10 +212,15 @@ def build_evolution_operator(symbol: Symbol, grid: Grid) -> EvolutionOperator:
 # -- wrap guard ---------------------------------------------------------------------
 
 
-def _active_mask(g: Grid, spectra: list[np.ndarray], rel: float = ACTIVE_REL_THRESHOLD):
-    total = np.zeros(g.shape)
-    for s in spectra:
-        total = np.maximum(total, np.abs(s))
+def _initial_data(u0: Field, f: SourceLike) -> np.ndarray:
+    """The samples of u0 and of the source at t = 0, as one stack."""
+    fs = f(0.0) if callable(f) else f
+    return np.stack([u0.values] if fs is None else [u0.values, fs.values])
+
+
+def _active_mask(g: Grid, spectra, rel: float = ACTIVE_REL_THRESHOLD):
+    """Frequencies active in a stack of spectra, dilated."""
+    total = np.max(np.abs(spectra), axis=0)
     peak = float(np.max(total))
     if peak == 0.0:
         return np.zeros(g.shape, dtype=bool)
@@ -225,40 +231,28 @@ def _active_mask(g: Grid, spectra: list[np.ndarray], rel: float = ACTIVE_REL_THR
     return g.xi_norm <= cap
 
 
-def _data_radius(g: Grid, fields: list[np.ndarray]) -> float:
-    dens = np.zeros(g.shape)
-    for v in fields:
-        dens = np.maximum(dens, np.abs(v))
+def _data_radius(g: Grid, fields: np.ndarray) -> float:
+    dens = np.max(np.abs(fields), axis=0)
     peak = float(np.max(dens))
     if peak == 0.0:
         return 0.0
     return float(np.max(g.x_radius[dens >= DATA_RADIUS_REL_THRESHOLD * peak]))
 
 
-def wrap_guard(
-    a: Symbol,
-    u0: Field,
-    f: SourceLike = None,
-    *,
-    margin: Optional[float] = None,
-) -> WrapGuard:
-    """Horizon T_wrap = (L - R_data - margin)/v_max for localized data.
+def wrap_guard(a: Symbol, u0: Field, f: SourceLike = None) -> WrapGuard:
+    """Horizon T_wrap = (L - R_data - WRAP_MARGIN L)/v_max for localized data.
 
     v_max maximizes |grad_xi a| over active frequencies and a coarse spatial
     lattice.  Returns horizon None for non-localized data.
     """
     g = u0.grid
-    margin = 0.05 * g.L if margin is None else margin
-    fields = [u0.values]
-    if isinstance(f, Field):
-        fields.append(f.values)
-    elif callable(f):
-        fields.append(f(0.0).values)
-    localized = all(
-        tail_mass_fraction(Field(g, v), g.L / 2.0) < LOCALIZED_TAIL_TOL for v in fields
-    ) and any(np.max(np.abs(v)) > 0 for v in fields)
-    spectra = [transform(Field(g, v)).coeffs for v in fields]
-    mask = _active_mask(g, spectra)
+    margin = WRAP_MARGIN * g.L
+    fields = _initial_data(u0, f)
+    localized = bool(
+        np.all(_tail_fraction(g, fields, g.L / 2.0) < LOCALIZED_TAIL_TOL)
+        and np.max(np.abs(fields)) > 0
+    )
+    mask = _active_mask(g, _spectrum(g, fields))
     if not localized or not np.any(mask):
         return WrapGuard(None, np.nan, np.nan, margin, localized)
     xi_act = g.xi_mesh.reshape(-1, g.n)[mask.ravel()]
@@ -285,7 +279,7 @@ class Solution:
     grid: Grid
     symbol: Symbol
     times: np.ndarray
-    values: list[np.ndarray] = field(repr=False)
+    values: np.ndarray = field(repr=False)  # frames, shape (len(times), *grid.shape)
     dt: float
     scheme: str
     stride: int
@@ -307,13 +301,19 @@ class Solution:
             return self.source
         return self.source(t)
 
+    def rhs_values(self, index=slice(None)) -> np.ndarray:
+        """du/dt at the stored nodes `index` (all of them by default),
+        reconstructed from the equation."""
+        vals = 1j * self.operator.apply(self.values[index])
+        if self.source is not None:
+            times = np.atleast_1d(self.times[index])
+            src = np.stack([self.source_field(float(t)).values for t in times])
+            vals = vals + src.reshape(vals.shape)
+        return vals
+
     def rhs_field(self, i: int) -> Field:
         """du/dt at a stored node, reconstructed from the equation."""
-        vals = 1j * self.operator.apply(self.values[i])
-        fsrc = self.source_field(float(self.times[i]))
-        if fsrc is not None:
-            vals = vals + fsrc.values
-        return Field(self.grid, vals)
+        return Field(self.grid, self.rhs_values(i))
 
     def sup_sobolev(self, s: float) -> float:
         return max(sobolev_norm(self.field(i), s) for i in range(len(self.values)))
@@ -389,18 +389,22 @@ def _march(
     steps: int,
     dt: float,
     stride: int = 1,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Take `steps` steps from the samples u0; return the times and samples of
-    u0, of every stride-th state and of the last one."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Take `steps` steps from the samples u0; return the times and the frame
+    stack (u0, every stride-th state and the last one)."""
+    kept = list(range(0, steps + 1, stride))
+    if kept[-1] != steps:
+        kept.append(steps)
+    frames = np.empty((len(kept), *g.shape), dtype=complex)
+    frames[0] = u0
     uhat = g.fftn(u0)
-    times = [0.0]
-    frames = [u0.copy()]
+    j = 1
     for k in range(steps):
         uhat = step(uhat, k * dt)
-        if (k + 1) % stride == 0 or k + 1 == steps:
-            times.append((k + 1) * dt)
-            frames.append(g.ifftn(uhat))
-    return np.array(times), frames
+        if k + 1 == kept[j]:
+            frames[j] = g.ifftn(uhat)
+            j += 1
+    return dt * np.array(kept), frames
 
 
 def _pick_dt(op: EvolutionOperator, u0: Field, T: float, extra_mag: float = 0.0) -> float:
@@ -408,7 +412,7 @@ def _pick_dt(op: EvolutionOperator, u0: Field, T: float, extra_mag: float = 0.0)
     the stepped forcing: stability C_STAB over the remainder, accuracy Y_ACC
     over the whole active operator, and at least MIN_STEPS steps."""
     g = op.grid
-    mask = _active_mask(g, [transform(u0).coeffs])
+    mask = _active_mask(g, _spectrum(g, u0.values[None]))
     stab = op.max_abs_remainder(None) + extra_mag
     act = (
         (op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) + extra_mag)
@@ -432,8 +436,6 @@ def solve_linear(
     scheme: str = "auto",
     store_stride: int = 1,
     enforce_wrap_guard: Optional[bool] = None,
-    margin: Optional[float] = None,
-    y_acc: float = Y_ACC,
 ) -> Solution:
     """Integrate du/dt = i A u + f over [0, T].
 
@@ -441,14 +443,14 @@ def solve_linear(
     x-independent multiplier part exactly and steps the remainder; 'auto'
     picks 'if_rk4' whenever a multiplier part exists.  dt=None selects the
     largest step satisfying the stability bound C_STAB/max|a| and the accuracy
-    target y_acc/max|a_active|; an explicit dt violating stability raises.
+    target Y_ACC/max|a_active|; an explicit dt violating stability raises.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
     g = u0.grid
     op = build_evolution_operator(a, g)
 
-    guard = wrap_guard(a, u0, f, margin=margin)
+    guard = wrap_guard(a, u0, f)
     enforce = guard.localized if enforce_wrap_guard is None else enforce_wrap_guard
     if enforce:
         guard.check(T)
@@ -458,11 +460,7 @@ def solve_linear(
     if scheme not in ("rk4", "if_rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    spectra = [transform(u0).coeffs]
-    fs = f(0.0) if callable(f) else f
-    if isinstance(fs, Field):
-        spectra.append(transform(fs).coeffs)
-    mask = _active_mask(g, spectra)
+    mask = _active_mask(g, _spectrum(g, _initial_data(u0, f)))
 
     if scheme == "if_rk4":
         stab_mag = op.max_abs_remainder(None)
@@ -474,7 +472,7 @@ def solve_linear(
         )
     dt_stab = C_STAB / stab_mag if stab_mag > 0 else np.inf
     if dt is None:
-        dt_acc = y_acc / act_mag if act_mag > 0 else np.inf
+        dt_acc = Y_ACC / act_mag if act_mag > 0 else np.inf
         dt = min(dt_stab, dt_acc, T / MIN_STEPS)
     elif dt > dt_stab * (1 + 1e-9):
         raise ValueError(f"dt={dt:g} violates the stability bound {dt_stab:g}")

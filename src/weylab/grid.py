@@ -297,31 +297,64 @@ class SpectralField:
 
 def transform(u: Field) -> SpectralField:
     """Forward transform: uhat(xi_k) = (2L/N)^n sum_j u(x_j) e^{-i x_j xi_k}."""
-    g = u.grid
-    coeffs = (g.dx**g.n) * g.phase * g.fftn(u.values)
-    return SpectralField(g, coeffs)
+    return SpectralField(u.grid, _spectrum(u.grid, u.values))
 
 
 def inverse(uhat: SpectralField) -> Field:
     """Inverse transform: u(x_j) = (2L)^{-n} sum_k uhat(xi_k) e^{+i x_j xi_k}."""
-    g = uhat.grid
-    values = g.ifftn(uhat.coeffs * g.phase) / (g.dx**g.n)
-    return Field(g, values)
+    return Field(uhat.grid, _from_spectrum(uhat.grid, uhat.coeffs))
 
 
-def _spectrum(u: Field) -> np.ndarray:
-    g = u.grid
-    return (g.dx**g.n) * g.phase * g.fftn(u.values)
+# -- stacked kernels -------------------------------------------------------------
+# Each acts on the last n axes, like Grid.fftn: leading axes index a stack of
+# arrays (the frames of a trajectory) reduced in one call.  The per-Field
+# functions below are thin wrappers over them.
 
 
-def _from_spectrum(g: Grid, coeffs: np.ndarray) -> Field:
-    return Field(g, g.ifftn(coeffs * g.phase) / (g.dx**g.n))
+def _spectrum(g: Grid, values: np.ndarray) -> np.ndarray:
+    """Transform coefficients uhat of the samples `values` (see `transform`)."""
+    return (g.dx**g.n) * g.phase * g.fftn(values)
+
+
+def _from_spectrum(g: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of the transform coefficients `coeffs` (see `inverse`)."""
+    return g.ifftn(coeffs * g.phase) / (g.dx**g.n)
+
+
+def _last_axes(g: Grid) -> tuple[int, ...]:
+    return tuple(range(-g.n, 0))
+
+
+def _sobolev_sq(g: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """||u||_s^2 = (2L)^{-n} sum_k <xi_k>^{2s} |uhat|^2 of each spectrum in a stack."""
+    total = np.sum(g.bessel_base ** (2.0 * s) * np.abs(coeffs) ** 2, axis=_last_axes(g))
+    return total / (2.0 * g.L) ** g.n
+
+
+def _weighted_sq(
+    g: Grid, coeffs: np.ndarray, lam: Callable[[np.ndarray], np.ndarray], s: float
+) -> np.ndarray:
+    """dx^n sum_j lam(|x_j|) |Lambda^s u(x_j)|^2 of each spectrum in a stack."""
+    w = np.asarray(lam(g.x_radius), dtype=float)
+    if np.any(w <= 0):
+        raise ValueError("weight must be strictly positive on the box")
+    v = _from_spectrum(g, coeffs * g.bessel_base**s)
+    return g.dx**g.n * np.sum(w * np.abs(v) ** 2, axis=_last_axes(g))
+
+
+def _tail_fraction(g: Grid, values: np.ndarray, radius: float) -> np.ndarray:
+    """Fraction of the L^2 mass outside |x| <= radius of each array in a stack
+    (0 for a zero array)."""
+    dens = np.abs(values) ** 2
+    total = np.sum(dens, axis=_last_axes(g))
+    outside = np.sum(dens[..., g.x_radius > radius], axis=-1)
+    return np.divide(outside, total, out=np.zeros_like(total), where=total != 0.0)
 
 
 def apply_multiplier(u: Field, values: np.ndarray) -> Field:
     """Apply a Fourier multiplier given by its values on the frequency mesh."""
     g = u.grid
-    return _from_spectrum(g, _spectrum(u) * values)
+    return Field(g, _from_spectrum(g, _spectrum(g, u.values) * values))
 
 
 def apply_bessel(u: Field, s: float) -> Field:
@@ -332,9 +365,7 @@ def apply_bessel(u: Field, s: float) -> Field:
 def sobolev_norm(u: Field, s: float) -> float:
     """H^s norm: ||u||_s^2 = (2L)^{-n} sum_k <xi_k>^{2s} |uhat|^2."""
     g = u.grid
-    coeffs = _spectrum(u)
-    total = np.sum(g.bessel_base ** (2.0 * s) * np.abs(coeffs) ** 2)
-    return float(np.sqrt(total / (2.0 * g.L) ** g.n))
+    return float(np.sqrt(_sobolev_sq(g, _spectrum(g, u.values), s)))
 
 
 def l2_norm(u: Field) -> float:
@@ -356,11 +387,7 @@ def weighted_pairing(u: Field, lam: Callable[[np.ndarray], np.ndarray], s: float
     lam must be strictly positive on the box.
     """
     g = u.grid
-    w = np.asarray(lam(g.x_radius), dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weight must be strictly positive on the box")
-    v = apply_bessel(u, s)
-    return float(g.dx**g.n * np.sum(w * np.abs(v.values) ** 2))
+    return float(_weighted_sq(g, _spectrum(g, u.values), lam, s))
 
 
 def gaussian_wavepacket(
@@ -415,10 +442,4 @@ def wavepacket_probes(
 
 def tail_mass_fraction(u: Field, radius: float) -> float:
     """Fraction of the L^2 mass outside |x| <= radius (0 for the zero field)."""
-    g = u.grid
-    dens = np.abs(u.values) ** 2
-    total = float(np.sum(dens))
-    if total == 0.0:
-        return 0.0
-    outside = float(np.sum(dens[g.x_radius > radius]))
-    return outside / total
+    return float(_tail_fraction(u.grid, u.values, radius))

@@ -16,12 +16,17 @@ solver step, and the contraction is measured in the four-term norm
 (The display definition of the space uses index s-2N-2 for the weighted
 u-term while parts of the argument use s-2N-5; both are computed and
 reported.)
+
+A trajectory is one (frames, *grid.shape) array.  The nonlinearity, the
+operator and the X-norm act on the whole stack at once through kernels over
+the last n axes, so a Picard sweep is a fixed number of stacked transforms
+plus the Duhamel recurrence, the one sequential step.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +39,16 @@ from .evolve import (
     lawson_stepper,
     wrap_guard,
 )
-from .grid import Field, Grid, sobolev_norm, tail_mass_fraction, weighted_pairing
+from .grid import (
+    Field,
+    Grid,
+    _sobolev_sq,
+    _spectrum,
+    _tail_fraction,
+    _weighted_sq,
+    sobolev_norm,
+    tail_mass_fraction,
+)
 from .symbol.core import Symbol
 from .weights import WeightFn
 
@@ -94,6 +108,25 @@ def _monomial(values: np.ndarray, p: int, q: int) -> np.ndarray:
     return values**p * np.conj(values) ** q
 
 
+def _nonlinearity(
+    g: Grid,
+    values: np.ndarray,
+    spec: NonlinearitySpec,
+    c_frozen: Optional[np.ndarray] = None,
+    dealias: bool = True,
+) -> np.ndarray:
+    """N(u) = u^p conj(u)^q D^alpha u on samples whose leading axes index a
+    stack; with c_frozen = u0^p conj(u0)^q, the frozen Ntil = (u^p conj(u)^q -
+    c_frozen) D^alpha u.  The product is de-aliased with the 2/3 mask."""
+    coeff = _monomial(values, spec.p, spec.q)
+    if c_frozen is not None:
+        coeff = coeff - c_frozen
+    out = coeff * _dalpha(g, values, _xi_alpha(g, spec.alpha))
+    if dealias:
+        out = g.ifftn(np.where(g.dealias_mask, g.fftn(out), 0.0))
+    return out
+
+
 def nonlinearity_eval(
     u: Field,
     spec: NonlinearitySpec,
@@ -106,19 +139,10 @@ def nonlinearity_eval(
 
     Products are de-aliased with the 2/3 mask by default.
     """
-    g = u.grid
     if frozen and u0 is None:
         raise ValueError("the frozen variant requires the datum u0")
-    mult = _xi_alpha(g, spec.alpha)
-    du = _dalpha(g, u.values, mult)
-    coeff = _monomial(u.values, spec.p, spec.q)
-    if frozen:
-        coeff = coeff - _monomial(u0.values, spec.p, spec.q)
-    out = coeff * du
-    if dealias:
-        spec_out = g.fftn(out)
-        out = g.ifftn(np.where(g.dealias_mask, spec_out, 0.0))
-    return Field(g, out)
+    c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
+    return Field(u.grid, _nonlinearity(u.grid, u.values, spec, c_frozen, dealias))
 
 
 @dataclass
@@ -126,46 +150,32 @@ class XtsNorm:
     value: float
     terms: dict
 
-    def as_dict(self) -> dict:
-        return {"value": float(self.value), "terms": {k: float(v) for k, v in self.terms.items()}}
-
 
 def _xts_terms(
     grid: Grid,
     times: np.ndarray,
-    fields: list[np.ndarray],
-    rhs_fields: Optional[list[np.ndarray]],
+    values: np.ndarray,
+    rhs: np.ndarray,
     s: float,
     lam: WeightFn,
     N_w: int,
     *,
     decay_gate: Optional[float] = 1e-6,
 ) -> XtsNorm:
+    """The four terms for a frame stack `values` and its du/dt stack `rhs`."""
     if s < 2 * N_w + 5:
         raise ValueError(f"s={s} too small: the norm needs s >= 2 N_w + 5 = {2 * N_w + 5}")
+    if decay_gate is not None and np.max(_tail_fraction(grid, values, grid.L / 2.0)) > decay_gate:
+        raise ValueError("field mass leaks outside |x| <= L/2; lam^{-1} weights unreliable")
     inv_lam = 1.0 / lam(grid.x_radius)
-    sup_s2 = 0.0
-    sup_low = 0.0
-    sup_low_alt = 0.0
-    sup_dt = 0.0
-    weighted = []
-    for i, vals in enumerate(fields):
-        f = Field(grid, vals)
-        if (
-            decay_gate is not None
-            and np.max(np.abs(vals)) > 0
-            and tail_mass_fraction(f, grid.L / 2.0) > decay_gate
-        ):
-            raise ValueError("field mass leaks outside |x| <= L/2; lam^{-1} weights unreliable")
-        sup_s2 = max(sup_s2, sobolev_norm(f, s) ** 2)
-        weighted.append(weighted_pairing(f, lam, s + 1.0))
-        wf = Field(grid, inv_lam * vals)
-        sup_low = max(sup_low, sobolev_norm(wf, s - 2 * N_w - 2) ** 2)
-        sup_low_alt = max(sup_low_alt, sobolev_norm(wf, s - 2 * N_w - 5) ** 2)
-        if rhs_fields is not None:
-            wdt = Field(grid, inv_lam * rhs_fields[i])
-            sup_dt = max(sup_dt, sobolev_norm(wdt, s - 2 * N_w - 5) ** 2)
-    smoothing = float(np.trapezoid(weighted, times))
+    u_hat = _spectrum(grid, values)
+    low_hat = _spectrum(grid, inv_lam * values)
+    dt_hat = _spectrum(grid, inv_lam * rhs)
+    sup_s2 = float(np.max(_sobolev_sq(grid, u_hat, s)))
+    smoothing = float(np.trapezoid(_weighted_sq(grid, u_hat, lam, s + 1.0), times))
+    sup_low = float(np.max(_sobolev_sq(grid, low_hat, s - 2 * N_w - 2)))
+    sup_low_alt = float(np.max(_sobolev_sq(grid, low_hat, s - 2 * N_w - 5)))
+    sup_dt = float(np.max(_sobolev_sq(grid, dt_hat, s - 2 * N_w - 5)))
     value = float(np.sqrt(sup_s2 + smoothing + sup_low + sup_dt))
     return XtsNorm(
         value=value,
@@ -179,27 +189,13 @@ def _xts_terms(
     )
 
 
-def xts_norm(
-    sol: Solution,
-    s: float,
-    lam: WeightFn,
-    N_w: int,
-    *,
-    rhs_fields: Optional[list[np.ndarray]] = None,
-) -> XtsNorm:
-    """Four-term solution norm; du/dt comes from the equation (sol.rhs_field)
-    unless explicit rhs samples are supplied."""
-    if rhs_fields is None:
-        rhs_fields = [sol.rhs_field(i).values for i in range(len(sol.times))]
-    return _xts_terms(sol.grid, sol.times, sol.values, rhs_fields, s, lam, N_w)
+def xts_norm(sol: Solution, s: float, lam: WeightFn, N_w: int) -> XtsNorm:
+    """Four-term solution norm; du/dt comes from the equation (sol.rhs_values)."""
+    return _xts_terms(sol.grid, sol.times, sol.values, sol.rhs_values(), s, lam, N_w)
 
 
 class PicardDivergenceError(RuntimeError):
-    """Picard iterates stopped contracting; carries the partial run."""
-
-    def __init__(self, message: str, run: Optional["PicardRun"] = None):
-        super().__init__(message)
-        self.run = run
+    """Picard iterates stopped contracting."""
 
 
 @dataclass
@@ -211,11 +207,6 @@ class PicardRun:
     iterations: int
     converged: bool
     frozen: bool
-    rhs_fields: list = field(repr=False, default_factory=list)
-
-    @property
-    def final_rho(self) -> Optional[float]:
-        return self.contraction_factors[-1] if self.contraction_factors else None
 
 
 def picard_solve(
@@ -256,12 +247,9 @@ def picard_solve(
 
     op = build_evolution_operator(a, g)
     mult_alpha = _xi_alpha(g, spec.alpha)
-    c_frozen = _monomial(u0.values, spec.p, spec.q)
-    extra = frozen_term = None
+    c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
+    frozen_term = None
     if frozen:
-
-        def extra(v):  # on samples
-            return c_frozen * _dalpha(g, v, mult_alpha)
 
         def frozen_term(uhat, t):  # on coefficients, for the stepper
             return g.fftn(c_frozen * g.ifftn(uhat * mult_alpha))
@@ -274,46 +262,30 @@ def picard_solve(
     times = dt * np.arange(steps + 1)
     step = lawson_stepper(op, dt, frozen_term)
 
-    # homogeneous trajectory W(t) u0
-    _, hom = _march(step, g, u0.values, steps, dt)
+    # every series below is one (steps + 1, *grid.shape) stack
+    _, hom = _march(step, g, u0.values, steps, dt)  # W(t) u0
 
-    def nonlinear_series(traj):
-        out = []
-        for vals in traj:
-            out.append(
-                nonlinearity_eval(
-                    Field(g, vals), spec, u0 if frozen else None, frozen=frozen
-                ).values
-                if frozen
-                else nonlinearity_eval(Field(g, vals), spec).values
-            )
+    def rhs(traj, nl_traj):
+        # du/dt of the stepped equation: i A u + Ntil (+ the frozen part)
+        out = 1j * op.apply(traj) + nl_traj
+        if frozen:
+            out = out + c_frozen * _dalpha(g, traj, mult_alpha)
         return out
 
-    def duhamel(nl_series):
-        nl_hat = [g.fftn(v) for v in nl_series]
-        acc_hat = np.zeros(g.shape, dtype=complex)
-        acc = [acc_hat.copy()]
+    def duhamel(nl_traj):
+        nl_hat = g.fftn(nl_traj)
+        acc = np.zeros_like(nl_hat)  # Duhamel coefficients
         for i in range(steps):
-            acc_hat = step(acc_hat + (dt / 2.0) * nl_hat[i], i * dt) + (dt / 2.0) * nl_hat[i + 1]
-            acc.append(g.ifftn(acc_hat))
-        return acc
+            acc[i + 1] = step(acc[i] + (dt / 2.0) * nl_hat[i], i * dt) + (dt / 2.0) * nl_hat[i + 1]
+        return g.ifftn(acc)
 
     def x_norm_of(traj, rhs_traj, gate=None):
         # differences of iterates are near-zero fields whose relative tail
         # fraction is meaningless; only physical iterates get the decay gate
         return _xts_terms(g, times, traj, rhs_traj, s, lam, lam.exponent, decay_gate=gate).value
 
-    def rhs_series(traj, nl_series):
-        out = []
-        for vals, nl in zip(traj, nl_series):
-            r = 1j * op.apply(vals) + nl
-            if frozen:
-                r = r + extra(vals)
-            out.append(r)
-        return out
-
     current = hom
-    nl_current = nonlinear_series(current)
+    nl_current = _nonlinearity(g, current, spec, c_frozen)
     history = []
     rhos = []
     prev_diff = None
@@ -322,27 +294,23 @@ def picard_solve(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        integral = duhamel(nl_current)
-        new = [h + i for h, i in zip(hom, integral)]
-        nl_new = nonlinear_series(new)
-        diff = [b - c for b, c in zip(new, current)]
-        diff_rhs = [
-            1j * op.apply(d) + (nb - nc) + (extra(d) if frozen else 0.0)
-            for d, nb, nc in zip(diff, nl_new, nl_current)
-        ]
+        new = hom + duhamel(nl_current)
+        nl_new = _nonlinearity(g, new, spec, c_frozen)
+        diff = new - current
         try:
-            dn = x_norm_of(diff, diff_rhs)
-            xn = x_norm_of(new, rhs_series(new, nl_new), gate=1e-6)
+            # rhs(diff) is formed from diff itself: rhs(new) - rhs(current)
+            # would cancel at the round-off floor of the late sweeps
+            dn = x_norm_of(diff, rhs(diff, nl_new - nl_current))
+            xn = x_norm_of(new, rhs(new, nl_new), gate=1e-6)
         except ValueError:
             raise PicardDivergenceError(
-                "iterate mass escaped the box; reduce T (or the datum amplitude)", None
+                "iterate mass escaped the box; reduce T (or the datum amplitude)"
             )
         history.append(xn)
         if not np.isfinite(xn) or xn > overflow_cap:
             raise PicardDivergenceError(
                 f"iterate norm {xn:.3g} exceeds the overflow guard after {it} sweeps; "
-                "the contraction fails at this T -- try a smaller horizon",
-                None,
+                "the contraction fails at this T -- try a smaller horizon"
             )
         scale = max(1.0, xn)
         stagnated = False
@@ -357,8 +325,7 @@ def picard_solve(
             if bad_streak >= DIVERGENCE_PATIENCE:
                 raise PicardDivergenceError(
                     f"contraction factor >= 1 for {DIVERGENCE_PATIENCE} consecutive sweeps "
-                    f"(last rho={rho:.3g}); Picard diverges at this horizon -- reduce T",
-                    None,
+                    f"(last rho={rho:.3g}); Picard diverges at this horizon -- reduce T"
                 )
         prev_diff = dn
         current, nl_current = new, nl_new
@@ -366,20 +333,12 @@ def picard_solve(
             converged = True
             break
 
-    rhs_final = rhs_series(current, nl_current)
-
     # PDE residual of the converged iterate against the original equation,
     # with du/dt from centered differences of the stored trajectory
-    resid = 0.0
-    plain_nl = nonlinear_series(current) if frozen else nl_current
-    if frozen:
-        plain_nl = [
-            nonlinearity_eval(Field(g, v), spec, dealias=True).values for v in current
-        ]
-    for i in range(1, steps):
-        dudt = (current[i + 1] - current[i - 1]) / (2.0 * dt)
-        r = dudt - 1j * op.apply(current[i]) - plain_nl[i]
-        resid = max(resid, sobolev_norm(Field(g, r), s - 3.0))
+    plain_nl = _nonlinearity(g, current, spec) if frozen else nl_current
+    dudt = (current[2:] - current[:-2]) / (2.0 * dt)
+    r = dudt - 1j * op.apply(current[1:-1]) - plain_nl[1:-1]
+    resid = np.max(np.sqrt(_sobolev_sq(g, _spectrum(g, r), s - 3.0)), initial=0.0)
 
     keep = list(range(0, steps + 1, store_stride))
     if keep[-1] != steps:
@@ -388,7 +347,7 @@ def picard_solve(
         grid=g,
         symbol=a,
         times=times[keep],
-        values=[current[i] for i in keep],
+        values=current[keep],
         dt=dt,
         scheme="picard_duhamel",
         stride=store_stride,
@@ -404,7 +363,6 @@ def picard_solve(
         iterations=it,
         converged=converged,
         frozen=frozen,
-        rhs_fields=[rhs_final[i] for i in keep],
     )
 
 
@@ -430,7 +388,7 @@ def direct_nonlinear_solve(
     dt = T / steps
 
     def nonlinearity(uhat, t):
-        return g.fftn(nonlinearity_eval(Field(g, g.ifftn(uhat)), spec).values)
+        return g.fftn(_nonlinearity(g, g.ifftn(uhat), spec))
 
     step = lawson_stepper(op, dt, nonlinearity)
     times, stored = _march(step, g, u0.values, steps, dt, store_stride)

@@ -10,7 +10,6 @@ from .checks import (
     seminorm_estimate,
 )
 from .core import (
-    FirstOrderSymbol,
     FuncSymbol,
     SeparableTerm,
     Symbol,
@@ -31,7 +30,6 @@ __all__ = [
     "Symbol",
     "SympySymbol",
     "FuncSymbol",
-    "FirstOrderSymbol",
     "SeparableTerm",
     "catalog",
     "catalog_names",

@@ -20,7 +20,6 @@ __all__ = [
     "Symbol",
     "SympySymbol",
     "FuncSymbol",
-    "FirstOrderSymbol",
     "SeparableTerm",
     "multi_indices",
     "multi_indices_upto",
@@ -110,7 +109,6 @@ class Symbol:
         order: float,
         *,
         real_valued: bool = False,
-        classical: bool = True,
         zero_nyquist: Optional[bool] = None,
         x_independent: bool = False,
         parts: Optional[tuple["Symbol", "Symbol"]] = None,
@@ -120,7 +118,6 @@ class Symbol:
         self.n = int(n)
         self.order = float(order)
         self.real_valued = bool(real_valued)
-        self.classical = bool(classical)
         if zero_nyquist is None:
             m = self.order
             zero_nyquist = abs(m - round(m)) < 1e-12 and int(round(m)) % 2 == 1
@@ -276,26 +273,6 @@ class FuncSymbol(Symbol):
         return self._derivs.get((alpha, beta))
 
 
-class FirstOrderSymbol(Symbol):
-    """Symbol with analytic value and first derivatives; higher orders via FD."""
-
-    def __init__(self, eval_fn, dx_fns, dxi_fns, n: int, order: float, **kwargs):
-        super().__init__(n, order, **kwargs)
-        self._fn = eval_fn
-        self._dx = list(dx_fns)
-        self._dxi = list(dxi_fns)
-
-    def _eval(self, X, XI):
-        return np.asarray(self._fn(X, XI), dtype=complex)
-
-    def _analytic_deriv(self, alpha, beta):
-        if sum(alpha) + sum(beta) != 1:
-            return None
-        if sum(beta) == 1:
-            return self._dx[beta.index(1)]
-        return self._dxi[alpha.index(1)]
-
-
 # -- combinators --------------------------------------------------------------
 
 
@@ -306,7 +283,6 @@ class _Scaled(Symbol):
             base.n,
             base.order,
             real_valued=real,
-            classical=base.classical,
             zero_nyquist=base.zero_nyquist,
             x_independent=base.x_independent,
             label=f"{c}*{base.label}",

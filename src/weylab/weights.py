@@ -40,7 +40,7 @@ from .symbol.checks import (
     check_im_smallness,
     check_x_decay,
 )
-from .symbol.core import FirstOrderSymbol, Symbol, multi_indices_upto
+from .symbol.core import FuncSymbol, Symbol, multi_indices_upto, scale_symbol
 
 __all__ = [
     "WeightFn",
@@ -181,8 +181,6 @@ class GardingWeight:
         """q' = (C2/C1) q is again a Garding weight, with constant C2."""
         if self.C1 == 0:
             raise ValueError("cannot rescale a degenerate (C1 = 0) weight")
-        from .symbol.core import scale_symbol
-
         factor = C2 / self.C1
         return GardingWeight(
             q=scale_symbol(self.q, factor), C1=C2, C=self.C, source=self.source, bound_fit={}
@@ -339,12 +337,11 @@ def doi_weight(
     *,
     S: Optional[SampleSet] = None,
     p_cap: float = 1.5,
-    rescale: Union[str, float] = "auto",
 ) -> DoiWeight:
     """Assemble the Doi weight p from a Garding weight (three-region formula).
 
-    rescale='auto' caps sup|p| at p_cap so Op^w(e^p) stays well conditioned;
-    a float forces that scaling factor.  The unscaled symbol is kept too.
+    p is scaled by rho <= 1 so that sup|p| stays within p_cap and Op^w(e^p)
+    stays well conditioned.  The unscaled symbol is kept too.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("cutoff scale eps must lie in (0, 1)")
@@ -360,17 +357,9 @@ def doi_weight(
         raise ValueError("K fit diverges: q violates the Garding envelope bounds")
     K = max(1.0, K_fit)
 
-    lam0 = float(lam(0.0))
-    t0 = 10.0 * K
-
-    def f_val(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= t0, t * lam0, t0 * lam0 + K * lam.primitive((t - t0) / K))
-
-    def lam_tilde(t):
-        t = np.asarray(t, dtype=float)
-        arg = t / K - 10.0
-        return np.where(arg <= 0.0, lam0, lam(np.maximum(arg, 0.0)))
+    # f and lam_tilde depend on K and lam only; the symbol is filled in below
+    dw = DoiWeight(symbol=None, base_symbol=None, K=K, eps=eps, rho=1.0, lam=lam, garding=q)
+    f_val, lam_tilde = dw.f, dw.lam_tilde
 
     def pieces(X, XI):
         qv = np.real(qsym._deriv_arrays((0,) * n, (0,) * n, X, XI))
@@ -409,28 +398,27 @@ def doi_weight(
 
         return fn
 
-    base = FirstOrderSymbol(
+    # analytic first derivatives; higher orders fall back to finite differences
+    first = {}
+    for k in range(n):
+        ek = tuple(1 if i == k else 0 for i in range(n))
+        first[((0,) * n, ek)] = dp("x", k)
+        first[(ek, (0,) * n)] = dp("xi", k)
+    base = FuncSymbol(
         p_eval,
-        [dp("x", k) for k in range(n)],
-        [dp("xi", k) for k in range(n)],
         n,
         0.0,
+        first,
         real_valued=True,
         zero_nyquist=False,
         label="p",
     )
 
     sup_p = float(np.max(np.abs(np.real(base.eval(S.X, S.XI)))))
-    if rescale == "auto":
-        rho = 1.0 if sup_p <= p_cap else p_cap / sup_p
-    else:
-        rho = float(rescale)
-    from .symbol.core import scale_symbol
-
-    scaled = scale_symbol(base, rho) if rho != 1.0 else base
-    return DoiWeight(
-        symbol=scaled, base_symbol=base, K=K, eps=eps, rho=rho, lam=lam, garding=q
-    )
+    dw.rho = 1.0 if sup_p <= p_cap else p_cap / sup_p
+    dw.base_symbol = base
+    dw.symbol = scale_symbol(base, dw.rho) if dw.rho != 1.0 else base
+    return dw
 
 
 def doi_slack(

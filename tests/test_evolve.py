@@ -151,20 +151,33 @@ def _no_separable_split():
     return SympySymbol((1 + 0.1 * sp.exp(-xs[0] ** 2)) * xis[0] ** 2, 1, 2.0, real_valued=True)
 
 
+_REMAINDER_CASES = [
+    (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128)),
+    (lambda: catalog("ultrahyperbolic", eps=0.3), (2, 4.0, 32)),
+    (_no_separable_split, (1, 6.0, 48)),
+]
+_REMAINDER_IDS = ["gaussian_kdv", "ultrahyperbolic", "dense"]
+
+
 @pytest.mark.parametrize(
-    "make_symbol, grid",
-    [
-        (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128)),
-        (lambda: catalog("ultrahyperbolic", eps=0.3), (2, 4.0, 32)),
-        (_no_separable_split, (1, 6.0, 48)),
-    ],
-    ids=["gaussian_kdv", "ultrahyperbolic", "dense"],
+    "make_symbol, grid, stacked",
+    [case + (False,) for case in _REMAINDER_CASES] + [case + (True,) for case in _REMAINDER_CASES],
+    ids=_REMAINDER_IDS + [f"{name}-stack" for name in _REMAINDER_IDS],
 )
-def test_spectral_remainder_matches_physical_reference(make_symbol, grid):
+def test_spectral_remainder_matches_physical_reference(make_symbol, grid, stacked):
     g = make_grid(*grid)
     op = build_evolution_operator(make_symbol(), g)
     assert op.pairs or op.dense is not None
     u = gaussian_wavepacket(g, [1.0] + [0.5] * (g.n - 1), width2=2.0).values
+    if stacked:
+        # leading axes index a stack: each array maps exactly as it does alone
+        us = np.stack([u, 0.5j * np.conj(u), np.roll(u, 5, axis=-1)])
+        got = op.apply_remainder(g.fftn(us))
+        full = op.apply(us)
+        for i, v in enumerate(us):
+            assert np.array_equal(got[i], op.apply_remainder(g.fftn(v)))
+            assert np.array_equal(full[i], op.apply(v))
+        return
     ref = _remainder_reference(op, u)
     got = g.ifftn(op.apply_remainder(g.fftn(u)))
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -3,10 +3,18 @@
 import numpy as np
 import pytest
 
-from weylab.grid import Field, l2_norm, make_grid, sobolev_norm
+from weylab.grid import (
+    Field,
+    l2_norm,
+    make_grid,
+    sobolev_norm,
+    tail_mass_fraction,
+    weighted_pairing,
+)
 from weylab.nonlinear import (
     NonlinearitySpec,
     PicardDivergenceError,
+    _xts_terms,
     direct_nonlinear_solve,
     nonlinearity_eval,
     picard_solve,
@@ -124,6 +132,54 @@ def test_xts_norm_reassembly_oracle(setup):
         for i in range(len(sol.times))
     )
     assert np.isclose(out.value**2, sup_s2 + smooth + low + dtv, rtol=1e-12)
+
+
+def _xts_terms_per_frame(g, times, fields, rhs_fields, s, lam, N_w, decay_gate):
+    """The four-term norm frame by frame through the per-Field functions."""
+    inv_lam = 1.0 / lam(g.x_radius)
+    sup_s2 = sup_low = sup_low_alt = sup_dt = 0.0
+    weighted = []
+    for vals, rhs in zip(fields, rhs_fields):
+        f = Field(g, vals)
+        if (
+            decay_gate is not None
+            and np.max(np.abs(vals)) > 0
+            and tail_mass_fraction(f, g.L / 2.0) > decay_gate
+        ):
+            raise ValueError("field mass leaks outside |x| <= L/2")
+        sup_s2 = max(sup_s2, sobolev_norm(f, s) ** 2)
+        weighted.append(weighted_pairing(f, lam, s + 1.0))
+        wf = Field(g, inv_lam * vals)
+        sup_low = max(sup_low, sobolev_norm(wf, s - 2 * N_w - 2) ** 2)
+        sup_low_alt = max(sup_low_alt, sobolev_norm(wf, s - 2 * N_w - 5) ** 2)
+        sup_dt = max(sup_dt, sobolev_norm(Field(g, inv_lam * rhs), s - 2 * N_w - 5) ** 2)
+    return {
+        "sup_Hs_sq": sup_s2,
+        "weighted_smoothing": float(np.trapezoid(weighted, times)),
+        "sup_weighted_low_sq(s-2N-2)": sup_low,
+        "sup_weighted_low_sq(s-2N-5)": sup_low_alt,
+        "sup_weighted_dt_sq(s-2N-5)": sup_dt,
+    }
+
+
+@pytest.mark.parametrize("kind", ["physical", "difference"])
+def test_xts_terms_stacked_match_per_frame(setup, kind):
+    g, a, u0 = setup
+    from weylab.evolve import solve_linear
+
+    sol = solve_linear(a, u0, T=0.05, dt=1e-3, store_stride=5)
+    values, rhs, gate = sol.values, sol.rhs_values(), 1e-6
+    if kind == "difference":
+        # a near-zero difference of two trajectories, normed without the gate
+        pert = Field(g, u0.values * (1.0 + 1e-6 * np.exp(1j * g.x_mesh[..., 0])))
+        other = solve_linear(a, pert, T=0.05, dt=1e-3, store_stride=5)
+        values, rhs, gate = other.values - values, other.rhs_values() - rhs, None
+    out = _xts_terms(g, sol.times, values, rhs, 15.0, LAM, 2, decay_gate=gate)
+    ref = _xts_terms_per_frame(g, sol.times, values, rhs, 15.0, LAM, 2, gate)
+    assert set(out.terms) == set(ref)
+    for name, val in ref.items():
+        assert val > 0
+        assert abs(out.terms[name] - val) <= 1e-13 * val, name
 
 
 def test_xts_norm_rejects_small_s(setup):
