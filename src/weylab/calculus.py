@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .grid import Field, Grid, apply_multiplier, wavepacket_probes
+from .grid import Field, Grid, _from_spectrum, _spectrum, apply_multiplier, wavepacket_probes
 from .symbol.checks import SampleSet
 from .symbol.core import (
     Symbol,
@@ -161,13 +161,32 @@ def _multiplier_values(a: Symbol, g: Grid) -> np.ndarray:
     return vals
 
 
+def _split_samples(a: Symbol, g: Grid):
+    """a.split sampled on the grid: a0 on the frequency mesh (None when a0 = 0)
+    and the (f, g) pairs; the frequency factors are Nyquist-zeroed like every
+    symbol sample.  None when a has no split."""
+    if a.split is None:
+        return None
+    a0, pairs = a.split
+    origin = np.zeros((1, g.n))
+    x_pts = g.x_mesh.reshape(-1, g.n)
+    xi_pts = g.xi_mesh.reshape(-1, g.n)
+
+    def freq(expr):
+        vals = a.eval_expr(expr, origin, xi_pts).reshape(g.shape)
+        return np.where(g.nyquist_mask, 0.0, vals) if a.zero_nyquist else vals
+
+    samples = [(a.eval_expr(f, x_pts, origin).reshape(g.shape), freq(gx)) for f, gx in pairs]
+    return (None if a0 == 0 else freq(a0)), samples
+
+
 def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
     """Matrix-free Kohn-Nirenberg application.
 
-    Paths: exact Fourier multiplier for x-independent symbols, separable-term
-    sum when the symbol declares f(x) g(xi) structure, pointwise product for
-    sympy symbols whose expression has no xi, and the O(N^{2n}) direct KN sum
-    otherwise.
+    Paths: the exact Fourier multiplier for x-independent symbols; the split
+    a = a0(xi) + sum_k f_k(x) g_k(xi) as a0(D) u + sum_k f_k g_k(D) u, exact
+    KN for every symbol that factors, real or complex; and the O(N^{2n})
+    direct KN sum otherwise.
     """
     if tag != "kn":
         raise ValueError("apply_fast implements the KN quantization only")
@@ -178,29 +197,21 @@ def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
     if a.x_independent:
         return apply_multiplier(u, _multiplier_values(a, g))
 
-    x_pts = g.x_mesh.reshape(-1, g.n)
-    xi_pts = g.xi_mesh.reshape(-1, g.n)
-    if a.separable_terms is not None:
-        out = np.zeros(g.shape, dtype=complex)
-        for term in a.separable_terms:
-            gv = term.frequency_values(xi_pts).reshape(g.shape)
-            if a.zero_nyquist:
-                gv = np.where(g.nyquist_mask, 0.0, gv)
-            w = apply_multiplier(u, gv).values
-            fv = term.spatial_values(x_pts).reshape(g.shape)
-            out += fv * w
+    split = _split_samples(a, g)
+    if split is not None:
+        a0, pairs = split
+        uhat = _spectrum(g, u.values)
+        out = np.zeros(g.shape, dtype=complex) if a0 is None else _from_spectrum(g, uhat * a0)
+        for fv, gv in pairs:
+            out += fv * _from_spectrum(g, uhat * gv)
         return Field(g, out)
-
-    if isinstance(a, SympySymbol) and not a.expr.has(*a._xis):
-        # xi-independent: pointwise multiplication
-        return Field(g, a.eval(x_pts, np.zeros((1, g.n))).reshape(g.shape) * u.values)
 
     # general direct KN sum, blocked over rows
     if not g.dense_eligible:
         raise ValueError("general symbol application requires a dense-eligible grid")
-    from .grid import transform
-
-    uhat = transform(u).coeffs.ravel()
+    x_pts = g.x_mesh.reshape(-1, g.n)
+    xi_pts = g.xi_mesh.reshape(-1, g.n)
+    uhat = _spectrum(g, u.values).ravel()
     if a.zero_nyquist:
         uhat = np.where(g.nyquist_mask.ravel(), 0.0, uhat)
     out = np.empty(g.size, dtype=complex)

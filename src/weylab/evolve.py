@@ -13,9 +13,13 @@ inverse-transformed only when it is stored, into one (frames, *grid.shape)
 array.  Scheme "rk4" is the same stepper with identity factors and the
 multiplier moved into the stepped part.
 
-Real separable remainder terms f(x) g(xi) are applied in the symmetrized form
-(fG + Gf)/2, which keeps the discrete generator exactly Hermitian, so
-real-symbol runs conserve the L^2 norm up to time-integration error only.
+The operator comes from the symbol's expression.  An x-independent symbol is
+the multiplier a0 alone.  A real symbol whose split
+a = a0(xi) + sum_k f_k(x) g_k(xi) exists (`SympySymbol.split`) is the
+multiplier a0 plus the pairs applied in the symmetrized form (fG + Gf)/2, which
+keeps the discrete generator exactly Hermitian, so real-symbol runs conserve
+the L^2 norm up to time-integration error only.  Every other symbol (complex,
+or not a sum of products) is quantized densely.
 
 Every run on localized data records a wrap-guard horizon
 
@@ -37,9 +41,11 @@ import numpy as np
 from .grid import (
     Field,
     Grid,
+    _l2_sq,
+    _sobolev_sq,
     _spectrum,
     _tail_fraction,
-    l2_norm,
+    _weighted_sq,
     sobolev_norm,
     tail_mass_fraction,
     weighted_pairing,
@@ -101,40 +107,16 @@ class EvolutionOperator:
         self.symbol = symbol
         self.grid = grid
         self.multiplier: Optional[np.ndarray] = None
-        self.pairs: list[tuple[np.ndarray, np.ndarray, bool]] = []  # (f, g, symmetrize)
+        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (f, g), applied as (fG + Gf)/2
         self.dense = None
 
-        g = grid
-        xi_pts = g.xi_mesh.reshape(-1, g.n)
-        x_pts = g.x_mesh.reshape(-1, g.n)
-
-        def _nyq(vals):
-            if symbol.zero_nyquist:
-                return np.where(g.nyquist_mask, 0.0, vals)
-            return vals
+        from .calculus import _multiplier_values, _split_samples, quantize_dense
 
         if symbol.x_independent:
-            origin = np.zeros((1, g.n))
-            self.multiplier = _nyq(symbol.eval(origin, xi_pts).reshape(g.shape))
-        elif symbol.separable_terms is not None:
-            mult = np.zeros(g.shape, dtype=complex)
-            have_mult = False
-            for term in symbol.separable_terms:
-                gv = _nyq(term.frequency_values(xi_pts).reshape(g.shape))
-                if term.f_const is not None:
-                    mult = mult + complex(term.f_const) * gv
-                    have_mult = True
-                    continue
-                fv = term.spatial_values(x_pts).reshape(g.shape)
-                real_term = (
-                    np.max(np.abs(fv.imag)) < 1e-14 and np.max(np.abs(gv.imag)) < 1e-14
-                )
-                self.pairs.append((fv, gv, real_term))
-            if have_mult:
-                self.multiplier = mult
+            self.multiplier = _multiplier_values(symbol, grid)
+        elif symbol.real_valued and symbol.split is not None:
+            self.multiplier, self.pairs = _split_samples(symbol, grid)
         else:
-            from .calculus import quantize_dense
-
             self.dense = quantize_dense(symbol, grid, "weyl")
 
     # -- application -----------------------------------------------------------
@@ -145,10 +127,10 @@ class EvolutionOperator:
     def apply_remainder(self, uhat: np.ndarray) -> np.ndarray:
         """Coefficients of (A - a0(D)) u, given the coefficients uhat of u.
 
-        Real pairs act as (fG + Gf)/2, complex ones as fG, and the dense
-        fallback acts on the samples.  A pure multiplier has no remainder:
-        the result is zero and no transform runs.  Leading axes of uhat
-        index a stack of arrays, each mapped on its own.
+        Pairs act as (fG + Gf)/2 and the dense fallback acts on the
+        samples.  A pure multiplier has no remainder: the result is zero and
+        no transform runs.  Leading axes of uhat index a stack of arrays,
+        each mapped on its own.
         """
         if not self.pairs and self.dense is None:
             return np.zeros_like(uhat)
@@ -156,12 +138,9 @@ class EvolutionOperator:
         values = g.ifftn(uhat)
         phys = np.zeros_like(uhat)  # terms summed in physical space
         spec = np.zeros_like(uhat)  # terms summed in coefficient space
-        for fv, gv, herm in self.pairs:
-            if herm:
-                phys += 0.5 * fv * g.ifftn(uhat * gv)
-                spec += 0.5 * gv * g.fftn(fv * values)
-            else:
-                phys += fv * g.ifftn(uhat * gv)
+        for fv, gv in self.pairs:
+            phys += 0.5 * fv * g.ifftn(uhat * gv)
+            spec += 0.5 * gv * g.fftn(fv * values)
         if self.dense is not None:
             phys += self.dense.apply_values(values)
         return g.fftn(phys) + spec
@@ -179,7 +158,7 @@ class EvolutionOperator:
 
     def _pair_max(self, active_mask: Optional[np.ndarray]) -> float:
         total = 0.0
-        for fv, gv, _ in self.pairs:
+        for fv, gv in self.pairs:
             gmax = np.max(np.abs(gv if active_mask is None else gv[active_mask]))
             total += float(np.max(np.abs(fv)) * gmax)
         return total
@@ -315,11 +294,19 @@ class Solution:
         """du/dt at a stored node, reconstructed from the equation."""
         return Field(self.grid, self.rhs_values(i))
 
+    # the series below take one frame at a time: a kernel call on the whole
+    # stack would allocate a temporary the size of the stack
+
+    def sobolev_series(self, s: float) -> np.ndarray:
+        """||u(t_i)||_s at every stored node."""
+        g = self.grid
+        return np.array([np.sqrt(_sobolev_sq(g, _spectrum(g, v), s)) for v in self.values])
+
     def sup_sobolev(self, s: float) -> float:
-        return max(sobolev_norm(self.field(i), s) for i in range(len(self.values)))
+        return float(np.max(self.sobolev_series(s)))
 
     def l2_series(self) -> np.ndarray:
-        return np.array([l2_norm(self.field(i)) for i in range(len(self.values))])
+        return np.sqrt([_l2_sq(self.grid, v) for v in self.values])
 
     def l2_drift(self) -> float:
         series = self.l2_series()
@@ -551,45 +538,36 @@ def smoothing_report(
         raise ValueError(f"unknown estimate {estimate!r}")
     if f is _UNSET:
         f = sol.source
-    if estimate == "iii" and f is None and l2_norm(sol.field(0)) > 0:
+    if estimate == "iii" and f is None and np.any(sol.values[0]):
         raise ValueError("estimate 'iii' requires the source term")
     m = sol.symbol.order
     gain = (m - 1.0) / 2.0
     times = sol.times
     g = sol.grid
 
-    def fsrc(t) -> Optional[Field]:
-        if f is None:
-            return None
-        return f if isinstance(f, Field) else f(t)
+    def sources():  # the source at every node, evaluated once per node
+        for t in times:
+            yield f if f is None or isinstance(f, Field) else f(t)
 
-    sup_s = sol.sup_sobolev(s)
-    u0 = sol.field(0)
+    norms = sol.sobolev_series(s)
+    sup_s, u0_s = float(np.max(norms)), float(norms[0])
 
     if estimate == "i":
-        fnorms = np.array([0.0 if fsrc(t) is None else sobolev_norm(fsrc(t), s) for t in times])
+        fnorms = [0.0 if fs is None else sobolev_norm(fs, s) for fs in sources()]
         lhs = sup_s
-        rhs = sobolev_norm(u0, s) + _trapezoid(times, fnorms)
+        rhs = u0_s + _trapezoid(times, fnorms)
     else:
-        weighted = np.array(
-            [weighted_pairing(sol.field(i), lam, s + gain) for i in range(len(times))]
-        )
+        weighted = np.array([_weighted_sq(g, _spectrum(g, v), lam, s + gain) for v in sol.values])
         lhs = sup_s**2 + _trapezoid(times, weighted)
         if estimate == "ii":
-            fnorms = np.array(
-                [0.0 if fsrc(t) is None else sobolev_norm(fsrc(t), s) ** 2 for t in times]
-            )
-            rhs = sobolev_norm(u0, s) ** 2 + _trapezoid(times, fnorms)
+            fnorms = [0.0 if fs is None else sobolev_norm(fs, s) ** 2 for fs in sources()]
+            rhs = u0_s**2 + _trapezoid(times, fnorms)
         else:
-            fpair = np.array(
-                [
-                    0.0
-                    if fsrc(t) is None
-                    else weighted_pairing(fsrc(t), lambda r: 1.0 / lam(r), s - gain)
-                    for t in times
-                ]
-            )
-            rhs = sobolev_norm(u0, s) ** 2 + _trapezoid(times, fpair)
+            fpair = [
+                0.0 if fs is None else weighted_pairing(fs, lambda r: 1.0 / lam(r), s - gain)
+                for fs in sources()
+            ]
+            rhs = u0_s**2 + _trapezoid(times, fpair)
 
     ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / rhs
     meta = {
@@ -644,8 +622,9 @@ def weighted_propagator_probe(
     denom = sobolev_norm(weighted0, s + 2.0 * N_w) ** 2
     T_sweep = sorted(float(t) for t in T_sweep)
     sol = solve_linear(a, u0, None, T=max(T_sweep), dt=dt, store_stride=store_stride)
+    # each norm squared as a Python float, which rounds like sobolev_norm(...) ** 2
     wnorm = np.array(
-        [sobolev_norm(Field(g, wvals * sol.values[i]), s) ** 2 for i in range(len(sol.times))]
+        [float(np.sqrt(_sobolev_sq(g, _spectrum(g, wvals * v), s))) ** 2 for v in sol.values]
     )
     ratios = {}
     for T in T_sweep:

@@ -331,6 +331,11 @@ def _sobolev_sq(g: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
     return total / (2.0 * g.L) ** g.n
 
 
+def _l2_sq(g: Grid, values: np.ndarray) -> np.ndarray:
+    """Quadrature dx^n sum_j |u(x_j)|^2 of each array in a stack."""
+    return g.dx**g.n * np.sum(np.abs(values) ** 2, axis=_last_axes(g))
+
+
 def _weighted_sq(
     g: Grid, coeffs: np.ndarray, lam: Callable[[np.ndarray], np.ndarray], s: float
 ) -> np.ndarray:
@@ -370,8 +375,7 @@ def sobolev_norm(u: Field, s: float) -> float:
 
 def l2_norm(u: Field) -> float:
     """Plain quadrature L^2 norm: (dx^n sum_j |u|^2)^{1/2}."""
-    g = u.grid
-    return float(np.sqrt(g.dx**g.n * np.sum(np.abs(u.values) ** 2)))
+    return float(np.sqrt(_l2_sq(u.grid, u.values)))
 
 
 def inner_product(u: Field, v: Field) -> complex:

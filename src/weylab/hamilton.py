@@ -39,7 +39,9 @@ __all__ = [
 ]
 
 XI_FLOOR = 1e-6
-DRIFT_TOLERANCE = 1e-6
+DRIFT_TOLERANCE = 1e-6  # largest accepted |a(x(t), xi(t)) - a(x0, xi0)| on a trajectory
+ELLIPTIC_TOL = 1e-10  # |a_m| below this (relative to its max) is a degeneracy
+ESCAPE_REFINE_TOL = 1e-8  # time resolution of the bisected escape time
 
 
 def hamiltonian_field(a: Symbol, x, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -85,11 +87,10 @@ class Trajectory:
     xi_max: float
     truncated_forward: bool = False
     truncated_backward: bool = False
-    drift_tolerance: float = DRIFT_TOLERANCE
 
     @property
     def accepted(self) -> bool:
-        return self.drift <= self.drift_tolerance
+        return self.drift <= DRIFT_TOLERANCE
 
     @property
     def start_index(self) -> int:
@@ -132,8 +133,6 @@ def integrate_bicharacteristic(
     xi0,
     T: float,
     h: float,
-    *,
-    drift_tolerance: float = DRIFT_TOLERANCE,
 ) -> Trajectory:
     """Integrate the H_{a_m} flow forward and backward to +-T with step h."""
     n = a_m.n
@@ -165,7 +164,6 @@ def integrate_bicharacteristic(
         xi_max=float(np.max(xin)),
         truncated_forward=trunc_f,
         truncated_backward=trunc_b,
-        drift_tolerance=drift_tolerance,
     )
 
 
@@ -176,7 +174,7 @@ class EllipticityClassification:
     reason: str = ""
 
 
-def classify_strong_ellipticity(a_m: Symbol, traj: Trajectory, *, tol: float = 1e-10) -> EllipticityClassification:
+def classify_strong_ellipticity(a_m: Symbol, traj: Trajectory) -> EllipticityClassification:
     """Fit C with C^{-1}|xi(t)|^m <= |a_m| <= C|xi(t)|^m along the trajectory.
 
     Points with a_m ~ 0 are off the elliptic co-sphere and are rejected
@@ -185,12 +183,12 @@ def classify_strong_ellipticity(a_m: Symbol, traj: Trajectory, *, tol: float = 1
         return EllipticityClassification(False, np.inf, "trajectory drift above tolerance")
     vals = np.abs(np.real(a_m.eval(traj.x, traj.xi)))
     start = vals[traj.start_index]
-    if start < tol:
+    if start < ELLIPTIC_TOL:
         return EllipticityClassification(
             False, np.inf, "a_m vanishes at the start point (not on the elliptic co-sphere)"
         )
     base = np.linalg.norm(traj.xi, axis=1) ** a_m.order
-    if np.min(vals) < tol * max(1.0, float(np.max(vals))):
+    if np.min(vals) < ELLIPTIC_TOL * max(1.0, float(np.max(vals))):
         return EllipticityClassification(False, np.inf, "a_m degenerates along the flow")
     C = float(max(np.max(vals / base), np.max(base / vals)))
     return EllipticityClassification(True, C, "")
@@ -209,7 +207,7 @@ class TrappingVerdict:
         return self.verdict != "inconclusive"
 
 
-def _first_escape(t: np.ndarray, x: np.ndarray, R: float, *, refine_tol: float = 1e-8):
+def _first_escape(t: np.ndarray, x: np.ndarray, R: float):
     """First |x(t)| >= R by linear interpolation between samples + bisection."""
     r = np.linalg.norm(x, axis=1)
     hit = np.nonzero(r >= R)[0]
@@ -226,7 +224,7 @@ def _first_escape(t: np.ndarray, x: np.ndarray, R: float, *, refine_tol: float =
         return np.linalg.norm(x_lo + w * (x_hi - x_lo))
 
     lo, hi = 0.0, 1.0
-    while (hi - lo) * abs(t_hi - t_lo) > refine_tol:
+    while (hi - lo) * abs(t_hi - t_lo) > ESCAPE_REFINE_TOL:
         mid = 0.5 * (lo + hi)
         if radius_at(mid) >= R:
             hi = mid

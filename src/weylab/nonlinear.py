@@ -377,6 +377,10 @@ def direct_nonlinear_solve(
 ) -> Solution:
     """Method-of-lines integration of du/dt = i A u + N(u) with Lawson RK4."""
     g = u0.grid
+    guard = wrap_guard(a, u0)
+    if guard.localized:
+        guard.check(T)
+
     op = build_evolution_operator(a, g)
     mult_alpha = _xi_alpha(g, spec.alpha)
     nl_mag = float(
@@ -392,7 +396,6 @@ def direct_nonlinear_solve(
 
     step = lawson_stepper(op, dt, nonlinearity)
     times, stored = _march(step, g, u0.values, steps, dt, store_stride)
-    guard = wrap_guard(a, u0)
     return Solution(
         grid=g,
         symbol=a,

@@ -11,7 +11,6 @@ from .checks import (
 )
 from .core import (
     FuncSymbol,
-    SeparableTerm,
     Symbol,
     SympySymbol,
     bessel_symbol,
@@ -30,7 +29,6 @@ __all__ = [
     "Symbol",
     "SympySymbol",
     "FuncSymbol",
-    "SeparableTerm",
     "catalog",
     "catalog_names",
     "CATALOG",

@@ -1,8 +1,10 @@
 """Catalog of ready-made dispersive symbols.
 
-Every entry returns a SympySymbol with exact derivative closures, a populated
-principal/lower-order split, and (where the structure allows) a separable
-f(x) g(xi) term list usable by the fast application and evolution paths.
+Every entry states its sympy expression, order, label and principal/lower-order
+split, and returns a SympySymbol with exact derivative closures.  Everything
+else is derived from the expression: the flags real_valued, x_independent and
+zero_nyquist, and the multiplier/pair split `SympySymbol.split` that the
+evolution and fast-application paths read.
 """
 
 from __future__ import annotations
@@ -13,63 +15,21 @@ from typing import Callable
 import numpy as np
 import sympy as sp
 
-from .core import SeparableTerm, SympySymbol, phase_symbols, zero_symbol
+from .core import SympySymbol, phase_symbols, zero_symbol
 
 __all__ = ["catalog", "catalog_names", "CatalogEntry", "CATALOG"]
 
 
-def _lambdify_spatial(expr, xs):
-    fn = sp.lambdify(xs, expr, modules="numpy")
-
-    def call(X):
-        out = fn(*[X[..., i] for i in range(len(xs))])
-        out = np.asarray(out, dtype=complex)
-        return np.broadcast_to(out, np.broadcast_shapes(X[..., 0].shape, out.shape))
-
-    return call
-
-
-def _lambdify_frequency(expr, xis):
-    fn = sp.lambdify(xis, expr, modules="numpy")
-
-    def call(XI):
-        out = fn(*[XI[..., i] for i in range(len(xis))])
-        out = np.asarray(out, dtype=complex)
-        return np.broadcast_to(out, np.broadcast_shapes(XI[..., 0].shape, out.shape))
-
-    return call
-
-
-def _multiplier_terms(g_expr, xis):
-    return [SeparableTerm(g=_lambdify_frequency(g_expr, xis), f_const=1.0)]
-
-
 def _airy() -> SympySymbol:
-    xs, xis = phase_symbols(1)
-    expr = xis[0] ** 3
-    sym = SympySymbol(
-        expr,
-        1,
-        3.0,
-        real_valued=True,
-        separable_terms=_multiplier_terms(expr, xis),
-        label="airy",
-    )
+    _, xis = phase_symbols(1)
+    sym = SympySymbol(xis[0] ** 3, 1, 3.0, label="airy")
     sym.parts = (sym, zero_symbol(1, 2.0))
     return sym
 
 
 def _zk() -> SympySymbol:
-    xs, xis = phase_symbols(2)
-    expr = xis[0] * (xis[0] ** 2 + xis[1] ** 2)
-    sym = SympySymbol(
-        expr,
-        2,
-        3.0,
-        real_valued=True,
-        separable_terms=_multiplier_terms(expr, xis),
-        label="zk",
-    )
+    _, xis = phase_symbols(2)
+    sym = SympySymbol(xis[0] * (xis[0] ** 2 + xis[1] ** 2), 2, 3.0, label="zk")
     sym.parts = (sym, zero_symbol(2, 2.0))
     return sym
 
@@ -78,16 +38,9 @@ def _kdv_sum(n: int = 2) -> SympySymbol:
     n = int(n)
     if n < 1:
         raise ValueError("kdv_sum requires n >= 1")
-    xs, xis = phase_symbols(n)
+    _, xis = phase_symbols(n)
     expr = sum(xis) * sum(v**2 for v in xis)
-    sym = SympySymbol(
-        expr,
-        n,
-        3.0,
-        real_valued=True,
-        separable_terms=_multiplier_terms(expr, xis),
-        label=f"kdv_sum(n={n})",
-    )
+    sym = SympySymbol(expr, n, 3.0, label=f"kdv_sum(n={n})")
     sym.parts = (sym, zero_symbol(n, 2.0))
     return sym
 
@@ -97,23 +50,8 @@ def _gaussian_kdv(eps: float = 0.05) -> SympySymbol:
     if eps < 0:
         raise ValueError("gaussian_kdv amplitude eps must be nonnegative")
     xs, xis = phase_symbols(1)
-    bump = sp.exp(-xs[0] ** 2)
-    expr = (1 + eps * bump) * xis[0] ** 3
-    terms = [
-        SeparableTerm(g=_lambdify_frequency(xis[0] ** 3, xis), f_const=1.0),
-        SeparableTerm(
-            g=_lambdify_frequency(xis[0] ** 3, xis),
-            f=_lambdify_spatial(eps * bump, xs),
-        ),
-    ]
-    sym = SympySymbol(
-        expr,
-        1,
-        3.0,
-        real_valued=True,
-        separable_terms=terms,
-        label=f"gaussian_kdv(eps={eps})",
-    )
+    expr = (1 + eps * sp.exp(-xs[0] ** 2)) * xis[0] ** 3
+    sym = SympySymbol(expr, 1, 3.0, label=f"gaussian_kdv(eps={eps})")
     sym.parts = (sym, zero_symbol(1, 2.0))
     return sym
 
@@ -135,25 +73,8 @@ def _ultrahyperbolic(matrix=None, eps: float = 0.0) -> SympySymbol:
     n = M.shape[0]
     xs, xis = phase_symbols(n)
     quad = sum(sp.nsimplify(M[i, j]) * xis[i] * xis[j] for i in range(n) for j in range(n))
-    bump = sp.exp(-sum(v**2 for v in xs))
-    expr = (1 + eps * bump) * quad
-    terms = [SeparableTerm(g=_lambdify_frequency(quad, xis), f_const=1.0)]
-    if eps > 0:
-        terms.append(
-            SeparableTerm(
-                g=_lambdify_frequency(quad, xis),
-                f=_lambdify_spatial(eps * bump, xs),
-            )
-        )
-    sym = SympySymbol(
-        expr,
-        n,
-        2.0,
-        real_valued=True,
-        zero_nyquist=False,
-        separable_terms=terms,
-        label=f"ultrahyperbolic(eps={eps})",
-    )
+    expr = (1 + eps * sp.exp(-sum(v**2 for v in xs))) * quad
+    sym = SympySymbol(expr, n, 2.0, label=f"ultrahyperbolic(eps={eps})")
     sym.parts = (sym, zero_symbol(n, 1.0))
     return sym
 

@@ -33,6 +33,13 @@ __all__ = [
 # |xi|^{m-1} is regularized as max(|xi|, XI_FLOOR)^{m-1} purely for ratio
 # fitting near xi = 0, where both sides of the conditions vanish.
 XI_FLOOR = 1e-8
+NUM_DIRECTIONS = 32  # frequency directions per shell of a 2D standard sample set
+# gradient ellipticity fails when min |grad_xi Re a| / |xi|^{m-1} <= GRAD_DEGENERATE_TOL
+# and is inconclusive below GRAD_PASS_TOL
+GRAD_DEGENERATE_TOL = 1e-8
+GRAD_PASS_TOL = 1e-3
+X_DECAY_MAX_ORDER = 3  # x-decay fit over |alpha| + |beta| <= X_DECAY_MAX_ORDER
+VERDICT_BAND = 1e-9  # slack within +-VERDICT_BAND of 0 is inconclusive
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,6 @@ class SampleSet:
         x_radius: float = 10.0,
         xi_max: float = 64.0,
         num_shells: int = 24,
-        num_directions: int = 32,
         x_points: int = 33,
     ) -> "SampleSet":
         """Default scan: 24 log shells |xi| in [1, xi_max], 32 directions (n=2)
@@ -75,7 +81,7 @@ class SampleSet:
         if n == 1:
             dirs = np.array([[1.0], [-1.0]])
         elif n == 2:
-            ang = 2.0 * np.pi * np.arange(num_directions) / num_directions
+            ang = 2.0 * np.pi * np.arange(NUM_DIRECTIONS) / NUM_DIRECTIONS
             dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         else:
             raise ValueError("standard sample sets support n in {1, 2}")
@@ -129,6 +135,12 @@ class ConditionReport:
         }
 
 
+def _band_verdict(slack: float) -> str:
+    if slack > VERDICT_BAND:
+        return "pass"
+    return "inconclusive" if slack >= -VERDICT_BAND else "fail"
+
+
 def _worst(S: SampleSet, idx: int) -> tuple:
     return (tuple(S.X[idx]), tuple(S.XI[idx]))
 
@@ -136,9 +148,6 @@ def _worst(S: SampleSet, idx: int) -> tuple:
 def check_grad_ellipticity(
     a: Symbol,
     S: SampleSet,
-    *,
-    degenerate_tol: float = 1e-8,
-    pass_tol: float = 1e-3,
 ) -> ConditionReport:
     """Two-sided fit of |grad_xi Re a| against |xi|^{m-1} over the sample set."""
     m = a.order
@@ -156,9 +165,9 @@ def check_grad_ellipticity(
         "C_upper": r_max,
         "C": float(max(c_lower, r_max)),
     }
-    if r_min <= degenerate_tol:
+    if r_min <= GRAD_DEGENERATE_TOL:
         verdict = "fail"
-    elif r_min < pass_tol:
+    elif r_min < GRAD_PASS_TOL:
         verdict = "inconclusive"
     else:
         verdict = "pass"
@@ -169,7 +178,7 @@ def check_grad_ellipticity(
         worst_point=_worst(S, i_min),
         worst_value=r_min,
         verdict=verdict,
-        threshold=pass_tol,
+        threshold=GRAD_PASS_TOL,
     )
 
 
@@ -177,13 +186,11 @@ def check_x_decay(
     a: Symbol,
     lam: Callable[[np.ndarray], np.ndarray],
     S: SampleSet,
-    max_order: int = 3,
     *,
     eps_threshold: float = 1.0,
-    band: float = 1e-9,
 ) -> ConditionReport:
     """Fit eps_hat = max |d_x^beta d_xi^alpha Re a| / (lam(|x|) |xi|^{m-|alpha|})
-    over 1 <= |beta|, |alpha| + |beta| <= max_order."""
+    over 1 <= |beta|, |alpha| + |beta| <= X_DECAY_MAX_ORDER."""
     m = a.order
     lam_vals = np.asarray(lam(S.x_norm), dtype=float)
     xi = np.maximum(S.xi_norm, XI_FLOOR)
@@ -191,8 +198,8 @@ def check_x_decay(
     worst_idx = 0
     worst_key = None
     by_index = {}
-    for alpha in multi_indices_upto(a.n, max_order):
-        for beta in multi_indices_upto(a.n, max_order - sum(alpha)):
+    for alpha in multi_indices_upto(a.n, X_DECAY_MAX_ORDER):
+        for beta in multi_indices_upto(a.n, X_DECAY_MAX_ORDER - sum(alpha)):
             if sum(beta) < 1:
                 continue
             vals = np.abs(np.real(a.deriv(alpha, beta, S.X, S.XI)))
@@ -204,7 +211,7 @@ def check_x_decay(
                 worst_idx = j
                 worst_key = (alpha, beta)
     slack = eps_threshold - eps_hat
-    verdict = "pass" if slack > band else ("inconclusive" if slack >= -band else "fail")
+    verdict = _band_verdict(slack)
     return ConditionReport(
         condition="x_decay",
         sample_description=S.description,
@@ -222,7 +229,6 @@ def check_im_smallness(
     S: SampleSet,
     *,
     c0_threshold: float = 1.0,
-    band: float = 1e-9,
 ) -> ConditionReport:
     """Fit c0_hat = max |Im a_{m-1}| / (lam(|x|) |xi|^{m-1}); needs the parts split."""
     m = a.order
@@ -237,7 +243,7 @@ def check_im_smallness(
     j = int(np.argmax(ratio))
     c0_hat = float(ratio[j])
     slack = c0_threshold - c0_hat
-    verdict = "pass" if slack > band else ("inconclusive" if slack >= -band else "fail")
+    verdict = _band_verdict(slack)
     return ConditionReport(
         condition="im_smallness",
         sample_description=S.description,

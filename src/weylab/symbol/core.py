@@ -5,12 +5,17 @@ exposes mixed derivatives d^alpha_xi d^beta_x a.  Derivatives come from
 analytic closures when available (sympy-backed symbols differentiate exactly)
 and otherwise from nested second-order central differences with steps
 h = 1e-4 (1 + |coordinate|).
+
+A sympy-backed symbol also derives its structure from the expression: the
+flags real_valued and x_independent, and the split
+a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`) that the evolution
+and fast-application paths read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -20,7 +25,6 @@ __all__ = [
     "Symbol",
     "SympySymbol",
     "FuncSymbol",
-    "SeparableTerm",
     "multi_indices",
     "multi_indices_upto",
     "multi_factorial",
@@ -80,28 +84,12 @@ def as_points(pts, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SeparableTerm:
-    """One product term f(x) g(xi) of a separable symbol.
-
-    f_const is set (and f is None) when the spatial factor is a constant.
-    """
-
-    g: Callable[[np.ndarray], np.ndarray]
-    f: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    f_const: Optional[complex] = None
-
-    def spatial_values(self, x_pts: np.ndarray) -> np.ndarray:
-        if self.f_const is not None:
-            return np.full(x_pts.shape[:-1], complex(self.f_const))
-        return np.asarray(self.f(x_pts), dtype=complex)
-
-    def frequency_values(self, xi_pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.g(xi_pts), dtype=complex)
-
-
 class Symbol:
     """Base class; subclasses provide _eval and optionally analytic derivatives."""
+
+    # (a0, [(f, g), ...]) with a = a0(xi) + sum f(x) g(xi), as sympy
+    # expressions; only sympy-backed symbols derive one (SympySymbol.split)
+    split = None
 
     def __init__(
         self,
@@ -112,7 +100,6 @@ class Symbol:
         zero_nyquist: Optional[bool] = None,
         x_independent: bool = False,
         parts: Optional[tuple["Symbol", "Symbol"]] = None,
-        separable_terms: Optional[list[SeparableTerm]] = None,
         label: str = "",
     ):
         self.n = int(n)
@@ -124,7 +111,6 @@ class Symbol:
         self.zero_nyquist = bool(zero_nyquist)
         self.x_independent = bool(x_independent)
         self.parts = parts
-        self.separable_terms = separable_terms
         self.label = label or type(self).__name__
 
     # -- evaluation ----------------------------------------------------------
@@ -204,17 +190,6 @@ class Symbol:
         return f"<{type(self).__name__} {self.label!r} n={self.n} order={self.order}>"
 
 
-def _wrap_lambdified(fn, n: int):
-    def call(X, XI):
-        args = [X[..., i] for i in range(n)] + [XI[..., i] for i in range(n)]
-        out = fn(*args)
-        out = np.asarray(out, dtype=complex)
-        target = np.broadcast_shapes(X[..., 0].shape, out.shape)
-        return np.broadcast_to(out, target)
-
-    return call
-
-
 class SympySymbol(Symbol):
     """Symbol backed by a sympy expression in x1..xn, xi1..xin; exact derivatives."""
 
@@ -234,6 +209,44 @@ class SympySymbol(Symbol):
         self._xis = xis
         self._fn_cache: dict[tuple[MultiIndex, MultiIndex], Callable] = {}
 
+    @functools.cached_property
+    def split(self):
+        """a = a0(xi) + sum_k f_k(x) g_k(xi), read off the expression.
+
+        Each additive term factors as g(xi) f(x); the constant of a sum f joins
+        the x-free multiplier a0 and terms with the same f share one g.
+        Returns (a0, [(f, g), ...]) as sympy expressions (a0 may be 0), or
+        None when some f still depends on xi.
+        """
+        a0 = sp.Integer(0)
+        pairs: dict = {}
+        for term in sp.Add.make_args(self.expr):
+            g, f = term.as_independent(*self._xs, as_Add=False)
+            if f.has(*self._xis):
+                return None
+            c, f = f.as_independent(*self._xs, as_Add=True)
+            a0 += c * g
+            if f != 0:
+                pairs[f] = pairs.get(f, 0) + g
+        return a0, list(pairs.items())
+
+    def eval_expr(self, expr, x, xi) -> np.ndarray:
+        """Evaluate an expression in this symbol's variables (a piece of
+        `split`, say) at points given as for `eval`."""
+        X, XI = np.broadcast_arrays(as_points(x, self.n), as_points(xi, self.n))
+        return self._lambdify(expr)(X, XI)
+
+    def _lambdify(self, expr):
+        fn = sp.lambdify(self._xs + self._xis, expr, modules="numpy")
+        n = self.n
+
+        def call(X, XI):
+            out = fn(*[X[..., i] for i in range(n)], *[XI[..., i] for i in range(n)])
+            out = np.asarray(out, dtype=complex)
+            return np.broadcast_to(out, np.broadcast_shapes(X[..., 0].shape, out.shape))
+
+        return call
+
     def _closure(self, alpha: MultiIndex, beta: MultiIndex):
         key = (alpha, beta)
         if key not in self._fn_cache:
@@ -244,8 +257,7 @@ class SympySymbol(Symbol):
             for i, a in enumerate(alpha):
                 if a:
                     e = sp.diff(e, self._xis[i], a)
-            fn = sp.lambdify(self._xs + self._xis, e, modules="numpy")
-            self._fn_cache[key] = _wrap_lambdified(fn, self.n)
+            self._fn_cache[key] = self._lambdify(e)
         return self._fn_cache[key]
 
     def _eval(self, X, XI):
@@ -308,15 +320,14 @@ def scale_symbol(a: Symbol, c: complex) -> Symbol:
 
 
 def zero_symbol(n: int, order: float = 0.0) -> SympySymbol:
-    return SympySymbol(sp.Integer(0), n, order, real_valued=True, zero_nyquist=False, label="0")
+    return SympySymbol(sp.Integer(0), n, order, zero_nyquist=False, label="0")
 
 
 def bessel_symbol(s: float, n: int = 1) -> SympySymbol:
     """<xi>^s as a symbol of order s (never Nyquist-zeroed: even in xi)."""
     _, xis = phase_symbols(n)
     expr = (1 + sum(v**2 for v in xis)) ** (sp.Rational(1, 2) * sp.nsimplify(s))
-    sym = SympySymbol(expr, n, float(s), real_valued=True, zero_nyquist=False, label=f"<xi>^{s}")
-    return sym
+    return SympySymbol(expr, n, float(s), zero_nyquist=False, label=f"<xi>^{s}")
 
 
 # -- exact symbolic Weyl algebra ----------------------------------------------

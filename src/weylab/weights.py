@@ -57,6 +57,10 @@ __all__ = [
     "admissibility_report",
 ]
 
+F_FIT_ORDERS = (1, 2)  # derivative orders m of the f bound fit
+F_FIT_T_MAX_K = 100.0  # the f bound fit runs over 0 <= t <= F_FIT_T_MAX_K K
+EXP_FIT_S = 0.0  # Sobolev index s of the exp-weight conjugation fit
+
 
 class WeightFn:
     """lam(r) = <r>^{-N_w} with exact derivative and primitive closures."""
@@ -313,13 +317,13 @@ class DoiWeight:
         out[r <= -2.0 * self.eps] = -1
         return out
 
-    def f_derivative_bound_fit(self, orders=(1, 2), t_max: Optional[float] = None) -> dict:
-        """Fit C_m in |f^(m)(t)| <= C_m (lam(0) + int_0^t lam) (1 + t)^{-m}."""
-        t_max = t_max or 100.0 * self.K
-        t = np.linspace(0.0, t_max, 4001)
+    def f_derivative_bound_fit(self) -> dict:
+        """Fit C_m in |f^(m)(t)| <= C_m (lam(0) + int_0^t lam) (1 + t)^{-m} for
+        m in F_FIT_ORDERS, over 0 <= t <= F_FIT_T_MAX_K K."""
+        t = np.linspace(0.0, F_FIT_T_MAX_K * self.K, 4001)
         envelope = (float(self.lam(0.0)) + self.lam.primitive(t))
         out = {}
-        for mm in orders:
+        for mm in F_FIT_ORDERS:
             if mm == 1:
                 vals = np.abs(self.f_prime(t))
             else:
@@ -488,7 +492,7 @@ class ExpWeightPair:
 
 
 def exp_weight_operators(
-    p: Union[DoiWeight, Symbol], g: Grid, *, s_fit: float = 0.0, probes: int = 24, seed: int = 0
+    p: Union[DoiWeight, Symbol], g: Grid, *, probes: int = 24, seed: int = 0
 ) -> ExpWeightPair:
     """Quantize e^{+-p} and fit C in ||(Et E - I)u||_s <= C ||u||_{s-2}."""
     psym = p.symbol if isinstance(p, DoiWeight) else p
@@ -498,8 +502,8 @@ def exp_weight_operators(
     worst = 0.0
     for u in wavepacket_probes(g, probes, np.random.default_rng(seed), **_BAND):
         v = Field(g, (R @ u.values.ravel()).reshape(g.shape))
-        denom = sobolev_norm(u, s_fit - 2.0)
-        worst = max(worst, sobolev_norm(v, s_fit) / denom)
+        denom = sobolev_norm(u, EXP_FIT_S - 2.0)
+        worst = max(worst, sobolev_norm(v, EXP_FIT_S) / denom)
     return ExpWeightPair(E=E, Et=Et, grid=g, conjugation_C=float(worst), probe_count=probes)
 
 

@@ -13,7 +13,14 @@ from weylab.calculus import (
     quantize_dense,
 )
 from weylab.grid import Field, apply_bessel, make_grid
-from weylab.symbol import SympySymbol, bessel_symbol, catalog, phase_symbols
+from weylab.symbol import (
+    SympySymbol,
+    VectorFieldSystem,
+    bessel_symbol,
+    build_kdv_type,
+    catalog,
+    phase_symbols,
+)
 
 
 def brute_force_dense(a, g, tag):
@@ -173,6 +180,46 @@ def test_apply_fast_xi_dependent_symbols_match_dense(n):
     dense = quantize_dense(a, g, "kn").apply(u)
     assert np.max(np.abs(dense.values)) > 0.1 * np.max(np.abs(u.values))
     assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * np.max(np.abs(dense.values))
+
+
+def test_apply_fast_direct_sum_matches_dense():
+    # no f(x) g(xi) split: the direct KN sum
+    xs, xis = phase_symbols(1)
+    expr = sp.sqrt(1 + (1 + sp.exp(-xs[0] ** 2)) * xis[0] ** 2)
+    a = SympySymbol(expr, 1, 1.0, zero_nyquist=False)
+    assert a.split is None
+    g = make_grid(1, 10.0, 64)
+    u = gaussian_probe(g, k=2.0)
+    fast = apply_fast(a, u)
+    dense = quantize_dense(a, g, "kn").apply(u)
+    assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * np.max(np.abs(dense.values))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_apply_fast_complex_kdv_type_matches_dense(n):
+    # the split is exact KN for complex symbols too
+    xs, _ = phase_symbols(n)
+    bump = sp.Rational(1, 10) * sp.exp(-sum(v**2 for v in xs))
+    if n == 1:
+        coeffs, g = [[1 + bump]], make_grid(1, 10.0, 64)
+    else:
+        coeffs, g = [[1 + bump, bump], [0, 1 - bump]], make_grid(2, 6.0, 24)
+    a = build_kdv_type(VectorFieldSystem(n, coeffs)).full
+    assert not a.real_valued and a.split is not None
+    u = gaussian_probe(g, k=2.0)
+    fast = apply_fast(a, u)
+    dense = quantize_dense(a, g, "kn").apply(u)
+    assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * np.max(np.abs(dense.values))
+
+
+def test_apply_fast_split_above_dense_budget():
+    # (1 + eps e^{-x^2}) xi^3 is (1 + eps e^{-x^2}) D^3 in KN; no dense grid needed
+    g = make_grid(1, 10.0, 16384)
+    assert not g.dense_eligible
+    u = gaussian_probe(g, k=2.0)
+    fast = apply_fast(catalog("gaussian_kdv", eps=0.3), u)
+    ref = (1 + 0.3 * np.exp(-g.x_axis**2)) * apply_fast(catalog("airy"), u).values
+    assert np.max(np.abs(fast.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_apply_fast_rejects_weyl_tag():

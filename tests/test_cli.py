@@ -1,6 +1,7 @@
 """Config validation, experiment dispatch, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,15 @@ def test_list_catalog_text_and_json():
     assert "check-admissible" in payload["experiments"]
     # deterministic output
     assert list_catalog(as_json=True) == list_catalog(as_json=True)
+
+
+def test_list_json_matches_golden(capsys):
+    # `weylab list --json` is a published interface: any change to it is deliberate
+    from weylab.cli import main
+
+    assert main(["list", "--json"]) == 0
+    golden = Path(__file__).parent / "data" / "list_catalog.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_main_usage_error():

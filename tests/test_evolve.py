@@ -138,36 +138,45 @@ def _remainder_reference(op, values):
         return np.fft.ifftn(np.fft.fftn(v) * gv)
 
     out = np.zeros(op.grid.shape, dtype=complex)
-    for fv, gv, herm in op.pairs:
-        out += 0.5 * (fv * G(values, gv) + G(fv * values, gv)) if herm else fv * G(values, gv)
+    for fv, gv in op.pairs:
+        out += 0.5 * (fv * G(values, gv) + G(fv * values, gv))
     if op.dense is not None:
         out += op.dense.apply_values(values)
     return out
 
 
-def _no_separable_split():
-    # x-dependent and without separable terms: evolves through the dense fallback
+def _real_split_outside_catalog():
+    # real and x-dependent, no catalog entry: its split is derived from the
+    # expression, so it evolves through symmetrized pairs
     xs, xis = phase_symbols(1)
     return SympySymbol((1 + 0.1 * sp.exp(-xs[0] ** 2)) * xis[0] ** 2, 1, 2.0, real_valued=True)
 
 
-_REMAINDER_CASES = [
-    (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128)),
-    (lambda: catalog("ultrahyperbolic", eps=0.3), (2, 4.0, 32)),
-    (_no_separable_split, (1, 6.0, 48)),
+def _complex_symbol():
+    # complex and x-dependent: evolves through the dense fallback
+    xs, xis = phase_symbols(1)
+    bump = sp.exp(-xs[0] ** 2)
+    return SympySymbol((1 + 0.1 * bump) * xis[0] ** 2 + 0.1 * sp.I * bump * xis[0], 1, 2.0)
+
+
+_REMAINDER_CASES = [  # (symbol, grid, evolves through the dense fallback)
+    (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128), False),
+    (lambda: catalog("ultrahyperbolic", eps=0.3), (2, 4.0, 32), False),
+    (_real_split_outside_catalog, (1, 6.0, 48), False),
+    (_complex_symbol, (1, 6.0, 48), True),
 ]
-_REMAINDER_IDS = ["gaussian_kdv", "ultrahyperbolic", "dense"]
+_REMAINDER_IDS = ["gaussian_kdv", "ultrahyperbolic", "real-split", "dense"]
 
 
 @pytest.mark.parametrize(
-    "make_symbol, grid, stacked",
+    "make_symbol, grid, dense, stacked",
     [case + (False,) for case in _REMAINDER_CASES] + [case + (True,) for case in _REMAINDER_CASES],
     ids=_REMAINDER_IDS + [f"{name}-stack" for name in _REMAINDER_IDS],
 )
-def test_spectral_remainder_matches_physical_reference(make_symbol, grid, stacked):
+def test_spectral_remainder_matches_physical_reference(make_symbol, grid, dense, stacked):
     g = make_grid(*grid)
     op = build_evolution_operator(make_symbol(), g)
-    assert op.pairs or op.dense is not None
+    assert (op.dense is not None) == dense and bool(op.pairs) != dense
     u = gaussian_wavepacket(g, [1.0] + [0.5] * (g.n - 1), width2=2.0).values
     if stacked:
         # leading axes index a stack: each array maps exactly as it does alone
@@ -183,6 +192,63 @@ def test_spectral_remainder_matches_physical_reference(make_symbol, grid, stacke
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     full = ref + (0 if op.multiplier is None else np.fft.ifftn(np.fft.fftn(u) * op.multiplier))
     assert np.linalg.norm(op.apply(u) - full) <= 1e-13 * np.linalg.norm(full)
+
+
+# Reference: each catalog entry's multiplier and f(x) g(xi) pair written out
+# by hand, as (name, params, grid, frequency factor g, spatial factor f or
+# None for a pure multiplier, whether g is zeroed at the Nyquist modes).
+def _stated_terms():
+    (x,), (xi,) = phase_symbols(1)
+    (x1, x2), (xi1, xi2) = phase_symbols(2)
+    uh_bump = sp.exp(-(x1**2) - x2**2)
+    g2 = (2, 4.0, 32)
+    return [
+        ("airy", {}, (1, 10.0, 64), xi**3, None, True),
+        ("zk", {}, g2, xi1 * (xi1**2 + xi2**2), None, True),
+        ("kdv_sum", {}, g2, (xi1 + xi2) * (xi1**2 + xi2**2), None, True),
+        ("kdv_sum", {"n": 1}, (1, 5.0, 64), xi * xi**2, None, True),
+        ("gaussian_kdv", {"eps": 0.05}, (1, 10.0, 128), xi**3, 0.05 * sp.exp(-(x**2)), True),
+        ("gaussian_kdv", {"eps": 0.3}, (1, 10.0, 128), xi**3, 0.3 * sp.exp(-(x**2)), True),
+        ("ultrahyperbolic", {}, g2, xi1**2 - xi2**2, None, False),
+        ("ultrahyperbolic", {"eps": 0.05}, g2, xi1**2 - xi2**2, 0.05 * uh_bump, False),
+        (
+            "ultrahyperbolic",
+            {"eps": 0.3, "matrix": [[1, 0.5], [0.5, -1]]},
+            g2,
+            xi1**2 + xi1 * xi2 - xi2**2,
+            0.3 * uh_bump,
+            False,
+        ),
+    ]
+
+
+def _sampled(expr, variables, pts):
+    fn = sp.lambdify(variables, expr, modules="numpy")
+    out = np.asarray(fn(*[pts[..., i] for i in range(len(variables))]), dtype=complex)
+    return np.broadcast_to(out, pts.shape[:-1])
+
+
+@pytest.mark.parametrize(
+    "name, params, grid, g_expr, f_expr, zero_nyquist",
+    _stated_terms(),
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(_stated_terms())],
+)
+def test_catalog_split_matches_stated_terms(name, params, grid, g_expr, f_expr, zero_nyquist):
+    a = catalog(name, **params)
+    assert a.real_valued and a.zero_nyquist == zero_nyquist
+    g = make_grid(*grid)
+    op = build_evolution_operator(a, g)
+    xs, xis = phase_symbols(g.n)
+    gv = _sampled(g_expr, xis, g.xi_mesh)
+    if zero_nyquist:
+        gv = np.where(g.nyquist_mask, 0.0, gv)
+    assert op.dense is None and np.array_equal(op.multiplier, gv)
+    if f_expr is None:
+        assert a.x_independent and op.pairs == []
+    else:
+        [(fv, gv_pair)] = op.pairs
+        assert np.array_equal(fv, _sampled(f_expr, xs, g.x_mesh))
+        assert np.array_equal(gv_pair, gv)
 
 
 def test_user_dt_stability_rejection():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weylab.evolve import WrapGuardError, wrap_guard
 from weylab.grid import (
     Field,
     l2_norm,
@@ -263,6 +264,16 @@ def test_picard_datum_continuity(setup):
         )
         ratios.append(change / delta)
     assert max(ratios) / min(ratios) < 3.0
+
+
+def test_nonlinear_solves_refuse_beyond_wrap_horizon(setup):
+    # both solves check the wrap guard before stepping (horizon ~0.95 here)
+    g, a, u0 = setup
+    T = 1.5 * wrap_guard(a, u0).horizon
+    with pytest.raises(WrapGuardError):
+        picard_solve(a, u0, SPEC, s=15.0, lam=LAM, T=T, dt=2e-4)
+    with pytest.raises(WrapGuardError):
+        direct_nonlinear_solve(a, u0, SPEC, T=T, dt=2e-4)
 
 
 def test_picard_rejects_delocalized_datum(setup):

@@ -170,6 +170,19 @@ def test_build_kdv_type_im_part_is_odd_and_small():
     assert rep.passed and rep.constants["c0_hat"] < 1.0
 
 
+def test_split_reassembles_the_expression():
+    # a = a0(xi) + sum_k f_k(x) g_k(xi), one pair per distinct f, constants in a0
+    xs, xis = phase_symbols(2)
+    bump = sp.Rational(1, 50) * sp.exp(-xs[0] ** 2 - xs[1] ** 2)
+    a = build_kdv_type(VectorFieldSystem(2, [[1 + bump, bump], [0, 1 - bump]])).full
+    a0, pairs = a.split
+    assert not a0.has(*xs) and a0 != 0
+    assert len(pairs) > 1 and len({f for f, _ in pairs}) == len(pairs)
+    assert all(not f.has(*xis) and not g.has(*xs) for f, g in pairs)
+    assert sp.expand(a0 + sum(f * g for f, g in pairs) - a.expr) == 0
+    assert a.split is a.split  # derived once
+
+
 # -- condition checks ------------------------------------------------------------
 
 
