@@ -4,9 +4,7 @@ Configs are JSON: a single experiment object or {"experiments": [...], "threads"
 Every experiment object supports
 
     {
-      "experiment": "check-admissible" | "doi-weight" | "trace-bichar" |
-                    "solve-linear" | "smoothing-report" | "solve-nlivp" |
-                    "positivity" | "appendix" | "kdv-type-build",
+      "experiment": "solve-linear",                     # a kind from `weylab list`
       "symbol":  {"name": "airy", "params": {...}}        # catalog reference
                  | {"coefficients": [["..."]], "n": 1}    # kdv-type-build only
       "grid":    {"n": 1, "L": 125.66, "N": 1024},
@@ -16,11 +14,14 @@ Every experiment object supports
       "seed":    1234
     }
 
-Unknown keys are rejected with the offending path.  Reports embed the fully
-resolved config, all paper-condition verdicts, the seed, and a determinism
-hash (sha256 over the canonical report minus the timestamp).  Exit codes:
-0 all verdicts pass, 2 a verdict failed or was inconclusive, 1 runtime or
-config error.
+Validation, defaults, dispatch and `weylab list` all read one experiment table.
+Config errors name the offending path and stop the run before any experiment.
+Reports embed the config as given, all paper-condition verdicts, the seed,
+artifact paths relative to the output directory, and a determinism hash (sha256
+over the report minus the wall-clock fields).  An experiment that raises gets a
+report with "status": "error" and no verdicts, and the batch goes on.  Exit
+codes: 0 all verdicts pass, 2 a verdict failed or was inconclusive, 1 a config
+error or a failed experiment.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,111 +51,73 @@ __all__ = ["run", "list_catalog", "main", "ConfigError"]
 
 ENV_OUT_DIR = "WEYLAB_OUT"
 
-EXPERIMENTS = (
-    "check-admissible",
-    "doi-weight",
-    "trace-bichar",
-    "solve-linear",
-    "smoothing-report",
-    "solve-nlivp",
-    "positivity",
-    "appendix",
-    "kdv-type-build",
-)
-
 
 class ConfigError(ValueError):
     """Config schema violation with the offending field path."""
 
 
-# -- schema validation ------------------------------------------------------------
+# -- config schema ------------------------------------------------------------------
+#
+# A schema maps each key to (type, default).  A type is a name from _TYPES,
+# None (any value), a nested schema, or a function check(value, path) that
+# raises ConfigError or returns the value.  The default _REQUIRED makes a
+# key mandatory; a default of None leaves the value to the code that reads it.
+
+_REQUIRED = object()
+
+_TYPES = {
+    "number": ((int, float), "a number"),
+    "int": (int, "an integer"),
+    "str": (str, "a string"),
+    "list": (list, "a list"),
+    "dict": (dict, "an object"),
+    "bool": (bool, "a boolean"),
+}
 
 
-def _expect(cfg: dict, path: str, allowed: dict, required: tuple = ()):
+def _resolve(cfg, path: str, schema: dict) -> dict:
+    """Check `cfg` against `schema`; return a new dict with the defaults filled in."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: expected an object")
     for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(allowed)})")
-    for key in required:
-        if key not in cfg:
+        if key not in schema:
+            raise ConfigError(f"{path}.{key}: unknown key (allowed: {sorted(schema)})")
+    for key, (_, default) in schema.items():
+        if default is _REQUIRED and key not in cfg:
             raise ConfigError(f"{path}.{key}: required key missing")
-    for key, val in cfg.items():
-        kind = allowed[key]
-        if kind is None:
-            continue
-        if kind == "number" and not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {type(val).__name__}")
-        if kind == "int" and not isinstance(val, int):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {type(val).__name__}")
-        if kind == "str" and not isinstance(val, str):
-            raise ConfigError(f"{path}.{key}: expected a string, got {type(val).__name__}")
-        if kind == "list" and not isinstance(val, list):
-            raise ConfigError(f"{path}.{key}: expected a list, got {type(val).__name__}")
-        if kind == "dict" and not isinstance(val, dict):
-            raise ConfigError(f"{path}.{key}: expected an object, got {type(val).__name__}")
-        if kind == "bool" and not isinstance(val, bool):
-            raise ConfigError(f"{path}.{key}: expected a boolean, got {type(val).__name__}")
+    out = {}
+    for key, (typ, default) in schema.items():
+        if key in cfg:
+            out[key] = _check_value(cfg[key], f"{path}.{key}", typ)
+        elif isinstance(typ, dict) and default is not None:
+            out[key] = _resolve(default, f"{path}.{key}", typ)
+        else:
+            out[key] = default
+    return out
 
 
-_RUN_KEYS = {
-    "check-admissible": {
-        "eps_threshold": "number",
-        "c0_threshold": "number",
-        "x_radius": "number",
-        "xi_max": "number",
-    },
-    "doi-weight": {
-        "x_radius": "number",
-        "xi_max": "number",
-        "export_surface": "bool",
-        "p_cap": "number",
-    },
-    "trace-bichar": {
-        "x0": "list",
-        "xi0": "list",
-        "T": "number",
-        "h": "number",
-        "R": "number",
-        "delta": "number",
-    },
-    "solve-linear": {
-        "T": "number",
-        "dt": "number",
-        "scheme": "str",
-        "store_stride": "int",
-        "datum": "dict",
-        "conservation_tolerance": "number",
-    },
-    "smoothing-report": {
-        "s": "number",
-        "estimate": "str",
-        "carriers": "list",
-        "width2": "number",
-        "T": "number",
-        "store_stride": "int",
-        "ratio_bound": "number",
-        "growth_min": "number",
-        "forced": "bool",
-    },
-    "solve-nlivp": {
-        "s": "number",
-        "T": "number",
-        "dt": "number",
-        "tol": "number",
-        "max_iter": "int",
-        "amplitude": "number",
-        "width2": "number",
-        "nonlinearity": "dict",
-        "residual_tolerance": "number",
-    },
-    "positivity": {"flavor": "str", "probes": "int"},
-    "appendix": {"N_w_max": "int", "degree_max": "int", "delta_list": "list"},
-    "kdv-type-build": {"x_radius": "number", "xi_max": "number", "c0_threshold": "number"},
-}
+def _check_value(val, path: str, typ):
+    if isinstance(typ, dict):
+        return _resolve(val, path, typ)
+    if callable(typ):
+        return typ(val, path)
+    if typ is not None:
+        types, name = _TYPES[typ]
+        if not isinstance(val, types):
+            raise ConfigError(f"{path}: expected {name}, got {type(val).__name__}")
+    return val
 
-_DATUM_KEYS = {"kind": "str", "carrier": None, "width2": "number", "amplitude": "number"}
-_NONLIN_KEYS = {"p": "int", "q": "int", "alpha": "list"}
+
+def _nonempty_list(val, path: str) -> list:
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    return val
+
+
+def _catalog_name(name, path: str) -> str:
+    if not isinstance(name, str) or name not in CATALOG:
+        raise ConfigError(f"{path}: unknown catalog symbol {name!r}")
+    return name
 
 
 _COEFF_FUNCTIONS = ("exp", "sin", "cos", "tanh", "sqrt")
@@ -200,116 +164,121 @@ def _check_coefficient(c, n: int, path: str) -> None:
         )
 
 
-def _validate_experiment(cfg: dict, path: str) -> None:
-    _expect(
-        cfg,
-        path,
-        {
-            "experiment": "str",
-            "symbol": "dict",
-            "grid": "dict",
-            "weight": "dict",
-            "run": "dict",
-            "output": "dict",
-            "seed": "int",
-        },
-        required=("experiment",),
-    )
+def _coefficient_symbol(sym, path: str) -> dict:
+    """kdv-type-build's symbol section; `n` defaults to the number of rows."""
+    sym = _resolve(sym, path, {"coefficients": ("list", _REQUIRED), "n": ("int", None)})
+    if sym["n"] is None:
+        sym["n"] = len(sym["coefficients"])
+    for i, row in enumerate(sym["coefficients"]):
+        if not isinstance(row, list):
+            raise ConfigError(f"{path}.coefficients[{i}]: expected a list")
+        for j, c in enumerate(row):
+            _check_coefficient(c, sym["n"], f"{path}.coefficients[{i}][{j}]")
+    return sym
+
+
+_CATALOG_SYMBOL = {"name": (_catalog_name, _REQUIRED), "params": ("dict", {})}
+_GRID = {"n": ("int", _REQUIRED), "L": ("number", _REQUIRED), "N": ("int", _REQUIRED)}
+# the sample-set extent; _sample_set derives what is not given
+_SAMPLES = {"x_radius": ("number", None), "xi_max": ("number", None)}
+
+
+# -- the experiment table ------------------------------------------------------------
+
+
+class _Experiment(NamedTuple):
+    runner: Callable
+    schema: dict  # the whole experiment object; schema["run"][0] holds the run keys
+
+
+_EXPERIMENT_TABLE: dict[str, _Experiment] = {}
+
+
+def _experiment(kind: str, run: dict, requires: tuple = (), symbol=_CATALOG_SYMBOL, grid=None):
+    """Register the decorated runner as experiment `kind`, in listing order.
+
+    `run` maps each run key to (type, default); `symbol` is the schema of the
+    symbol section, `grid` the grid used when the config gives none, and every
+    section named in `requires` must be given.  The runner is called as
+    runner(cfg, run, rng, outdir, prefix) with the defaults filled into `cfg`
+    and `run`, and returns (details, verdicts, artifact paths).
+    """
+
+    def register(runner):
+        schema = {
+            "experiment": ("str", _REQUIRED),
+            "symbol": (symbol, {"name": "airy"}),
+            "grid": (_GRID, grid),
+            "weight": ({"exponent": ("int", 2), "eps": ("number", 0.1)}, {}),
+            "run": (run, {}),
+            "output": ({"prefix": ("str", None)}, {}),
+            "seed": ("int", None),
+        }
+        for section in requires:
+            schema[section] = (schema[section][0], _REQUIRED)
+        _EXPERIMENT_TABLE[kind] = _Experiment(runner, schema)
+        return runner
+
+    return register
+
+
+def _validate_experiment(cfg, path: str) -> dict:
+    """Check one experiment against its table entry; return it with defaults filled in."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if "experiment" not in cfg:
+        raise ConfigError(f"{path}.experiment: required key missing")
     kind = cfg["experiment"]
-    if kind not in EXPERIMENTS:
-        raise ConfigError(f"{path}.experiment: unknown experiment {kind!r} (known: {EXPERIMENTS})")
-    if "symbol" in cfg:
-        sym = cfg["symbol"]
-        if kind == "kdv-type-build":
-            _expect(sym, f"{path}.symbol", {"coefficients": "list", "n": "int"}, ("coefficients",))
-            n = sym.get("n", len(sym["coefficients"]))
-            for i, row in enumerate(sym["coefficients"]):
-                if not isinstance(row, list):
-                    raise ConfigError(f"{path}.symbol.coefficients[{i}]: expected a list")
-                for j, c in enumerate(row):
-                    _check_coefficient(c, n, f"{path}.symbol.coefficients[{i}][{j}]")
-        else:
-            _expect(sym, f"{path}.symbol", {"name": "str", "params": "dict"}, ("name",))
-            if sym["name"] not in CATALOG:
-                raise ConfigError(
-                    f"{path}.symbol.name: unknown catalog symbol {sym['name']!r}"
-                )
-    if "grid" in cfg:
-        _expect(cfg["grid"], f"{path}.grid", {"n": "int", "L": "number", "N": "int"}, ("n", "L", "N"))
-    if "weight" in cfg:
-        _expect(cfg["weight"], f"{path}.weight", {"exponent": "int", "eps": "number"})
-    if "run" in cfg:
-        _expect(cfg["run"], f"{path}.run", _RUN_KEYS[kind])
-        if kind == "solve-linear" and "datum" in cfg["run"]:
-            _expect(cfg["run"]["datum"], f"{path}.run.datum", _DATUM_KEYS, ("kind",))
-        if kind == "solve-nlivp" and "nonlinearity" in cfg["run"]:
-            _expect(cfg["run"]["nonlinearity"], f"{path}.run.nonlinearity", _NONLIN_KEYS)
-    if "output" in cfg:
-        _expect(cfg["output"], f"{path}.output", {"prefix": "str"})
+    if not isinstance(kind, str) or kind not in _EXPERIMENT_TABLE:
+        known = tuple(_EXPERIMENT_TABLE)
+        raise ConfigError(f"{path}.experiment: unknown experiment {kind!r} (known: {known})")
+    return _resolve(cfg, path, _EXPERIMENT_TABLE[kind].schema)
 
 
-def _validate_config(cfg) -> list[dict]:
+def _validate_config(cfg) -> list[tuple[dict, dict]]:
+    """Every experiment as given, paired with its config with defaults filled in."""
     if isinstance(cfg, dict) and "experiments" in cfg:
-        _expect(cfg, "config", {"experiments": "list", "threads": "int", "seed": "int"})
-        exps = cfg["experiments"]
-        if not exps:
-            raise ConfigError("config.experiments: must not be empty")
-        for i, e in enumerate(exps):
-            _validate_experiment(e, f"config.experiments[{i}]")
-        return exps
-    _validate_experiment(cfg, "config")
-    return [cfg]
+        schema = {"experiments": (_nonempty_list, _REQUIRED), "threads": ("int", None), "seed": ("int", None)}
+        _resolve(cfg, "config", schema)
+        return [
+            (e, _validate_experiment(e, f"config.experiments[{i}]"))
+            for i, e in enumerate(cfg["experiments"])
+        ]
+    return [(cfg, _validate_experiment(cfg, "config"))]
 
 
 # -- shared builders -----------------------------------------------------------------
 
 
 def _build_symbol(cfg: dict):
-    sym = cfg.get("symbol", {"name": "airy"})
-    return catalog(sym["name"], **sym.get("params", {}))
+    return catalog(cfg["symbol"]["name"], **cfg["symbol"]["params"])
 
 
-def _build_grid(cfg: dict, default=None):
-    g = cfg.get("grid")
-    if g is None:
-        if default is None:
-            raise ConfigError("config.grid: required for this experiment")
-        return default
-    return make_grid(g["n"], g["L"], g["N"])
+def _build_grid(cfg: dict):
+    return make_grid(**cfg["grid"])
 
 
 def _build_weight(cfg: dict) -> WeightFn:
-    w = cfg.get("weight", {})
-    return WeightFn(w.get("exponent", 2))
+    return WeightFn(cfg["weight"]["exponent"])
 
 
-def _sample_set(a, run: dict, grid=None) -> SampleSet:
-    kw = {}
-    if "x_radius" in run:
-        kw["x_radius"] = run["x_radius"]
-    if "xi_max" in run:
-        kw["xi_max"] = run["xi_max"]
-    if grid is not None:
-        kw.setdefault("x_radius", grid.L)
-        kw.setdefault("xi_max", grid.xi_max)
+def _sample_set(a, run: dict) -> SampleSet:
+    kw = {key: run[key] for key in _SAMPLES if run[key] is not None}
     if a.n == 2:
         kw.setdefault("x_points", 9)
         kw.setdefault("xi_max", 32.0)
     return SampleSet.standard(a.n, **kw)
 
 
-def _datum(grid, spec: Optional[dict]):
-    spec = spec or {"kind": "wavepacket", "carrier": 1.0, "width2": 8.0, "amplitude": 1.0}
+def _datum(grid, spec: dict):
     kind = spec["kind"]
-    carrier = spec.get("carrier", 1.0)
+    carrier = spec["carrier"]
     if np.ndim(carrier) == 0:
         carrier = [float(carrier)] + [0.0] * (grid.n - 1)
     if kind == "wavepacket":
-        return gaussian_wavepacket(
-            grid, carrier, spec.get("width2", 8.0), spec.get("amplitude", 1.0)
-        )
+        return gaussian_wavepacket(grid, carrier, spec["width2"], spec["amplitude"])
     if kind == "plane_wave":
-        amp = spec.get("amplitude", 1.0)
+        amp = spec["amplitude"]
         kvec = np.asarray(carrier)
 
         def fn(*xs):
@@ -318,53 +287,56 @@ def _datum(grid, spec: Optional[dict]):
 
         return Field.from_function(grid, fn)
     if kind == "gaussian":
-        return gaussian_wavepacket(grid, [0.0] * grid.n, spec.get("width2", 8.0), spec.get("amplitude", 1.0))
+        return gaussian_wavepacket(grid, [0.0] * grid.n, spec["width2"], spec["amplitude"])
     raise ConfigError(f"run.datum.kind: unknown datum kind {kind!r}")
 
 
 # -- experiment implementations ---------------------------------------------------------
 
 
-def _exp_check_admissible(cfg, rng, outdir, prefix):
+@_experiment(
+    "check-admissible",
+    {"eps_threshold": ("number", 1.0), "c0_threshold": ("number", 1.0), **_SAMPLES},
+)
+def _exp_check_admissible(cfg, run, rng, outdir, prefix):
     from .weights import admissibility_report
 
     a = _build_symbol(cfg)
-    lam = _build_weight(cfg)
-    run = cfg.get("run", {})
-    S = _sample_set(a, run)
     rep = admissibility_report(
         a,
-        lam,
-        S,
-        eps_threshold=run.get("eps_threshold", 1.0),
-        c0_threshold=run.get("c0_threshold", 1.0),
+        _build_weight(cfg),
+        _sample_set(a, run),
+        eps_threshold=run["eps_threshold"],
+        c0_threshold=run["c0_threshold"],
     )
     artifacts = []
     if rep.slack is not None:
         path = outdir / f"{prefix}_hamilton_slack.csv"
         rep.slack.to_csv(path)
-        artifacts.append(str(path))
+        artifacts.append(path)
     return rep.as_dict(), {"admissible": rep.verdict}, artifacts
 
 
-def _exp_doi_weight(cfg, rng, outdir, prefix):
+@_experiment(
+    "doi-weight",
+    {"export_surface": ("bool", True), "p_cap": ("number", 1.5), **_SAMPLES},
+)
+def _exp_doi_weight(cfg, run, rng, outdir, prefix):
     from .weights import doi_slack, doi_weight, garding_weight
 
     a = _build_symbol(cfg)
     lam = _build_weight(cfg)
-    run = cfg.get("run", {})
-    eps = cfg.get("weight", {}).get("eps", 0.1)
     S = _sample_set(a, run)
     gw = garding_weight(a, S=S)
-    dw = doi_weight(a, gw, lam, eps=eps, S=S, p_cap=run.get("p_cap", 1.5))
+    dw = doi_weight(a, gw, lam, eps=cfg["weight"]["eps"], S=S, p_cap=run["p_cap"])
     fit = doi_slack(a, dw, lam, S)
     t = np.linspace(0.0, 50.0 * dw.K, 2001)
     fprime_ok = bool(np.all(dw.f_prime(t) - dw.lam_tilde(t) >= -1e-15))
     artifacts = []
-    if run.get("export_surface", True):
+    if run["export_surface"]:
         path = outdir / f"{prefix}_doi_slack.csv"
         fit.to_csv(path)
-        artifacts.append(str(path))
+        artifacts.append(path)
     details = {
         "K": dw.K,
         "eps": dw.eps,
@@ -377,7 +349,18 @@ def _exp_doi_weight(cfg, rng, outdir, prefix):
     return details, verdicts, artifacts
 
 
-def _exp_trace_bichar(cfg, rng, outdir, prefix):
+@_experiment(
+    "trace-bichar",
+    {
+        "x0": ("list", None),
+        "xi0": ("list", None),
+        "T": ("number", 4.0),
+        "h": ("number", 0.01),
+        "R": ("number", 10.0),
+        "delta": ("number", 0.5),
+    },
+)
+def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
     from .hamilton import (
         classify_strong_ellipticity,
         escape_verdict,
@@ -387,15 +370,12 @@ def _exp_trace_bichar(cfg, rng, outdir, prefix):
     )
 
     a = _build_symbol(cfg)
-    run = cfg.get("run", {})
-    x0 = run.get("x0", [0.0] * a.n)
-    xi0 = run.get("xi0", [1.0] + [0.0] * (a.n - 1))
-    T = run.get("T", 4.0)
-    h = run.get("h", 0.01)
-    delta = run.get("delta", 0.5)
-    traj = integrate_bicharacteristic(a, x0, xi0, T=T, h=h)
+    x0 = run["x0"] if run["x0"] is not None else [0.0] * a.n
+    xi0 = run["xi0"] if run["xi0"] is not None else [1.0] + [0.0] * (a.n - 1)
+    T, delta = run["T"], run["delta"]
+    traj = integrate_bicharacteristic(a, x0, xi0, T=T, h=run["h"])
     cls = classify_strong_ellipticity(a, traj)
-    probe = escape_verdict(traj, R=run.get("R", 10.0), horizon=T)
+    probe = escape_verdict(traj, R=run["R"], horizon=T)
     details = {
         "drift": traj.drift,
         "xi_range": [traj.xi_min, traj.xi_max],
@@ -419,26 +399,36 @@ def _exp_trace_bichar(cfg, rng, outdir, prefix):
         verdicts["qdelta_growth"] = "pass" if qrep.mu > 0 else "fail"
     path = outdir / f"{prefix}_trajectory.csv"
     trajectory_to_csv(path, traj, a, delta=delta)
-    return details, verdicts, [str(path)]
+    return details, verdicts, [path]
 
 
-def _exp_solve_linear(cfg, rng, outdir, prefix):
+@_experiment(
+    "solve-linear",
+    {
+        "T": ("number", 0.1),
+        "dt": ("number", None),
+        "scheme": ("str", "auto"),
+        "store_stride": ("int", 1),
+        "datum": (
+            {
+                "kind": ("str", _REQUIRED),
+                "carrier": (None, 1.0),
+                "width2": ("number", 8.0),
+                "amplitude": ("number", 1.0),
+            },
+            {"kind": "wavepacket"},
+        ),
+        "conservation_tolerance": ("number", 1e-6),
+    },
+    requires=("grid",),
+)
+def _exp_solve_linear(cfg, run, rng, outdir, prefix):
     from .evolve import solve_linear
 
     a = _build_symbol(cfg)
-    g = _build_grid(cfg)
-    run = cfg.get("run", {})
-    u0 = _datum(g, run.get("datum"))
-    sol = solve_linear(
-        a,
-        u0,
-        T=run.get("T", 0.1),
-        dt=run.get("dt"),
-        scheme=run.get("scheme", "auto"),
-        store_stride=run.get("store_stride", 1),
-    )
+    u0 = _datum(_build_grid(cfg), run["datum"])
+    sol = solve_linear(a, u0, T=run["T"], dt=run["dt"], scheme=run["scheme"], store_stride=run["store_stride"])
     drift = sol.l2_drift()
-    tol = run.get("conservation_tolerance", 1e-6)
     series_path = outdir / f"{prefix}_norms.csv"
     with open(series_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -453,8 +443,8 @@ def _exp_solve_linear(cfg, rng, outdir, prefix):
     }
     verdicts = {}
     if a.real_valued and sol.source is None:
-        verdicts["l2_conservation"] = "pass" if drift <= tol else "fail"
-    return details, verdicts, [str(series_path)]
+        verdicts["l2_conservation"] = "pass" if drift <= run["conservation_tolerance"] else "fail"
+    return details, verdicts, [series_path]
 
 
 def _family_T(a, data):
@@ -467,23 +457,33 @@ def _family_T(a, data):
     return 0.8 * min(horizons)
 
 
-def _exp_smoothing_report(cfg, rng, outdir, prefix):
+@_experiment(
+    "smoothing-report",
+    {
+        "s": ("number", 0.0),
+        "estimate": ("str", "ii"),
+        "carriers": (_nonempty_list, [4, 8, 16, 32]),
+        "width2": ("number", 8.0),
+        "T": ("number", None),
+        "store_stride": ("int", 4),
+        "ratio_bound": ("number", 8.0),
+        "growth_min": ("number", None),
+        "forced": ("bool", None),
+    },
+    requires=("grid",),
+)
+def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
     from .evolve import smoothing_report, solve_linear
 
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
     lam = _build_weight(cfg)
-    run = cfg.get("run", {})
-    s = run.get("s", 0.0)
-    estimate = run.get("estimate", "ii")
-    carriers = run.get("carriers", [4, 8, 16, 32])
-    width2 = run.get("width2", 8.0)
-    forced = run.get("forced", estimate == "iii")
-    stride = run.get("store_stride", 4)
+    s, estimate, carriers, stride = run["s"], run["estimate"], run["carriers"], run["store_stride"]
+    forced = run["forced"] if run["forced"] is not None else estimate == "iii"
     data = {
-        float(k): gaussian_wavepacket(g, [float(k)] + [0.0] * (g.n - 1), width2) for k in carriers
+        float(k): gaussian_wavepacket(g, [float(k)] + [0.0] * (g.n - 1), run["width2"]) for k in carriers
     }
-    T = run.get("T") or _family_T(a, list(data.values()))
+    T = run["T"] or _family_T(a, list(data.values()))
     gain = (a.order - 1.0) / 2.0
     ratios = {}
     unweighted = {}
@@ -516,30 +516,40 @@ def _exp_smoothing_report(cfg, rng, outdir, prefix):
         "ratio_spread": spread,
         "unweighted": {str(k): v for k, v in unweighted.items()},
     }
-    verdicts = {"family_bounded": "pass" if spread <= run.get("ratio_bound", 8.0) else "fail"}
-    if "growth_min" in run and len(carriers) >= 2:
+    verdicts = {"family_bounded": "pass" if spread <= run["ratio_bound"] else "fail"}
+    if run["growth_min"] is not None and len(carriers) >= 2:
         ks = sorted(unweighted)
         growth = unweighted[ks[-1]] / unweighted[ks[0]]
         details["unweighted_growth"] = growth
         verdicts["unweighted_growth"] = "pass" if growth >= run["growth_min"] else "fail"
-    return details, verdicts, [str(path)]
+    return details, verdicts, [path]
 
 
-def _exp_solve_nlivp(cfg, rng, outdir, prefix):
+@_experiment(
+    "solve-nlivp",
+    {
+        "s": ("number", 15.0),
+        "T": ("number", 0.1),
+        "dt": ("number", None),
+        "tol": ("number", 1e-8),
+        "max_iter": ("int", 25),
+        "amplitude": ("number", 0.01),
+        "width2": ("number", 8.0),
+        "nonlinearity": ({"p": ("int", 1), "q": ("int", 0), "alpha": ("list", [1])}, {}),
+        "residual_tolerance": ("number", 1e-4),
+    },
+    requires=("grid",),
+)
+def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
     import warnings
 
     from .nonlinear import NonlinearitySpec, PicardDivergenceError, picard_solve
 
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
-    lam = _build_weight(cfg)
-    run = cfg.get("run", {})
-    nl = run.get("nonlinearity", {"p": 1, "q": 0, "alpha": [1]})
-    spec = NonlinearitySpec(nl.get("p", 1), nl.get("q", 0), tuple(nl.get("alpha", [1])))
-    u0 = gaussian_wavepacket(
-        g, [0.0] * g.n, run.get("width2", 8.0), run.get("amplitude", 0.01)
-    )
-    artifacts = []
+    nl = run["nonlinearity"]
+    spec = NonlinearitySpec(nl["p"], nl["q"], tuple(nl["alpha"]))
+    u0 = gaussian_wavepacket(g, [0.0] * g.n, run["width2"], run["amplitude"])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -547,31 +557,18 @@ def _exp_solve_nlivp(cfg, rng, outdir, prefix):
                 a,
                 u0,
                 spec,
-                s=run.get("s", 15.0),
-                lam=lam,
-                T=run.get("T", 0.1),
-                tol=run.get("tol", 1e-8),
-                max_iter=run.get("max_iter", 25),
-                dt=run.get("dt"),
+                s=run["s"],
+                lam=_build_weight(cfg),
+                T=run["T"],
+                tol=run["tol"],
+                max_iter=run["max_iter"],
+                dt=run["dt"],
                 store_stride=8,
             )
     except PicardDivergenceError as exc:
-        return (
-            {"diverged": True, "message": str(exc)},
-            {"picard_converged": "fail"},
-            artifacts,
-        )
+        return {"diverged": True, "message": str(exc)}, {"picard_converged": "fail"}, []
     path = outdir / f"{prefix}_iterates.json"
-    _atomic_json(
-        path,
-        {
-            "xts_history": picard.xts_history,
-            "contraction_factors": picard.contraction_factors,
-            "residual": picard.residual,
-        },
-    )
-    artifacts.append(str(path))
-    tol_res = run.get("residual_tolerance", 1e-4)
+    _atomic_json(path, {k: getattr(picard, k) for k in ("xts_history", "contraction_factors", "residual")})
     details = {
         "iterations": picard.iterations,
         "contraction_factors": picard.contraction_factors,
@@ -580,38 +577,42 @@ def _exp_solve_nlivp(cfg, rng, outdir, prefix):
     }
     verdicts = {
         "picard_converged": "pass" if picard.converged else "fail",
-        "residual": "pass" if picard.residual <= tol_res else "fail",
+        "residual": "pass" if picard.residual <= run["residual_tolerance"] else "fail",
     }
-    return details, verdicts, artifacts
+    return details, verdicts, [path]
 
 
-def _exp_positivity(cfg, rng, outdir, prefix):
+@_experiment(
+    "positivity",
+    {"flavor": ("str", "sharp_garding"), "probes": ("int", 48)},
+    requires=("grid",),
+)
+def _exp_positivity(cfg, run, rng, outdir, prefix):
     from .calculus import positivity_diagnostic
 
-    a = _build_symbol(cfg)
-    g = _build_grid(cfg)
-    run = cfg.get("run", {})
-    rep = positivity_diagnostic(
-        a, g, run.get("flavor", "sharp_garding"), probes=run.get("probes", 48), seed=int(rng.integers(2**31))
-    )
+    a, g = _build_symbol(cfg), _build_grid(cfg)
+    rep = positivity_diagnostic(a, g, run["flavor"], probes=run["probes"], seed=int(rng.integers(2**31)))
     stable = 0.5 <= rep.stability_ratio <= 2.0 or all(c <= 1e-10 for c in rep.fitted_C.values())
     return rep.as_dict(), {"refinement_stable": "pass" if stable else "inconclusive"}, []
 
 
-def _exp_appendix(cfg, rng, outdir, prefix):
+@_experiment(
+    "appendix",
+    {"N_w_max": ("int", 2), "degree_max": ("int", 3), "delta_list": ("list", [0.01, 0.1, 0.5, 1.0])},
+    grid={"n": 1, "L": 10.0, "N": 64},
+)
+def _exp_appendix(cfg, run, rng, outdir, prefix):
     from .appendix_checks import lemmatec1_residual, lemmatec3_scan
     from .symbol import SympySymbol, phase_symbols
 
-    run = cfg.get("run", {})
-    g = _build_grid(cfg, default=make_grid(1, 10.0, 64))
+    g = _build_grid(cfg)
     xs, xis = phase_symbols(1)
-    degs = range(1, run.get("degree_max", 3) + 1)
     worst = 0.0
-    for deg in degs:
-        for N_w in range(1, run.get("N_w_max", 2) + 1):
+    for deg in range(1, run["degree_max"] + 1):
+        for N_w in range(1, run["N_w_max"] + 1):
             sym = SympySymbol(xis[0] ** deg, 1, float(deg), zero_nyquist=False)
             worst = max(worst, lemmatec1_residual(sym, N_w, g).residual)
-    scan = lemmatec3_scan(delta_list=tuple(run.get("delta_list", [0.01, 0.1, 0.5, 1.0])))
+    scan = lemmatec3_scan(delta_list=tuple(run["delta_list"]))
     details = {"commutation_worst_residual": worst, "scalar_scan": scan.as_dict()}
     verdicts = {
         "commutation_identity": "pass" if worst <= 1e-10 else "fail",
@@ -620,25 +621,27 @@ def _exp_appendix(cfg, rng, outdir, prefix):
     return details, verdicts, []
 
 
-def _exp_kdv_type_build(cfg, rng, outdir, prefix):
+@_experiment(
+    "kdv-type-build",
+    {"c0_threshold": ("number", 1.0), **_SAMPLES},
+    requires=("symbol",),
+    symbol=_coefficient_symbol,
+)
+def _exp_kdv_type_build(cfg, run, rng, outdir, prefix):
     import sympy as sp
 
     from .symbol import VectorFieldSystem, build_kdv_type
     from .symbol.checks import check_im_smallness
+    from .weights import admissibility_report
 
-    sym_cfg = cfg["symbol"]
-    rows = sym_cfg["coefficients"]
-    n = sym_cfg.get("n", len(rows))
+    n = cfg["symbol"]["n"]
     xs_names = {f"x{i + 1}": sp.Symbol(f"x{i + 1}", real=True) for i in range(n)}
-    coeffs = [[sp.sympify(c, locals=xs_names) for c in row] for row in rows]
+    coeffs = [[sp.sympify(c, locals=xs_names) for c in row] for row in cfg["symbol"]["coefficients"]]
     system = VectorFieldSystem(n, coeffs)
     build = build_kdv_type(system)
     lam = _build_weight(cfg)
-    run = cfg.get("run", {})
     S = _sample_set(build.full, run)
-    im_rep = check_im_smallness(build.full, lam, S, c0_threshold=run.get("c0_threshold", 1.0))
-    from .weights import admissibility_report
-
+    im_rep = check_im_smallness(build.full, lam, S, c0_threshold=run["c0_threshold"])
     adm = admissibility_report(build.a3, lam, S)
     details = {
         "corrections": [str(c) for c in build.corrections],
@@ -648,19 +651,6 @@ def _exp_kdv_type_build(cfg, rng, outdir, prefix):
     }
     verdicts = {"im_smallness": im_rep.verdict, "a3_admissible": adm.verdict}
     return details, verdicts, []
-
-
-_DISPATCH = {
-    "check-admissible": _exp_check_admissible,
-    "doi-weight": _exp_doi_weight,
-    "trace-bichar": _exp_trace_bichar,
-    "solve-linear": _exp_solve_linear,
-    "smoothing-report": _exp_smoothing_report,
-    "solve-nlivp": _exp_solve_nlivp,
-    "positivity": _exp_positivity,
-    "appendix": _exp_appendix,
-    "kdv-type-build": _exp_kdv_type_build,
-}
 
 
 # -- report plumbing ---------------------------------------------------------------------
@@ -692,23 +682,32 @@ def _atomic_json(path: Path, payload) -> None:
         raise
 
 
-def _run_one(cfg: dict, index: int, base_seed: int, outdir: Path) -> dict:
+def _run_one(given: dict, cfg: dict, index: int, base_seed: int, outdir: Path) -> dict:
+    """Run one experiment and write its report; a raising runner gets an error report."""
     kind = cfg["experiment"]
-    seed = cfg.get("seed", base_seed + index)
+    seed = base_seed + index if cfg["seed"] is None else cfg["seed"]
     rng = np.random.default_rng(seed)
-    prefix = cfg.get("output", {}).get("prefix", f"{kind.replace('-', '_')}_{index}")
+    prefix = cfg["output"]["prefix"]
+    if prefix is None:
+        prefix = f"{kind.replace('-', '_')}_{index}"
     start = time.time()
-    details, verdicts, artifacts = _DISPATCH[kind](cfg, rng, outdir, prefix)
     report = {
         "schema_version": 1,
         "weylab_version": __version__,
         "experiment": kind,
-        "resolved_config": cfg,
+        "resolved_config": given,
         "seed": seed,
-        "details": details,
-        "verdicts": verdicts,
-        "artifacts": artifacts,
     }
+    try:
+        details, verdicts, paths = _EXPERIMENT_TABLE[kind].runner(cfg, cfg["run"], rng, outdir, prefix)
+    except Exception as exc:  # one failing experiment must not hide the rest of the batch
+        error = f"{type(exc).__name__}: {exc}"
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: {prefix}: {error}", file=sys.stderr)
+        report.update(status="error", error=error, details={}, verdicts={}, artifacts=[])
+    else:
+        artifacts = [os.path.relpath(p, outdir) for p in paths]
+        report.update(details=details, verdicts=verdicts, artifacts=artifacts)
     # wall-clock fields stay out of the determinism hash
     report["determinism_sha256"] = hashlib.sha256(_canonical(report).encode()).hexdigest()
     report["elapsed_seconds"] = round(time.time() - start, 3)
@@ -742,48 +741,45 @@ def run(
 
     outdir = Path(out_dir or os.environ.get(ENV_OUT_DIR, "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    base_seed = seed if seed is not None else cfg.get("seed", 0) if isinstance(cfg, dict) else 0
-    nthreads = threads or (cfg.get("threads", 1) if isinstance(cfg, dict) else 1)
+    base_seed = seed if seed is not None else cfg.get("seed", 0)
+    nthreads = threads or cfg.get("threads", 1)
+
+    def one(indexed):
+        index, (given, filled) = indexed
+        return _run_one(given, filled, index, base_seed, outdir)
 
     try:
         if nthreads > 1 and len(experiments) > 1:
             with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                reports = list(
-                    pool.map(
-                        lambda pair: _run_one(pair[1], pair[0], base_seed, outdir),
-                        enumerate(experiments),
-                    )
-                )
+                reports = list(pool.map(one, enumerate(experiments)))
         else:
-            reports = [_run_one(e, i, base_seed, outdir) for i, e in enumerate(experiments)]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # runtime failure: exit 1 per contract
+            reports = list(map(one, enumerate(experiments)))
+    except Exception as exc:  # a report could not be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     if json_to_stdout:
         payload = reports[0] if len(reports) == 1 else {"reports": reports}
         print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
-    all_verdicts = [v for r in reports for v in r["verdicts"].values()]
-    if any(v != "pass" for v in all_verdicts):
+    if any(r.get("status") == "error" for r in reports):
+        return 1
+    if any(v != "pass" for r in reports for v in r["verdicts"].values()):
         return 2
     return 0
 
 
 def list_catalog(as_json: bool = False) -> str:
     """Deterministic listing of symbols, experiments, and config keys."""
+    # every kind has the same sections; only their contents differ
+    sections = list(next(iter(_EXPERIMENT_TABLE.values())).schema)
+    run_keys = {kind: sorted(e.schema["run"][0]) for kind, e in _EXPERIMENT_TABLE.items()}
     if as_json:
         payload = {
             "symbols": {
                 name: {"summary": e.summary, "params": e.params} for name, e in sorted(CATALOG.items())
             },
-            "experiments": list(EXPERIMENTS),
-            "config_keys": {
-                "common": ["experiment", "symbol", "grid", "weight", "run", "output", "seed"],
-                "run": {k: sorted(v) for k, v in sorted(_RUN_KEYS.items())},
-            },
+            "experiments": list(run_keys),
+            "config_keys": {"common": sections, "run": run_keys},
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     lines = ["catalog symbols:"]
@@ -792,11 +788,9 @@ def list_catalog(as_json: bool = False) -> str:
         for pname, pdoc in sorted(entry.params.items()):
             lines.append(f"    param {pname}: {pdoc}")
     lines.append("experiments:")
-    for e in EXPERIMENTS:
-        lines.append(f"  {e}")
-    lines.append("config keys: experiment, symbol, grid, weight, run, output, seed")
-    for kind in EXPERIMENTS:
-        lines.append(f"  run keys for {kind}: {', '.join(sorted(_RUN_KEYS[kind])) or '(none)'}")
+    lines += [f"  {kind}" for kind in run_keys]
+    lines.append(f"config keys: {', '.join(sections)}")
+    lines += [f"  run keys for {kind}: {', '.join(keys) or '(none)'}" for kind, keys in run_keys.items()]
     return "\n".join(lines)
 
 

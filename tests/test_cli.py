@@ -1,6 +1,7 @@
 """Config validation, experiment dispatch, determinism, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -75,22 +76,37 @@ def test_unknown_catalog_symbol_rejected():
         _validate_config({"experiment": "check-admissible", "symbol": {"name": "nope"}})
 
 
-def test_determinism_hash_stable(tmp_path):
-    cfg = {
+_HASHED = {
+    "positivity": {
         "experiment": "positivity",
         "symbol": {"name": "ultrahyperbolic", "params": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}},
         "grid": {"n": 2, "L": 6.0, "N": 16},
         "run": {"flavor": "sharp_garding", "probes": 8},
-        "output": {"prefix": "pos"},
+        "output": {"prefix": "hashed"},
         "seed": 77,
-    }
-    path = write_cfg(tmp_path, cfg)
+    },
+    # writes a CSV, so the hash covers an artifact path
+    "trace-bichar": {
+        "experiment": "trace-bichar",
+        "symbol": {"name": "airy"},
+        "run": {"T": 1.0, "h": 0.05},
+        "output": {"prefix": "hashed"},
+        "seed": 77,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(_HASHED))
+def test_determinism_hash_stable(tmp_path, kind):
+    path = write_cfg(tmp_path, _HASHED[kind])
     run(path, out_dir=str(tmp_path / "one"))
     run(path, out_dir=str(tmp_path / "two"))
-    r1 = json.loads((tmp_path / "one" / "pos_report.json").read_text())
-    r2 = json.loads((tmp_path / "two" / "pos_report.json").read_text())
+    r1 = json.loads((tmp_path / "one" / "hashed_report.json").read_text())
+    r2 = json.loads((tmp_path / "two" / "hashed_report.json").read_text())
     assert r1["determinism_sha256"] == r2["determinism_sha256"]
     assert r1["seed"] == 77
+    # artifact paths are relative to the output directory
+    assert all((tmp_path / "one" / name).is_file() for name in r1["artifacts"])
 
 
 def test_solve_linear_conservation_and_series(tmp_path):
@@ -220,5 +236,73 @@ def test_list_json_matches_golden(capsys):
 def test_main_usage_error():
     from weylab.cli import main
 
-    assert main(["run"]) == 1 or True  # argparse exits; wrapped to a code
+    assert main(["run"]) == 1  # argparse exits; wrapped to a code
     assert main(["list"]) == 0
+
+
+def test_list_text_matches_golden(capsys):
+    from weylab.cli import main
+
+    assert main(["list"]) == 0
+    golden = Path(__file__).parent / "data" / "list_catalog.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+_AIRY_GRID = {"n": 1, "L": 62.83185307179586, "N": 256}
+
+
+@pytest.mark.parametrize(
+    "cfg, where",
+    [
+        (
+            {
+                "experiments": [
+                    {"experiment": "appendix", "output": {"prefix": "first"}},
+                    {"experiment": "solve-linear", "symbol": {"name": "airy"}},
+                ]
+            },
+            "config.experiments[1].grid",
+        ),
+        ({"experiment": "kdv-type-build"}, "config.symbol"),
+        (
+            {"experiment": "smoothing-report", "grid": _AIRY_GRID, "run": {"carriers": []}},
+            "config.run.carriers",
+        ),
+    ],
+    ids=["missing-grid", "missing-symbol", "no-carriers"],
+)
+def test_config_errors_stop_the_run_before_any_experiment(tmp_path, capsys, cfg, where):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)}:"):
+        _validate_config(cfg)
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
+    assert where in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_experiment_does_not_hide_the_others(tmp_path, threads):
+    bad = {
+        "experiment": "solve-linear",
+        "symbol": {"name": "airy"},
+        "grid": _AIRY_GRID,
+        "run": {"scheme": "rk4", "dt": 1.0},  # beyond the rk4 stability bound
+        "output": {"prefix": "bad"},
+    }
+    cfg = {
+        "threads": threads,
+        "experiments": [
+            {"experiment": "appendix", "output": {"prefix": "before"}},
+            bad,
+            {"experiment": "appendix", "output": {"prefix": "after"}},
+        ],
+    }
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == 1
+    failed = load_report(tmp_path, "bad")
+    assert failed["status"] == "error"
+    assert "stability bound" in failed["error"]
+    assert failed["verdicts"] == {} and failed["artifacts"] == []
+    for prefix in ("before", "after"):
+        rep = load_report(tmp_path, prefix)
+        assert "status" not in rep
+        assert rep["verdicts"] == {"commutation_identity": "pass", "scalar_inequality": "pass"}
