@@ -44,7 +44,10 @@ __all__ = [
     "change_quantization",
     "poisson_bracket",
     "positivity_diagnostic",
+    "POSITIVITY_FLAVORS",
 ]
+
+POSITIVITY_FLAVORS = ("sharp_garding", "fefferman_phong")  # of positivity_diagnostic
 
 
 @dataclass
@@ -409,7 +412,7 @@ def positivity_diagnostic(
     """Fit the defect constant C in Re(Op^w(a) u, u)_0 >= -C ||u||_sigma^2 with
     sigma = (m-1)/2 (sharp Garding, Re a >= 0) or (m-2)/2 (Fefferman-Phong,
     a real and >= 0), at the given grid and its one-step refinement."""
-    if flavor not in ("sharp_garding", "fefferman_phong"):
+    if flavor not in POSITIVITY_FLAVORS:
         raise ValueError(f"unknown positivity flavor {flavor!r}")
     m = a.order
     sigma = (m - 1.0) / 2.0 if flavor == "sharp_garding" else (m - 2.0) / 2.0

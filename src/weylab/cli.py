@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
 import hashlib
 import json
 import os
@@ -43,6 +42,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
+from .calculus import POSITIVITY_FLAVORS
+from .evolve import ESTIMATES, SCHEMES
+from .export import write_csv
 from .grid import Field, gaussian_wavepacket, make_grid
 from .symbol import CATALOG, SampleSet, catalog
 from .weights import WeightFn
@@ -112,6 +114,17 @@ def _nonempty_list(val, path: str) -> list:
     if not isinstance(val, list) or not val:
         raise ConfigError(f"{path}: expected a non-empty list")
     return val
+
+
+def _one_of(names: tuple) -> Callable:
+    """A check accepting only the given names."""
+
+    def check(val, path: str):
+        if not isinstance(val, str) or val not in names:
+            raise ConfigError(f"{path}: expected one of {list(names)}, got {val!r}")
+        return val
+
+    return check
 
 
 def _catalog_name(name, path: str) -> str:
@@ -270,8 +283,13 @@ def _sample_set(a, run: dict) -> SampleSet:
     return SampleSet.standard(a.n, **kw)
 
 
+_DATUM_KINDS = ("wavepacket", "plane_wave", "gaussian")  # solve-linear's run.datum.kind
+
+
 def _datum(grid, spec: dict):
     kind = spec["kind"]
+    if kind not in _DATUM_KINDS:
+        raise ConfigError(f"run.datum.kind: unknown datum kind {kind!r}")
     carrier = spec["carrier"]
     if np.ndim(carrier) == 0:
         carrier = [float(carrier)] + [0.0] * (grid.n - 1)
@@ -286,9 +304,7 @@ def _datum(grid, spec: dict):
             return amp * np.exp(1j * ph)
 
         return Field.from_function(grid, fn)
-    if kind == "gaussian":
-        return gaussian_wavepacket(grid, [0.0] * grid.n, spec["width2"], spec["amplitude"])
-    raise ConfigError(f"run.datum.kind: unknown datum kind {kind!r}")
+    return gaussian_wavepacket(grid, [0.0] * grid.n, spec["width2"], spec["amplitude"])
 
 
 # -- experiment implementations ---------------------------------------------------------
@@ -407,11 +423,11 @@ def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
     {
         "T": ("number", 0.1),
         "dt": ("number", None),
-        "scheme": ("str", "auto"),
+        "scheme": (_one_of(SCHEMES), "auto"),
         "store_stride": ("int", 1),
         "datum": (
             {
-                "kind": ("str", _REQUIRED),
+                "kind": (_one_of(_DATUM_KINDS), _REQUIRED),
                 "carrier": (None, 1.0),
                 "width2": ("number", 8.0),
                 "amplitude": ("number", 1.0),
@@ -430,10 +446,7 @@ def _exp_solve_linear(cfg, run, rng, outdir, prefix):
     sol = solve_linear(a, u0, T=run["T"], dt=run["dt"], scheme=run["scheme"], store_stride=run["store_stride"])
     drift = sol.l2_drift()
     series_path = outdir / f"{prefix}_norms.csv"
-    with open(series_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "l2", "h1"])
-        w.writerows(zip(sol.times, sol.sobolev_series(0.0), sol.sobolev_series(1.0)))
+    write_csv(series_path, ["t", "l2", "h1"], [sol.times, sol.sobolev_series(0.0), sol.sobolev_series(1.0)])
     details = {
         "scheme": sol.scheme,
         "dt": sol.dt,
@@ -461,7 +474,7 @@ def _family_T(a, data):
     "smoothing-report",
     {
         "s": ("number", 0.0),
-        "estimate": ("str", "ii"),
+        "estimate": (_one_of(ESTIMATES), "ii"),
         "carriers": (_nonempty_list, [4, 8, 16, 32]),
         "width2": ("number", 8.0),
         "T": ("number", None),
@@ -502,10 +515,7 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
         unweighted[k] = unw
         rows.append([k, rep.lhs, rep.rhs, rep.ratio, unw])
     path = outdir / f"{prefix}_family.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["carrier", "lhs", "rhs", "ratio", "unweighted_integral"])
-        w.writerows(rows)
+    write_csv(path, ["carrier", "lhs", "rhs", "ratio", "unweighted_integral"], list(zip(*rows)))
     spread = max(ratios.values()) / min(ratios.values())
     details = {
         "estimate": estimate,
@@ -584,7 +594,7 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
 
 @_experiment(
     "positivity",
-    {"flavor": ("str", "sharp_garding"), "probes": ("int", 48)},
+    {"flavor": (_one_of(POSITIVITY_FLAVORS), "sharp_garding"), "probes": ("int", 48)},
     requires=("grid",),
 )
 def _exp_positivity(cfg, run, rng, outdir, prefix):

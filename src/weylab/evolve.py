@@ -65,6 +65,8 @@ __all__ = [
     "solve_linear",
     "smoothing_report",
     "weighted_propagator_probe",
+    "SCHEMES",
+    "ESTIMATES",
 ]
 
 C_STAB = 2.5  # RK4 stability margin for imaginary spectra (|y| < 2.828)
@@ -74,6 +76,8 @@ WRAP_MARGIN = 0.05  # wrap-guard margin, as a fraction of the half-width L
 ACTIVE_REL_THRESHOLD = 1e-8
 DATA_RADIUS_REL_THRESHOLD = 1e-9
 LOCALIZED_TAIL_TOL = 1e-6
+SCHEMES = ("auto", "rk4", "if_rk4")  # the time-stepping schemes of solve_linear
+ESTIMATES = ("i", "ii", "iii")  # the smoothing estimates of smoothing_report
 
 SourceLike = Union[None, Field, Callable[[float], Field]]
 
@@ -442,10 +446,10 @@ def solve_linear(
     if enforce:
         guard.check(T)
 
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "auto":
         scheme = "if_rk4" if op.multiplier is not None else "rk4"
-    if scheme not in ("rk4", "if_rk4"):
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     mask = _active_mask(g, _spectrum(g, _initial_data(u0, f)))
 
@@ -534,7 +538,7 @@ def smoothing_report(
     The exponential prefactor in T is never folded in: boundedness of the
     ratio across run families is the measured content.
     """
-    if estimate not in ("i", "ii", "iii"):
+    if estimate not in ESTIMATES:
         raise ValueError(f"unknown estimate {estimate!r}")
     if f is _UNSET:
         f = sol.source

@@ -12,13 +12,13 @@ never trapping, so verdicts are escape certificates or inconclusive.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import sympy as sp
 
+from .export import write_csv
 from .symbol.core import Symbol, SympySymbol, as_points
 
 __all__ = [
@@ -309,20 +309,9 @@ def qdelta_monotonicity(a_m: Symbol, traj: Trajectory, delta: float) -> QDeltaRe
 def trajectory_to_csv(path, traj: Trajectory, a_m: Symbol, delta: Optional[float] = None) -> None:
     """Export (t, x, xi, a_m, q_delta) samples."""
     n = traj.x.shape[1]
-    a_vals = np.real(a_m.eval(traj.x, traj.xi))
-    q_vals = None if delta is None else qdelta_values(a_m, traj.x, traj.xi, delta)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = (
-            ["t"]
-            + [f"x{i + 1}" for i in range(n)]
-            + [f"xi{i + 1}" for i in range(n)]
-            + ["a_m"]
-            + (["q_delta"] if delta is not None else [])
-        )
-        w.writerow(header)
-        for i in range(traj.t.size):
-            row = [traj.t[i], *traj.x[i], *traj.xi[i], a_vals[i]]
-            if delta is not None:
-                row.append(q_vals[i])
-            w.writerow(row)
+    header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)] + ["a_m"]
+    columns = [traj.t, *traj.x.T, *traj.xi.T, np.real(a_m.eval(traj.x, traj.xi))]
+    if delta is not None:
+        columns.append(qdelta_values(a_m, traj.x, traj.xi, delta))
+        header.append("q_delta")
+    write_csv(path, header, columns)

@@ -9,7 +9,9 @@ h = 1e-4 (1 + |coordinate|).
 A sympy-backed symbol also derives its structure from the expression: the
 flags real_valued and x_independent, and the split
 a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`) that the evolution
-and fast-application paths read.
+and fast-application paths read.  Derivative closures are shared process-wide,
+keyed by expression: two symbols built from the same expression (a catalog
+entry built twice, say) differentiate and lambdify each derivative once.
 """
 
 from __future__ import annotations
@@ -190,6 +192,33 @@ class Symbol:
         return f"<{type(self).__name__} {self.label!r} n={self.n} order={self.order}>"
 
 
+@functools.lru_cache(maxsize=None)
+def _lambdified(expr, n: int) -> Callable:
+    """expr(x1..xn, xi1..xin) as a closure on point arrays X, XI of shape (..., n)."""
+    xs, xis = phase_symbols(n)
+    fn = sp.lambdify(xs + xis, expr, modules="numpy")
+
+    def call(X, XI):
+        out = fn(*[X[..., i] for i in range(n)], *[XI[..., i] for i in range(n)])
+        out = np.asarray(out, dtype=complex)
+        return np.broadcast_to(out, np.broadcast_shapes(X[..., 0].shape, out.shape))
+
+    return call
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_closure(expr, n: int, alpha: MultiIndex, beta: MultiIndex) -> Callable:
+    """d^alpha_xi d^beta_x expr as a closure; the x-derivatives are taken first."""
+    xs, xis = phase_symbols(n)
+    for i, b in enumerate(beta):
+        if b:
+            expr = sp.diff(expr, xs[i], b)
+    for i, a in enumerate(alpha):
+        if a:
+            expr = sp.diff(expr, xis[i], a)
+    return _lambdified(expr, n)
+
+
 class SympySymbol(Symbol):
     """Symbol backed by a sympy expression in x1..xn, xi1..xin; exact derivatives."""
 
@@ -207,7 +236,6 @@ class SympySymbol(Symbol):
         self.expr = expr
         self._xs = xs
         self._xis = xis
-        self._fn_cache: dict[tuple[MultiIndex, MultiIndex], Callable] = {}
 
     @functools.cached_property
     def split(self):
@@ -234,31 +262,10 @@ class SympySymbol(Symbol):
         """Evaluate an expression in this symbol's variables (a piece of
         `split`, say) at points given as for `eval`."""
         X, XI = np.broadcast_arrays(as_points(x, self.n), as_points(xi, self.n))
-        return self._lambdify(expr)(X, XI)
-
-    def _lambdify(self, expr):
-        fn = sp.lambdify(self._xs + self._xis, expr, modules="numpy")
-        n = self.n
-
-        def call(X, XI):
-            out = fn(*[X[..., i] for i in range(n)], *[XI[..., i] for i in range(n)])
-            out = np.asarray(out, dtype=complex)
-            return np.broadcast_to(out, np.broadcast_shapes(X[..., 0].shape, out.shape))
-
-        return call
+        return _lambdified(expr, self.n)(X, XI)
 
     def _closure(self, alpha: MultiIndex, beta: MultiIndex):
-        key = (alpha, beta)
-        if key not in self._fn_cache:
-            e = self.expr
-            for i, b in enumerate(beta):
-                if b:
-                    e = sp.diff(e, self._xs[i], b)
-            for i, a in enumerate(alpha):
-                if a:
-                    e = sp.diff(e, self._xis[i], a)
-            self._fn_cache[key] = self._lambdify(e)
-        return self._fn_cache[key]
+        return _derivative_closure(self.expr, self.n, alpha, beta)
 
     def _eval(self, X, XI):
         return self._closure((0,) * self.n, (0,) * self.n)(X, XI)

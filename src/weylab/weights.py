@@ -23,6 +23,7 @@ sup |p| stays within a configurable cap; the lower bound H_a p >= C lam
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -30,6 +31,7 @@ import numpy as np
 import sympy as sp
 
 from .calculus import DenseOperator, quantize_dense
+from .export import write_csv
 from .grid import Field, Grid, apply_bessel, l2_norm, sobolev_norm, wavepacket_probes
 from .hamilton import hamilton_derivative, qdelta_symbol
 from .symbol.checks import (
@@ -62,6 +64,26 @@ F_FIT_T_MAX_K = 100.0  # the f bound fit runs over 0 <= t <= F_FIT_T_MAX_K K
 EXP_FIT_S = 0.0  # Sobolev index s of the exp-weight conjugation fit
 
 
+def _lam_expr(exponent: int):
+    r = sp.Symbol("r", real=True)
+    return r, (1 + r**2) ** (-sp.Rational(exponent, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _lam_deriv_fn(exponent: int, order: int):
+    """d^order/dr^order <r>^-exponent, lambdified once per process."""
+    r, expr = _lam_expr(exponent)
+    return sp.lambdify(r, sp.diff(expr, r, order), modules="numpy")
+
+
+@functools.lru_cache(maxsize=None)
+def _lam_primitive_fn(exponent: int):
+    """t -> int_0^t <r>^-exponent dr in closed form, integrated once per process."""
+    r, expr = _lam_expr(exponent)
+    t = sp.Symbol("t", positive=True)
+    return sp.lambdify(t, sp.integrate(expr, (r, 0, t)), modules="numpy")
+
+
 class WeightFn:
     """lam(r) = <r>^{-N_w} with exact derivative and primitive closures."""
 
@@ -70,28 +92,18 @@ class WeightFn:
         if exponent <= 1:
             raise ValueError("weight exponent must exceed 1 (lam must be integrable)")
         self.exponent = exponent
-        r = sp.Symbol("r", real=True)
-        expr = (1 + r**2) ** (-sp.Rational(exponent, 2))
-        self._expr = expr
-        self._fns = {0: sp.lambdify(r, expr, modules="numpy")}
-        self._r = r
-        prim = sp.integrate(expr, (r, 0, sp.Symbol("t", positive=True)))
-        self._prim_fn = sp.lambdify(sp.Symbol("t", positive=True), prim, modules="numpy")
 
     def __call__(self, r) -> np.ndarray:
-        return np.asarray(self._fns[0](np.asarray(r, dtype=float)), dtype=float)
+        return self.deriv(r, 0)
 
     def deriv(self, r, order: int = 1) -> np.ndarray:
-        if order not in self._fns:
-            self._fns[order] = sp.lambdify(
-                self._r, sp.diff(self._expr, self._r, order), modules="numpy"
-            )
-        return np.asarray(self._fns[order](np.asarray(r, dtype=float)), dtype=float)
+        fn = _lam_deriv_fn(self.exponent, order)
+        return np.asarray(fn(np.asarray(r, dtype=float)), dtype=float)
 
     def primitive(self, t) -> np.ndarray:
         """Integral of lam over [0, t], exact (closed form)."""
         t = np.asarray(t, dtype=float)
-        return np.asarray(self._prim_fn(np.maximum(t, 0.0)), dtype=float)
+        return np.asarray(_lam_primitive_fn(self.exponent)(np.maximum(t, 0.0)), dtype=float)
 
     def as_dict(self) -> dict:
         return {"family": "<r>^-N", "exponent": self.exponent}
@@ -122,21 +134,10 @@ class SlackFit:
         return self.values - self.C1 * self.weight + self.C2
 
     def to_csv(self, path) -> None:
-        import csv
-
         n = self.X.shape[1]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                [f"x{i + 1}" for i in range(n)]
-                + [f"xi{i + 1}" for i in range(n)]
-                + ["value", "weight", "slack"]
-            )
-            slack = self.slack
-            for i in range(self.X.shape[0]):
-                w.writerow(
-                    list(self.X[i]) + list(self.XI[i]) + [self.values[i], self.weight[i], slack[i]]
-                )
+        header = [f"x{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)]
+        columns = [*self.X.T, *self.XI.T, self.values, self.weight, self.slack]
+        write_csv(path, header + ["value", "weight", "slack"], columns)
 
     def as_dict(self) -> dict:
         return {

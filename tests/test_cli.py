@@ -306,3 +306,96 @@ def test_failing_experiment_does_not_hide_the_others(tmp_path, threads):
         rep = load_report(tmp_path, prefix)
         assert "status" not in rep
         assert rep["verdicts"] == {"commutation_identity": "pass", "scalar_inequality": "pass"}
+
+
+@pytest.mark.parametrize(
+    "experiment, where",
+    [
+        (
+            {"experiment": "solve-linear", "symbol": {"name": "airy"}, "grid": _AIRY_GRID, "run": {"scheme": "bogus"}},
+            "run.scheme",
+        ),
+        (
+            {
+                "experiment": "solve-linear",
+                "symbol": {"name": "airy"},
+                "grid": _AIRY_GRID,
+                "run": {"datum": {"kind": "nope"}},
+            },
+            "run.datum.kind",
+        ),
+        (
+            {"experiment": "smoothing-report", "symbol": {"name": "airy"}, "grid": _AIRY_GRID, "run": {"estimate": "vii"}},
+            "run.estimate",
+        ),
+        (
+            {
+                "experiment": "positivity",
+                "symbol": {"name": "airy"},
+                "grid": {"n": 1, "L": 6.0, "N": 16},
+                "run": {"flavor": "nope"},
+            },
+            "run.flavor",
+        ),
+    ],
+    ids=["scheme", "datum-kind", "estimate", "flavor"],
+)
+def test_unknown_run_names_stop_the_batch_at_validation(tmp_path, capsys, experiment, where):
+    cfg = {"experiments": [{"experiment": "appendix", "output": {"prefix": "first"}}, experiment]}
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
+    assert f"config.experiments[1].{where}: expected one of" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+# one 2D and one 1D slack surface, a Doi slack surface, a trajectory and the
+# two series CSVs of the CLI; their hashes pin the artifact format
+_ARTIFACT_BATCH = {
+    "seed": 1,
+    "experiments": [
+        {"experiment": "check-admissible", "symbol": {"name": "zk"}, "output": {"prefix": "adm_zk"}},
+        {
+            "experiment": "check-admissible",
+            "symbol": {"name": "gaussian_kdv"},
+            "run": {"x_radius": 5.0, "xi_max": 16.0},
+            "output": {"prefix": "adm_gkdv"},
+        },
+        {
+            "experiment": "doi-weight",
+            "symbol": {"name": "gaussian_kdv"},
+            "run": {"x_radius": 5.0, "xi_max": 16.0},
+            "output": {"prefix": "doi_gkdv"},
+        },
+        {
+            "experiment": "trace-bichar",
+            "symbol": {"name": "gaussian_kdv"},
+            "run": {"T": 4.0, "h": 0.005},
+            "output": {"prefix": "bichar_gkdv"},
+        },
+        {
+            "experiment": "solve-linear",
+            "symbol": {"name": "gaussian_kdv"},
+            "grid": {"n": 1, "L": 62.83185307179586, "N": 128},
+            "run": {"T": 0.05},
+            "output": {"prefix": "lin_gkdv"},
+        },
+        {
+            "experiment": "smoothing-report",
+            "symbol": {"name": "airy"},
+            "grid": _AIRY_GRID,
+            "run": {"carriers": [4, 8]},
+            "output": {"prefix": "smooth_airy"},
+        },
+    ],
+}
+
+
+def test_csv_artifacts_match_golden_hashes(tmp_path):
+    import hashlib
+
+    assert run(write_cfg(tmp_path, _ARTIFACT_BATCH), out_dir=str(tmp_path / "out")) == 0
+    golden = json.loads((Path(__file__).parent / "data" / "artifact_sha256.json").read_text())
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((tmp_path / "out").glob("*.csv"))
+    }
+    assert got == golden

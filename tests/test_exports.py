@@ -11,6 +11,7 @@ MODULES = [
     "weylab.weights",
     "weylab.hamilton",
     "weylab.evolve",
+    "weylab.export",
     "weylab.nonlinear",
     "weylab.appendix_checks",
     "weylab.cli",

@@ -1,5 +1,7 @@
 """Bicharacteristic integration, strong ellipticity, trapping, q_delta growth."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,13 @@ def test_trajectory_csv_export(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "t,x1,xi1,a_m,q_delta"
     assert len(rows) == traj.t.size + 1
+    # the same bytes as csv.writer, row by row
+    ref = tmp_path / "ref.csv"
+    a_vals = np.real(a.eval(traj.x, traj.xi))
+    q_vals = qdelta_values(a, traj.x, traj.xi, 1.0)
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "x1", "xi1", "a_m", "q_delta"])
+        for i in range(traj.t.size):
+            w.writerow([traj.t[i], *traj.x[i], *traj.xi[i], a_vals[i], q_vals[i]])
+    assert path.read_bytes() == ref.read_bytes()

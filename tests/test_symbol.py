@@ -35,6 +35,22 @@ def test_airy_value_and_gradient():
     assert a.order == 3 and a.real_valued and a.zero_nyquist
 
 
+def test_catalog_rebuild_reuses_derivative_closures(monkeypatch):
+    x = np.linspace(-2.0, 2.0, 9)
+    xi = np.linspace(-3.0, 3.0, 9)
+    orders = [(al, k - al) for k in range(4) for al in range(k + 1)]
+    first = [catalog("gaussian_kdv").deriv((al,), (be,), x, xi) for al, be in orders]
+    calls = []
+    diff = sp.diff
+    monkeypatch.setattr(sp, "diff", lambda *args, **kw: calls.append(args) or diff(*args, **kw))
+    second = [catalog("gaussian_kdv").deriv((al,), (be,), x, xi) for al, be in orders]
+    assert calls == []
+    assert all(np.array_equal(u, v) for u, v in zip(first, second))
+    # a new expression is differentiated, through the same counted sympy.diff
+    catalog("gaussian_kdv", eps=0.0123).deriv((1,), (0,), x, xi)
+    assert len(calls) == 1
+
+
 def test_kdv_sum_divergence_identity():
     # sum_j d_xi_j a = n |xi|^2 + 2 (sum_j xi_j)^2; at xi = (1, -1) the value is 4
     a = catalog("kdv_sum", n=2)

@@ -36,6 +36,23 @@ def test_weightfn_properties(lam):
         WeightFn(1)
 
 
+def test_weightfn_integrates_once_per_exponent(monkeypatch):
+    import sympy as sp
+
+    from weylab import weights
+
+    weights._lam_primitive_fn.cache_clear()
+    calls = []
+    integrate = sp.integrate
+    monkeypatch.setattr(sp, "integrate", lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
+    one, two = WeightFn(2), WeightFn(2)
+    r = np.linspace(0.0, 20.0, 41)
+    assert np.array_equal(one(r), two(r))
+    assert np.array_equal(one.deriv(r, 2), two.deriv(r, 2))
+    assert np.array_equal(one.primitive(r), two.primitive(r))
+    assert len(calls) == 1
+
+
 # -- Garding weight ---------------------------------------------------------------
 
 
