@@ -251,10 +251,10 @@ class _ComposedSymbol(Symbol):
         for k in range(self.K + 1):
             for pq in multi_indices(2 * self.n, k):
                 p, q = pq[: self.n], pq[self.n :]
-                da = a._deriv_arrays(q, p, np.array(X), np.array(XI))
+                da = a._deriv_arrays(q, p, X, XI)
                 if not np.any(da):
                     continue
-                db = b._deriv_arrays(p, q, np.array(X), np.array(XI))
+                db = b._deriv_arrays(p, q, X, XI)
                 coeff = (
                     (0.5j) ** k * (-1.0) ** sum(q) / (multi_factorial(p) * multi_factorial(q))
                 )
@@ -307,7 +307,7 @@ def change_quantization(a_kn: Symbol, K: int = 3) -> Symbol:
     def ev(X, XI):
         total = np.zeros(X[..., 0].shape, dtype=complex)
         for gma in multi_indices_upto(n, K):
-            da = a_kn._deriv_arrays(gma, gma, np.array(X), np.array(XI))
+            da = a_kn._deriv_arrays(gma, gma, X, XI)
             total = total + (0.5j) ** sum(gma) / multi_factorial(gma) * da
         return total
 

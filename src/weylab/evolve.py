@@ -25,10 +25,12 @@ Every run on localized data records a wrap-guard horizon
 
     T_wrap = (L - R_data - WRAP_MARGIN L) / v_max,
 
-with v_max the largest group speed |grad_xi a| over the active frequencies;
-runs beyond the horizon are refused (the torus stops approximating R^n once
-the data wraps).  Non-localized data (plane waves) have no horizon: they are
-genuinely periodic objects and the guard does not apply.
+with v_max the largest group speed |grad_xi a| over the active frequencies
+and a 9^n lattice of x probes, taken one probe at a time so that the guard's
+memory is O(active frequencies).  Runs beyond the horizon are refused (the
+torus stops approximating R^n once the data wraps).  Non-localized data
+(plane waves) have no horizon: they are genuinely periodic objects and the
+guard does not apply.
 """
 
 from __future__ import annotations
@@ -225,8 +227,10 @@ def _data_radius(g: Grid, fields: np.ndarray) -> float:
 def wrap_guard(a: Symbol, u0: Field, f: SourceLike = None) -> WrapGuard:
     """Horizon T_wrap = (L - R_data - WRAP_MARGIN L)/v_max for localized data.
 
-    v_max maximizes |grad_xi a| over active frequencies and a coarse spatial
-    lattice.  Returns horizon None for non-localized data.
+    v_max maximizes |grad_xi a| over the active frequencies and the 9^n probe
+    lattice in x (one probe when a is x-independent).  The lattice is marched
+    one probe at a time, so the guard's memory is O(active frequencies).
+    Returns horizon None for non-localized data.
     """
     g = u0.grid
     margin = WRAP_MARGIN * g.L
@@ -247,8 +251,16 @@ def wrap_guard(a: Symbol, u0: Field, f: SourceLike = None) -> WrapGuard:
         x_probe = np.stack(np.meshgrid(*([probe_axis] * g.n), indexing="ij"), axis=-1).reshape(
             -1, g.n
         )
-    grads = a.grad_xi(x_probe[:, None, :], xi_act[None, :, :])
-    v_max = float(np.max(np.sqrt(np.sum(np.real(grads) ** 2, axis=-1))))
+    # one probe at a time, summing |d_xi_i a|^2 component by component: memory
+    # stays O(active frequencies), and no short trailing axis is reduced.  sqrt
+    # is monotone, so the root of the largest square is the largest speed.
+    zero = (0,) * g.n
+    units = [tuple(int(j == i) for j in range(g.n)) for i in range(g.n)]
+    speed_sq = [
+        np.max(sum(np.real(a.deriv(e, zero, x_p, xi_act)) ** 2 for e in units))
+        for x_p in x_probe
+    ]
+    v_max = float(np.sqrt(np.max(speed_sq)))
     r_data = _data_radius(g, fields)
     horizon = (g.L - r_data - margin) / v_max if v_max > 0 else np.inf
     return WrapGuard(max(horizon, 0.0), v_max, r_data, margin, localized)

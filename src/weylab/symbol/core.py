@@ -140,7 +140,9 @@ class Symbol:
         X = as_points(x, self.n)
         XI = as_points(xi, self.n)
         X, XI = np.broadcast_arrays(X, XI)
-        return self._deriv_arrays(alpha, beta, np.array(X), np.array(XI))
+        # the broadcast views go in uncopied: _deriv_arrays never writes to its
+        # inputs (the finite-difference branch perturbs copies)
+        return self._deriv_arrays(alpha, beta, X, XI)
 
     def _deriv_arrays(self, alpha: MultiIndex, beta: MultiIndex, X, XI) -> np.ndarray:
         if not any(alpha) and not any(beta):

@@ -1,5 +1,6 @@
 """Linear IVP solver, wrap guard, smoothing reports, weighted propagator probe."""
 
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from weylab.grid import (
     sobolev_norm,
     transform,
 )
-from weylab.symbol import SympySymbol, catalog
+from weylab.symbol import SympySymbol, VectorFieldSystem, build_kdv_type, catalog
 from weylab.symbol.core import phase_symbols
 from weylab.weights import WeightFn
 
@@ -317,24 +318,63 @@ def test_wrap_guard_velocity_estimate():
     assert 3 * 4.0**2 <= gw.v_max <= 3 * 12.0**2
 
 
-@pytest.mark.parametrize(
-    "name, grid, carrier",
-    [("zk", (2, 40 * np.pi, 128), [1.0, 0.0]), ("airy", (1, 40 * np.pi, 1024), [4.0])],
-)
-def test_wrap_guard_x_independent_matches_lattice(name, grid, carrier):
-    # an x-independent symbol is probed at one x; the 9^n lattice gives the same v_max
-    g = make_grid(*grid)
-    a = catalog(name)
-    u0 = gaussian_wavepacket(g, carrier, width2=8.0)
-    gw = wrap_guard(a, u0)
-    mask = _active_mask(g, [transform(u0).coeffs])
-    xi_act = g.xi_mesh.reshape(-1, g.n)[mask.ravel()]
+def _kdv_type_2d():
+    xs, _ = phase_symbols(2)
+    bump = sp.Rational(1, 10) * sp.exp(-sum(v**2 for v in xs))
+    return build_kdv_type(VectorFieldSystem(2, [[1 + bump, bump], [0, 1 - bump]])).a3
+
+
+def _one_shot_lattice_v_max(a, g, xi_act):
+    # the whole (probes, active frequencies, n) gradient in one array
     axis = np.linspace(-g.L / 2, g.L / 2, 9)
     x_lat = np.stack(np.meshgrid(*([axis] * g.n), indexing="ij"), axis=-1).reshape(-1, g.n)
     grads = a.grad_xi(x_lat[:, None, :], xi_act[None, :, :])
-    v_lat = float(np.max(np.sqrt(np.sum(np.real(grads) ** 2, axis=-1))))
+    return float(np.max(np.sqrt(np.sum(np.real(grads) ** 2, axis=-1))))
+
+
+UH_GRID = (2, 256 * np.pi / 72, 256)  # the linear-2d smoothing family
+
+
+@pytest.mark.parametrize(
+    "build, grid, carrier, width2",
+    [
+        (lambda: catalog("zk"), (2, 40 * np.pi, 128), [1.0, 0.0], 8.0),
+        (lambda: catalog("airy"), (1, 40 * np.pi, 1024), [4.0], 8.0),
+        (lambda: catalog("ultrahyperbolic", eps=0.05), UH_GRID, [8.0, 0.0], 3.0),
+        (lambda: catalog("ultrahyperbolic", eps=0.05), UH_GRID, [32.0, 0.0], 3.0),
+        (lambda: catalog("gaussian_kdv", eps=0.05), (1, 40 * np.pi, 4096), [32.0], 8.0),
+        (_kdv_type_2d, (2, 6.0, 48), [2.0, 0.0], 1.0),
+    ],
+    ids=["zk", "airy", "uh-k8", "uh-k32", "gkdv-k32", "kdv-type-2d"],
+)
+def test_wrap_guard_matches_one_shot_lattice(build, grid, carrier, width2):
+    # marching the probes one at a time gives the one-shot lattice v_max bit for
+    # bit; an x-independent symbol is probed at one x and must match the 9^n lattice
+    g = make_grid(*grid)
+    a = build()
+    u0 = gaussian_wavepacket(g, carrier, width2=width2)
+    gw = wrap_guard(a, u0)
+    assert gw.localized
+    mask = _active_mask(g, [transform(u0).coeffs])
+    xi_act = g.xi_mesh.reshape(-1, g.n)[mask.ravel()]
+    v_lat = _one_shot_lattice_v_max(a, g, xi_act)
     assert gw.v_max == v_lat
     assert gw.horizon == (g.L - gw.data_radius - gw.margin) / v_lat
+
+
+def test_wrap_guard_memory_is_per_probe():
+    # the one-shot (81 probes) x (65k active frequencies) x 2 complex gradient
+    # alone is about 168 MB; one probe at a time needs a few arrays of the active band
+    g = make_grid(*UH_GRID)
+    a = catalog("ultrahyperbolic", eps=0.05)
+    u0 = gaussian_wavepacket(g, [32.0, 0.0], width2=3.0)
+    tracemalloc.start()
+    try:
+        wrap_guard(a, u0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- smoothing reports ----------------------------------------------------------------

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from weylab.grid import make_grid
-from weylab.symbol import SampleSet, catalog, check_grad_ellipticity
+from weylab.symbol import SampleSet, catalog, check_grad_ellipticity, scale_symbol
 from weylab.weights import (
     WeightFn,
+    _ExpSymbol,
     admissibility_report,
     doi_slack,
     doi_weight,
@@ -191,6 +192,35 @@ def test_doi_weight_chain_rule_against_fd(airy_doi):
         fd_xi = (p.eval(x0, xi0 + h) - p.eval(x0, xi0 - h)).item().real / (2 * h)
         an_xi = p.deriv((1,), (0,), x0, xi0).item().real
         assert abs(fd_xi - an_xi) < 1e-6 * max(1.0, abs(an_xi))
+
+
+def test_deriv_on_broadcast_points_matches_materialized(airy_doi):
+    # Symbol.deriv passes the broadcast (P,1,n)/(1,Q,n) views to the oracles
+    # uncopied: the result equals the one on materialized points bit for bit,
+    # and the caller's arrays are not written to
+    p = airy_doi[2].base_symbol  # analytic first derivatives, differences beyond
+    cases = [
+        (catalog("gaussian_kdv", eps=0.05), [(1,), (0,)], [(2,), (1,)]),
+        (catalog("ultrahyperbolic", eps=0.05), [(1, 0), (0, 0)], [(0, 1), (1, 0)]),
+        (p, [(1,), (0,)], [(0,), (1,)], [(2,), (0,)], [(1,), (1,)]),
+        (scale_symbol(p, 0.5), [(1,), (0,)], [(2,), (0,)]),
+        (_ExpSymbol(p, 1.0), [(1,), (0,)], [(0,), (2,)]),
+    ]
+    rng = np.random.default_rng(3)
+    P, Q = 5, 7
+    for sym, *orders in cases:
+        n = sym.n
+        x = rng.uniform(-8.0, 8.0, (P, 1, n))
+        xi = rng.uniform(-6.0, 6.0, (1, Q, n))
+        X, XI = np.repeat(x, Q, axis=1), np.tile(xi, (P, 1, 1))
+        saved = [v.copy() for v in (x, xi, X, XI)]
+        for alpha, beta in orders:
+            on_views = sym.deriv(alpha, beta, x, xi)
+            on_copies = sym.deriv(alpha, beta, X, XI)
+            assert on_views.shape == (P, Q) and on_views.dtype == on_copies.dtype
+            assert on_views.tobytes() == on_copies.tobytes()
+        for v, v0 in zip((x, xi, X, XI), saved):
+            assert v.tobytes() == v0.tobytes()
 
 
 def test_doi_slack_airy_and_gaussian(lam, S1):
