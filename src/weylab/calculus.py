@@ -6,12 +6,16 @@ Dense quantization realizes
 
 with midpoint (x_j + x_l)/2 for the Weyl tag and x_j for the Kohn-Nirenberg
 tag; midpoints are evaluated in unwrapped box coordinates.  Assembly uses the
-lag structure: an inverse FFT of the symbol samples over k gives the matrix
-indexed by (midpoint, (j - l) mod N), which is exact because the kernel is
-N-periodic in the lag.
+lag structure, with one path for every dimension and both tags: an inverse
+transform of the symbol samples over k (through `Grid.ifftn`, the package's
+one FFT seam) gives a kernel indexed by (midpoint, (j - l) mod N), which is
+exact because the kernel is N-periodic in the lag, and the matrix gathers its
+entries from that kernel.
 
-Symbols flagged zero_nyquist (odd order) have their samples zeroed at the
-sign-ambiguous Nyquist frequencies before any application.
+One sampler, `_symbol_samples`, takes every sample of a symbol on the
+frequency mesh, for the dense assembly, the multipliers and the split; it
+zeroes the samples of zero_nyquist (odd-order) symbols at the sign-ambiguous
+Nyquist frequencies.
 """
 
 from __future__ import annotations
@@ -84,13 +88,20 @@ class DenseOperator:
         return DenseOperator(self.grid, self.matrix @ other.matrix, tag="composition")
 
 
-def _symbol_samples(a: Symbol, g: Grid, x_pts: np.ndarray) -> np.ndarray:
-    """Evaluate a on (x points) x (all grid frequencies); shape (Mx, N^n)."""
-    XI = g.xi_mesh.reshape(-1, g.n)
-    vals = a.eval(x_pts[:, None, :], XI[None, :, :])
+def _symbol_samples(a: Symbol, g: Grid, x_pts: np.ndarray, expr=None) -> np.ndarray:
+    """a, or the piece `expr` of its split, at (x points) x (frequency mesh):
+    shape (len(x_pts), *g.shape).
+
+    Every sample of a symbol on the frequency mesh is taken here, and only
+    here is the Nyquist rule applied: a zero_nyquist (odd-order) symbol is
+    zeroed at the sign-ambiguous Nyquist frequencies.
+    """
+    x = x_pts[:, None, :]
+    xi = g.xi_mesh.reshape(1, -1, g.n)
+    vals = a.eval(x, xi) if expr is None else a.eval_expr(expr, x, xi)
+    vals = vals.reshape(len(x_pts), *g.shape)
     if a.zero_nyquist:
-        vals = np.array(vals)
-        vals[:, g.nyquist_mask.ravel()] = 0.0
+        vals = np.where(g.nyquist_mask, 0.0, vals)
     return vals
 
 
@@ -102,82 +113,40 @@ def quantize_dense(a: Symbol, g: Grid, tag: str = "weyl") -> DenseOperator:
         raise ValueError(f"grid N={g.N}, n={g.n} exceeds the dense-operator budget")
     if a.n != g.n:
         raise ValueError("symbol and grid dimensions differ")
-    N = g.N
-    if g.n == 1:
-        if tag == "weyl":
-            # midpoints live on the half-step lattice -L + (dx/2) m, m = 0..2N-2
-            mids = (-g.L + 0.5 * g.dx * np.arange(2 * N - 1))[:, None]
-            S = _symbol_samples(a, g, mids)
-            G = np.fft.ifft(S, axis=1)
-            jj, ll = np.indices((N, N))
-            mat = G[jj + ll, (jj - ll) % N]
-        else:
-            S = _symbol_samples(a, g, g.x_axis[:, None])
-            G = np.fft.ifft(S, axis=1)
-            jj, ll = np.indices((N, N))
-            mat = G[jj, (jj - ll) % N]
-        return DenseOperator(g, np.ascontiguousarray(mat), tag, a)
-
-    # n == 2: same lag structure per axis, assembled in row blocks
-    size = N * N
-    mat = np.empty((size, size), dtype=complex)
+    n, N = g.n, g.N
     if tag == "weyl":
-        half = -g.L + 0.5 * g.dx * np.arange(2 * N - 1)
-        mids = np.stack(np.meshgrid(half, half, indexing="ij"), axis=-1).reshape(-1, 2)
-        S = _symbol_samples(a, g, mids).reshape(2 * N - 1, 2 * N - 1, N, N)
-        G = np.fft.ifft2(S, axes=(2, 3))
-        l1, l2 = np.divmod(np.arange(size), N)
-        block = max(1, min(N * N, (1 << 22) // size))
-        for start in range(0, size, block):
-            stop = min(start + block, size)
-            j1, j2 = np.divmod(np.arange(start, stop), N)
-            mat[start:stop] = G[
-                j1[:, None] + l1[None, :],
-                j2[:, None] + l2[None, :],
-                (j1[:, None] - l1[None, :]) % N,
-                (j2[:, None] - l2[None, :]) % N,
-            ]
+        # the midpoint of nodes j and l is -L + (dx/2) (j + l) on each axis
+        axis = -g.L + 0.5 * g.dx * np.arange(2 * N - 1)
     else:
-        x_pts = g.x_mesh.reshape(-1, 2)
-        S = _symbol_samples(a, g, x_pts).reshape(N, N, N, N)
-        G = np.fft.ifft2(S, axes=(2, 3))
-        l1, l2 = np.divmod(np.arange(size), N)
-        block = max(1, min(N * N, (1 << 22) // size))
-        for start in range(0, size, block):
-            stop = min(start + block, size)
-            j1, j2 = np.divmod(np.arange(start, stop), N)
-            mat[start:stop] = G[
-                j1[:, None],
-                j2[:, None],
-                (j1[:, None] - l1[None, :]) % N,
-                (j2[:, None] - l2[None, :]) % N,
-            ]
+        axis = g.x_axis
+    mids = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    # kernel[midpoint, lag]: the symbol samples transformed over the frequencies
+    kernel = g.ifftn(_symbol_samples(a, g, mids)).reshape(len(mids), g.size)
+    nodes = np.indices(g.shape).reshape(n, -1)  # multi-index of each raveled node
+    mat = np.empty((g.size, g.size), dtype=complex)
+    block = max(1, (1 << 22) // g.size)  # rows gathered at once
+    for start in range(0, g.size, block):
+        j = nodes[:, start : start + block, None]
+        l = nodes[:, None, :]
+        mat[start : start + block] = kernel[
+            np.ravel_multi_index(j + l if tag == "weyl" else j, (axis.size,) * n),
+            np.ravel_multi_index((j - l) % N, g.shape),
+        ]
     return DenseOperator(g, mat, tag, a)
-
-
-def _multiplier_values(a: Symbol, g: Grid) -> np.ndarray:
-    XI = g.xi_mesh.reshape(-1, g.n)
-    origin = np.zeros((1, g.n))
-    vals = a.eval(origin, XI).reshape(g.shape)
-    if a.zero_nyquist:
-        vals = np.where(g.nyquist_mask, 0.0, vals)
-    return vals
 
 
 def _split_samples(a: Symbol, g: Grid):
     """a.split sampled on the grid: a0 on the frequency mesh (None when a0 = 0)
-    and the (f, g) pairs; the frequency factors are Nyquist-zeroed like every
-    symbol sample.  None when a has no split."""
+    and the (f, g) pairs, the frequency factors through `_symbol_samples`.
+    None when a has no split."""
     if a.split is None:
         return None
     a0, pairs = a.split
     origin = np.zeros((1, g.n))
     x_pts = g.x_mesh.reshape(-1, g.n)
-    xi_pts = g.xi_mesh.reshape(-1, g.n)
 
     def freq(expr):
-        vals = a.eval_expr(expr, origin, xi_pts).reshape(g.shape)
-        return np.where(g.nyquist_mask, 0.0, vals) if a.zero_nyquist else vals
+        return _symbol_samples(a, g, origin, expr)[0]
 
     samples = [(a.eval_expr(f, x_pts, origin).reshape(g.shape), freq(gx)) for f, gx in pairs]
     return (None if a0 == 0 else freq(a0)), samples
@@ -198,7 +167,7 @@ def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
         raise ValueError("symbol and grid dimensions differ")
 
     if a.x_independent:
-        return apply_multiplier(u, _multiplier_values(a, g))
+        return apply_multiplier(u, _symbol_samples(a, g, np.zeros((1, g.n)))[0])
 
     split = _split_samples(a, g)
     if split is not None:
@@ -215,8 +184,6 @@ def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
     x_pts = g.x_mesh.reshape(-1, g.n)
     xi_pts = g.xi_mesh.reshape(-1, g.n)
     uhat = _spectrum(g, u.values).ravel()
-    if a.zero_nyquist:
-        uhat = np.where(g.nyquist_mask.ravel(), 0.0, uhat)
     out = np.empty(g.size, dtype=complex)
     block = max(1, (1 << 22) // g.size)
     pref = (2.0 * g.L) ** (-g.n)
@@ -224,7 +191,7 @@ def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
         stop = min(start + block, g.size)
         xb = x_pts[start:stop]
         phases = np.exp(1j * xb @ xi_pts.T)
-        vals = a.eval(xb[:, None, :], xi_pts[None, :, :])
+        vals = _symbol_samples(a, g, xb).reshape(len(xb), g.size)
         out[start:stop] = pref * np.sum(vals * phases * uhat[None, :], axis=1)
     return Field(g, out.reshape(g.shape))
 

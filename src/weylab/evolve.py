@@ -116,10 +116,10 @@ class EvolutionOperator:
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (f, g), applied as (fG + Gf)/2
         self.dense = None
 
-        from .calculus import _multiplier_values, _split_samples, quantize_dense
+        from .calculus import _split_samples, _symbol_samples, quantize_dense
 
         if symbol.x_independent:
-            self.multiplier = _multiplier_values(symbol, grid)
+            self.multiplier = _symbol_samples(symbol, grid, np.zeros((1, grid.n)))[0]
         elif symbol.real_valued and symbol.split is not None:
             self.multiplier, self.pairs = _split_samples(symbol, grid)
         else:
@@ -167,14 +167,6 @@ class EvolutionOperator:
         for fv, gv in self.pairs:
             gmax = np.max(np.abs(gv if active_mask is None else gv[active_mask]))
             total += float(np.max(np.abs(fv)) * gmax)
-        return total
-
-    def max_abs_full(self) -> float:
-        total = self._pair_max(None)
-        if self.multiplier is not None:
-            total += float(np.max(np.abs(self.multiplier)))
-        if self.dense is not None:
-            total += float(np.linalg.norm(self.dense.matrix, np.inf))
         return total
 
     def max_abs_remainder(self, active_mask: Optional[np.ndarray] = None) -> float:
@@ -410,23 +402,40 @@ def _march(
     return dt * np.array(kept), frames
 
 
-def _pick_dt(op: EvolutionOperator, u0: Field, T: float, extra_mag: float = 0.0) -> float:
-    """Integrating-factor step for the nonlinear solves, with extra_mag bounding
-    the stepped forcing: stability C_STAB over the remainder, accuracy Y_ACC
-    over the whole active operator, and at least MIN_STEPS steps."""
-    g = op.grid
-    mask = _active_mask(g, _spectrum(g, u0.values[None]))
-    stab = op.max_abs_remainder(None) + extra_mag
-    act = (
-        (op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) + extra_mag)
-        if np.any(mask)
-        else 0.0
-    )
-    dt_stab = C_STAB / stab if stab > 0 else np.inf
-    dt_acc = Y_ACC / act if act > 0 else np.inf
-    dt = min(dt_stab, dt_acc, T / MIN_STEPS)
-    steps = max(MIN_STEPS, int(np.ceil(T / dt - 1e-12)))
-    return T / steps
+def _dt_limit(mag: float, target: float) -> float:
+    """The largest step with dt * mag <= target (inf for mag 0)."""
+    return target / mag if mag > 0 else np.inf
+
+
+def _time_steps(T: float, dt: float, stab_mag: float) -> tuple[int, float]:
+    """The step rule of every solver, for a picked or an explicit dt: refuse a
+    dt beyond the stability bound C_STAB / stab_mag, then take the fewest equal
+    steps of [0, T] that are no longer than dt.  Returns (steps, T / steps)."""
+    dt_stab = _dt_limit(stab_mag, C_STAB)
+    if dt > dt_stab * (1 + 1e-9):
+        raise ValueError(f"dt={dt:g} violates the stability bound {dt_stab:g}")
+    steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    return steps, T / steps
+
+
+def _nonlinear_steps(
+    op: EvolutionOperator, u0: Field, T: float, dt: Optional[float], extra_mag: float
+) -> tuple[int, float]:
+    """(steps, dt) of the nonlinear solves, which propagate the multiplier
+    exactly and step the remainder and a forcing bounded by extra_mag.
+    dt=None picks the step: stability C_STAB over the stepped part, accuracy
+    Y_ACC over the whole active operator, and at least MIN_STEPS steps."""
+    stab_mag = op.max_abs_remainder(None) + extra_mag
+    if dt is None:
+        g = op.grid
+        mask = _active_mask(g, _spectrum(g, u0.values[None]))
+        act_mag = (
+            (op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) + extra_mag)
+            if np.any(mask)
+            else 0.0
+        )
+        dt = min(_dt_limit(stab_mag, C_STAB), _dt_limit(act_mag, Y_ACC), T / MIN_STEPS)
+    return _time_steps(T, dt, stab_mag)
 
 
 def solve_linear(
@@ -463,24 +472,19 @@ def solve_linear(
     if scheme == "auto":
         scheme = "if_rk4" if op.multiplier is not None else "rk4"
 
-    mask = _active_mask(g, _spectrum(g, _initial_data(u0, f)))
-
-    if scheme == "if_rk4":
-        stab_mag = op.max_abs_remainder(None)
-        act_mag = op.max_abs_remainder(mask) if np.any(mask) else 0.0
-    else:
-        stab_mag = op.max_abs_full()
-        act_mag = (
-            op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) if np.any(mask) else 0.0
-        )
-    dt_stab = C_STAB / stab_mag if stab_mag > 0 else np.inf
+    stepped_mult = scheme == "rk4"  # the multiplier is stepped, not propagated
+    stab_mag = op.max_abs_remainder(None)
+    if stepped_mult:
+        stab_mag += op.max_abs_multiplier(None)
     if dt is None:
-        dt_acc = Y_ACC / act_mag if act_mag > 0 else np.inf
-        dt = min(dt_stab, dt_acc, T / MIN_STEPS)
-    elif dt > dt_stab * (1 + 1e-9):
-        raise ValueError(f"dt={dt:g} violates the stability bound {dt_stab:g}")
-    steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    dt = T / steps
+        mask = _active_mask(g, _spectrum(g, _initial_data(u0, f)))
+        act_mag = 0.0
+        if np.any(mask):
+            act_mag = op.max_abs_remainder(mask)
+            if stepped_mult:
+                act_mag += op.max_abs_multiplier(mask)
+        dt = min(_dt_limit(stab_mag, C_STAB), _dt_limit(act_mag, Y_ACC), T / MIN_STEPS)
+    steps, dt = _time_steps(T, dt, stab_mag)
 
     fhat = g.fftn(f.values) if isinstance(f, Field) else None
 

@@ -39,6 +39,23 @@ __all__ = [
 DENSE_ENTRY_BUDGET = 1 << 26
 
 
+def _cached(compute: Callable[["Grid"], np.ndarray]) -> property:
+    """A grid property computed on first access, made read-only and kept in
+    the grid's cache; later accesses return the same array."""
+    name = compute.__name__
+
+    @functools.wraps(compute)
+    def get(self):
+        value = self._cache.get(name)
+        if value is None:
+            value = compute(self)
+            value.setflags(write=False)
+            self._cache[name] = value
+        return value
+
+    return property(get)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L, L)^n, n in {1, 2}."""
@@ -77,32 +94,20 @@ class Grid:
         """True when the dense operator matrix fits the entry budget."""
         return self.size**2 <= DENSE_ENTRY_BUDGET
 
-    @property
+    @_cached
     def x_axis(self) -> np.ndarray:
         """Nodes along one axis, ascending from -L to L - dx."""
-        if "x_axis" not in self._cache:
-            a = -self.L + self.dx * np.arange(self.N)
-            a.setflags(write=False)
-            self._cache["x_axis"] = a
-        return self._cache["x_axis"]
+        return -self.L + self.dx * np.arange(self.N)
 
-    @property
+    @_cached
     def k_int(self) -> np.ndarray:
         """Integer mode numbers along one axis, FFT order."""
-        if "k_int" not in self._cache:
-            k = np.rint(np.fft.fftfreq(self.N) * self.N).astype(int)
-            k.setflags(write=False)
-            self._cache["k_int"] = k
-        return self._cache["k_int"]
+        return np.rint(np.fft.fftfreq(self.N) * self.N).astype(int)
 
-    @property
+    @_cached
     def xi_axis(self) -> np.ndarray:
         """Frequencies along one axis, FFT order."""
-        if "xi_axis" not in self._cache:
-            xi = (np.pi / self.L) * self.k_int
-            xi.setflags(write=False)
-            self._cache["xi_axis"] = xi
-        return self._cache["xi_axis"]
+        return (np.pi / self.L) * self.k_int
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -114,91 +119,47 @@ class Grid:
         """Largest resolved |xi| component: N pi / (2L)."""
         return np.pi * self.N / (2.0 * self.L)
 
-    @property
+    @_cached
     def x_mesh(self) -> np.ndarray:
         """Node coordinates, shape self.shape + (n,)."""
-        if "x_mesh" not in self._cache:
-            axes = np.meshgrid(*([self.x_axis] * self.n), indexing="ij")
-            m = np.stack(axes, axis=-1)
-            m.setflags(write=False)
-            self._cache["x_mesh"] = m
-        return self._cache["x_mesh"]
+        return np.stack(np.meshgrid(*([self.x_axis] * self.n), indexing="ij"), axis=-1)
 
-    @property
+    @_cached
     def xi_mesh(self) -> np.ndarray:
         """Frequency coordinates in FFT order, shape self.shape + (n,)."""
-        if "xi_mesh" not in self._cache:
-            axes = np.meshgrid(*([self.xi_axis] * self.n), indexing="ij")
-            m = np.stack(axes, axis=-1)
-            m.setflags(write=False)
-            self._cache["xi_mesh"] = m
-        return self._cache["xi_mesh"]
+        return np.stack(np.meshgrid(*([self.xi_axis] * self.n), indexing="ij"), axis=-1)
 
-    @property
+    @_cached
     def x_radius(self) -> np.ndarray:
         """|x_j| on the node mesh."""
-        if "x_radius" not in self._cache:
-            r = np.sqrt(np.sum(self.x_mesh**2, axis=-1))
-            r.setflags(write=False)
-            self._cache["x_radius"] = r
-        return self._cache["x_radius"]
+        return np.sqrt(np.sum(self.x_mesh**2, axis=-1))
 
-    @property
+    @_cached
     def xi_norm(self) -> np.ndarray:
         """|xi_k| on the frequency mesh (FFT order)."""
-        if "xi_norm" not in self._cache:
-            r = np.sqrt(np.sum(self.xi_mesh**2, axis=-1))
-            r.setflags(write=False)
-            self._cache["xi_norm"] = r
-        return self._cache["xi_norm"]
+        return np.sqrt(np.sum(self.xi_mesh**2, axis=-1))
 
-    @property
+    @_cached
     def bessel_base(self) -> np.ndarray:
         """<xi> = (1 + |xi|^2)^{1/2} on the frequency mesh."""
-        if "bessel" not in self._cache:
-            b = np.sqrt(1.0 + self.xi_norm**2)
-            b.setflags(write=False)
-            self._cache["bessel"] = b
-        return self._cache["bessel"]
+        return np.sqrt(1.0 + self.xi_norm**2)
 
-    @property
+    @_cached
     def nyquist_mask(self) -> np.ndarray:
         """Boolean mesh, True where any axis carries the (sign-ambiguous) Nyquist mode."""
-        if "nyq" not in self._cache:
-            axis_mask = self.k_int == -self.N // 2
-            if self.n == 1:
-                m = axis_mask.copy()
-            else:
-                m = axis_mask[:, None] | axis_mask[None, :]
-            m.setflags(write=False)
-            self._cache["nyq"] = m
-        return self._cache["nyq"]
+        return functools.reduce(np.logical_or.outer, [self.k_int == -self.N // 2] * self.n)
 
-    @property
+    @_cached
     def phase(self) -> np.ndarray:
         """(-1)^{k_1 + ... + k_n} in FFT order; carries the -L offset of the nodes."""
-        if "phase" not in self._cache:
-            p1 = np.where(self.k_int % 2 == 0, 1.0, -1.0)
-            if self.n == 1:
-                p = p1.copy()
-            else:
-                p = p1[:, None] * p1[None, :]
-            p.setflags(write=False)
-            self._cache["phase"] = p
-        return self._cache["phase"]
+        sign = np.where(self.k_int % 2 == 0, 1.0, -1.0)
+        return functools.reduce(np.multiply.outer, [sign] * self.n)
 
-    @property
+    @_cached
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask on the frequency mesh (True = keep)."""
-        if "dealias" not in self._cache:
-            keep1 = np.abs(self.k_int) <= (2 * (self.N // 2)) // 3
-            if self.n == 1:
-                m = keep1.copy()
-            else:
-                m = keep1[:, None] & keep1[None, :]
-            m.setflags(write=False)
-            self._cache["dealias"] = m
-        return self._cache["dealias"]
+        keep = np.abs(self.k_int) <= (2 * (self.N // 2)) // 3
+        return functools.reduce(np.logical_and.outer, [keep] * self.n)
 
     # -- transforms ----------------------------------------------------------
     # The one FFT seam: every transform of the grid, evolve and nonlinear

@@ -70,7 +70,7 @@ def qdelta_symbol(a: Symbol, delta: float, scale: float = 1.0) -> SympySymbol:
     expr = sp.nsimplify(scale, rational=False) * bes * sum(
         xs[j] * sp.diff(a.expr, xis[j]) for j in range(a.n)
     )
-    return SympySymbol(expr, a.n, 0.0, real_valued=a.real_valued, zero_nyquist=False, label="q")
+    return SympySymbol(expr, a.n, 0.0, zero_nyquist=False, label="q")
 
 
 @dataclass

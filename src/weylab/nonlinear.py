@@ -34,7 +34,7 @@ import numpy as np
 from .evolve import (
     Solution,
     _march,
-    _pick_dt,
+    _nonlinear_steps,
     build_evolution_operator,
     lawson_stepper,
     wrap_guard,
@@ -225,7 +225,9 @@ def picard_solve(
 ) -> PicardRun:
     """Solve the NLIVP by Picard iteration on the Duhamel equation.
 
-    Raises PicardDivergenceError (with diagnostics suggesting a smaller T)
+    [0, T] is cut into the fewest equal steps no longer than dt (picked when
+    None); a dt beyond the stability bound raises ValueError.  Raises
+    PicardDivergenceError (with diagnostics suggesting a smaller T)
     when the contraction factor stays >= 1 for three consecutive sweeps or an
     iterate blows past the overflow guard.
     """
@@ -255,10 +257,7 @@ def picard_solve(
             return g.fftn(c_frozen * g.ifftn(uhat * mult_alpha))
 
     extra_mag = float(np.max(np.abs(c_frozen)) * np.max(np.abs(mult_alpha))) if frozen else 0.0
-    if dt is None:
-        dt = _pick_dt(op, u0, T, extra_mag)
-    steps = max(1, int(np.round(T / dt)))
-    dt = T / steps
+    steps, dt = _nonlinear_steps(op, u0, T, dt, extra_mag)
     times = dt * np.arange(steps + 1)
     step = lawson_stepper(op, dt, frozen_term)
 
@@ -375,7 +374,8 @@ def direct_nonlinear_solve(
     dt: Optional[float] = None,
     store_stride: int = 1,
 ) -> Solution:
-    """Method-of-lines integration of du/dt = i A u + N(u) with Lawson RK4."""
+    """Method-of-lines integration of du/dt = i A u + N(u) with Lawson RK4,
+    on the step rule of `picard_solve`."""
     g = u0.grid
     guard = wrap_guard(a, u0)
     if guard.localized:
@@ -386,10 +386,7 @@ def direct_nonlinear_solve(
     nl_mag = float(
         np.max(np.abs(_monomial(u0.values, spec.p, spec.q))) * np.max(np.abs(mult_alpha))
     )
-    if dt is None:
-        dt = _pick_dt(op, u0, T, nl_mag)
-    steps = max(1, int(np.round(T / dt)))
-    dt = T / steps
+    steps, dt = _nonlinear_steps(op, u0, T, dt, nl_mag)
 
     def nonlinearity(uhat, t):
         return g.fftn(_nonlinearity(g, g.ifftn(uhat), spec))

@@ -1,10 +1,10 @@
 """Catalog of ready-made dispersive symbols.
 
-Every entry states its sympy expression, order, label and principal/lower-order
-split, and returns a SympySymbol with exact derivative closures.  Everything
-else is derived from the expression: the flags real_valued, x_independent and
-zero_nyquist, and the multiplier/pair split `SympySymbol.split` that the
-evolution and fast-application paths read.
+Every entry states only its sympy expression, order and label, and returns a
+SympySymbol with exact derivative closures; no entry states a principal part.
+Everything else is derived: the flags real_valued and x_independent from the
+expression, zero_nyquist from the order, and the multiplier/pair split
+`SympySymbol.split` that the evolution and fast-application paths read.
 """
 
 from __future__ import annotations
@@ -15,23 +15,19 @@ from typing import Callable
 import numpy as np
 import sympy as sp
 
-from .core import SympySymbol, phase_symbols, zero_symbol
+from .core import SympySymbol, phase_symbols
 
 __all__ = ["catalog", "catalog_names", "CatalogEntry", "CATALOG"]
 
 
 def _airy() -> SympySymbol:
     _, xis = phase_symbols(1)
-    sym = SympySymbol(xis[0] ** 3, 1, 3.0, label="airy")
-    sym.parts = (sym, zero_symbol(1, 2.0))
-    return sym
+    return SympySymbol(xis[0] ** 3, 1, 3.0, label="airy")
 
 
 def _zk() -> SympySymbol:
     _, xis = phase_symbols(2)
-    sym = SympySymbol(xis[0] * (xis[0] ** 2 + xis[1] ** 2), 2, 3.0, label="zk")
-    sym.parts = (sym, zero_symbol(2, 2.0))
-    return sym
+    return SympySymbol(xis[0] * (xis[0] ** 2 + xis[1] ** 2), 2, 3.0, label="zk")
 
 
 def _kdv_sum(n: int = 2) -> SympySymbol:
@@ -40,9 +36,7 @@ def _kdv_sum(n: int = 2) -> SympySymbol:
         raise ValueError("kdv_sum requires n >= 1")
     _, xis = phase_symbols(n)
     expr = sum(xis) * sum(v**2 for v in xis)
-    sym = SympySymbol(expr, n, 3.0, label=f"kdv_sum(n={n})")
-    sym.parts = (sym, zero_symbol(n, 2.0))
-    return sym
+    return SympySymbol(expr, n, 3.0, label=f"kdv_sum(n={n})")
 
 
 def _gaussian_kdv(eps: float = 0.05) -> SympySymbol:
@@ -51,9 +45,7 @@ def _gaussian_kdv(eps: float = 0.05) -> SympySymbol:
         raise ValueError("gaussian_kdv amplitude eps must be nonnegative")
     xs, xis = phase_symbols(1)
     expr = (1 + eps * sp.exp(-xs[0] ** 2)) * xis[0] ** 3
-    sym = SympySymbol(expr, 1, 3.0, label=f"gaussian_kdv(eps={eps})")
-    sym.parts = (sym, zero_symbol(1, 2.0))
-    return sym
+    return SympySymbol(expr, 1, 3.0, label=f"gaussian_kdv(eps={eps})")
 
 
 def _ultrahyperbolic(matrix=None, eps: float = 0.0) -> SympySymbol:
@@ -74,9 +66,7 @@ def _ultrahyperbolic(matrix=None, eps: float = 0.0) -> SympySymbol:
     xs, xis = phase_symbols(n)
     quad = sum(sp.nsimplify(M[i, j]) * xis[i] * xis[j] for i in range(n) for j in range(n))
     expr = (1 + eps * sp.exp(-sum(v**2 for v in xs))) * quad
-    sym = SympySymbol(expr, n, 2.0, label=f"ultrahyperbolic(eps={eps})")
-    sym.parts = (sym, zero_symbol(n, 1.0))
-    return sym
+    return SympySymbol(expr, n, 2.0, label=f"ultrahyperbolic(eps={eps})")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ constants of
 
   * gradient ellipticity   1/C |xi|^{m-1} <= |grad_xi Re a| <= C |xi|^{m-1}
   * spatial decay          |d_x^beta d_xi^alpha Re a| <= eps lam(|x|) |xi|^{m-|alpha|}
-  * imaginary smallness    |Im a_{m-1}| <= c0 lam(|x|) |xi|^{m-1}
+  * imaginary smallness    |Im a| <= c0 lam(|x|) |xi|^{m-1}  (the principal
+                           part a_m is real, so Im a = Im a_{m-1})
 
 Verdicts: fail when the slack is negative beyond tolerance at a sample,
 inconclusive when it sits inside the tolerance band, pass otherwise.
@@ -230,14 +231,12 @@ def check_im_smallness(
     *,
     c0_threshold: float = 1.0,
 ) -> ConditionReport:
-    """Fit c0_hat = max |Im a_{m-1}| / (lam(|x|) |xi|^{m-1}); needs the parts split."""
+    """Fit c0_hat = max |Im a| / (lam(|x|) |xi|^{m-1}) over the sample set."""
     m = a.order
     if a.real_valued:
         im_vals = np.zeros(S.X.shape[0])
     else:
-        if a.parts is None:
-            raise ValueError("imaginary-part check requires the a_m + a_{m-1} split")
-        im_vals = np.abs(np.imag(a.parts[1].eval(S.X, S.XI)))
+        im_vals = np.abs(np.imag(a.eval(S.X, S.XI)))
     lam_vals = np.asarray(lam(S.x_norm), dtype=float)
     ratio = im_vals / (lam_vals * np.maximum(S.xi_norm, XI_FLOOR) ** (m - 1.0))
     j = int(np.argmax(ratio))

@@ -101,7 +101,6 @@ class Symbol:
         real_valued: bool = False,
         zero_nyquist: Optional[bool] = None,
         x_independent: bool = False,
-        parts: Optional[tuple["Symbol", "Symbol"]] = None,
         label: str = "",
     ):
         self.n = int(n)
@@ -112,7 +111,6 @@ class Symbol:
             zero_nyquist = abs(m - round(m)) < 1e-12 and int(round(m)) % 2 == 1
         self.zero_nyquist = bool(zero_nyquist)
         self.x_independent = bool(x_independent)
-        self.parts = parts
         self.label = label or type(self).__name__
 
     # -- evaluation ----------------------------------------------------------
@@ -224,17 +222,22 @@ def _derivative_closure(expr, n: int, alpha: MultiIndex, beta: MultiIndex) -> Ca
 class SympySymbol(Symbol):
     """Symbol backed by a sympy expression in x1..xn, xi1..xin; exact derivatives."""
 
-    def __init__(self, expr, n: int, order: float, **kwargs):
+    def __init__(
+        self, expr, n: int, order: float, *, zero_nyquist: Optional[bool] = None, label: str = ""
+    ):
         xs, xis = phase_symbols(n)
         expr = sp.sympify(expr)
         extra = expr.free_symbols - set(xs) - set(xis)
         if extra:
             raise ValueError(f"expression uses unknown symbols {extra}")
-        if "real_valued" not in kwargs or kwargs["real_valued"] is None:
-            kwargs["real_valued"] = not expr.has(sp.I)
-        if "x_independent" not in kwargs:
-            kwargs["x_independent"] = not any(expr.has(xsym) for xsym in xs)
-        super().__init__(n, order, **kwargs)
+        super().__init__(
+            n,
+            order,
+            real_valued=not expr.has(sp.I),
+            zero_nyquist=zero_nyquist,
+            x_independent=not expr.has(*xs),
+            label=label,
+        )
         self.expr = expr
         self._xs = xs
         self._xis = xis

@@ -74,28 +74,21 @@ class VectorFieldSystem:
         """
         axes = [np.linspace(-x_radius, x_radius, points)] * self.n
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
+
+        def abs_on_mesh(coefficient):
+            fn = sp.lambdify(self._xs, coefficient, modules="numpy")
+            return np.abs(np.broadcast_to(fn(*mesh.T), (mesh.shape[0],)))
+
         out = []
         for k in range(self.n):
-            fn = sp.lambdify(self._xs, self.coefficients[k][0], modules="numpy")
-            vals = np.abs(np.broadcast_to(fn(*[mesh[:, i] for i in range(self.n)]), (mesh.shape[0],)))
-            c_k = float(np.min(vals))
+            c_k = float(np.min(abs_on_mesh(self.coefficients[k][0])))
             if c_k <= 0:
                 continue
             entry = {"k": k + 1, "C": c_k, "smallness_ok": True, "sup_akj_sq": {}}
             if self.n > 1:
                 bound = 3.0 * c_k / (self.n - 1)
                 for j in range(1, self.n):
-                    fnj = sp.lambdify(self._xs, self.coefficients[k][j], modules="numpy")
-                    sup_sq = float(
-                        np.max(
-                            np.abs(
-                                np.broadcast_to(
-                                    fnj(*[mesh[:, i] for i in range(self.n)]), (mesh.shape[0],)
-                                )
-                            )
-                            ** 2
-                        )
-                    )
+                    sup_sq = float(np.max(abs_on_mesh(self.coefficients[k][j]) ** 2))
                     entry["sup_akj_sq"][f"j={j + 1}"] = sup_sq
                     if not sup_sq < bound:
                         entry["smallness_ok"] = False
@@ -134,13 +127,9 @@ def build_kdv_type(system: VectorFieldSystem) -> KdvTypeBuild:
     a2_expr = sp.expand(full_expr - a3_expr)
     re2, im2 = (sp.expand(part) for part in a2_expr.as_real_imag())
 
-    a3 = SympySymbol(a3_expr, n, 3.0, real_valued=True, label="kdv_type.a3")
-    re_a2 = SympySymbol(re2, n, 2.0, real_valued=True, zero_nyquist=False, label="kdv_type.re_a2")
-    im_a2 = SympySymbol(im2, n, 2.0, real_valued=True, zero_nyquist=False, label="kdv_type.im_a2")
+    a3 = SympySymbol(a3_expr, n, 3.0, label="kdv_type.a3")
+    re_a2 = SympySymbol(re2, n, 2.0, zero_nyquist=False, label="kdv_type.re_a2")
+    im_a2 = SympySymbol(im2, n, 2.0, zero_nyquist=False, label="kdv_type.im_a2")
     full = SympySymbol(full_expr, n, 3.0, label="kdv_type.full")
-    full.parts = (
-        a3,
-        SympySymbol(a2_expr, n, 2.0, zero_nyquist=False, label="kdv_type.a2"),
-    )
     corrections = [system.weyl_correction(j) for j in range(n)]
     return KdvTypeBuild(a3=a3, re_a2=re_a2, im_a2=im_a2, full=full, corrections=corrections)

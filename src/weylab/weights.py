@@ -515,15 +515,13 @@ def exp_weight_operators(
 class AdmissibilityReport:
     grad: ConditionReport
     decay: ConditionReport
-    imaginary: Optional[ConditionReport]
+    imaginary: ConditionReport
     garding: Optional[GardingWeight]
     slack: Optional[SlackFit]
 
     @property
     def verdict(self) -> str:
-        checks = [self.grad.verdict, self.decay.verdict]
-        if self.imaginary is not None:
-            checks.append(self.imaginary.verdict)
+        checks = [self.grad.verdict, self.decay.verdict, self.imaginary.verdict]
         if self.slack is not None:
             checks.append(self.slack.verdict)
         else:
@@ -542,7 +540,7 @@ class AdmissibilityReport:
         return {
             "grad_ellipticity": self.grad.as_dict(),
             "x_decay": self.decay.as_dict(),
-            "im_smallness": None if self.imaginary is None else self.imaginary.as_dict(),
+            "im_smallness": self.imaginary.as_dict(),
             "garding": None
             if self.garding is None
             else {"C1": self.garding.C1, "C": self.garding.C, "bound_fit": self.garding.bound_fit},
@@ -563,17 +561,14 @@ def admissibility_report(
     """Run the full admissibility pipeline on a symbol.
 
     Gradient ellipticity and spatial decay are checked on Re(a); the imaginary
-    part (when the symbol carries a split) is checked against the smallness
-    bound; passing symbols get the explicit Garding weight and the H_a q slack
+    part is checked against the smallness bound; passing symbols get the explicit Garding weight and the H_a q slack
     fit.  The overall verdict requires every stage to pass with slack C1 > 0.
     """
     if S is None:
         S = SampleSet.standard(a.n)
     grad = check_grad_ellipticity(a, S)
     decay = check_x_decay(a, lam, S, eps_threshold=eps_threshold)
-    imaginary = None
-    if a.real_valued or a.parts is not None:
-        imaginary = check_im_smallness(a, lam, S, c0_threshold=c0_threshold)
+    imaginary = check_im_smallness(a, lam, S, c0_threshold=c0_threshold)
     gw = None
     slack = None
     if grad.verdict != "fail":

@@ -12,7 +12,7 @@ from weylab.calculus import (
     positivity_diagnostic,
     quantize_dense,
 )
-from weylab.grid import Field, apply_bessel, make_grid
+from weylab.grid import Field, Grid, apply_bessel, make_grid
 from weylab.symbol import (
     SympySymbol,
     VectorFieldSystem,
@@ -73,6 +73,73 @@ def test_dense_assembly_matches_brute_force_2d(tag):
     fast = quantize_dense(a, g, tag).matrix
     ref = brute_force_dense(a, g, tag)
     assert np.max(np.abs(fast - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def four_branch_dense(a, g, tag):
+    """The former assembly, one branch per dimension and tag, transforming with
+    np.fft; kept as the reference for the one n-generic path."""
+    XI = g.xi_mesh.reshape(-1, g.n)
+
+    def samples(x_pts):
+        vals = a.eval(x_pts[:, None, :], XI[None, :, :])
+        if a.zero_nyquist:
+            vals = np.array(vals)
+            vals[:, g.nyquist_mask.ravel()] = 0.0
+        return vals
+
+    N = g.N
+    half = -g.L + 0.5 * g.dx * np.arange(2 * N - 1)
+    if g.n == 1:
+        jj, ll = np.indices((N, N))
+        if tag == "weyl":
+            return np.fft.ifft(samples(half[:, None]), axis=1)[jj + ll, (jj - ll) % N]
+        return np.fft.ifft(samples(g.x_axis[:, None]), axis=1)[jj, (jj - ll) % N]
+    j1, j2 = np.divmod(np.arange(N * N), N)
+    j1, j2, l1, l2 = j1[:, None], j2[:, None], j1[None, :], j2[None, :]
+    if tag == "weyl":
+        mids = np.stack(np.meshgrid(half, half, indexing="ij"), axis=-1).reshape(-1, 2)
+        G = np.fft.ifft2(samples(mids).reshape(2 * N - 1, 2 * N - 1, N, N), axes=(2, 3))
+        return G[j1 + l1, j2 + l2, (j1 - l1) % N, (j2 - l2) % N]
+    G = np.fft.ifft2(samples(g.x_mesh.reshape(-1, 2)).reshape(N, N, N, N), axes=(2, 3))
+    return G[j1, j2, (j1 - l1) % N, (j2 - l2) % N]
+
+
+DENSE_CASES = [
+    ("airy", lambda: catalog("airy"), (1, np.pi, 64)),
+    ("gaussian_kdv", lambda: catalog("gaussian_kdv", eps=0.05), (1, 4.0, 64)),
+    ("bessel", lambda: bessel_symbol(1.5, 1), (1, 3.0, 32)),
+    ("zk", lambda: catalog("zk"), (2, 3.0, 16)),
+    ("ultrahyperbolic", lambda: catalog("ultrahyperbolic", eps=0.05), (2, 6.0, 16)),
+]
+
+
+@pytest.mark.parametrize("tag", ["weyl", "kn"])
+@pytest.mark.parametrize("build,grid", [c[1:] for c in DENSE_CASES], ids=[c[0] for c in DENSE_CASES])
+def test_dense_assembly_matches_four_branch_reference(build, grid, tag):
+    # 1D: scipy's and numpy's ifft agree bit for bit; 2D: their ifft2 differ
+    # at about 1e-16 on unit-scale data
+    a, g = build(), make_grid(*grid)
+    got = quantize_dense(a, g, tag).matrix
+    ref = four_branch_dense(a, g, tag)
+    if g.n == 1:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_dense_assembly_transforms_through_the_grid_seam():
+    calls = []
+
+    class CountingGrid(Grid):
+        def ifftn(self, values):
+            calls.append(values.shape)
+            return super().ifftn(values)
+
+    for n, N in [(1, 16), (2, 8)]:
+        calls.clear()
+        g = CountingGrid(n, 2.0, N)
+        quantize_dense(catalog("airy" if n == 1 else "zk"), g, "weyl")
+        assert calls == [((2 * N - 1) ** n, *g.shape)]
 
 
 def test_weyl_real_symbol_self_adjoint():

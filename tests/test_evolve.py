@@ -150,7 +150,7 @@ def _real_split_outside_catalog():
     # real and x-dependent, no catalog entry: its split is derived from the
     # expression, so it evolves through symmetrized pairs
     xs, xis = phase_symbols(1)
-    return SympySymbol((1 + 0.1 * sp.exp(-xs[0] ** 2)) * xis[0] ** 2, 1, 2.0, real_valued=True)
+    return SympySymbol((1 + 0.1 * sp.exp(-xs[0] ** 2)) * xis[0] ** 2, 1, 2.0)
 
 
 def _complex_symbol():

@@ -86,6 +86,30 @@ def test_transform_round_trip(seed, n):
     assert err < 1e-12
 
 
+CACHED_MESHES = (
+    "x_axis",
+    "k_int",
+    "xi_axis",
+    "x_mesh",
+    "xi_mesh",
+    "x_radius",
+    "xi_norm",
+    "bessel_base",
+    "nyquist_mask",
+    "phase",
+    "dealias_mask",
+)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cached_meshes_are_read_only_and_shared(n):
+    g = make_grid(n, 2.0, 16)
+    for name in CACHED_MESHES:
+        first = getattr(g, name)
+        assert not first.flags.writeable, name
+        assert getattr(g, name) is first, name
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_fft_seam_transforms_last_n_axes(n):
     # a stack of fields shares one call; each slice is the DFT of that field

@@ -276,6 +276,22 @@ def test_nonlinear_solves_refuse_beyond_wrap_horizon(setup):
         direct_nonlinear_solve(a, u0, SPEC, T=T, dt=2e-4)
 
 
+def test_nonlinear_solves_share_the_step_rule(setup):
+    # an explicit dt is never exceeded: T = 0.1 at dt = 0.0096 takes 11 steps,
+    # not 10 steps of 0.01
+    g, a, u0 = setup
+    run = picard_solve(a, u0, SPEC, s=15.0, lam=LAM, T=0.1, dt=0.0096, max_iter=2)
+    direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=0.0096)
+    for sol in (run.solution, direct):
+        assert len(sol.times) == 12 and sol.dt == 0.1 / 11
+    # and a dt beyond the stability bound is refused, as in solve_linear
+    bumpy = catalog("gaussian_kdv", eps=0.5)
+    with pytest.raises(ValueError, match="stability"):
+        picard_solve(bumpy, u0, SPEC, s=15.0, lam=LAM, T=0.1, dt=0.05)
+    with pytest.raises(ValueError, match="stability"):
+        direct_nonlinear_solve(bumpy, u0, SPEC, T=0.1, dt=0.05)
+
+
 def test_picard_rejects_delocalized_datum(setup):
     g, a, _ = setup
     plane = Field.from_function(g, lambda x: np.exp(1j * x))

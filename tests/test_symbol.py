@@ -84,12 +84,16 @@ def test_catalog_errors():
 
 
 def test_parts_split_consistency():
-    a = catalog("gaussian_kdv", eps=0.05)
+    # a3 + re_a2 + i im_a2 of a kdv-type build reassembles the full Weyl symbol
+    xs, _ = phase_symbols(2)
+    bump = sp.Rational(1, 2) * sp.exp(-xs[0] ** 2 - xs[1] ** 2)
+    build = build_kdv_type(VectorFieldSystem(2, [[1 + bump, bump], [0, 1 - bump]]))
     rng = np.random.default_rng(0)
-    X = rng.uniform(-3, 3, size=(40, 1))
-    XI = rng.uniform(-5, 5, size=(40, 1))
-    whole = a.eval(X, XI)
-    split = a.parts[0].eval(X, XI) + a.parts[1].eval(X, XI)
+    X = rng.uniform(-3, 3, size=(40, 2))
+    XI = rng.uniform(-5, 5, size=(40, 2))
+    whole = build.full.eval(X, XI)
+    split = build.a3.eval(X, XI) + build.re_a2.eval(X, XI) + 1j * build.im_a2.eval(X, XI)
+    assert not build.full.real_valued and build.a3.real_valued
     assert np.max(np.abs(whole - split)) <= 1e-12 * np.max(np.abs(whole))
 
 
@@ -261,21 +265,21 @@ def test_im_smallness_real_symbol_zero():
 def test_im_smallness_unit_imaginary_fails():
     xs, xis = phase_symbols(1)
     a = SympySymbol(xis[0] ** 3 + sp.I * xis[0] ** 2, 1, 3.0, label="xi^3+i xi^2")
-    a.parts = (
-        SympySymbol(xis[0] ** 3, 1, 3.0),
-        SympySymbol(sp.I * xis[0] ** 2, 1, 2.0, zero_nyquist=False),
-    )
     rep = check_im_smallness(a, lam2, SampleSet.standard(1))
     assert rep.verdict == "fail"
     # the fitted constant grows like <x>^2 over the scan box
     assert rep.constants["c0_hat"] > 50.0
 
 
-def test_im_smallness_requires_split():
+def test_im_smallness_reads_the_whole_symbol():
+    # the principal part is real, so |Im a| is |Im a_{m-1}|: the whole symbol
+    # gets the verdict and c0_hat of its imaginary lower-order part alone
     xs, xis = phase_symbols(1)
-    a = SympySymbol(xis[0] ** 3 + sp.I * xis[0] ** 2, 1, 3.0)
-    with pytest.raises(ValueError):
-        check_im_smallness(a, lam2, SampleSet.standard(1))
+    S = SampleSet.standard(1)
+    whole = check_im_smallness(SympySymbol(xis[0] ** 3 + sp.I * xis[0] ** 2, 1, 3.0), lam2, S)
+    lower = check_im_smallness(SympySymbol(sp.I * xis[0] ** 2, 1, 3.0), lam2, S)
+    assert whole.verdict == lower.verdict == "fail"
+    assert whole.constants["c0_hat"] == lower.constants["c0_hat"]
 
 
 # -- seminorms -------------------------------------------------------------------
