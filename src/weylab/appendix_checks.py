@@ -21,7 +21,7 @@ grid of candidate constants is searched before reporting a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

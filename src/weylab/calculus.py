@@ -28,16 +28,7 @@ import scipy.linalg
 
 from .grid import Field, Grid, _from_spectrum, _spectrum, apply_multiplier, wavepacket_probes
 from .symbol.checks import SampleSet
-from .symbol.core import (
-    Symbol,
-    SympySymbol,
-    FuncSymbol,
-    multi_factorial,
-    multi_indices,
-    multi_indices_upto,
-    weyl_product_expr,
-    kn_to_weyl_expr,
-)
+from .symbol.core import Symbol, SympySymbol, kn_to_weyl_expr, weyl_product_expr
 
 __all__ = [
     "DenseOperator",
@@ -196,91 +187,38 @@ def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
     return Field(g, out.reshape(g.shape))
 
 
-class _ComposedSymbol(Symbol):
-    """Numeric K-truncated Weyl product of two symbols."""
+def compose_symbols(a: SympySymbol, b: SympySymbol, K: int = 3) -> SympySymbol:
+    """K-truncated Weyl product a # b, exact in sympy; orders add.
 
-    def __init__(self, a: Symbol, b: Symbol, K: int):
-        super().__init__(
-            a.n,
-            a.order + b.order,
-            real_valued=False,
-            zero_nyquist=a.zero_nyquist or b.zero_nyquist,
-            x_independent=a.x_independent and b.x_independent,
-            label=f"({a.label})#({b.label})",
-        )
-        self._a = a
-        self._b = b
-        self.K = int(K)
-
-    def _eval(self, X, XI):
-        a, b = self._a, self._b
-        total = np.zeros(X[..., 0].shape, dtype=complex)
-        for k in range(self.K + 1):
-            for pq in multi_indices(2 * self.n, k):
-                p, q = pq[: self.n], pq[self.n :]
-                da = a._deriv_arrays(q, p, X, XI)
-                if not np.any(da):
-                    continue
-                db = b._deriv_arrays(p, q, X, XI)
-                coeff = (
-                    (0.5j) ** k * (-1.0) ** sum(q) / (multi_factorial(p) * multi_factorial(q))
-                )
-                total = total + coeff * da * db
-        return total
-
-
-def compose_symbols(a: Symbol, b: Symbol, K: int = 3) -> Symbol:
-    """K-truncated Weyl product a # b; orders add.
-
-    Exact (symbolic, terminating) when both symbols are sympy-backed and
-    polynomial in xi with K covering the expansion; otherwise a numeric
-    truncated symbol backed by the factors' derivative oracles.
-    """
+    The expansion terminates for symbols polynomial in xi once K covers it."""
     if K < 0:
         raise ValueError("truncation order K must be nonnegative")
     if a.n != b.n:
         raise ValueError("symbols have different dimensions")
-    if isinstance(a, SympySymbol) and isinstance(b, SympySymbol):
-        expr = weyl_product_expr(a.expr, b.expr, a.n, K=K)
-        return SympySymbol(
-            expr,
-            a.n,
-            a.order + b.order,
-            zero_nyquist=a.zero_nyquist or b.zero_nyquist,
-            label=f"({a.label})#({b.label})",
-        )
-    return _ComposedSymbol(a, b, K)
+    if not (isinstance(a, SympySymbol) and isinstance(b, SympySymbol)):
+        raise TypeError("compose_symbols is exact and needs sympy-backed symbols")
+    return SympySymbol(
+        weyl_product_expr(a.expr, b.expr, a.n, K=K),
+        a.n,
+        a.order + b.order,
+        zero_nyquist=a.zero_nyquist or b.zero_nyquist,
+        label=f"({a.label})#({b.label})",
+    )
 
 
-def change_quantization(a_kn: Symbol, K: int = 3) -> Symbol:
-    """Weyl symbol of Op_KN(a): truncated exp((i/2) sum_j d_xj d_xij) a.
+def change_quantization(a_kn: SympySymbol, K: int = 3) -> SympySymbol:
+    """Weyl symbol of Op_KN(a): truncated exp((i/2) sum_j d_xj d_xij) a, exact
+    in sympy.
 
     Exact at K = 1 for symbols first-order in xi (vector fields).
     """
     if K < 0:
         raise ValueError("truncation order K must be nonnegative")
-    if isinstance(a_kn, SympySymbol):
-        expr = kn_to_weyl_expr(a_kn.expr, a_kn.n, K=K)
-        return SympySymbol(
-            expr,
-            a_kn.n,
-            a_kn.order,
-            zero_nyquist=a_kn.zero_nyquist,
-            label=f"weyl[{a_kn.label}]",
-        )
-
-    n = a_kn.n
-
-    def ev(X, XI):
-        total = np.zeros(X[..., 0].shape, dtype=complex)
-        for gma in multi_indices_upto(n, K):
-            da = a_kn._deriv_arrays(gma, gma, X, XI)
-            total = total + (0.5j) ** sum(gma) / multi_factorial(gma) * da
-        return total
-
-    return FuncSymbol(
-        ev,
-        n,
+    if not isinstance(a_kn, SympySymbol):
+        raise TypeError("change_quantization is exact and needs a sympy-backed symbol")
+    return SympySymbol(
+        kn_to_weyl_expr(a_kn.expr, a_kn.n, K=K),
+        a_kn.n,
         a_kn.order,
         zero_nyquist=a_kn.zero_nyquist,
         label=f"weyl[{a_kn.label}]",

@@ -346,8 +346,8 @@ def _exp_doi_weight(cfg, run, rng, outdir, prefix):
     gw = garding_weight(a, S=S)
     dw = doi_weight(a, gw, lam, eps=cfg["weight"]["eps"], S=S, p_cap=run["p_cap"])
     fit = doi_slack(a, dw, lam, S)
-    t = np.linspace(0.0, 50.0 * dw.K, 2001)
-    fprime_ok = bool(np.all(dw.f_prime(t) - dw.lam_tilde(t) >= -1e-15))
+    # f'(|q|) = lam_tilde(|q|) >= lam(|x|), the bound the Doi argument uses
+    fprime_ok = dw.lam_tilde_margin(S) >= -1e-15
     artifacts = []
     if run["export_surface"]:
         path = outdir / f"{prefix}_doi_slack.csv"

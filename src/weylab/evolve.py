@@ -377,6 +377,14 @@ def lawson_stepper(
     return step
 
 
+def _stored_steps(steps: int, stride: int) -> list[int]:
+    """Indices of the stored frames of a march: 0, every stride-th step and the last."""
+    kept = list(range(0, steps + 1, stride))
+    if kept[-1] != steps:
+        kept.append(steps)
+    return kept
+
+
 def _march(
     step: SpectralMap,
     g: Grid,
@@ -386,10 +394,8 @@ def _march(
     stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Take `steps` steps from the samples u0; return the times and the frame
-    stack (u0, every stride-th state and the last one)."""
-    kept = list(range(0, steps + 1, stride))
-    if kept[-1] != steps:
-        kept.append(steps)
+    stack of the steps `_stored_steps` picks."""
+    kept = _stored_steps(steps, stride)
     frames = np.empty((len(kept), *g.shape), dtype=complex)
     frames[0] = u0
     uhat = g.fftn(u0)

@@ -35,6 +35,7 @@ from .evolve import (
     Solution,
     _march,
     _nonlinear_steps,
+    _stored_steps,
     build_evolution_operator,
     lawson_stepper,
     wrap_guard,
@@ -339,9 +340,7 @@ def picard_solve(
     r = dudt - 1j * op.apply(current[1:-1]) - plain_nl[1:-1]
     resid = np.max(np.sqrt(_sobolev_sq(g, _spectrum(g, r), s - 3.0)), initial=0.0)
 
-    keep = list(range(0, steps + 1, store_stride))
-    if keep[-1] != steps:
-        keep.append(steps)
+    keep = _stored_steps(steps, store_stride)
     sol = Solution(
         grid=g,
         symbol=a,

@@ -19,7 +19,6 @@ from .core import (
     multi_indices,
     multi_indices_upto,
     phase_symbols,
-    scale_symbol,
     weyl_product_expr,
     zero_symbol,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "build_kdv_type",
     "bessel_symbol",
     "zero_symbol",
-    "scale_symbol",
     "weyl_product_expr",
     "kn_to_weyl_expr",
     "phase_symbols",

@@ -1,10 +1,10 @@
-"""Phase-space symbols a(x, xi) with derivative oracles.
+"""Phase-space symbols a(x, xi) with exact derivatives.
 
 A Symbol evaluates on point arrays of shape (..., n) in each of x and xi and
-exposes mixed derivatives d^alpha_xi d^beta_x a.  Derivatives come from
-analytic closures when available (sympy-backed symbols differentiate exactly)
-and otherwise from nested second-order central differences with steps
-h = 1e-4 (1 + |coordinate|).
+exposes mixed derivatives d^alpha_xi d^beta_x a through closures: a
+sympy-backed symbol differentiates its expression exactly, and a FuncSymbol
+carries a table of the derivatives it provides.  A derivative with no closure
+raises NotImplementedError; none is approximated.
 
 A sympy-backed symbol also derives its structure from the expression: the
 flags real_valued and x_independent, and the split
@@ -35,10 +35,7 @@ __all__ = [
     "kn_to_weyl_expr",
     "bessel_symbol",
     "zero_symbol",
-    "scale_symbol",
 ]
-
-FD_STEP = 1e-4
 
 MultiIndex = tuple[int, ...]
 
@@ -87,11 +84,13 @@ def as_points(pts, n: int) -> np.ndarray:
 
 
 class Symbol:
-    """Base class; subclasses provide _eval and optionally analytic derivatives."""
+    """Base class; subclasses provide _eval and the derivative closures."""
 
     # (a0, [(f, g), ...]) with a = a0(xi) + sum f(x) g(xi), as sympy
     # expressions; only sympy-backed symbols derive one (SympySymbol.split)
     split = None
+    # only a sympy-backed symbol can show that it does not depend on x
+    x_independent = False
 
     def __init__(
         self,
@@ -100,7 +99,6 @@ class Symbol:
         *,
         real_valued: bool = False,
         zero_nyquist: Optional[bool] = None,
-        x_independent: bool = False,
         label: str = "",
     ):
         self.n = int(n)
@@ -110,7 +108,6 @@ class Symbol:
             m = self.order
             zero_nyquist = abs(m - round(m)) < 1e-12 and int(round(m)) % 2 == 1
         self.zero_nyquist = bool(zero_nyquist)
-        self.x_independent = bool(x_independent)
         self.label = label or type(self).__name__
 
     # -- evaluation ----------------------------------------------------------
@@ -124,7 +121,7 @@ class Symbol:
     def _eval(self, X: np.ndarray, XI: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _analytic_deriv(self, alpha: MultiIndex, beta: MultiIndex):
+    def _closure(self, alpha: MultiIndex, beta: MultiIndex):
         """Return a closure for d^alpha_xi d^beta_x a, or None."""
         return None
 
@@ -138,40 +135,18 @@ class Symbol:
         X = as_points(x, self.n)
         XI = as_points(xi, self.n)
         X, XI = np.broadcast_arrays(X, XI)
-        # the broadcast views go in uncopied: _deriv_arrays never writes to its
-        # inputs (the finite-difference branch perturbs copies)
+        # the broadcast views go in uncopied: no closure writes to its inputs
         return self._deriv_arrays(alpha, beta, X, XI)
 
     def _deriv_arrays(self, alpha: MultiIndex, beta: MultiIndex, X, XI) -> np.ndarray:
         if not any(alpha) and not any(beta):
             return np.asarray(self._eval(X, XI), dtype=complex)
-        fn = self._analytic_deriv(alpha, beta)
-        if fn is not None:
-            return np.asarray(fn(X, XI), dtype=complex)
-        # finite-difference reduction: peel one x-derivative first, then xi
-        for i in range(self.n):
-            if beta[i] > 0:
-                beta_low = tuple(b - (1 if j == i else 0) for j, b in enumerate(beta))
-                h = FD_STEP * (1.0 + np.abs(X[..., i]))
-                Xp = np.array(X)
-                Xm = np.array(X)
-                Xp[..., i] += h
-                Xm[..., i] -= h
-                fp = self._deriv_arrays(alpha, beta_low, Xp, XI)
-                fm = self._deriv_arrays(alpha, beta_low, Xm, XI)
-                return (fp - fm) / (2.0 * h)
-        for i in range(self.n):
-            if alpha[i] > 0:
-                alpha_low = tuple(a - (1 if j == i else 0) for j, a in enumerate(alpha))
-                h = FD_STEP * (1.0 + np.abs(XI[..., i]))
-                XIp = np.array(XI)
-                XIm = np.array(XI)
-                XIp[..., i] += h
-                XIm[..., i] -= h
-                fp = self._deriv_arrays(alpha_low, beta, X, XIp)
-                fm = self._deriv_arrays(alpha_low, beta, X, XIm)
-                return (fp - fm) / (2.0 * h)
-        raise AssertionError("unreachable")
+        fn = self._closure(alpha, beta)
+        if fn is None:
+            raise NotImplementedError(
+                f"symbol {self.label!r} has no exact derivative alpha={alpha}, beta={beta}"
+            )
+        return np.asarray(fn(X, XI), dtype=complex)
 
     def grad_xi(self, x, xi) -> np.ndarray:
         """(d_xi1 a, ..., d_xin a), shape (..., n)."""
@@ -235,9 +210,9 @@ class SympySymbol(Symbol):
             order,
             real_valued=not expr.has(sp.I),
             zero_nyquist=zero_nyquist,
-            x_independent=not expr.has(*xs),
             label=label,
         )
+        self.x_independent = not expr.has(*xs)
         self.expr = expr
         self._xs = xs
         self._xis = xis
@@ -275,60 +250,21 @@ class SympySymbol(Symbol):
     def _eval(self, X, XI):
         return self._closure((0,) * self.n, (0,) * self.n)(X, XI)
 
-    def _analytic_deriv(self, alpha, beta):
-        return self._closure(alpha, beta)
-
 
 class FuncSymbol(Symbol):
-    """Symbol from a plain callable, with an optional table of derivative closures."""
+    """Symbol from a plain callable, with an optional table of derivative
+    closures keyed by (alpha, beta); it has no other derivatives."""
 
     def __init__(self, eval_fn, n: int, order: float, derivs: Optional[dict] = None, **kwargs):
         super().__init__(n, order, **kwargs)
         self._fn = eval_fn
-        self._derivs = {}
-        for key, fn in (derivs or {}).items():
-            alpha, beta = key
-            self._derivs[(tuple(alpha), tuple(beta))] = fn
+        self._derivs = {(tuple(al), tuple(be)): fn for (al, be), fn in (derivs or {}).items()}
 
     def _eval(self, X, XI):
         return np.asarray(self._fn(X, XI), dtype=complex)
 
-    def _analytic_deriv(self, alpha, beta):
+    def _closure(self, alpha, beta):
         return self._derivs.get((alpha, beta))
-
-
-# -- combinators --------------------------------------------------------------
-
-
-class _Scaled(Symbol):
-    def __init__(self, base: Symbol, c: complex):
-        real = base.real_valued and abs(complex(c).imag) < 1e-300
-        super().__init__(
-            base.n,
-            base.order,
-            real_valued=real,
-            zero_nyquist=base.zero_nyquist,
-            x_independent=base.x_independent,
-            label=f"{c}*{base.label}",
-        )
-        self._base = base
-        self._c = complex(c)
-
-    def _eval(self, X, XI):
-        return self._c * self._base._eval(X, XI)
-
-    def _analytic_deriv(self, alpha, beta):
-        c = self._c
-        base = self._base
-
-        def fn(X, XI):
-            return c * base._deriv_arrays(alpha, beta, X, XI)
-
-        return fn
-
-
-def scale_symbol(a: Symbol, c: complex) -> Symbol:
-    return _Scaled(a, c)
 
 
 def zero_symbol(n: int, order: float = 0.0) -> SympySymbol:

@@ -42,7 +42,7 @@ from .symbol.checks import (
     check_im_smallness,
     check_x_decay,
 )
-from .symbol.core import FuncSymbol, Symbol, multi_indices_upto, scale_symbol
+from .symbol.core import FuncSymbol, Symbol, SympySymbol, multi_indices_upto
 
 __all__ = [
     "WeightFn",
@@ -176,7 +176,7 @@ def _fit_lower_bound(values, weight, S: SampleSet, description: str) -> SlackFit
 class GardingWeight:
     """Explicit Garding weight with its scale constants and envelope fit."""
 
-    q: Symbol
+    q: SympySymbol
     C1: float
     C: float
     source: Symbol
@@ -186,10 +186,9 @@ class GardingWeight:
         """q' = (C2/C1) q is again a Garding weight, with constant C2."""
         if self.C1 == 0:
             raise ValueError("cannot rescale a degenerate (C1 = 0) weight")
-        factor = C2 / self.C1
-        return GardingWeight(
-            q=scale_symbol(self.q, factor), C1=C2, C=self.C, source=self.source, bound_fit={}
-        )
+        q = self.q
+        q = SympySymbol((C2 / self.C1) * q.expr, q.n, q.order, zero_nyquist=False, label=q.label)
+        return GardingWeight(q=q, C1=C2, C=self.C, source=self.source, bound_fit={})
 
 
 def _envelope_fit(q: Symbol, S: SampleSet, max_total: int = 2) -> dict:
@@ -220,6 +219,8 @@ def garding_weight(
     gradient-ellipticity report, which supplies C.  C1 defaults to 1/(2 C^2),
     normalizing the prefactor to 1.
     """
+    if not isinstance(a, SympySymbol):
+        raise TypeError("the Garding weight is derived from a sympy expression; pass a SympySymbol")
     if S is None:
         S = SampleSet.standard(a.n)
     if ellipticity is None:
@@ -299,9 +300,13 @@ class DoiWeight:
         outer = t0 * lam0 + self.K * self.lam.primitive((t - t0) / self.K)
         return np.where(t <= t0, inner, outer)
 
-    def f_prime(self, t) -> np.ndarray:
-        """f' = lam_tilde by construction."""
-        return self.lam_tilde(t)
+    def lam_tilde_margin(self, S: SampleSet) -> float:
+        """Smallest f'(|q|) - lam(|x|) = lam_tilde(|q|) - lam(|x|) over S.
+
+        The Doi argument needs it >= 0 on the outer regions; |q| <= K <x>
+        gives it everywhere, with equality at x = 0 (where q = 0)."""
+        q_abs = np.abs(np.real(self.garding.q.eval(S.X, S.XI)))
+        return float(np.min(self.lam_tilde(q_abs) - self.lam(S.x_norm)))
 
     def region(self, x, xi) -> np.ndarray:
         """Region code per point: 0 where psi_0 = 1, +-1 on the outer plateaus,
@@ -326,10 +331,10 @@ class DoiWeight:
         out = {}
         for mm in F_FIT_ORDERS:
             if mm == 1:
-                vals = np.abs(self.f_prime(t))
+                vals = np.abs(self.lam_tilde(t))
             else:
                 h = 1e-4 * (1.0 + t)
-                vals = np.abs((self.f_prime(t + h) - self.f_prime(t - h)) / (2 * h))
+                vals = np.abs((self.lam_tilde(t + h) - self.lam_tilde(t - h)) / (2 * h))
             out[f"m={mm}"] = float(np.max(vals * (1.0 + t) ** mm / envelope))
         return out
 
@@ -346,7 +351,8 @@ def doi_weight(
     """Assemble the Doi weight p from a Garding weight (three-region formula).
 
     p is scaled by rho <= 1 so that sup|p| stays within p_cap and Op^w(e^p)
-    stays well conditioned.  The unscaled symbol is kept too.
+    stays well conditioned.  The unscaled symbol is kept too.  Both carry
+    exact first derivatives only.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("cutoff scale eps must lie in (0, 1)")
@@ -381,7 +387,7 @@ def doi_weight(
         psi0 = 1.0 - phip - phim
         return r * psi0 + (f_val(np.abs(qv)) + 2.0 * eps) * (phip - phim)
 
-    def dp(direction: str, k: int):
+    def dp(direction: str, k: int, rho: float):
         ek = tuple(1 if i == k else 0 for i in range(n))
 
         def fn(X, XI):
@@ -399,30 +405,32 @@ def doi_weight(
             term1 = dr * psi0 + r * dpsi0 * dr
             term2 = fp * sgn * dq * (phip - phim)
             term3 = (f_val(np.abs(qv)) + 2.0 * eps) * (dphip - dphim) * dr
-            return term1 + term2 + term3
+            return rho * (term1 + term2 + term3)
 
         return fn
 
-    # analytic first derivatives; higher orders fall back to finite differences
-    first = {}
-    for k in range(n):
-        ek = tuple(1 if i == k else 0 for i in range(n))
-        first[((0,) * n, ek)] = dp("x", k)
-        first[(ek, (0,) * n)] = dp("xi", k)
-    base = FuncSymbol(
-        p_eval,
-        n,
-        0.0,
-        first,
-        real_valued=True,
-        zero_nyquist=False,
-        label="p",
-    )
+    def weight(rho: float) -> FuncSymbol:
+        """rho p, with its exact first derivatives."""
+        first = {}
+        for k in range(n):
+            ek = tuple(1 if i == k else 0 for i in range(n))
+            first[((0,) * n, ek)] = dp("x", k, rho)
+            first[(ek, (0,) * n)] = dp("xi", k, rho)
+        return FuncSymbol(
+            lambda X, XI: rho * p_eval(X, XI),
+            n,
+            0.0,
+            first,
+            real_valued=True,
+            zero_nyquist=False,
+            label="p",
+        )
 
+    base = weight(1.0)
     sup_p = float(np.max(np.abs(np.real(base.eval(S.X, S.XI)))))
     dw.rho = 1.0 if sup_p <= p_cap else p_cap / sup_p
     dw.base_symbol = base
-    dw.symbol = scale_symbol(base, dw.rho) if dw.rho != 1.0 else base
+    dw.symbol = weight(dw.rho) if dw.rho != 1.0 else base
     return dw
 
 
@@ -440,27 +448,6 @@ def doi_slack(
 
 
 # -- exponential weights ------------------------------------------------------------
-
-
-class _ExpSymbol(Symbol):
-    def __init__(self, p: Symbol, sign: float):
-        super().__init__(p.n, 0.0, real_valued=True, zero_nyquist=False, label=f"exp({sign:+g}p)")
-        self._p = p
-        self._s = float(sign)
-
-    def _eval(self, X, XI):
-        return np.exp(self._s * np.real(self._p._eval(X, XI)))
-
-    def _analytic_deriv(self, alpha, beta):
-        if sum(alpha) + sum(beta) != 1:
-            return None
-        p, s = self._p, self._s
-
-        def fn(X, XI):
-            dp = np.real(p._deriv_arrays(alpha, beta, X, XI))
-            return s * dp * np.exp(s * np.real(p._eval(X, XI)))
-
-        return fn
 
 
 # probe draws for the exp-weight fits: center and width as fractions of L,
@@ -497,8 +484,20 @@ def exp_weight_operators(
 ) -> ExpWeightPair:
     """Quantize e^{+-p} and fit C in ||(Et E - I)u||_s <= C ||u||_{s-2}."""
     psym = p.symbol if isinstance(p, DoiWeight) else p
-    E = quantize_dense(_ExpSymbol(psym, +1.0), g, "weyl")
-    Et = quantize_dense(_ExpSymbol(psym, -1.0), g, "weyl")
+
+    def exp_p(sign: float) -> DenseOperator:
+        # e^{sign p} is only evaluated, never differentiated
+        e = FuncSymbol(
+            lambda X, XI: np.exp(sign * np.real(psym._eval(X, XI))),
+            psym.n,
+            0.0,
+            real_valued=True,
+            zero_nyquist=False,
+            label=f"exp({sign:+g}p)",
+        )
+        return quantize_dense(e, g, "weyl")
+
+    E, Et = exp_p(1.0), exp_p(-1.0)
     R = Et.matrix @ E.matrix - np.eye(g.size)
     worst = 0.0
     for u in wavepacket_probes(g, probes, np.random.default_rng(seed), **_BAND):

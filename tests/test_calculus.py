@@ -408,12 +408,18 @@ def test_poisson_bracket_airy():
     assert sp.expand(br.expr - 3 * xis[0] ** 4) == 0
 
 
-def test_poisson_bracket_rejects_numeric_symbols():
+@pytest.mark.parametrize(
+    "op",
+    [poisson_bracket, compose_symbols, lambda a, f: change_quantization(f)],
+    ids=["poisson_bracket", "compose_symbols", "change_quantization"],
+)
+def test_poisson_bracket_rejects_numeric_symbols(op):
+    # the calculus is exact: numeric symbols are refused, not approximated
     from weylab.symbol import FuncSymbol
 
     f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0)
     with pytest.raises(TypeError):
-        poisson_bracket(catalog("airy"), f)
+        op(catalog("airy"), f)
 
 
 # -- positivity ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylab.symbol import (
+    FuncSymbol,
     SampleSet,
     SympySymbol,
     VectorFieldSystem,
@@ -16,7 +17,6 @@ from weylab.symbol import (
     check_im_smallness,
     check_x_decay,
     phase_symbols,
-    scale_symbol,
     seminorm_estimate,
 )
 
@@ -100,19 +100,16 @@ def test_parts_split_consistency():
 # -- derivative oracles ---------------------------------------------------------
 
 
-def test_fd_fallback_matches_analytic():
-    a = catalog("gaussian_kdv", eps=0.5)
-    x, xi = np.array([[0.7]]), np.array([[1.3]])
-    exact = a.deriv((1,), (1,), x, xi)
-
-    # strip the analytic closures to force the fallback
-    class Bare(type(a).__mro__[1]):
-        pass
-
-    bare = SympySymbol(a.expr, 1, 3.0)
-    bare._analytic_deriv = lambda alpha, beta: None if any(alpha) or any(beta) else bare._closure((0,), (0,))
-    approx = bare.deriv((1,), (1,), x, xi)
-    assert np.abs(approx - exact) < 1e-6 * max(1.0, np.abs(exact))
+def test_func_symbol_has_only_its_closures():
+    # a derivative with no closure is refused, never approximated
+    first = {((1,), (0,)): lambda X, XI: 3 * XI[..., 0] ** 2}
+    f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0, first, label="xi^3")
+    assert f.deriv((1,), (0,), 0.5, 2.0).item() == 12.0
+    assert f.deriv((0,), (0,), 0.5, 2.0).item() == 8.0
+    with pytest.raises(NotImplementedError, match=r"'xi\^3'.*alpha=\(2,\), beta=\(0,\)"):
+        f.deriv((2,), (0,), 0.5, 2.0)
+    # only a sympy-backed symbol is ever x-independent
+    assert not f.x_independent and catalog("airy").x_independent
 
 
 def test_fd_second_order_halving_rate():
@@ -237,8 +234,9 @@ def test_grad_ellipticity_degenerate_fails():
 @given(scale=st.floats(0.01, 100.0))
 def test_grad_ellipticity_scaling_invariance(scale):
     S = SampleSet.standard(1, x_points=9, num_shells=12)
-    base = check_grad_ellipticity(catalog("airy"), S)
-    scaled = check_grad_ellipticity(scale_symbol(catalog("airy"), scale), S)
+    airy = catalog("airy")
+    base = check_grad_ellipticity(airy, S)
+    scaled = check_grad_ellipticity(SympySymbol(scale * airy.expr, 1, airy.order), S)
     assert scaled.verdict == base.verdict == "pass"
     # invariant combination: C_upper * C_lower is scale-free
     prod_base = base.constants["C_upper"] * base.constants["C_lower"]

@@ -1,13 +1,14 @@
 """Garding weight, Doi weight, exponential weight operators, admissibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from weylab.grid import make_grid
-from weylab.symbol import SampleSet, catalog, check_grad_ellipticity, scale_symbol
+from weylab.symbol import SampleSet, catalog, check_grad_ellipticity
 from weylab.weights import (
     WeightFn,
-    _ExpSymbol,
     admissibility_report,
     doi_slack,
     doi_weight,
@@ -163,12 +164,24 @@ def test_doi_weight_bounded_and_real(airy_doi, S1):
     assert np.max(np.abs(vals.real)) <= 1.5 + 1e-9
 
 
-def test_doi_f_prime_dominates_lam_tilde(airy_doi):
+def test_doi_f_prime_dominates_lam(lam, S1):
+    # f'(|q|) = lam_tilde(|q|) >= lam(|x|), with equality at x = 0 (q = 0);
+    # with K cut tenfold, |q| <= K <x> fails and so does the bound
+    for name, kw in [("airy", {}), ("gaussian_kdv", dict(eps=0.05))]:
+        a = catalog(name, **kw)
+        dw = doi_weight(a, garding_weight(a, S=S1), lam, eps=0.1, S=S1)
+        assert dw.lam_tilde_margin(S1) == 0.0
+        assert dataclasses.replace(dw, K=dw.K / 10.0).lam_tilde_margin(S1) < -0.2
+
+
+def test_doi_f_is_primitive_of_lam_tilde(airy_doi):
     _, _, dw = airy_doi
-    t = np.linspace(0.0, 200.0 * dw.K, 4001)
-    assert np.all(dw.f_prime(t) - dw.lam_tilde(t) >= -1e-15)
+    t = np.linspace(0.0, 50.0 * dw.K, 2001)
+    h = 1e-4 * (1.0 + t)
+    fd = (dw.f(t + h) - dw.f(t - h)) / (2.0 * h)
+    assert np.max(np.abs(fd - dw.lam_tilde(t)) / dw.lam_tilde(t)) <= 1e-6
     # f nondecreasing, nonnegative
-    fv = dw.f(t)
+    fv = dw.f(np.linspace(0.0, 200.0 * dw.K, 4001))
     assert np.all(fv >= -1e-15) and np.all(np.diff(fv) >= -1e-12)
 
 
@@ -195,16 +208,16 @@ def test_doi_weight_chain_rule_against_fd(airy_doi):
 
 
 def test_deriv_on_broadcast_points_matches_materialized(airy_doi):
-    # Symbol.deriv passes the broadcast (P,1,n)/(1,Q,n) views to the oracles
+    # Symbol.deriv passes the broadcast (P,1,n)/(1,Q,n) views to the closures
     # uncopied: the result equals the one on materialized points bit for bit,
     # and the caller's arrays are not written to
-    p = airy_doi[2].base_symbol  # analytic first derivatives, differences beyond
+    dw = airy_doi[2]
+    assert dw.rho < 1.0
     cases = [
         (catalog("gaussian_kdv", eps=0.05), [(1,), (0,)], [(2,), (1,)]),
         (catalog("ultrahyperbolic", eps=0.05), [(1, 0), (0, 0)], [(0, 1), (1, 0)]),
-        (p, [(1,), (0,)], [(0,), (1,)], [(2,), (0,)], [(1,), (1,)]),
-        (scale_symbol(p, 0.5), [(1,), (0,)], [(2,), (0,)]),
-        (_ExpSymbol(p, 1.0), [(1,), (0,)], [(0,), (2,)]),
+        (dw.base_symbol, [(1,), (0,)], [(0,), (1,)]),
+        (dw.symbol, [(1,), (0,)], [(0,), (1,)]),
     ]
     rng = np.random.default_rng(3)
     P, Q = 5, 7
@@ -221,6 +234,12 @@ def test_deriv_on_broadcast_points_matches_materialized(airy_doi):
             assert on_views.tobytes() == on_copies.tobytes()
         for v, v0 in zip((x, xi, X, XI), saved):
             assert v.tobytes() == v0.tobytes()
+    # the rescaled Doi weight is rho times the unscaled one, to the bit
+    x, xi = rng.uniform(-8.0, 8.0, (P, 1, 1)), rng.uniform(-6.0, 6.0, (1, Q, 1))
+    assert dw.symbol.eval(x, xi).tobytes() == (dw.rho * dw.base_symbol.eval(x, xi)).tobytes()
+    for alpha, beta in [((1,), (0,)), ((0,), (1,))]:
+        scaled = dw.symbol.deriv(alpha, beta, x, xi)
+        assert scaled.tobytes() == (dw.rho * dw.base_symbol.deriv(alpha, beta, x, xi)).tobytes()
 
 
 def test_doi_slack_airy_and_gaussian(lam, S1):
