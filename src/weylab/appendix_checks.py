@@ -8,8 +8,8 @@ xi, Leibniz bookkeeping gives the exact finite expansion
                 Op(d_xi^beta p) f,
 
 whose |beta| = 1 block is the familiar 2N sum_j Op(i d_{xi_j} p) x_j
-<x>^{2N-2} f term.  Both sides are assembled as dense operators and applied
-to localized probe fields.
+<x>^{2N-2} f term.  Both sides are applied matrix-free to localized probe
+fields, each Op through the KN fast path `calculus.apply_fast`.
 
 The scalar inequality: with <xi>_d = (d + |xi|^2)^{1/2},
 

@@ -19,7 +19,11 @@ a = a0(xi) + sum_k f_k(x) g_k(xi) exists (`SympySymbol.split`) is the
 multiplier a0 plus the pairs applied in the symmetrized form (fG + Gf)/2, which
 keeps the discrete generator exactly Hermitian, so real-symbol runs conserve
 the L^2 norm up to time-integration error only.  Every other symbol (complex,
-or not a sum of products) is quantized densely.
+or not a sum of products) is quantized densely.  One remainder application
+costs two transform calls, however many pairs there are: one inverse call on
+the stacked rows [uhat, uhat g_1, ..., uhat g_P] and one forward call on the
+stacked rows [physical-space sum, f_1 u, ..., f_P u].  Each row of a stacked
+call equals the single-array call bit for bit.
 
 Every run on localized data records a wrap-guard horizon
 
@@ -124,6 +128,8 @@ class EvolutionOperator:
             self.multiplier, self.pairs = _split_samples(symbol, grid)
         else:
             self.dense = quantize_dense(symbol, grid, "weyl")
+        # (f/2, g/2) of each pair: 0.5 * f * w rounds as (0.5 * f) * w
+        self._halves = [(0.5 * fv, 0.5 * gv) for fv, gv in self.pairs]
 
     # -- application -----------------------------------------------------------
     # Operators act on raw FFT coefficients (Grid.fftn of the samples): the
@@ -134,22 +140,45 @@ class EvolutionOperator:
         """Coefficients of (A - a0(D)) u, given the coefficients uhat of u.
 
         Pairs act as (fG + Gf)/2 and the dense fallback acts on the
-        samples.  A pure multiplier has no remainder: the result is zero and
-        no transform runs.  Leading axes of uhat index a stack of arrays,
-        each mapped on its own.
+        samples, through one stacked inverse and one stacked forward
+        transform call for any number of pairs.  A pure multiplier has no
+        remainder: the result is zero and no transform runs.  Leading axes of
+        uhat index a stack of arrays, each mapped on its own.
         """
         if not self.pairs and self.dense is None:
             return np.zeros_like(uhat)
-        g = self.grid
-        values = g.ifftn(uhat)
-        phys = np.zeros_like(uhat)  # terms summed in physical space
-        spec = np.zeros_like(uhat)  # terms summed in coefficient space
-        for fv, gv in self.pairs:
-            phys += 0.5 * fv * g.ifftn(uhat * gv)
-            spec += 0.5 * gv * g.fftn(fv * values)
+        out, *forwards = self.grid.fftn(self._forward_rows(uhat))
+        if not forwards:
+            return out
+        halves = self._halves
+        spec = halves[0][1] * forwards[0]  # the terms summed in coefficient space
+        for (_, hg), w in zip(halves[1:], forwards[1:]):
+            spec += hg * w
+        spec += out
+        return spec
+
+    def _forward_rows(self, uhat: np.ndarray) -> np.ndarray:
+        """The rows [phys, f_1 u, ..., f_P u] of the forward call, from one
+        inverse call on the rows [uhat, uhat g_1, ..., uhat g_P]; phys sums
+        the terms taken in physical space.  The forward rows are written over
+        the spent inverse rows, so at most two (P+1)-row arrays live at once."""
+        halves = self._halves
+        rows = np.empty((len(halves) + 1, *uhat.shape), dtype=complex)
+        rows[0] = uhat
+        for row, (_, gv) in zip(rows[1:], self.pairs):
+            np.multiply(uhat, gv, out=row)
+        rows = self.grid.ifftn(rows)
+        values = rows[0]
         if self.dense is not None:
-            phys += self.dense.apply_values(values)
-        return g.fftn(phys) + spec
+            phys = self.dense.apply_values(values)
+        else:
+            phys = halves[0][0] * rows[1]
+            for (hf, _), w in zip(halves[1:], rows[2:]):
+                phys += hf * w
+        for row, (fv, _) in zip(rows[1:], self.pairs):
+            np.multiply(fv, values, out=row)
+        rows[0] = phys
+        return rows
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Samples of A u, given the samples of u (leading axes: a stack)."""
@@ -310,9 +339,6 @@ class Solution:
         g = self.grid
         return np.array([np.sqrt(_sobolev_sq(g, _spectrum(g, v), s)) for v in self.values])
 
-    def sup_sobolev(self, s: float) -> float:
-        return float(np.max(self.sobolev_series(s)))
-
     def l2_series(self) -> np.ndarray:
         return np.sqrt([_l2_sq(self.grid, v) for v in self.values])
 
@@ -356,15 +382,21 @@ def lawson_stepper(
     else:
         e_h = np.exp(1j * mult * (dt / 2.0))
         e_f = e_h * e_h
-    if not op.pairs and op.dense is None and stepped_mult is None and forcing is None:
+    terms: list[SpectralMap] = []  # the stepped terms, summed in this order
+    if op.pairs or op.dense is not None:
+        terms.append(lambda uhat, t: 1j * op.apply_remainder(uhat))
+    if stepped_mult is not None:
+        terms.append(lambda uhat, t: 1j * stepped_mult * uhat)
+    if forcing is not None:
+        terms.append(forcing)  # last: its result is never written to
+    if not terms:
         return lambda uhat, t: e_f * uhat
+    first, *rest = terms
 
     def rhs(uhat, t):
-        out = 1j * op.apply_remainder(uhat)
-        if stepped_mult is not None:
-            out += 1j * stepped_mult * uhat
-        if forcing is not None:
-            out += forcing(uhat, t)
+        out = first(uhat, t)
+        for term in rest:
+            out += term(uhat, t)
         return out
 
     def step(u, t):

@@ -54,8 +54,17 @@ def hamiltonian_field(a: Symbol, x, xi) -> tuple[np.ndarray, np.ndarray]:
 def hamilton_derivative(a: Symbol, b: Symbol, x, xi) -> np.ndarray:
     """H_a b = {a, b} = x_dot . grad_x b + xi_dot . grad_xi b along the H_a flow
     (real parts: the calculus runs on Re(a))."""
-    xdot, xidot = hamiltonian_field(a, x, xi)
-    return np.sum(xdot * np.real(b.grad_x(x, xi)) + xidot * np.real(b.grad_xi(x, xi)), axis=-1)
+    # component by component, in index order: no stacked gradient and no
+    # reduction over a short trailing axis
+    zero = (0,) * a.n
+    total = None
+    for i in range(a.n):
+        e = tuple(int(j == i) for j in range(a.n))
+        xdot = np.real(a.deriv(e, zero, x, xi))
+        xidot = -np.real(a.deriv(zero, e, x, xi))
+        term = xdot * np.real(b.deriv(zero, e, x, xi)) + xidot * np.real(b.deriv(e, zero, x, xi))
+        total = term if total is None else total + term
+    return total
 
 
 def qdelta_symbol(a: Symbol, delta: float, scale: float = 1.0) -> SympySymbol:

@@ -11,6 +11,7 @@ from weylab.evolve import (
     WrapGuardError,
     _active_mask,
     build_evolution_operator,
+    lawson_stepper,
     smoothing_report,
     solve_linear,
     weighted_propagator_probe,
@@ -160,13 +161,21 @@ def _complex_symbol():
     return SympySymbol((1 + 0.1 * bump) * xis[0] ** 2 + 0.1 * sp.I * bump * xis[0], 1, 2.0)
 
 
+def _two_pair_symbol():
+    # (1 + 0.1 e^{-x^2}) xi^3 + 0.2 x e^{-x^2} xi: the multiplier xi^3 and two pairs
+    xs, xis = phase_symbols(1)
+    bump = sp.exp(-xs[0] ** 2)
+    return SympySymbol((1 + 0.1 * bump) * xis[0] ** 3 + 0.2 * xs[0] * bump * xis[0], 1, 3.0)
+
+
 _REMAINDER_CASES = [  # (symbol, grid, evolves through the dense fallback)
     (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128), False),
     (lambda: catalog("ultrahyperbolic", eps=0.3), (2, 4.0, 32), False),
     (_real_split_outside_catalog, (1, 6.0, 48), False),
     (_complex_symbol, (1, 6.0, 48), True),
+    (_two_pair_symbol, (1, 10.0, 128), False),
 ]
-_REMAINDER_IDS = ["gaussian_kdv", "ultrahyperbolic", "real-split", "dense"]
+_REMAINDER_IDS = ["gaussian_kdv", "ultrahyperbolic", "real-split", "dense", "two-pair"]
 
 
 @pytest.mark.parametrize(
@@ -193,6 +202,79 @@ def test_spectral_remainder_matches_physical_reference(make_symbol, grid, dense,
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     full = ref + (0 if op.multiplier is None else np.fft.ifftn(np.fft.fftn(u) * op.multiplier))
     assert np.linalg.norm(op.apply(u) - full) <= 1e-13 * np.linalg.norm(full)
+
+
+def _per_pair_remainder(op, uhat):
+    """apply_remainder as one transform pair per split pair, summed in the
+    same order: what the stacked calls must reproduce bit for bit."""
+    g = op.grid
+    values = g.ifftn(uhat)
+    phys = np.zeros_like(uhat)
+    spec = np.zeros_like(uhat)
+    for fv, gv in op.pairs:
+        phys += 0.5 * fv * g.ifftn(uhat * gv)
+        spec += 0.5 * gv * g.fftn(fv * values)
+    if op.dense is not None:
+        phys += op.dense.apply_values(values)
+    return g.fftn(phys) + spec
+
+
+@pytest.mark.parametrize(
+    "make_symbol, grid", [case[:2] for case in _REMAINDER_CASES], ids=_REMAINDER_IDS
+)
+def test_stacked_remainder_matches_per_pair_transforms_bit_for_bit(make_symbol, grid):
+    g = make_grid(*grid)
+    op = build_evolution_operator(make_symbol(), g)
+    u = gaussian_wavepacket(g, [1.0] + [0.5] * (g.n - 1), width2=2.0).values
+    us = np.stack([u, 0.5j * np.conj(u), np.roll(u, 5, axis=-1)])
+    for v in (u, us):
+        uhat = g.fftn(v)
+        assert np.array_equal(op.apply_remainder(uhat), _per_pair_remainder(op, uhat))
+
+
+@pytest.mark.parametrize(
+    "make_symbol, grid, pairs, calls",
+    [
+        (lambda: catalog("airy"), (1, 10.0, 64), 0, []),
+        (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128), 1, ["ifftn", "fftn"]),
+        (_two_pair_symbol, (1, 10.0, 128), 2, ["ifftn", "fftn"]),
+        (_complex_symbol, (1, 6.0, 48), 0, ["ifftn", "fftn"]),
+    ],
+    ids=["multiplier", "one-pair", "two-pair", "dense"],
+)
+def test_remainder_makes_one_inverse_and_one_forward_call(make_symbol, grid, pairs, calls):
+    g = CountingGrid(*grid)
+    op = build_evolution_operator(make_symbol(), g)
+    assert len(op.pairs) == pairs
+    uhat = g.fftn(airy_packet(g).values)
+    for v in (uhat, np.stack([uhat, 2.0 * uhat])):
+        g.transforms.clear()
+        op.apply_remainder(v)
+        assert g.transforms == calls
+
+
+def test_lawson_step_transforms():
+    # four RK4 stages, each one remainder application of two calls
+    g = CountingGrid(1, 10.0, 128)
+    op = build_evolution_operator(catalog("gaussian_kdv", eps=0.05), g)
+    uhat = g.fftn(airy_packet(g).values)
+    g.transforms.clear()
+    lawson_stepper(op, 1e-3)(uhat, 0.0)
+    assert len(g.transforms) == 8
+    # a pure multiplier with forcing steps the forcing alone: no transform,
+    # and the forcing's array is never written to
+    g = CountingGrid(1, 10.0, 64)
+    op = build_evolution_operator(catalog("airy"), g)
+    uhat = g.fftn(airy_packet(g).values)
+    fhat = 0.1 * uhat
+    kept = fhat.copy()
+    g.transforms.clear()
+    out = lawson_stepper(op, 1e-3, lambda u, t: fhat)(uhat, 0.0)
+    assert g.transforms == [] and np.array_equal(fhat, kept)
+    e_h = np.exp(0.5e-3j * op.multiplier)
+    e_f = e_h * e_h
+    ref = e_f * uhat + (1e-3 / 6.0) * (e_f * fhat + 4.0 * e_h * fhat + fhat)
+    assert np.allclose(out, ref, rtol=1e-14, atol=0)
 
 
 # Reference: each catalog entry's multiplier and f(x) g(xi) pair written out

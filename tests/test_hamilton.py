@@ -49,6 +49,19 @@ def test_hamilton_derivative_matches_exact_bracket(name):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("name", ["gaussian_kdv", "zk", "ultrahyperbolic"])
+def test_hamilton_derivative_sums_components_bit_for_bit(name):
+    # the per-component sum equals the sum over the stacked gradients exactly
+    a = catalog(name)
+    S = SampleSet.standard(a.n, x_points=9)
+    q = garding_weight(a, S=S).q
+    xdot, xidot = hamiltonian_field(a, S.X, S.XI)
+    stacked = np.sum(
+        xdot * np.real(q.grad_x(S.X, S.XI)) + xidot * np.real(q.grad_xi(S.X, S.XI)), axis=-1
+    )
+    assert np.array_equal(hamilton_derivative(a, q, S.X, S.XI), stacked)
+
+
 def test_qdelta_symbol_is_derived_from_sympy_only():
     f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0)
     with pytest.raises(TypeError):
