@@ -111,8 +111,13 @@ def quantize_dense(a: Symbol, g: Grid, tag: str = "weyl") -> DenseOperator:
     else:
         axis = g.x_axis
     mids = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    # kernel[midpoint, lag]: the symbol samples transformed over the frequencies
-    kernel = g.ifftn(_symbol_samples(a, g, mids)).reshape(len(mids), g.size)
+    # kernel[midpoint, lag]: the symbol samples transformed over the frequencies;
+    # an x-independent symbol has one row, the same at every midpoint
+    if a.x_independent:
+        row = g.ifftn(_symbol_samples(a, g, mids[:1])).reshape(1, g.size)
+        kernel = np.broadcast_to(row, (len(mids), g.size))
+    else:
+        kernel = g.ifftn(_symbol_samples(a, g, mids)).reshape(len(mids), g.size)
     nodes = np.indices(g.shape).reshape(n, -1)  # multi-index of each raveled node
     mat = np.empty((g.size, g.size), dtype=complex)
     block = max(1, (1 << 22) // g.size)  # rows gathered at once

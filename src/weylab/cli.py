@@ -510,8 +510,7 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
             sol = solve_linear(a, u0, T=T, store_stride=stride)
             rep = smoothing_report(sol, estimate, s, lam)
         ratios[k] = rep.ratio
-        # squared as Python floats, which round like sobolev_norm(...) ** 2
-        unw = float(np.trapezoid([v**2 for v in sol.sobolev_series(s + gain).tolist()], sol.times))
+        unw = rep.unweighted_integral
         unweighted[k] = unw
         rows.append([k, rep.lhs, rep.rhs, rep.ratio, unw])
     path = outdir / f"{prefix}_family.csv"

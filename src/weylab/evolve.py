@@ -561,6 +561,8 @@ class SmoothingReport:
     ratio: float
     s: float
     m: float
+    # int ||u||_{s+(m-1)/2}^2 dt, each norm squared as a Python float
+    unweighted_integral: float
     metadata: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -590,7 +592,8 @@ def smoothing_report(
                     Lambda^{s-(m-1)/2} f, .)_0 dt
 
     The exponential prefactor in T is never folded in: boundedness of the
-    ratio across run families is the measured content.
+    ratio across run families is the measured content.  The report also
+    carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.
     """
     if estimate not in ESTIMATES:
         raise ValueError(f"unknown estimate {estimate!r}")
@@ -607,15 +610,23 @@ def smoothing_report(
         for t in times:
             yield f if f is None or isinstance(f, Field) else f(t)
 
-    norms = sol.sobolev_series(s)
+    # one spectrum per stored frame serves ||u||_s, ||u||_{s+gain} and the
+    # weighted integrand at s + gain; frame by frame, so no stack of spectra
+    norms, gained, weighted = np.empty((3, len(sol.values)))
+    for i, v in enumerate(sol.values):
+        spec = _spectrum(g, v)
+        norms[i] = np.sqrt(_sobolev_sq(g, spec, s))
+        gained[i] = np.sqrt(_sobolev_sq(g, spec, s + gain))
+        if estimate != "i":
+            weighted[i] = _weighted_sq(g, spec, lam, s + gain)
     sup_s, u0_s = float(np.max(norms)), float(norms[0])
+    unweighted = float(np.trapezoid([v**2 for v in gained.tolist()], times))
 
     if estimate == "i":
         fnorms = [0.0 if fs is None else sobolev_norm(fs, s) for fs in sources()]
         lhs = sup_s
         rhs = u0_s + _trapezoid(times, fnorms)
     else:
-        weighted = np.array([_weighted_sq(g, _spectrum(g, v), lam, s + gain) for v in sol.values])
         lhs = sup_s**2 + _trapezoid(times, weighted)
         if estimate == "ii":
             fnorms = [0.0 if fs is None else sobolev_norm(fs, s) ** 2 for fs in sources()]
@@ -635,7 +646,16 @@ def smoothing_report(
         "scheme": sol.scheme,
         "wrap_horizon": None if sol.guard is None else sol.guard.horizon,
     }
-    return SmoothingReport(estimate=estimate, lhs=lhs, rhs=rhs, ratio=ratio, s=s, m=m, metadata=meta)
+    return SmoothingReport(
+        estimate=estimate,
+        lhs=lhs,
+        rhs=rhs,
+        ratio=ratio,
+        s=s,
+        m=m,
+        unweighted_integral=unweighted,
+        metadata=meta,
+    )
 
 
 # -- weighted propagator probe (polynomial-weight bound) --------------------------------

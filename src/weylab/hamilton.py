@@ -2,8 +2,10 @@
 
 Trajectories solve (x', xi') = (grad_xi a_m, -grad_x a_m) with classical RK4
 in unbounded phase space (no torus: bicharacteristics are ODE objects
-independent of the PDE grid).  Integration halts if |xi| falls below a floor,
-since homogeneous symbols are not smooth at xi = 0.
+independent of the PDE grid).  The forward and backward paths march as one
+batch of two rows, one field call per RK4 stage.  A path halts if its |xi|
+falls below a floor, since homogeneous symbols are not smooth at xi = 0; the
+other path goes on.
 
 Escape times are located by linear interpolation between accepted steps plus
 bisection refinement.  A finite-horizon computation can certify escape but
@@ -106,34 +108,43 @@ class Trajectory:
         return int(np.argmin(np.abs(self.t)))
 
 
-def _rk4_path(a: Symbol, z0: np.ndarray, T: float, h: float, direction: float):
-    """Fixed-step RK4 from 0 to direction*T; returns times, states, truncation flag."""
-    n = z0.size // 2
+def _rk4_path(a: Symbol, z0: np.ndarray, T: float, h: float, signs) -> list:
+    """Fixed-step RK4 of a batch of states z0 (P, 2n), row p from 0 to signs[p]*T.
+
+    Every row takes the same number of steps, of size signs[p]*T/steps.  A row
+    whose |xi| falls below XI_FLOOR stops there and the others go on.
+    Returns, per row, its times, its states and whether it stopped early.
+    """
+    P, n = z0.shape[0], z0.shape[1] // 2
+    steps = max(1, int(np.ceil(T / h - 1e-12)))
+    hh = np.asarray(signs, dtype=float) * T / steps
 
     def f(z):
-        xd, xid = hamiltonian_field(a, z[None, :n], z[None, n:])
-        return np.concatenate([xd[0], xid[0]])
+        xd, xid = hamiltonian_field(a, z[:, :n], z[:, n:])
+        return np.concatenate([xd, xid], axis=1)
 
-    steps = max(1, int(np.ceil(T / h - 1e-12)))
-    hh = direction * T / steps
-    ts = [0.0]
-    zs = [z0.copy()]
+    ts = np.zeros((steps + 1, P))
+    zs = np.empty((steps + 1, P, 2 * n))
+    zs[0] = z0
+    taken = np.full(P, steps)
+    live = np.arange(P)  # rows still marching; z holds their states
     z = z0.copy()
-    t = 0.0
-    truncated = False
-    for _ in range(steps):
+    for k in range(1, steps + 1):
+        hl = hh[live, None]
         k1 = f(z)
-        k2 = f(z + 0.5 * hh * k1)
-        k3 = f(z + 0.5 * hh * k2)
-        k4 = f(z + hh * k3)
-        z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += hh
-        if np.linalg.norm(z[n:]) < XI_FLOOR:
-            truncated = True
-            break
-        ts.append(t)
-        zs.append(z.copy())
-    return np.array(ts), np.array(zs), truncated
+        k2 = f(z + 0.5 * hl * k1)
+        k3 = f(z + 0.5 * hl * k2)
+        k4 = f(z + hl * k3)
+        z = z + (hl / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        low = np.linalg.norm(z[:, n:], axis=1) < XI_FLOOR
+        if low.any():
+            taken[live[low]] = k - 1
+            live, z = live[~low], z[~low]
+            if not live.size:
+                break
+        ts[k, live] = ts[k - 1, live] + hh[live]
+        zs[k, live] = z
+    return [(ts[: m + 1, p], zs[: m + 1, p], m < steps) for p, m in enumerate(taken)]
 
 
 def integrate_bicharacteristic(
@@ -152,8 +163,8 @@ def integrate_bicharacteristic(
     if h <= 0 or T <= 0:
         raise ValueError("horizon T and step h must be positive")
     z0 = np.concatenate([x0, xi0])
-    tf, zf, trunc_f = _rk4_path(a_m, z0, T, h, +1.0)
-    tb, zb, trunc_b = _rk4_path(a_m, z0, T, h, -1.0)
+    # forward and backward march as one batch of two rows
+    (tf, zf, trunc_f), (tb, zb, trunc_b) = _rk4_path(a_m, np.stack([z0, z0]), T, h, (1.0, -1.0))
     t = np.concatenate([tb[::-1][:-1], tf])
     z = np.concatenate([zb[::-1][:-1], zf], axis=0)
     x = z[:, :n]

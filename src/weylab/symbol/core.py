@@ -9,9 +9,13 @@ raises NotImplementedError; none is approximated.
 A sympy-backed symbol also derives its structure from the expression: the
 flags real_valued and x_independent, and the split
 a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`) that the evolution
-and fast-application paths read.  Derivative closures are shared process-wide,
-keyed by expression: two symbols built from the same expression (a catalog
-entry built twice, say) differentiate and lambdify each derivative once.
+and fast-application paths read.  Derivative expressions and their closures
+are shared process-wide, keyed by expression: two symbols built from the same
+expression (a catalog entry built twice, say) differentiate and lambdify each
+derivative once.  The derivative expressions form a tree: each is one sp.diff
+by one variable of its parent multi-index, so a jet of derivatives costs one
+diff per entry.  Closures come from sp.lambdify without the docstring that
+prints the expression (docstring_limit, SymPy >= 1.13).
 """
 
 from __future__ import annotations
@@ -171,7 +175,9 @@ class Symbol:
 def _lambdified(expr, n: int) -> Callable:
     """expr(x1..xn, xi1..xin) as a closure on point arrays X, XI of shape (..., n)."""
     xs, xis = phase_symbols(n)
-    fn = sp.lambdify(xs + xis, expr, modules="numpy")
+    # docstring_limit=0: the docstring does not print the expression (the body
+    # is the same either way)
+    fn = sp.lambdify(xs + xis, expr, modules="numpy", docstring_limit=0)
 
     def call(X, XI):
         out = fn(*[X[..., i] for i in range(n)], *[XI[..., i] for i in range(n)])
@@ -181,17 +187,34 @@ def _lambdified(expr, n: int) -> Callable:
     return call
 
 
+def _lower(index: MultiIndex) -> tuple[MultiIndex, int]:
+    """index with one taken off its highest nonzero entry, and that entry's position."""
+    i = max(j for j, k in enumerate(index) if k)
+    return index[:i] + (index[i] - 1,) + index[i + 1 :], i
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_expr(expr, n: int, alpha: MultiIndex, beta: MultiIndex):
+    """d^alpha_xi d^beta_x expr, as one sp.diff by one variable of its cached parent.
+
+    The parent takes one off the highest nonzero xi index, or, when alpha is
+    zero, off the highest nonzero x index; so the x-derivatives come first and
+    each variable in index order, lowest first.
+    """
+    xs, xis = phase_symbols(n)
+    if any(alpha):
+        parent, i = _lower(alpha)
+        return sp.diff(_derivative_expr(expr, n, parent, beta), xis[i])
+    if any(beta):
+        parent, i = _lower(beta)
+        return sp.diff(_derivative_expr(expr, n, alpha, parent), xs[i])
+    return expr
+
+
 @functools.lru_cache(maxsize=None)
 def _derivative_closure(expr, n: int, alpha: MultiIndex, beta: MultiIndex) -> Callable:
-    """d^alpha_xi d^beta_x expr as a closure; the x-derivatives are taken first."""
-    xs, xis = phase_symbols(n)
-    for i, b in enumerate(beta):
-        if b:
-            expr = sp.diff(expr, xs[i], b)
-    for i, a in enumerate(alpha):
-        if a:
-            expr = sp.diff(expr, xis[i], a)
-    return _lambdified(expr, n)
+    """d^alpha_xi d^beta_x expr as a closure (see `_derivative_expr`)."""
+    return _lambdified(_derivative_expr(expr, n, alpha, beta), n)
 
 
 class SympySymbol(Symbol):

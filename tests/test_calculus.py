@@ -14,6 +14,7 @@ from weylab.calculus import (
 )
 from weylab.grid import Field, Grid, apply_bessel, make_grid
 from weylab.symbol import (
+    FuncSymbol,
     SympySymbol,
     VectorFieldSystem,
     bessel_symbol,
@@ -135,11 +136,34 @@ def test_dense_assembly_transforms_through_the_grid_seam():
             calls.append(values.shape)
             return super().ifftn(values)
 
+    # one call; an x-independent symbol transforms one row of samples, any
+    # other symbol one row per midpoint
     for n, N in [(1, 16), (2, 8)]:
-        calls.clear()
         g = CountingGrid(n, 2.0, N)
-        quantize_dense(catalog("airy" if n == 1 else "zk"), g, "weyl")
-        assert calls == [((2 * N - 1) ** n, *g.shape)]
+        varying = catalog("gaussian_kdv") if n == 1 else catalog("ultrahyperbolic", eps=0.3)
+        for a, rows in [(catalog("airy" if n == 1 else "zk"), 1), (varying, (2 * N - 1) ** n)]:
+            calls.clear()
+            quantize_dense(a, g, "weyl")
+            assert calls == [(rows, *g.shape)]
+
+
+@pytest.mark.parametrize("tag", ["weyl", "kn"])
+@pytest.mark.parametrize(
+    "a, N",
+    [
+        (bessel_symbol(1.0, 1), 32),
+        (catalog("airy"), 32),
+        (bessel_symbol(1.0, 2), 12),
+        (catalog("zk"), 12),
+    ],
+    ids=["bessel-1d", "airy", "bessel-2d", "zk"],
+)
+def test_dense_x_independent_one_row_matches_every_midpoint(a, N, tag):
+    # the same symbol without the x_independent flag is sampled at every midpoint
+    assert a.x_independent
+    full = FuncSymbol(a._eval, a.n, a.order, zero_nyquist=a.zero_nyquist)
+    g = make_grid(a.n, 3.0, N)
+    assert np.array_equal(quantize_dense(a, g, tag).matrix, quantize_dense(full, g, tag).matrix)
 
 
 def test_weyl_real_symbol_self_adjoint():

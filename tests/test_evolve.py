@@ -27,6 +27,7 @@ from weylab.grid import (
     make_grid,
     sobolev_norm,
     transform,
+    weighted_pairing,
 )
 from weylab.symbol import SympySymbol, VectorFieldSystem, build_kdv_type, catalog
 from weylab.symbol.core import phase_symbols
@@ -490,6 +491,27 @@ def test_smoothing_report_weighted_family_bounded():
     assert max(ratios.values()) / min(ratios.values()) <= 4.0
     expected = (1 + 16.0**2) / (1 + 4.0**2)
     assert unweighted[16] / unweighted[4] >= 0.8 * expected
+
+
+@pytest.mark.parametrize("estimate, per_frame", [("i", ["fftn"]), ("ii", ["fftn", "ifftn"])])
+def test_smoothing_report_takes_one_spectrum_per_frame(estimate, per_frame):
+    lam = WeightFn(2)
+    g = CountingGrid(1, 40 * np.pi, 1024)
+    a = catalog("airy")
+    s, gain = 0.5, 1.0
+    sol = solve_linear(a, airy_packet(g), T=0.05, store_stride=2)
+    g.transforms.clear()
+    rep = smoothing_report(sol, estimate, s, lam)
+    assert g.transforms == per_frame * len(sol.times)
+    # the unweighted integral squares each norm as a Python float
+    norms = sol.sobolev_series(s + gain).tolist()
+    assert rep.unweighted_integral == float(np.trapezoid([v**2 for v in norms], sol.times))
+    sup = float(np.max(sol.sobolev_series(s)))
+    if estimate == "ii":
+        weighted = [weighted_pairing(sol.field(i), lam, s + gain) for i in range(len(sol.times))]
+        assert rep.lhs == sup**2 + float(np.trapezoid(weighted, sol.times))
+    else:
+        assert rep.lhs == sup
 
 
 def test_smoothing_report_iii_forced():

@@ -5,8 +5,10 @@ import csv
 import numpy as np
 import pytest
 
+from weylab import hamilton
 from weylab.calculus import poisson_bracket
 from weylab.hamilton import (
+    XI_FLOOR,
     classify_strong_ellipticity,
     escape_verdict,
     hamilton_derivative,
@@ -18,7 +20,7 @@ from weylab.hamilton import (
     trajectory_to_csv,
     trapping_probe,
 )
-from weylab.symbol import FuncSymbol, SampleSet, catalog
+from weylab.symbol import FuncSymbol, SampleSet, SympySymbol, catalog, phase_symbols
 from weylab.weights import garding_weight
 
 
@@ -60,6 +62,66 @@ def test_hamilton_derivative_sums_components_bit_for_bit(name):
         xdot * np.real(q.grad_x(S.X, S.XI)) + xidot * np.real(q.grad_xi(S.X, S.XI)), axis=-1
     )
     assert np.array_equal(hamilton_derivative(a, q, S.X, S.XI), stacked)
+
+
+def _one_direction(a, z0, T, h, direction):
+    """RK4 from 0 to direction*T at one point per field call; stops below XI_FLOOR."""
+    n = z0.size // 2
+
+    def f(z):
+        xd, xid = hamiltonian_field(a, z[None, :n], z[None, n:])
+        return np.concatenate([xd[0], xid[0]])
+
+    steps = max(1, int(np.ceil(T / h - 1e-12)))
+    hh = direction * T / steps
+    ts, zs, z, t = [0.0], [z0.copy()], z0.copy(), 0.0
+    for _ in range(steps):
+        k1 = f(z)
+        k2 = f(z + 0.5 * hh * k1)
+        k3 = f(z + 0.5 * hh * k2)
+        k4 = f(z + hh * k3)
+        z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += hh
+        if np.linalg.norm(z[n:]) < XI_FLOOR:
+            return np.array(ts), np.array(zs), True
+        ts.append(t)
+        zs.append(z.copy())
+    return np.array(ts), np.array(zs), False
+
+
+_XXI = SympySymbol(phase_symbols(1)[0][0] * phase_symbols(1)[1][0], 1, 2.0, label="x xi")
+
+
+@pytest.mark.parametrize(
+    "a, x0, xi0, T, h",
+    [
+        (catalog("gaussian_kdv"), [0.3], [1.0], 4.0, 0.005),
+        (catalog("zk"), [0.1, -0.2], [1.0, 0.5], 1.0, 0.005),
+        # xi(t) = e^{-t}: only the forward path falls below XI_FLOOR
+        (_XXI, [0.5], [1.0], 20.0, 0.01),
+    ],
+    ids=["gaussian_kdv", "zk", "x_xi"],
+)
+def test_batched_march_matches_each_direction_bit_for_bit(a, x0, xi0, T, h, monkeypatch):
+    z0 = np.concatenate([x0, xi0])
+    tf, zf, trunc_f = _one_direction(a, z0, T, h, +1.0)
+    tb, zb, trunc_b = _one_direction(a, z0, T, h, -1.0)
+    calls = []
+    monkeypatch.setattr(
+        hamilton, "hamiltonian_field", lambda *args: calls.append(1) or hamiltonian_field(*args)
+    )
+    traj = integrate_bicharacteristic(a, np.array(x0), np.array(xi0), T, h)
+    # one field call per RK4 stage serves both directions
+    assert len(calls) == 4 * round(T / h)
+    n = a.n
+    z = np.concatenate([zb[::-1][:-1], zf])
+    assert np.array_equal(traj.t, np.concatenate([tb[::-1][:-1], tf]))
+    assert np.array_equal(traj.x, z[:, :n]) and np.array_equal(traj.xi, z[:, n:])
+    assert (traj.truncated_forward, traj.truncated_backward) == (trunc_f, trunc_b)
+    if a is _XXI:
+        assert trunc_f and not trunc_b
+        # |xi| = e^{-t} < 1e-6 from t = 13.8 on; the backward path runs to -T
+        assert traj.t[-1] < 14.0 and np.isclose(traj.t[0], -T)
 
 
 def test_qdelta_symbol_is_derived_from_sympy_only():

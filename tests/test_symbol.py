@@ -13,12 +13,16 @@ from weylab.symbol import (
     VectorFieldSystem,
     build_kdv_type,
     catalog,
+    catalog_names,
     check_grad_ellipticity,
     check_im_smallness,
     check_x_decay,
+    multi_indices_upto,
     phase_symbols,
     seminorm_estimate,
 )
+from weylab.symbol.core import _derivative_closure, _derivative_expr
+from weylab.weights import garding_weight
 
 
 def lam2(r):
@@ -49,6 +53,55 @@ def test_catalog_rebuild_reuses_derivative_closures(monkeypatch):
     # a new expression is differentiated, through the same counted sympy.diff
     catalog("gaussian_kdv", eps=0.0123).deriv((1,), (0,), x, xi)
     assert len(calls) == 1
+
+
+def _chain_derivative(expr, n, alpha, beta):
+    """d^alpha_xi d^beta_x expr as one multi-count sp.diff per variable, x first."""
+    xs, xis = phase_symbols(n)
+    for i, b in enumerate(beta):
+        if b:
+            expr = sp.diff(expr, xs[i], b)
+    for i, a in enumerate(alpha):
+        if a:
+            expr = sp.diff(expr, xis[i], a)
+    return expr
+
+
+def test_derivative_tree_makes_one_diff_per_closure(monkeypatch):
+    _derivative_expr.cache_clear()
+    _derivative_closure.cache_clear()
+    xs, xis = phase_symbols(2)
+    expr = (1 + sp.Rational(3, 7) * sp.exp(-xs[0] ** 2 - 2 * xs[1] ** 2)) * xis[0] * (
+        xis[0] ** 2 + xis[1] ** 2
+    ) + xs[0] * sp.sin(xs[1]) * xis[1] ** 2
+    a = SympySymbol(expr, 2, 3.0)
+    calls = []
+    diff = sp.diff
+    monkeypatch.setattr(sp, "diff", lambda *args, **kw: calls.append(args) or diff(*args, **kw))
+    # highest order first: each closure builds its parents on the way down
+    jets = list(multi_indices_upto(4, 3))[::-1]
+    for ab in jets:
+        a._closure(ab[:2], ab[2:])
+    assert len(calls) == len(jets) - 1 == 34
+    # each diff is by one variable, once
+    assert all(len(args) == 2 for args in calls)
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "garding_q"])
+def test_derivative_tree_matches_the_multi_count_chain(name):
+    if name == "garding_q":
+        a = garding_weight(catalog("gaussian_kdv"), S=SampleSet.standard(1, x_points=9)).q
+    else:
+        a = catalog(name)
+    n = a.n
+    S = SampleSet.standard(n, num_shells=6, x_points=5)
+    xs, xis = phase_symbols(n)
+    for ab in multi_indices_upto(2 * n, 3):
+        alpha, beta = ab[:n], ab[n:]
+        fn = sp.lambdify(xs + xis, _chain_derivative(a.expr, n, alpha, beta), modules="numpy")
+        ref = np.asarray(fn(*S.X.T, *S.XI.T), dtype=complex)
+        got = a.deriv(alpha, beta, S.X, S.XI)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (alpha, beta)
 
 
 def test_kdv_sum_divergence_identity():
