@@ -8,8 +8,9 @@ xi, Leibniz bookkeeping gives the exact finite expansion
                 Op(d_xi^beta p) f,
 
 whose |beta| = 1 block is the familiar 2N sum_j Op(i d_{xi_j} p) x_j
-<x>^{2N-2} f term.  Both sides are applied matrix-free to localized probe
-fields, each Op through the KN fast path `calculus.apply_fast`.
+<x>^{2N-2} f term.  Both sides are applied to localized probe fields, each
+Op through `calculus.apply_fast`, the KN tag of `calculus.EvolutionOperator`
+(one Fourier multiplier each when p does not depend on x).
 
 The scalar inequality: with <xi>_d = (d + |xi|^2)^{1/2},
 
@@ -98,7 +99,7 @@ def lemmatec1_residual(
 
     Requires p polynomial in xi (the expansion terminates and the identity is
     exact); for other symbols only the truncated check is offered, flagged via
-    truncate_at.  Operators act matrix-free through the KN fast path.
+    truncate_at.  Operators act through `calculus.apply_fast` (KN).
     """
     from .calculus import apply_fast
 

@@ -12,6 +12,11 @@ one FFT seam) gives a kernel indexed by (midpoint, (j - l) mod N), which is
 exact because the kernel is N-periodic in the lag, and the matrix gathers its
 entries from that kernel.
 
+`EvolutionOperator` applies either tag matrix-free from the split
+a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`), with one stacked
+inverse and one stacked forward transform call however many pairs there are;
+`apply_fast` is its Kohn-Nirenberg tag.
+
 One sampler, `_symbol_samples`, takes every sample of a symbol on the
 frequency mesh, for the dense assembly, the multipliers and the split; it
 zeroes the samples of zero_nyquist (odd-order) symbols at the sign-ambiguous
@@ -26,12 +31,13 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .grid import Field, Grid, _from_spectrum, _spectrum, apply_multiplier, wavepacket_probes
+from .grid import Field, Grid, wavepacket_probes
 from .symbol.checks import SampleSet
 from .symbol.core import Symbol, SympySymbol, kn_to_weyl_expr, weyl_product_expr
 
 __all__ = [
     "DenseOperator",
+    "EvolutionOperator",
     "PositivityReport",
     "quantize_dense",
     "apply_fast",
@@ -148,48 +154,132 @@ def _split_samples(a: Symbol, g: Grid):
     return (None if a0 == 0 else freq(a0)), samples
 
 
-def apply_fast(a: Symbol, u: Field, tag: str = "kn") -> Field:
-    """Matrix-free Kohn-Nirenberg application.
+class EvolutionOperator:
+    """Grid realization of A = Op^w(a) (tag 'weyl') or Op_KN(a) (tag 'kn'):
+    the multiplier a0(D) plus a remainder.
 
-    Paths: the exact Fourier multiplier for x-independent symbols; the split
-    a = a0(xi) + sum_k f_k(x) g_k(xi) as a0(D) u + sum_k f_k g_k(D) u, exact
-    KN for every symbol that factors, real or complex; and the O(N^{2n})
-    direct KN sum otherwise.
+    Each pair (f, g) of the split gives physical-side terms f G(u) and
+    coefficient-side terms G(f u), G = g(D): KN is the one term f G, Weyl the
+    symmetrized (fG + Gf)/2, which keeps the generator of a real symbol
+    exactly Hermitian.  The terms alone drive the application.  A is
+    matrix-free when the split exists and the tag is 'kn', a is real or a is
+    x-independent (its split is a0 alone); otherwise the remainder is the
+    dense `quantize_dense(a, grid, tag)`.
     """
-    if tag != "kn":
-        raise ValueError("apply_fast implements the KN quantization only")
-    g = u.grid
-    if a.n != g.n:
-        raise ValueError("symbol and grid dimensions differ")
 
-    if a.x_independent:
-        return apply_multiplier(u, _symbol_samples(a, g, np.zeros((1, g.n)))[0])
+    def __init__(self, symbol: Symbol, grid: Grid, tag: str = "weyl"):
+        if tag not in ("weyl", "kn"):
+            raise ValueError(f"unknown quantization tag {tag!r}")
+        if symbol.n != grid.n:
+            raise ValueError("symbol and grid dimensions differ")
+        self.symbol = symbol
+        self.grid = grid
+        self.tag = tag
+        self.multiplier: Optional[np.ndarray] = None
+        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (f, g) samples of the split
+        self.dense: Optional[DenseOperator] = None
+        self._physical: list[tuple[np.ndarray, np.ndarray]] = []  # (f, g): f G(u)
+        self._coefficient: list[tuple[np.ndarray, np.ndarray]] = []  # (g, f): G(f u)
 
-    split = _split_samples(a, g)
-    if split is not None:
-        a0, pairs = split
-        uhat = _spectrum(g, u.values)
-        out = np.zeros(g.shape, dtype=complex) if a0 is None else _from_spectrum(g, uhat * a0)
-        for fv, gv in pairs:
-            out += fv * _from_spectrum(g, uhat * gv)
-        return Field(g, out)
+        split = None
+        if tag == "kn" or symbol.real_valued or symbol.x_independent:
+            split = _split_samples(symbol, grid)
+        if split is None:
+            self.dense = quantize_dense(symbol, grid, tag)
+            return
+        self.multiplier, self.pairs = split
+        if tag == "kn":
+            self._physical = list(self.pairs)
+        else:
+            # 0.5 * f * w rounds as (0.5 * f) * w
+            self._physical = [(0.5 * fv, gv) for fv, gv in self.pairs]
+            self._coefficient = [(0.5 * gv, fv) for fv, gv in self.pairs]
 
-    # general direct KN sum, blocked over rows
-    if not g.dense_eligible:
-        raise ValueError("general symbol application requires a dense-eligible grid")
-    x_pts = g.x_mesh.reshape(-1, g.n)
-    xi_pts = g.xi_mesh.reshape(-1, g.n)
-    uhat = _spectrum(g, u.values).ravel()
-    out = np.empty(g.size, dtype=complex)
-    block = max(1, (1 << 22) // g.size)
-    pref = (2.0 * g.L) ** (-g.n)
-    for start in range(0, g.size, block):
-        stop = min(start + block, g.size)
-        xb = x_pts[start:stop]
-        phases = np.exp(1j * xb @ xi_pts.T)
-        vals = _symbol_samples(a, g, xb).reshape(len(xb), g.size)
-        out[start:stop] = pref * np.sum(vals * phases * uhat[None, :], axis=1)
-    return Field(g, out.reshape(g.shape))
+    # -- application -----------------------------------------------------------
+    # Operators act on raw FFT coefficients (Grid.fftn of the samples): the
+    # (-1)^k phases and the dx^n factor of `transform` are diagonal, so they
+    # commute with every multiplier and cancel in each sandwich below.
+
+    def apply_remainder(self, uhat: np.ndarray) -> np.ndarray:
+        """Coefficients of (A - a0(D)) u, given the coefficients uhat of u.
+
+        The terms and the dense fallback act through one stacked inverse and
+        one stacked forward transform call.  A pure multiplier has no
+        remainder: the result is zero and no transform runs.  Leading axes of
+        uhat index a stack of arrays, each mapped on its own.
+        """
+        if not self._physical and self.dense is None:
+            return np.zeros_like(uhat)
+        out, *forwards = self.grid.fftn(self._forward_rows(uhat))
+        if not forwards:
+            return out
+        terms = self._coefficient
+        spec = terms[0][0] * forwards[0]  # the terms summed in coefficient space
+        for (gv, _), w in zip(terms[1:], forwards[1:]):
+            spec += gv * w
+        spec += out
+        return spec
+
+    def _forward_rows(self, uhat: np.ndarray) -> np.ndarray:
+        """The rows [phys, f_1 u, ...] of the forward call, one f u per
+        coefficient-side term, from one inverse call on the rows
+        [uhat, uhat g_1, ...], one per physical-side term; phys sums the
+        dense fallback and the physical-side terms.  The forward rows are
+        written over the spent inverse rows, so at most two such arrays live
+        at once."""
+        physical, coefficient = self._physical, self._coefficient
+        rows = np.empty((len(physical) + 1, *uhat.shape), dtype=complex)
+        rows[0] = uhat
+        for row, (_, gv) in zip(rows[1:], physical):
+            np.multiply(uhat, gv, out=row)
+        rows = self.grid.ifftn(rows)
+        values = rows[0]
+        terms = (fv * w for (fv, _), w in zip(physical, rows[1:]))
+        phys = next(terms) if self.dense is None else self.dense.apply_values(values)
+        for w in terms:
+            phys += w
+        # every coefficient-side term comes with a physical-side term, so the
+        # forward rows fit in the spent inverse rows
+        rows = rows[: len(coefficient) + 1]
+        for row, (_, fv) in zip(rows[1:], coefficient):
+            np.multiply(fv, values, out=row)
+        rows[0] = phys
+        return rows
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Samples of A u, given the samples of u (leading axes: a stack)."""
+        g = self.grid
+        uhat = g.fftn(values)
+        out = self.apply_remainder(uhat)
+        if self.multiplier is not None:
+            out += self.multiplier * uhat
+        return g.ifftn(out)
+
+    # -- magnitude estimates ------------------------------------------------------
+
+    def _pair_max(self, active_mask: Optional[np.ndarray]) -> float:
+        total = 0.0
+        for fv, gv in self.pairs:
+            gmax = np.max(np.abs(gv if active_mask is None else gv[active_mask]))
+            total += float(np.max(np.abs(fv)) * gmax)
+        return total
+
+    def max_abs_remainder(self, active_mask: Optional[np.ndarray] = None) -> float:
+        total = self._pair_max(active_mask)
+        if self.dense is not None:
+            total += float(np.linalg.norm(self.dense.matrix, np.inf))
+        return total
+
+    def max_abs_multiplier(self, active_mask: Optional[np.ndarray] = None) -> float:
+        if self.multiplier is None:
+            return 0.0
+        vals = self.multiplier if active_mask is None else self.multiplier[active_mask]
+        return float(np.max(np.abs(vals)))
+
+
+def apply_fast(a: Symbol, u: Field) -> Field:
+    """Op_KN(a) u through the matrix-free `EvolutionOperator` with tag 'kn'."""
+    return Field(u.grid, EvolutionOperator(a, u.grid, "kn").apply(u.values))
 
 
 def compose_symbols(a: SympySymbol, b: SympySymbol, K: int = 3) -> SympySymbol:

@@ -13,17 +13,15 @@ inverse-transformed only when it is stored, into one (frames, *grid.shape)
 array.  Scheme "rk4" is the same stepper with identity factors and the
 multiplier moved into the stepped part.
 
-The operator comes from the symbol's expression.  An x-independent symbol is
-the multiplier a0 alone.  A real symbol whose split
-a = a0(xi) + sum_k f_k(x) g_k(xi) exists (`SympySymbol.split`) is the
-multiplier a0 plus the pairs applied in the symmetrized form (fG + Gf)/2, which
-keeps the discrete generator exactly Hermitian, so real-symbol runs conserve
-the L^2 norm up to time-integration error only.  Every other symbol (complex,
-or not a sum of products) is quantized densely.  One remainder application
-costs two transform calls, however many pairs there are: one inverse call on
-the stacked rows [uhat, uhat g_1, ..., uhat g_P] and one forward call on the
-stacked rows [physical-space sum, f_1 u, ..., f_P u].  Each row of a stacked
-call equals the single-array call bit for bit.
+The operator is `calculus.EvolutionOperator` with the Weyl tag, built from
+the symbol's expression.  A symbol whose split
+a = a0(xi) + sum_k f_k(x) g_k(xi) exists (`SympySymbol.split`) and that is
+real or x-independent is the multiplier a0 plus the pairs applied in the
+symmetrized form (fG + Gf)/2, which keeps the discrete generator of a real
+symbol exactly Hermitian, so real-symbol runs conserve the L^2 norm up to
+time-integration error only.  Every other symbol (complex and x-dependent, or
+not a sum of products) is quantized densely.  One remainder application costs
+two transform calls, however many pairs there are.
 
 Every run on localized data records a wrap-guard horizon
 
@@ -40,10 +38,11 @@ guard does not apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .calculus import EvolutionOperator
 from .grid import (
     Field,
     Grid,
@@ -106,109 +105,6 @@ class WrapGuard:
                 f"T={T:g} exceeds the wrap-guard horizon {self.horizon:g} "
                 f"(v_max={self.v_max:g}, data radius={self.data_radius:g})"
             )
-
-
-class EvolutionOperator:
-    """Grid realization of A = Op^w(a) for time stepping."""
-
-    def __init__(self, symbol: Symbol, grid: Grid):
-        if symbol.n != grid.n:
-            raise ValueError("symbol and grid dimensions differ")
-        self.symbol = symbol
-        self.grid = grid
-        self.multiplier: Optional[np.ndarray] = None
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (f, g), applied as (fG + Gf)/2
-        self.dense = None
-
-        from .calculus import _split_samples, _symbol_samples, quantize_dense
-
-        if symbol.x_independent:
-            self.multiplier = _symbol_samples(symbol, grid, np.zeros((1, grid.n)))[0]
-        elif symbol.real_valued and symbol.split is not None:
-            self.multiplier, self.pairs = _split_samples(symbol, grid)
-        else:
-            self.dense = quantize_dense(symbol, grid, "weyl")
-        # (f/2, g/2) of each pair: 0.5 * f * w rounds as (0.5 * f) * w
-        self._halves = [(0.5 * fv, 0.5 * gv) for fv, gv in self.pairs]
-
-    # -- application -----------------------------------------------------------
-    # Operators act on raw FFT coefficients (Grid.fftn of the samples): the
-    # (-1)^k phases and the dx^n factor of `transform` are diagonal, so they
-    # commute with every multiplier and cancel in each sandwich below.
-
-    def apply_remainder(self, uhat: np.ndarray) -> np.ndarray:
-        """Coefficients of (A - a0(D)) u, given the coefficients uhat of u.
-
-        Pairs act as (fG + Gf)/2 and the dense fallback acts on the
-        samples, through one stacked inverse and one stacked forward
-        transform call for any number of pairs.  A pure multiplier has no
-        remainder: the result is zero and no transform runs.  Leading axes of
-        uhat index a stack of arrays, each mapped on its own.
-        """
-        if not self.pairs and self.dense is None:
-            return np.zeros_like(uhat)
-        out, *forwards = self.grid.fftn(self._forward_rows(uhat))
-        if not forwards:
-            return out
-        halves = self._halves
-        spec = halves[0][1] * forwards[0]  # the terms summed in coefficient space
-        for (_, hg), w in zip(halves[1:], forwards[1:]):
-            spec += hg * w
-        spec += out
-        return spec
-
-    def _forward_rows(self, uhat: np.ndarray) -> np.ndarray:
-        """The rows [phys, f_1 u, ..., f_P u] of the forward call, from one
-        inverse call on the rows [uhat, uhat g_1, ..., uhat g_P]; phys sums
-        the terms taken in physical space.  The forward rows are written over
-        the spent inverse rows, so at most two (P+1)-row arrays live at once."""
-        halves = self._halves
-        rows = np.empty((len(halves) + 1, *uhat.shape), dtype=complex)
-        rows[0] = uhat
-        for row, (_, gv) in zip(rows[1:], self.pairs):
-            np.multiply(uhat, gv, out=row)
-        rows = self.grid.ifftn(rows)
-        values = rows[0]
-        if self.dense is not None:
-            phys = self.dense.apply_values(values)
-        else:
-            phys = halves[0][0] * rows[1]
-            for (hf, _), w in zip(halves[1:], rows[2:]):
-                phys += hf * w
-        for row, (fv, _) in zip(rows[1:], self.pairs):
-            np.multiply(fv, values, out=row)
-        rows[0] = phys
-        return rows
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Samples of A u, given the samples of u (leading axes: a stack)."""
-        g = self.grid
-        uhat = g.fftn(values)
-        out = self.apply_remainder(uhat)
-        if self.multiplier is not None:
-            out += self.multiplier * uhat
-        return g.ifftn(out)
-
-    # -- magnitude estimates ------------------------------------------------------
-
-    def _pair_max(self, active_mask: Optional[np.ndarray]) -> float:
-        total = 0.0
-        for fv, gv in self.pairs:
-            gmax = np.max(np.abs(gv if active_mask is None else gv[active_mask]))
-            total += float(np.max(np.abs(fv)) * gmax)
-        return total
-
-    def max_abs_remainder(self, active_mask: Optional[np.ndarray] = None) -> float:
-        total = self._pair_max(active_mask)
-        if self.dense is not None:
-            total += float(np.linalg.norm(self.dense.matrix, np.inf))
-        return total
-
-    def max_abs_multiplier(self, active_mask: Optional[np.ndarray] = None) -> float:
-        if self.multiplier is None:
-            return 0.0
-        vals = self.multiplier if active_mask is None else self.multiplier[active_mask]
-        return float(np.max(np.abs(vals)))
 
 
 def build_evolution_operator(symbol: Symbol, grid: Grid) -> EvolutionOperator:
@@ -334,10 +230,14 @@ class Solution:
     # the series below take one frame at a time: a kernel call on the whole
     # stack would allocate a temporary the size of the stack
 
-    def sobolev_series(self, s: float) -> np.ndarray:
-        """||u(t_i)||_s at every stored node."""
+    def sobolev_series(self, s: Union[float, Sequence[float]]) -> np.ndarray:
+        """||u(t_i)||_s at every stored node; for a sequence of indices, one
+        row per index, all taken from one spectrum per frame."""
         g = self.grid
-        return np.array([np.sqrt(_sobolev_sq(g, _spectrum(g, v), s)) for v in self.values])
+        indices = [s] if np.ndim(s) == 0 else list(s)
+        specs = (_spectrum(g, v) for v in self.values)
+        rows = np.array([[np.sqrt(_sobolev_sq(g, c, si)) for si in indices] for c in specs]).T
+        return rows[0] if np.ndim(s) == 0 else rows
 
     def l2_series(self) -> np.ndarray:
         return np.sqrt([_l2_sq(self.grid, v) for v in self.values])

@@ -25,7 +25,6 @@ __all__ = [
     "make_grid",
     "transform",
     "inverse",
-    "apply_multiplier",
     "apply_bessel",
     "sobolev_norm",
     "l2_norm",
@@ -317,15 +316,10 @@ def _tail_fraction(g: Grid, values: np.ndarray, radius: float) -> np.ndarray:
     return np.divide(outside, total, out=np.zeros_like(total), where=total != 0.0)
 
 
-def apply_multiplier(u: Field, values: np.ndarray) -> Field:
-    """Apply a Fourier multiplier given by its values on the frequency mesh."""
-    g = u.grid
-    return Field(g, _from_spectrum(g, _spectrum(g, u.values) * values))
-
-
 def apply_bessel(u: Field, s: float) -> Field:
     """Apply Lambda^s, the Fourier multiplier <xi>^s."""
-    return apply_multiplier(u, u.grid.bessel_base**s)
+    g = u.grid
+    return Field(g, _from_spectrum(g, _spectrum(g, u.values) * g.bessel_base**s))
 
 
 def sobolev_norm(u: Field, s: float) -> float:

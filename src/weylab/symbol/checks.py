@@ -41,6 +41,7 @@ GRAD_DEGENERATE_TOL = 1e-8
 GRAD_PASS_TOL = 1e-3
 X_DECAY_MAX_ORDER = 3  # x-decay fit over |alpha| + |beta| <= X_DECAY_MAX_ORDER
 VERDICT_BAND = 1e-9  # slack within +-VERDICT_BAND of 0 is inconclusive
+TIE_RTOL = 1e-12  # samples within this relative distance of an extreme tie with it
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,16 @@ def _worst(S: SampleSet, idx: int) -> tuple:
     return (tuple(S.X[idx]), tuple(S.XI[idx]))
 
 
+def _first_tie(ratio: np.ndarray, idx: int) -> int:
+    """The first sample whose ratio lies within a relative TIE_RTOL of the
+    extreme ratio[idx].  The ratios are flat along |xi| shells, so the exact
+    argmin/argmax moves with a one-ulp change; the first tie does not."""
+    extreme = ratio[idx]
+    if not np.isfinite(extreme):
+        return idx
+    return int(np.argmax(np.abs(ratio - extreme) <= TIE_RTOL * abs(extreme)))
+
+
 def check_grad_ellipticity(
     a: Symbol,
     S: SampleSet,
@@ -176,7 +187,7 @@ def check_grad_ellipticity(
         condition="grad_ellipticity",
         sample_description=S.description,
         constants=constants,
-        worst_point=_worst(S, i_min),
+        worst_point=_worst(S, _first_tie(ratio, i_min)),
         worst_value=r_min,
         verdict=verdict,
         threshold=GRAD_PASS_TOL,
@@ -209,7 +220,7 @@ def check_x_decay(
             by_index[f"alpha={alpha},beta={beta}"] = float(ratio[j])
             if ratio[j] > eps_hat:
                 eps_hat = float(ratio[j])
-                worst_idx = j
+                worst_idx = _first_tie(ratio, j)
                 worst_key = (alpha, beta)
     slack = eps_threshold - eps_hat
     verdict = _band_verdict(slack)
@@ -247,7 +258,7 @@ def check_im_smallness(
         condition="im_smallness",
         sample_description=S.description,
         constants={"c0_hat": c0_hat},
-        worst_point=_worst(S, j),
+        worst_point=_worst(S, _first_tie(ratio, j)),
         worst_value=c0_hat,
         verdict=verdict,
         threshold=c0_threshold,

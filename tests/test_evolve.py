@@ -8,6 +8,7 @@ import pytest
 import sympy as sp
 
 from weylab.evolve import (
+    EvolutionOperator,
     WrapGuardError,
     _active_mask,
     build_evolution_operator,
@@ -205,14 +206,42 @@ def test_spectral_remainder_matches_physical_reference(make_symbol, grid, dense,
     assert np.linalg.norm(op.apply(u) - full) <= 1e-13 * np.linalg.norm(full)
 
 
+def _kdv_type_symbol():
+    # the complex kdv-type build: a split exists, so KN applies it matrix-free
+    xs, _ = phase_symbols(1)
+    a = build_kdv_type(VectorFieldSystem(1, [[1 + sp.Rational(1, 10) * sp.exp(-xs[0] ** 2)]])).full
+    assert not a.real_valued and a.split is not None
+    return a
+
+
+def _no_split_symbol():
+    # no f(x) g(xi) split: dense under either tag
+    xs, xis = phase_symbols(1)
+    return SympySymbol(sp.sqrt(1 + (1 + sp.exp(-xs[0] ** 2)) * xis[0] ** 2), 1, 1.0)
+
+
+_KN_CASES = [  # (symbol, grid) applied with the KN tag
+    (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128)),
+    (lambda: catalog("ultrahyperbolic", eps=0.3), (2, 4.0, 32)),
+    (_two_pair_symbol, (1, 10.0, 128)),
+    (_kdv_type_symbol, (1, 10.0, 128)),
+    (_no_split_symbol, (1, 6.0, 48)),
+]
+_KN_IDS = ["kn-gaussian_kdv", "kn-ultrahyperbolic", "kn-two-pair", "kn-kdv-type", "kn-dense"]
+
+
 def _per_pair_remainder(op, uhat):
     """apply_remainder as one transform pair per split pair, summed in the
-    same order: what the stacked calls must reproduce bit for bit."""
+    same order: what the stacked calls must reproduce bit for bit.  KN
+    applies each pair as f G(u), Weyl as (f G(u) + G(f u))/2."""
     g = op.grid
     values = g.ifftn(uhat)
     phys = np.zeros_like(uhat)
     spec = np.zeros_like(uhat)
     for fv, gv in op.pairs:
+        if op.tag == "kn":
+            phys += fv * g.ifftn(uhat * gv)
+            continue
         phys += 0.5 * fv * g.ifftn(uhat * gv)
         spec += 0.5 * gv * g.fftn(fv * values)
     if op.dense is not None:
@@ -221,11 +250,13 @@ def _per_pair_remainder(op, uhat):
 
 
 @pytest.mark.parametrize(
-    "make_symbol, grid", [case[:2] for case in _REMAINDER_CASES], ids=_REMAINDER_IDS
+    "make_symbol, grid, tag",
+    [case[:2] + ("weyl",) for case in _REMAINDER_CASES] + [case + ("kn",) for case in _KN_CASES],
+    ids=_REMAINDER_IDS + _KN_IDS,
 )
-def test_stacked_remainder_matches_per_pair_transforms_bit_for_bit(make_symbol, grid):
+def test_stacked_remainder_matches_per_pair_transforms_bit_for_bit(make_symbol, grid, tag):
     g = make_grid(*grid)
-    op = build_evolution_operator(make_symbol(), g)
+    op = EvolutionOperator(make_symbol(), g, tag)
     u = gaussian_wavepacket(g, [1.0] + [0.5] * (g.n - 1), width2=2.0).values
     us = np.stack([u, 0.5j * np.conj(u), np.roll(u, 5, axis=-1)])
     for v in (u, us):
@@ -233,19 +264,28 @@ def test_stacked_remainder_matches_per_pair_transforms_bit_for_bit(make_symbol, 
         assert np.array_equal(op.apply_remainder(uhat), _per_pair_remainder(op, uhat))
 
 
+_CALL_CASES = [  # (symbol, grid, pairs, transform calls of one remainder application)
+    (lambda: catalog("airy"), (1, 10.0, 64), 0, []),
+    (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128), 1, ["ifftn", "fftn"]),
+    (_two_pair_symbol, (1, 10.0, 128), 2, ["ifftn", "fftn"]),
+]
+_CALL_IDS = ["multiplier", "one-pair", "two-pair"]
+
+
 @pytest.mark.parametrize(
-    "make_symbol, grid, pairs, calls",
-    [
-        (lambda: catalog("airy"), (1, 10.0, 64), 0, []),
-        (lambda: catalog("gaussian_kdv", eps=0.3), (1, 10.0, 128), 1, ["ifftn", "fftn"]),
-        (_two_pair_symbol, (1, 10.0, 128), 2, ["ifftn", "fftn"]),
-        (_complex_symbol, (1, 6.0, 48), 0, ["ifftn", "fftn"]),
+    "make_symbol, grid, pairs, calls, tag",
+    [case + ("weyl",) for case in _CALL_CASES]
+    + [(_complex_symbol, (1, 6.0, 48), 0, ["ifftn", "fftn"], "weyl")]
+    + [case + ("kn",) for case in _CALL_CASES]
+    + [
+        (_kdv_type_symbol, (1, 10.0, 128), 10, ["ifftn", "fftn"], "kn"),
+        (_no_split_symbol, (1, 6.0, 48), 0, ["ifftn", "fftn"], "kn"),
     ],
-    ids=["multiplier", "one-pair", "two-pair", "dense"],
+    ids=_CALL_IDS + ["dense"] + [f"kn-{name}" for name in _CALL_IDS] + ["kn-kdv-type", "kn-dense"],
 )
-def test_remainder_makes_one_inverse_and_one_forward_call(make_symbol, grid, pairs, calls):
+def test_remainder_makes_one_inverse_and_one_forward_call(make_symbol, grid, pairs, calls, tag):
     g = CountingGrid(*grid)
-    op = build_evolution_operator(make_symbol(), g)
+    op = EvolutionOperator(make_symbol(), g, tag)
     assert len(op.pairs) == pairs
     uhat = g.fftn(airy_packet(g).values)
     for v in (uhat, np.stack([uhat, 2.0 * uhat])):

@@ -333,6 +333,47 @@ def test_im_smallness_reads_the_whole_symbol():
     assert whole.constants["c0_hat"] == lower.constants["c0_hat"]
 
 
+def _bumped(fn, index, direction):
+    """fn with its output at one sample moved by one ulp towards direction."""
+
+    def bumped(X, XI):
+        out = np.array(fn(X, XI), dtype=complex)
+        if index is not None:
+            part = out.real if out[index].imag == 0 else out.imag
+            part[index] = np.nextafter(part[index], direction)
+        return out
+
+    return bumped
+
+
+@pytest.mark.parametrize("index", [None, 5, 17])
+def test_worst_point_is_first_tie_of_a_flat_ratio(index):
+    # both ratios are flat over the samples: |Im a| / |xi|^2 = 1 and
+    # |grad_xi a| / |xi|^2 = 3.  A one-ulp move of one sample changes the exact
+    # extreme, not the reported point, which stays at the first sample.
+    S = SampleSet.standard(1, num_shells=4, x_points=3)
+    first = (tuple(S.X[0]), tuple(S.XI[0]))
+
+    def im_part(X, XI):
+        return 1j * np.abs(XI[..., 0]) ** 2
+
+    def grad(X, XI):
+        return 3.0 * np.abs(XI[..., 0]) ** 2 + 0j
+
+    a = FuncSymbol(
+        _bumped(im_part, index, np.inf),
+        1,
+        3.0,
+        derivs={((1,), (0,)): _bumped(grad, index, -np.inf)},
+    )
+    im = check_im_smallness(a, lambda r: np.ones_like(r), S)
+    ell = check_grad_ellipticity(a, S)
+    assert im.worst_point == first and ell.worst_point == first
+    # the fitted constants stay exact: the bumped sample sets them
+    assert (im.constants["c0_hat"] > 1.0) == (index is not None)
+    assert (ell.worst_value < 3.0) == (index is not None)
+
+
 # -- seminorms -------------------------------------------------------------------
 
 
