@@ -1,9 +1,13 @@
 """Quantization, composition, change of quantization, and positivity diagnostics."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from weylab import calculus
 from weylab.calculus import (
     apply_fast,
     change_quantization,
@@ -130,7 +134,73 @@ def test_dense_assembly_matches_four_branch_reference(build, grid, tag):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_dense_assembly_transforms_through_the_grid_seam():
+def one_shot_dense(a, g, tag):
+    """The former assembly: the whole (midpoint, lag) kernel from one transform
+    call, then the matrix gathered from it in row blocks; kept as the
+    bit-for-bit reference for the slab-wise assembly."""
+    n, N = g.n, g.N
+    if tag == "weyl":
+        axis = -g.L + 0.5 * g.dx * np.arange(2 * N - 1)
+    else:
+        axis = g.x_axis
+    mids = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    if a.x_independent:
+        row = g.ifftn(calculus._symbol_samples(a, g, mids[:1])).reshape(1, g.size)
+        kernel = np.broadcast_to(row, (len(mids), g.size))
+    else:
+        kernel = g.ifftn(calculus._symbol_samples(a, g, mids)).reshape(len(mids), g.size)
+    nodes = np.indices(g.shape).reshape(n, -1)
+    mat = np.empty((g.size, g.size), dtype=complex)
+    block = max(1, (1 << 22) // g.size)
+    for start in range(0, g.size, block):
+        j = nodes[:, start : start + block, None]
+        l = nodes[:, None, :]
+        mat[start : start + block] = kernel[
+            np.ravel_multi_index(j + l if tag == "weyl" else j, (axis.size,) * n),
+            np.ravel_multi_index((j - l) % N, g.shape),
+        ]
+    return mat
+
+
+def midpoint_rows_per_index(g, tag):
+    """Midpoints (kernel rows) per first-axis midpoint index."""
+    return (2 * g.N - 1 if tag == "weyl" else g.N) ** (g.n - 1)
+
+
+def kdv_full(n):
+    xs, _ = phase_symbols(n)
+    bump = sp.Rational(1, 10) * sp.exp(-sum(v**2 for v in xs))
+    coeffs = [[1 + bump]] if n == 1 else [[1 + bump, bump], [0, 1 - bump]]
+    return build_kdv_type(VectorFieldSystem(n, coeffs)).full
+
+
+def slab_symbols(n):
+    xs, xis = phase_symbols(n)
+    varying = xs[0] * xis[-1] + sp.exp(-xs[-1] ** 2) * xis[0] ** 2
+    return {
+        "x-dependent": SympySymbol(varying, n, 2.0, zero_nyquist=False),
+        "x-independent": catalog("airy") if n == 1 else catalog("zk"),
+        "func": FuncSymbol(lambda X, XI: np.cos(X[..., 0]) * XI[..., -1] ** 2 + X[..., -1] * XI[..., 0], n, 2.0),
+        "kdv-full": kdv_full(n),
+    }
+
+
+@pytest.mark.parametrize("per_slab", [None, 3], ids=["default-slab", "3-per-slab"])
+@pytest.mark.parametrize("kind", ["x-dependent", "x-independent", "func", "kdv-full"])
+@pytest.mark.parametrize("tag", ["weyl", "kn"])
+@pytest.mark.parametrize("n, N", [(1, 16), (2, 10)], ids=["1d", "2d"])
+def test_slab_assembly_matches_one_shot_bit_for_bit(n, N, tag, kind, per_slab, monkeypatch):
+    # N = 16 (1D) and 10 (2D): 3 first-axis indices per slab split the 2N - 1
+    # Weyl and the N KN midpoint indices unevenly
+    g = make_grid(n, 3.0, N)
+    if per_slab is not None:
+        entries = per_slab * midpoint_rows_per_index(g, tag) * g.size
+        monkeypatch.setattr(calculus, "SLAB_ENTRIES", entries)
+    a = slab_symbols(n)[kind]
+    assert np.array_equal(quantize_dense(a, g, tag).matrix, one_shot_dense(a, g, tag))
+
+
+def test_dense_assembly_transforms_through_the_grid_seam(monkeypatch):
     calls = []
 
     class CountingGrid(Grid):
@@ -138,15 +208,37 @@ def test_dense_assembly_transforms_through_the_grid_seam():
             calls.append(values.shape)
             return super().ifftn(values)
 
-    # one call; an x-independent symbol transforms one row of samples, any
-    # other symbol one row per midpoint
-    for n, N in [(1, 16), (2, 8)]:
+    # one call per slab of at most 3 first-axis midpoint indices
+    for (n, N), tag in itertools.product([(1, 16), (2, 10)], ["weyl", "kn"]):
         g = CountingGrid(n, 2.0, N)
+        per_index = midpoint_rows_per_index(g, tag)
+        midpoints = (2 * N - 1 if tag == "weyl" else N) ** n
+        monkeypatch.setattr(calculus, "SLAB_ENTRIES", 3 * per_index * g.size)
         varying = catalog("gaussian_kdv") if n == 1 else catalog("ultrahyperbolic", eps=0.3)
-        for a, rows in [(catalog("airy" if n == 1 else "zk"), 1), (varying, (2 * N - 1) ** n)]:
-            calls.clear()
-            quantize_dense(a, g, "weyl")
-            assert calls == [(rows, *g.shape)]
+        calls.clear()
+        quantize_dense(varying, g, tag)
+        assert all(shape[1:] == g.shape for shape in calls)
+        assert sum(shape[0] for shape in calls) == midpoints
+        assert max(shape[0] for shape in calls) <= 3 * per_index
+        assert len(calls) > 1
+        # an x-independent symbol transforms one row of samples, once
+        calls.clear()
+        quantize_dense(catalog("airy" if n == 1 else "zk"), g, tag)
+        assert calls == [(1, *g.shape)]
+
+
+def test_dense_assembly_memory_is_the_matrix_plus_one_slab():
+    # the one-shot kernel held 2^{n+1} times the matrix (124 MB for this 16 MB
+    # matrix); the slabs of the default size add a few MB
+    a = catalog("ultrahyperbolic", eps=0.5, matrix=np.eye(2))
+    quantize_dense(a, Grid(2, 6.0, 8), "weyl")  # build the closures untraced
+    tracemalloc.start()
+    try:
+        op = quantize_dense(a, Grid(2, 6.0, 32), "weyl")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * op.matrix.nbytes
 
 
 @pytest.mark.parametrize("tag", ["weyl", "kn"])
@@ -473,8 +565,55 @@ def test_positivity_fefferman_phong_variable_coefficient():
     assert 0.5 <= rep.stability_ratio <= 2.0
 
 
+def test_positivity_keeps_a_known_defect():
+    # Op^w(x^2 xi^2) = Op^w(x xi)^2 - 1/4 is not nonnegative; the compression
+    # onto the well-windowed subspace must still see it
+    xs, xis = phase_symbols(1)
+    a = SympySymbol(xs[0] ** 2 * xis[0] ** 2, 1, 2.0, zero_nyquist=False)
+    rep = positivity_diagnostic(a, make_grid(1, 4.0, 64), "sharp_garding", probes=24)
+    assert len(rep.fitted_C) == 2
+    assert all(c > 1e-10 for c in rep.fitted_C.values())
+
+
 def test_positivity_rejects_sign_changing_symbol():
     _, xis = phase_symbols(1)
     a = SympySymbol(xis[0], 1, 1.0, zero_nyquist=False)
     with pytest.raises(ValueError):
         positivity_diagnostic(a, make_grid(1, np.pi, 32), "sharp_garding")
+
+
+@pytest.mark.parametrize("n, L, N", [(1, np.pi, 64), (2, 6.0, 16)], ids=["1d", "2d"])
+def test_bessel_form_matches_dense_compression(n, L, N):
+    g = make_grid(n, L, N)
+    Q = calculus._positivity_basis(g)
+    for s in (1.0, 2.0):
+        dense = quantize_dense(bessel_symbol(s, n), g, "weyl").matrix
+        ref = Q.conj().T @ dense @ Q
+        got = calculus._bessel_form(g, Q, s)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+SEAM_FRACTION = 1e-2
+
+
+@pytest.mark.parametrize(
+    "n, L, N", [(1, np.pi, 64), (1, np.pi, 128), (2, 6.0, 16), (2, 6.0, 32)], ids=["1d-64", "1d-128", "2d-16", "2d-32"]
+)
+def test_positivity_basis_stays_off_the_seam(n, L, N):
+    # Every unit vector of the kept span has at most (||P W|| / (tol s_max))^2
+    # of its energy at r > 0.6L (P: that restriction, W: the windowed basis,
+    # tol: POSITIVITY_RANK_RTOL), at most 1.04e-2 on these grids; the columns
+    # measure at most 1.5e-3.  An orthonormalization of every windowed column
+    # (QR, or an SVD down to the numerical rank) puts columns with 78% (1D)
+    # and 100% (2D) of their energy there.
+    g = make_grid(n, L, N)
+    Q = calculus._positivity_basis(g)
+    assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+    seam = g.x_radius.ravel() > 0.6 * g.L
+    x = g.x_mesh.reshape(-1, n)
+    xi = g.xi_mesh.reshape(-1, n)[g.dealias_mask.ravel()]
+    W = np.exp(-((g.x_radius.ravel() / (0.42 * g.L)) ** 4))[:, None] * np.exp(1j * x @ xi.T)
+    s = np.linalg.svd(W, compute_uv=False)
+    bound = (np.linalg.norm(W[seam], 2) / (calculus.POSITIVITY_RANK_RTOL * s[0])) ** 2
+    energy = np.sum(np.abs(Q[seam]) ** 2, axis=0)
+    assert np.max(energy) <= min(bound, SEAM_FRACTION)
