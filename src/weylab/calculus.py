@@ -19,9 +19,12 @@ onto an orthonormal basis of windowed Fourier modes; the Bessel form is
 compressed through the transforms of the basis columns, with no dense matrix.
 
 `EvolutionOperator` applies either tag matrix-free from the split
-a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`), with one stacked
-inverse and one stacked forward transform call however many pairs there are;
-`apply_fast` is its Kohn-Nirenberg tag.
+a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`), real or complex, with
+one stacked inverse and one stacked forward transform call however many pairs
+there are; `apply_fast` is its Kohn-Nirenberg tag.  KN is exact.  The Weyl tag
+applies each pair symmetrized, (fG + Gf)/2: that is Op^w(f g) exactly when g
+has xi-degree <= 1, and Op^w(f g) up to order m - 2 otherwise.  A symbol with
+no split is refused, so evolution never builds a dense matrix.
 
 One sampler, `_symbol_samples`, takes every sample of a symbol on the
 frequency mesh, for the dense assembly, the multipliers and the split; it
@@ -169,9 +172,9 @@ def quantize_dense(a: Symbol, g: Grid, tag: str = "weyl") -> DenseOperator:
 def _split_samples(a: Symbol, g: Grid):
     """a.split sampled on the grid: a0 on the frequency mesh (None when a0 = 0)
     and the (f, g) pairs, the frequency factors through `_symbol_samples`.
-    None when a has no split."""
+    Raises ValueError, naming the symbol, when a has no split."""
     if a.split is None:
-        return None
+        raise ValueError(f"symbol {a.label!r} has no split a0(xi) + sum f(x) g(xi)")
     a0, pairs = a.split
     origin = np.zeros((1, g.n))
     x_pts = g.x_mesh.reshape(-1, g.n)
@@ -185,15 +188,16 @@ def _split_samples(a: Symbol, g: Grid):
 
 class EvolutionOperator:
     """Grid realization of A = Op^w(a) (tag 'weyl') or Op_KN(a) (tag 'kn'):
-    the multiplier a0(D) plus a remainder.
+    the multiplier a0(D) plus a remainder, read off the split
+    a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`).
 
-    Each pair (f, g) of the split gives physical-side terms f G(u) and
-    coefficient-side terms G(f u), G = g(D): KN is the one term f G, Weyl the
-    symmetrized (fG + Gf)/2, which keeps the generator of a real symbol
-    exactly Hermitian.  The terms alone drive the application.  A is
-    matrix-free when the split exists and the tag is 'kn', a is real or a is
-    x-independent (its split is a0 alone); otherwise the remainder is the
-    dense `quantize_dense(a, grid, tag)`.
+    Each pair (f, g) gives physical-side terms f G(u) and coefficient-side
+    terms G(f u), G = g(D): KN is the one term f G, exact; Weyl is the
+    symmetrized (fG + Gf)/2 for real and complex pairs alike (the form is
+    linear in f).  The symmetrized pair is Op^w(f g) exactly when g has
+    xi-degree <= 1; for higher degrees it differs by a term of order m - 2.
+    It keeps the generator of a real symbol exactly Hermitian.  A symbol with
+    no split raises ValueError.
     """
 
     def __init__(self, symbol: Symbol, grid: Grid, tag: str = "weyl"):
@@ -204,21 +208,11 @@ class EvolutionOperator:
         self.symbol = symbol
         self.grid = grid
         self.tag = tag
-        self.multiplier: Optional[np.ndarray] = None
-        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []  # (f, g) samples of the split
-        self.dense: Optional[DenseOperator] = None
-        self._physical: list[tuple[np.ndarray, np.ndarray]] = []  # (f, g): f G(u)
-        self._coefficient: list[tuple[np.ndarray, np.ndarray]] = []  # (g, f): G(f u)
-
-        split = None
-        if tag == "kn" or symbol.real_valued or symbol.x_independent:
-            split = _split_samples(symbol, grid)
-        if split is None:
-            self.dense = quantize_dense(symbol, grid, tag)
-            return
-        self.multiplier, self.pairs = split
+        # the multiplier a0(D) (None when a0 = 0) and the (f, g) samples of the split
+        self.multiplier, self.pairs = _split_samples(symbol, grid)
+        # the physical-side terms (f, g): f G(u); the coefficient-side terms (g, f): G(f u)
         if tag == "kn":
-            self._physical = list(self.pairs)
+            self._physical, self._coefficient = list(self.pairs), []
         else:
             # 0.5 * f * w rounds as (0.5 * f) * w
             self._physical = [(0.5 * fv, gv) for fv, gv in self.pairs]
@@ -232,12 +226,12 @@ class EvolutionOperator:
     def apply_remainder(self, uhat: np.ndarray) -> np.ndarray:
         """Coefficients of (A - a0(D)) u, given the coefficients uhat of u.
 
-        The terms and the dense fallback act through one stacked inverse and
-        one stacked forward transform call.  A pure multiplier has no
-        remainder: the result is zero and no transform runs.  Leading axes of
-        uhat index a stack of arrays, each mapped on its own.
+        The terms act through one stacked inverse and one stacked forward
+        transform call.  A pure multiplier has no remainder: the result is
+        zero and no transform runs.  Leading axes of uhat index a stack of
+        arrays, each mapped on its own.
         """
-        if not self._physical and self.dense is None:
+        if not self._physical:
             return np.zeros_like(uhat)
         out, *forwards = self.grid.fftn(self._forward_rows(uhat))
         if not forwards:
@@ -253,9 +247,8 @@ class EvolutionOperator:
         """The rows [phys, f_1 u, ...] of the forward call, one f u per
         coefficient-side term, from one inverse call on the rows
         [uhat, uhat g_1, ...], one per physical-side term; phys sums the
-        dense fallback and the physical-side terms.  The forward rows are
-        written over the spent inverse rows, so at most two such arrays live
-        at once."""
+        physical-side terms.  The forward rows are written over the spent
+        inverse rows, so at most two such arrays live at once."""
         physical, coefficient = self._physical, self._coefficient
         rows = np.empty((len(physical) + 1, *uhat.shape), dtype=complex)
         rows[0] = uhat
@@ -264,7 +257,7 @@ class EvolutionOperator:
         rows = self.grid.ifftn(rows)
         values = rows[0]
         terms = (fv * w for (fv, _), w in zip(physical, rows[1:]))
-        phys = next(terms) if self.dense is None else self.dense.apply_values(values)
+        phys = next(terms)
         for w in terms:
             phys += w
         # every coefficient-side term comes with a physical-side term, so the
@@ -286,17 +279,11 @@ class EvolutionOperator:
 
     # -- magnitude estimates ------------------------------------------------------
 
-    def _pair_max(self, active_mask: Optional[np.ndarray]) -> float:
+    def max_abs_remainder(self, active_mask: Optional[np.ndarray] = None) -> float:
         total = 0.0
         for fv, gv in self.pairs:
             gmax = np.max(np.abs(gv if active_mask is None else gv[active_mask]))
             total += float(np.max(np.abs(fv)) * gmax)
-        return total
-
-    def max_abs_remainder(self, active_mask: Optional[np.ndarray] = None) -> float:
-        total = self._pair_max(active_mask)
-        if self.dense is not None:
-            total += float(np.linalg.norm(self.dense.matrix, np.inf))
         return total
 
     def max_abs_multiplier(self, active_mask: Optional[np.ndarray] = None) -> float:

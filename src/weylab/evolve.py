@@ -14,14 +14,14 @@ array.  Scheme "rk4" is the same stepper with identity factors and the
 multiplier moved into the stepped part.
 
 The operator is `calculus.EvolutionOperator` with the Weyl tag, built from
-the symbol's expression.  A symbol whose split
-a = a0(xi) + sum_k f_k(x) g_k(xi) exists (`SympySymbol.split`) and that is
-real or x-independent is the multiplier a0 plus the pairs applied in the
-symmetrized form (fG + Gf)/2, which keeps the discrete generator of a real
-symbol exactly Hermitian, so real-symbol runs conserve the L^2 norm up to
-time-integration error only.  Every other symbol (complex and x-dependent, or
-not a sum of products) is quantized densely.  One remainder application costs
-two transform calls, however many pairs there are.
+the symbol's split a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`):
+the multiplier a0 plus the pairs, real or complex, applied in the symmetrized
+form (fG + Gf)/2.  That is Op^w(f g) exactly when g has xi-degree <= 1 and up
+to order m - 2 otherwise.  It keeps the discrete generator of a real symbol
+exactly Hermitian, so real-symbol runs conserve the L^2 norm up to
+time-integration error only.  A symbol with no split is refused, and no
+operator is dense.  One remainder application costs two transform calls,
+however many pairs there are.
 
 Every run on localized data records a wrap-guard horizon
 
@@ -283,7 +283,7 @@ def lawson_stepper(
         e_h = np.exp(1j * mult * (dt / 2.0))
         e_f = e_h * e_h
     terms: list[SpectralMap] = []  # the stepped terms, summed in this order
-    if op.pairs or op.dense is not None:
+    if op.pairs:
         terms.append(lambda uhat, t: 1j * op.apply_remainder(uhat))
     if stepped_mult is not None:
         terms.append(lambda uhat, t: 1j * stepped_mult * uhat)

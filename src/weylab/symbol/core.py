@@ -245,13 +245,19 @@ class SympySymbol(Symbol):
         """a = a0(xi) + sum_k f_k(x) g_k(xi), read off the expression.
 
         Each additive term factors as g(xi) f(x); the constant of a sum f joins
-        the x-free multiplier a0 and terms with the same f share one g.
+        the x-free multiplier a0 and terms with the same f share one g.  When
+        some f still depends on xi, the expanded expression is tried once more
+        (a product such as (xi1 + x1)**3 splits only when expanded).
         Returns (a0, [(f, g), ...]) as sympy expressions (a0 may be 0), or
-        None when some f still depends on xi.
+        None when neither form splits.
         """
+        split = self._split_terms(self.expr)
+        return split if split is not None else self._split_terms(sp.expand(self.expr))
+
+    def _split_terms(self, expr):
         a0 = sp.Integer(0)
         pairs: dict = {}
-        for term in sp.Add.make_args(self.expr):
+        for term in sp.Add.make_args(expr):
             g, f = term.as_independent(*self._xs, as_Add=False)
             if f.has(*self._xis):
                 return None

@@ -372,17 +372,17 @@ def test_apply_fast_xi_dependent_symbols_match_dense(n):
     assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * np.max(np.abs(dense.values))
 
 
-def test_apply_fast_direct_sum_matches_dense():
-    # no f(x) g(xi) split: the dense KN matrix, checked against the brute-force sum
+def test_apply_fast_expanded_product_matches_dense():
+    # (xi + x)^3 splits only once expanded: xi^3 and the pairs x, x^2, x^3
     xs, xis = phase_symbols(1)
-    expr = sp.sqrt(1 + (1 + sp.exp(-xs[0] ** 2)) * xis[0] ** 2)
-    a = SympySymbol(expr, 1, 1.0, zero_nyquist=False)
-    assert a.split is None
+    a = SympySymbol((xis[0] + xs[0]) ** 3, 1, 3.0)
+    a0, pairs = a.split
+    assert a0 == xis[0] ** 3 and {f for f, _ in pairs} == {xs[0], xs[0] ** 2, xs[0] ** 3}
     g = make_grid(1, 10.0, 64)
     u = gaussian_probe(g, k=2.0)
     fast = apply_fast(a, u)
-    ref = brute_force_dense(a, g, "kn") @ u.values
-    assert np.max(np.abs(fast.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+    dense = quantize_dense(a, g, "kn").apply(u)
+    assert np.max(np.abs(fast.values - dense.values)) <= 1e-10 * np.max(np.abs(dense.values))
 
 
 @pytest.mark.parametrize("n", [1, 2])
