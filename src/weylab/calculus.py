@@ -217,55 +217,73 @@ class EvolutionOperator:
             # 0.5 * f * w rounds as (0.5 * f) * w
             self._physical = [(0.5 * fv, gv) for fv, gv in self.pairs]
             self._coefficient = [(0.5 * gv, fv) for fv, gv in self.pairs]
+        self._rows: Optional[np.ndarray] = None  # see _row_stack
 
     # -- application -----------------------------------------------------------
     # Operators act on raw FFT coefficients (Grid.fftn of the samples): the
     # (-1)^k phases and the dx^n factor of `transform` are diagonal, so they
     # commute with every multiplier and cancel in each sandwich below.
 
-    def apply_remainder(self, uhat: np.ndarray) -> np.ndarray:
-        """Coefficients of (A - a0(D)) u, given the coefficients uhat of u.
+    def apply_remainder(self, uhat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Coefficients of (A - a0(D)) u, given the coefficients uhat of u;
+        written to `out` when it is given.
 
         The terms act through one stacked inverse and one stacked forward
-        transform call.  A pure multiplier has no remainder: the result is
-        zero and no transform runs.  Leading axes of uhat index a stack of
-        arrays, each mapped on its own.
+        transform call, both made in the storage of one row stack, which is
+        kept between calls on state-shaped arrays.  A pure multiplier has no
+        remainder: the result is zero and no transform runs.  Leading axes of
+        uhat index a stack of arrays, each mapped on its own.
         """
+        if out is None:
+            out = np.empty(uhat.shape, dtype=complex)
         if not self._physical:
-            return np.zeros_like(uhat)
-        out, *forwards = self.grid.fftn(self._forward_rows(uhat))
-        if not forwards:
+            out[...] = 0.0
             return out
+        rows = self.grid.fftn(self._forward_rows(uhat), overwrite_x=True)
         terms = self._coefficient
-        spec = terms[0][0] * forwards[0]  # the terms summed in coefficient space
-        for (gv, _), w in zip(terms[1:], forwards[1:]):
-            spec += gv * w
-        spec += out
-        return spec
+        if not terms:
+            out[...] = rows[0]
+            return out
+        # the terms summed in coefficient space, each product made in its
+        # spent row; rows[1] is the physical-side sum
+        np.multiply(terms[0][0], rows[0], out=out)
+        for (gv, _), w in zip(terms[1:], rows[2:]):
+            out += np.multiply(gv, w, out=w)
+        out += rows[1]
+        return out
 
     def _forward_rows(self, uhat: np.ndarray) -> np.ndarray:
-        """The rows [phys, f_1 u, ...] of the forward call, one f u per
-        coefficient-side term, from one inverse call on the rows
-        [uhat, uhat g_1, ...], one per physical-side term; phys sums the
-        physical-side terms.  The forward rows are written over the spent
-        inverse rows, so at most two such arrays live at once."""
+        """The rows of the forward call, from one inverse call on the rows
+        [uhat, uhat g_1, ...], one per physical-side term, in the same stack.
+        phys, the sum of the physical-side terms, is written over the spent
+        row 1.  With coefficient-side terms the rows are
+        [f_1 u, phys, f_2 u, ...]: each f_k u is written over the spent row
+        k, and f_1 u over u itself, last; without them, the row [phys]."""
         physical, coefficient = self._physical, self._coefficient
-        rows = np.empty((len(physical) + 1, *uhat.shape), dtype=complex)
+        rows = self._row_stack(uhat.shape)
         rows[0] = uhat
         for row, (_, gv) in zip(rows[1:], physical):
             np.multiply(uhat, gv, out=row)
-        rows = self.grid.ifftn(rows)
-        values = rows[0]
-        terms = (fv * w for (fv, _), w in zip(physical, rows[1:]))
-        phys = next(terms)
-        for w in terms:
-            phys += w
-        # every coefficient-side term comes with a physical-side term, so the
-        # forward rows fit in the spent inverse rows
-        rows = rows[: len(coefficient) + 1]
-        for row, (_, fv) in zip(rows[1:], coefficient):
+        self.grid.ifftn(rows, overwrite_x=True)
+        values, phys = rows[0], rows[1]
+        np.multiply(physical[0][0], phys, out=phys)
+        for (fv, _), w in zip(physical[1:], rows[2:]):
+            phys += np.multiply(fv, w, out=w)
+        if not coefficient:
+            return rows[1:2]
+        for row, (_, fv) in zip(rows[2:], coefficient[1:]):
             np.multiply(fv, values, out=row)
-        rows[0] = phys
+        np.multiply(coefficient[0][1], values, out=values)
+        return rows
+
+    def _row_stack(self, shape: tuple) -> np.ndarray:
+        """The P + 1 transform rows of `_forward_rows`; the stack of a
+        state-shaped array is allocated once and kept."""
+        rows = self._rows
+        if rows is None or rows.shape[1:] != shape:
+            rows = np.empty((len(self._physical) + 1, *shape), dtype=complex)
+            if shape == self.grid.shape:
+                self._rows = rows
         return rows
 
     def apply(self, values: np.ndarray) -> np.ndarray:

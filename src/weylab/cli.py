@@ -458,11 +458,8 @@ def _exp_solve_linear(cfg, run, rng, outdir, prefix):
     return details, verdicts, [series_path]
 
 
-def _family_T(a, data):
-    from .evolve import wrap_guard
-
-    horizons = [wrap_guard(a, u).horizon for u in data]
-    horizons = [h for h in horizons if h is not None]
+def _family_T(guards):
+    horizons = [gw.horizon for gw in guards if gw.horizon is not None]
     if not horizons:
         raise ConfigError("smoothing families need localized data (wrap guard undefined)")
     return 0.8 * min(horizons)
@@ -484,7 +481,7 @@ def _family_T(a, data):
     requires=("grid",),
 )
 def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
-    from .evolve import smoothing_report, solve_linear
+    from .evolve import smoothing_report, solve_linear, wrap_guard
 
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
@@ -494,7 +491,10 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
     data = {
         float(k): gaussian_wavepacket(g, [float(k)] + [0.0] * (g.n - 1), run["width2"]) for k in carriers
     }
-    T = run["T"] or _family_T(a, list(data.values()))
+    # each datum's guard is taken once: it sets the family horizon and serves
+    # the datum's solve (a zero initial datum adds nothing to its source's guard)
+    guards = {} if run["T"] else {k: wrap_guard(a, u0) for k, u0 in data.items()}
+    T = run["T"] or _family_T(guards.values())
     gain = (a.order - 1.0) / 2.0
     ratios = {}
     unweighted = {}
@@ -502,10 +502,10 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
     for k, u0 in data.items():
         sol = None  # free the previous frame stack before the next solve fills one
         if forced:
-            sol = solve_linear(a, Field.zero(g), u0, T=T, store_stride=stride)
+            sol = solve_linear(a, Field.zero(g), u0, T=T, store_stride=stride, guard=guards.get(k))
             rep = smoothing_report(sol, estimate, s, lam, f=u0)
         else:
-            sol = solve_linear(a, u0, T=T, store_stride=stride)
+            sol = solve_linear(a, u0, T=T, store_stride=stride, guard=guards.get(k))
             rep = smoothing_report(sol, estimate, s, lam)
         ratios[k] = rep.ratio
         unw = rep.unweighted_integral

@@ -13,6 +13,17 @@ inverse-transformed only when it is stored, into one (frames, *grid.shape)
 array.  Scheme "rk4" is the same stepper with identity factors and the
 multiplier moved into the stepped part.
 
+The stepper allocates its stage arrays once and the operator keeps its
+transform row stack, so a step allocates no state-sized array of its own (a
+forcing may): the row stack and each stored frame are transformed in their
+own storage, and a pure multiplier steps by one in-place multiply.  A step returns an array that the
+stepper overwrites on its next call, so a caller that keeps a state copies
+it: `_march` stores the inverse transform of a copy, and Picard's Duhamel
+loop writes acc[i+1] at once.  Every complex product has one operand order
+at every array size: numpy's complex multiply is not bitwise commutative,
+and an expression of temporaries lets numpy swap the operands of arrays above
+256 KiB, so a fixed order is what keeps results independent of array size.
+
 The operator is `calculus.EvolutionOperator` with the Weyl tag, built from
 the symbol's split a = a0(xi) + sum_k f_k(x) g_k(xi) (`SympySymbol.split`):
 the multiplier a0 plus the pairs, real or complex, applied in the symmetrized
@@ -274,37 +285,65 @@ def lawson_stepper(
     factor a0 is propagated exactly by the diagonal factors e^{i dt a0/2} and
     e^{i dt a0}; without it (classical RK4) a0 is stepped with R.  When
     nothing is left to step, the step is the diagonal multiply alone.
+
+    The stepper allocates its stage arrays once, and a step returns an array
+    that it overwrites on its next call: a caller that keeps a state copies
+    it (the step may be handed its own last result).  Every complex product
+    has the one operand order written below, at every size: numpy's complex
+    multiply is not bitwise commutative, and an expression of temporaries
+    would let numpy swap the operands of arrays above 256 KiB.
     """
+    shape = op.grid.shape
+    out = np.empty(shape, dtype=complex)
     mult = op.multiplier if integrating_factor else None
-    stepped_mult = None if integrating_factor else op.multiplier
     if mult is None:
         e_h = e_f = 1.0
     else:
         e_h = np.exp(1j * mult * (dt / 2.0))
         e_f = e_h * e_h
-    terms: list[SpectralMap] = []  # the stepped terms, summed in this order
-    if op.pairs:
-        terms.append(lambda uhat, t: 1j * op.apply_remainder(uhat))
-    if stepped_mult is not None:
-        terms.append(lambda uhat, t: 1j * stepped_mult * uhat)
-    if forcing is not None:
-        terms.append(forcing)  # last: its result is never written to
-    if not terms:
-        return lambda uhat, t: e_f * uhat
-    first, *rest = terms
+    i_mult = None if integrating_factor or op.multiplier is None else 1j * op.multiplier
+    stepped = bool(op.pairs) or i_mult is not None  # a stepped term besides the forcing
+    if not stepped and forcing is None:
+        return lambda uhat, t: np.multiply(e_f, uhat, out=out)
+    spare = np.empty(shape, dtype=complex) if op.pairs and i_mult is not None else None
 
-    def rhs(uhat, t):
-        out = first(uhat, t)
-        for term in rest:
-            out += term(uhat, t)
-        return out
+    def rhs(uhat, t, acc):
+        """The stepped terms at (uhat, t), summed into acc in this order."""
+        if op.pairs:
+            np.multiply(1j, op.apply_remainder(uhat, out=acc), out=acc)
+            if i_mult is not None:
+                acc += np.multiply(i_mult, uhat, out=spare)
+        elif i_mult is not None:
+            np.multiply(i_mult, uhat, out=acc)
+        if forcing is None:
+            return
+        if stepped:
+            acc += forcing(uhat, t)
+        else:
+            acc[...] = forcing(uhat, t)
+
+    # the stage arrays: a4 is written over a3 once a3 is folded into the update
+    a1, a2, a3, arg = (np.empty(shape, dtype=complex) for _ in range(4))
+    half, sixth = dt / 2.0, dt / 6.0
+    dt_e_h, two_e_h = dt * e_h, 2.0 * e_h
 
     def step(u, t):
-        a1 = rhs(u, t)
-        a2 = rhs(e_h * (u + (dt / 2.0) * a1), t + dt / 2.0)
-        a3 = rhs(e_h * u + (dt / 2.0) * a2, t + dt / 2.0)
-        a4 = rhs(e_f * u + dt * e_h * a3, t + dt)
-        return e_f * u + (dt / 6.0) * (e_f * a1 + 2.0 * e_h * (a2 + a3) + a4)
+        rhs(u, t, a1)
+        # e_h (u + dt/2 a1)
+        np.multiply(e_h, np.add(u, np.multiply(half, a1, out=arg), out=arg), out=arg)
+        np.multiply(e_f, a1, out=a1)  # a1 is needed only as e_f a1 from here on
+        rhs(arg, t + half, a2)
+        # e_h u + dt/2 a2
+        np.add(np.multiply(e_h, u, out=arg), np.multiply(half, a2, out=a3), out=arg)
+        rhs(arg, t + half, a3)
+        # e_f u + (dt e_h) a3; u is needed only as e_f u from here on, which
+        # `out` keeps (u may be `out` itself)
+        np.add(np.multiply(e_f, u, out=out), np.multiply(dt_e_h, a3, out=arg), out=arg)
+        np.add(a1, np.multiply(two_e_h, np.add(a2, a3, out=a2), out=a2), out=a1)
+        rhs(arg, t + dt, a3)  # a4
+        # e_f u + dt/6 (e_f a1 + (2 e_h)(a2 + a3) + a4)
+        np.multiply(sixth, np.add(a1, a3, out=a1), out=a1)
+        return np.add(out, a1, out=out)
 
     return step
 
@@ -335,7 +374,8 @@ def _march(
     for k in range(steps):
         uhat = step(uhat, k * dt)
         if k + 1 == kept[j]:
-            frames[j] = g.ifftn(uhat)
+            frames[j] = uhat  # a copy: the stepper reuses uhat's storage
+            g.ifftn(frames[j], overwrite_x=True)
             j += 1
     return dt * np.array(kept), frames
 
@@ -386,6 +426,7 @@ def solve_linear(
     scheme: str = "auto",
     store_stride: int = 1,
     enforce_wrap_guard: Optional[bool] = None,
+    guard: Optional[WrapGuard] = None,
 ) -> Solution:
     """Integrate du/dt = i A u + f over [0, T].
 
@@ -394,19 +435,21 @@ def solve_linear(
     picks 'if_rk4' whenever a multiplier part exists.  dt=None selects the
     largest step satisfying the stability bound C_STAB/max|a| and the accuracy
     target Y_ACC/max|a_active|; an explicit dt violating stability raises.
+    `guard` is `wrap_guard(a, u0, f)` when the caller has it already.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     g = u0.grid
     op = build_evolution_operator(a, g)
 
-    guard = wrap_guard(a, u0, f)
+    if guard is None:
+        guard = wrap_guard(a, u0, f)
     enforce = guard.localized if enforce_wrap_guard is None else enforce_wrap_guard
     if enforce:
         guard.check(T)
 
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "auto":
         scheme = "if_rk4" if op.multiplier is not None else "rk4"
 

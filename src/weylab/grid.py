@@ -165,15 +165,18 @@ class Grid:
     # layers goes through this pair.  Both act on the last n axes, so leading
     # axes index a stack of arrays that share one call.
 
-    def fftn(self, values: np.ndarray) -> np.ndarray:
-        """Unnormalized forward DFT over the last n axes."""
+    def fftn(self, values: np.ndarray, *, overwrite_x: bool = False) -> np.ndarray:
+        """Unnormalized forward DFT over the last n axes.  With overwrite_x
+        the transform is written over `values` (a writable complex array),
+        which is returned."""
         fft = _scipy_fft()
-        return fft.fft(values) if self.n == 1 else fft.fft2(values)
+        return _dft(fft.fft if self.n == 1 else fft.fft2, values, overwrite_x)
 
-    def ifftn(self, values: np.ndarray) -> np.ndarray:
-        """Inverse DFT over the last n axes (1/N^n normalization)."""
+    def ifftn(self, values: np.ndarray, *, overwrite_x: bool = False) -> np.ndarray:
+        """Inverse DFT over the last n axes (1/N^n normalization); overwrite_x
+        as for `fftn`."""
         fft = _scipy_fft()
-        return fft.ifft(values) if self.n == 1 else fft.ifft2(values)
+        return _dft(fft.ifft if self.n == 1 else fft.ifft2, values, overwrite_x)
 
 
 @functools.cache
@@ -183,6 +186,18 @@ def _scipy_fft():
     import scipy.fft
 
     return scipy.fft
+
+
+def _dft(transform_fn, values: np.ndarray, overwrite_x: bool) -> np.ndarray:
+    if not overwrite_x:
+        return transform_fn(values)
+    # scipy transforms a native-endian complex array in its own storage, with
+    # the same bits as out of place; any other array is transformed in a copy,
+    # which is written back
+    out = transform_fn(values, overwrite_x=True)
+    if not np.may_share_memory(out, values):
+        values[...] = out
+    return values
 
 
 def make_grid(n: int, L: float, N: int) -> Grid:

@@ -204,9 +204,9 @@ def test_dense_assembly_transforms_through_the_grid_seam(monkeypatch):
     calls = []
 
     class CountingGrid(Grid):
-        def ifftn(self, values):
+        def ifftn(self, values, *, overwrite_x=False):
             calls.append(values.shape)
-            return super().ifftn(values)
+            return super().ifftn(values, overwrite_x=overwrite_x)
 
     # one call per slab of at most 3 first-axis midpoint indices
     for (n, N), tag in itertools.product([(1, 16), (2, 10)], ["weyl", "kn"]):

@@ -399,3 +399,29 @@ def test_csv_artifacts_match_golden_hashes(tmp_path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((tmp_path / "out").glob("*.csv"))
     }
     assert got == golden
+
+
+@pytest.mark.parametrize("estimate", ["ii", "iii"])
+def test_smoothing_report_takes_each_wrap_guard_once(tmp_path, monkeypatch, estimate):
+    # the guard that sets the family horizon also serves the datum's solve
+    from weylab import evolve
+
+    calls = []
+    real = evolve.wrap_guard
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "wrap_guard", counted)
+    cfg = {
+        "experiment": "smoothing-report",
+        "symbol": {"name": "airy"},
+        "grid": _AIRY_GRID,
+        "run": {"carriers": [4, 8], "estimate": estimate},
+        "output": {"prefix": "fam"},
+    }
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == 0
+    assert len(calls) == 2
+    rep = load_report(tmp_path, "fam")
+    assert rep["details"]["T"] == 0.8 * min(real(*args).horizon for args in calls)

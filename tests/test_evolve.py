@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from weylab import calculus
+from weylab import calculus, evolve
 from weylab.calculus import apply_fast, quantize_dense
 from weylab.evolve import (
     EvolutionOperator,
@@ -87,13 +87,13 @@ class CountingGrid(Grid):
 
     transforms: list = field(default_factory=list, compare=False, repr=False)
 
-    def fftn(self, values):
+    def fftn(self, values, *, overwrite_x=False):
         self.transforms.append("fftn")
-        return super().fftn(values)
+        return super().fftn(values, overwrite_x=overwrite_x)
 
-    def ifftn(self, values):
+    def ifftn(self, values, *, overwrite_x=False):
         self.transforms.append("ifftn")
-        return super().ifftn(values)
+        return super().ifftn(values, overwrite_x=overwrite_x)
 
 
 def _zk_packet(g):
@@ -304,6 +304,112 @@ def test_lawson_step_transforms():
     e_f = e_h * e_h
     ref = e_f * uhat + (1e-3 / 6.0) * (e_f * fhat + 4.0 * e_h * fhat + fhat)
     assert np.allclose(out, ref, rtol=1e-14, atol=0)
+
+
+def _closure_stepper(op, dt, forcing=None, *, integrating_factor=True):
+    """The closure-built Lawson stepper the buffered one replaced, kept as a
+    reference: every stage expression makes fresh arrays."""
+    mult = op.multiplier if integrating_factor else None
+    stepped_mult = None if integrating_factor else op.multiplier
+    if mult is None:
+        e_h = e_f = 1.0
+    else:
+        e_h = np.exp(1j * mult * (dt / 2.0))
+        e_f = e_h * e_h
+    terms = []
+    if op.pairs:
+        terms.append(lambda uhat, t: 1j * op.apply_remainder(uhat))
+    if stepped_mult is not None:
+        terms.append(lambda uhat, t: 1j * stepped_mult * uhat)
+    if forcing is not None:
+        terms.append(forcing)
+    if not terms:
+        return lambda uhat, t: e_f * uhat
+    first, *rest = terms
+
+    def rhs(uhat, t):
+        out = first(uhat, t)
+        for term in rest:
+            out += term(uhat, t)
+        return out
+
+    def step(u, t):
+        a1 = rhs(u, t)
+        a2 = rhs(e_h * (u + (dt / 2.0) * a1), t + dt / 2.0)
+        a3 = rhs(e_h * u + (dt / 2.0) * a2, t + dt / 2.0)
+        a4 = rhs(e_f * u + dt * e_h * a3, t + dt)
+        return e_f * u + (dt / 6.0) * (e_f * a1 + 2.0 * e_h * (a2 + a3) + a4)
+
+    return step
+
+
+def _march_both(op, uhat, dt, steps, forcing=None, integrating_factor=True):
+    """uhat after `steps` steps of the buffered and of the reference stepper."""
+    step = lawson_stepper(op, dt, forcing, integrating_factor=integrating_factor)
+    ref = _closure_stepper(op, dt, forcing, integrating_factor=integrating_factor)
+    got, want = uhat.copy(), uhat.copy()
+    for k in range(steps):
+        got = step(got, k * dt)  # the step is handed its own last result
+        want = ref(want, k * dt)
+    return got, want
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+@pytest.mark.parametrize("symbol", ["gaussian_kdv", "airy"], ids=["pairs", "multiplier"])
+@pytest.mark.parametrize("scheme", ["if_rk4", "rk4"])
+def test_buffered_stepper_matches_closure_stepper_bit_for_bit_1d(scheme, symbol, forced):
+    # 1D arrays are below numpy's 256 KiB elision threshold, so every product
+    # of the reference runs in the order written, as in the buffered stepper
+    g = make_grid(1, 10.0, 128)
+    a = catalog(symbol, eps=0.3) if symbol == "gaussian_kdv" else catalog(symbol)
+    op = build_evolution_operator(a, g)
+    uhat = g.fftn(airy_packet(g).values)
+    fhat = 0.1 * uhat
+    forcing = (lambda u, t: fhat) if forced else None
+    got, want = _march_both(op, uhat, 2e-4, 20, forcing, integrating_factor=scheme == "if_rk4")
+    assert np.array_equal(got, want)
+
+
+def test_buffered_stepper_matches_closure_stepper_2d():
+    # above 256 KiB numpy swaps the operands of e_h * (u + dt/2 a1) in the
+    # reference; the buffered stepper keeps the written order at every size
+    g = make_grid(*UH_GRID)
+    op = build_evolution_operator(catalog("ultrahyperbolic", eps=0.05), g)
+    uhat = g.fftn(gaussian_wavepacket(g, [8.0, 0.0], width2=3.0).values)
+    got, want = _march_both(op, uhat, 1e-3, 20)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("symbol", ["ultrahyperbolic", "zk"])
+def test_lawson_steps_allocate_no_state_array(symbol):
+    # the stepper and the operator's row stack are allocated by the first step;
+    # the later steps run in that storage
+    g = make_grid(2, 8 * np.pi, 64)
+    a = catalog(symbol, eps=0.05) if symbol == "ultrahyperbolic" else catalog(symbol)
+    op = build_evolution_operator(a, g)
+    dt = 1e-3
+    step = lawson_stepper(op, dt)
+    uhat = step(g.fftn(_zk_packet(g).values), 0.0)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for k in range(1, 11):
+            uhat = step(uhat, k * dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < uhat.nbytes
+
+
+def test_unknown_scheme_is_refused_before_any_operator_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the scheme was checked")
+
+    monkeypatch.setattr(EvolutionOperator, "__init__", refuse)
+    monkeypatch.setattr(evolve, "wrap_guard", refuse)
+    g = make_grid(1, 10.0, 64)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        solve_linear(catalog("airy"), airy_packet(g), T=0.01, scheme="euler")
 
 
 # -- the Weyl tag against dense Weyl, and evolution with no dense matrix -------------
@@ -563,6 +669,16 @@ def test_wrap_guard_matches_one_shot_lattice(build, grid, carrier, width2):
     v_lat = _one_shot_lattice_v_max(a, g, xi_act)
     assert gw.v_max == v_lat
     assert gw.horizon == (g.L - gw.data_radius - gw.margin) / v_lat
+
+
+@pytest.mark.parametrize("grid", [(1, 40 * np.pi, 2048), UH_GRID])
+def test_zero_datum_adds_nothing_to_its_source_guard(grid):
+    # a forced solve from rest has the guard of its source as a datum
+    g = make_grid(*grid)
+    a = catalog("airy") if g.n == 1 else catalog("ultrahyperbolic", eps=0.05)
+    u0 = gaussian_wavepacket(g, [8.0] + [0.0] * (g.n - 1), width2=3.0)
+    gw = wrap_guard(a, u0)
+    assert gw.localized and wrap_guard(a, Field.zero(g), u0) == gw
 
 
 def test_wrap_guard_memory_is_per_probe():

@@ -137,6 +137,29 @@ def test_fft_seam_stacked_rows_match_single_calls_bit_for_bit(n, N):
                 assert np.array_equal(row, transform_(v))
 
 
+@pytest.mark.parametrize("n, N, rows", [(1, 4096, 2), (2, 256, 2), (2, 512, 3)])
+def test_fft_seam_in_place_matches_out_of_place_bit_for_bit(n, N, rows):
+    # the row stacks of the evolution operator and the stored frames of a march
+    # are transformed in their own storage
+    rng = np.random.default_rng(7)
+    g = make_grid(n, 2.0, N)
+    stack = rng.standard_normal((rows,) + g.shape) + 1j * rng.standard_normal((rows,) + g.shape)
+    for transform_ in (g.fftn, g.ifftn):
+        ref = transform_(stack)
+        work = stack.copy()
+        assert transform_(work, overwrite_x=True) is work
+        assert np.array_equal(work, ref)
+        # a strided view is transformed in its own storage too
+        work = np.repeat(stack, 2, axis=0)
+        view = work[::2]
+        assert transform_(view, overwrite_x=True) is view
+        assert np.array_equal(view, ref) and np.array_equal(work[1::2], stack)
+        # scipy transforms a byte-swapped array in a copy, which is written back
+        work = stack.astype(">c16")
+        assert transform_(work, overwrite_x=True) is work
+        assert np.array_equal(work, ref)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_parseval(n):
     rng = np.random.default_rng(7)
