@@ -437,14 +437,18 @@ def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
     requires=("grid",),
 )
 def _exp_solve_linear(cfg, run, rng, outdir, prefix):
-    from .evolve import solve_linear
+    from .evolve import NormSeries, solve_linear
 
     a = _build_symbol(cfg)
-    u0 = _datum(_build_grid(cfg), run["datum"])
-    sol = solve_linear(a, u0, T=run["T"], dt=run["dt"], scheme=run["scheme"], store_stride=run["store_stride"])
-    drift = sol.l2_drift()
+    g = _build_grid(cfg)
+    u0 = _datum(g, run["datum"])
+    norms = NormSeries(g, (0.0, 1.0))  # the frames are reduced as the march makes them
+    sol = solve_linear(
+        a, u0, T=run["T"], dt=run["dt"], scheme=run["scheme"], store_stride=run["store_stride"], consume=norms
+    )
+    drift = norms.l2_drift()
     series_path = outdir / f"{prefix}_norms.csv"
-    write_csv(series_path, ["t", "l2", "h1"], [sol.times, *sol.sobolev_series((0.0, 1.0))])
+    write_csv(series_path, ["t", "l2", "h1"], [norms.times, *np.array(norms.sobolev).T])
     details = {
         "scheme": sol.scheme,
         "dt": sol.dt,
@@ -481,7 +485,7 @@ def _family_T(guards):
     requires=("grid",),
 )
 def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
-    from .evolve import smoothing_report, solve_linear, wrap_guard
+    from .evolve import SmoothingSeries, solve_linear, wrap_guard
 
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
@@ -500,13 +504,12 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
     unweighted = {}
     rows = []
     for k, u0 in data.items():
-        sol = None  # free the previous frame stack before the next solve fills one
-        if forced:
-            sol = solve_linear(a, Field.zero(g), u0, T=T, store_stride=stride, guard=guards.get(k))
-            rep = smoothing_report(sol, estimate, s, lam, f=u0)
-        else:
-            sol = solve_linear(a, u0, T=T, store_stride=stride, guard=guards.get(k))
-            rep = smoothing_report(sol, estimate, s, lam)
+        # a forced run starts from rest with the packet as its source; the
+        # frames are reduced as the march makes them
+        datum, source = (Field.zero(g), u0) if forced else (u0, None)
+        series = SmoothingSeries(g, a.order, estimate, s, lam, source)
+        sol = solve_linear(a, datum, source, T=T, store_stride=stride, guard=guards.get(k), consume=series)
+        rep = series.report(sol)
         ratios[k] = rep.ratio
         unw = rep.unweighted_integral
         unweighted[k] = unw

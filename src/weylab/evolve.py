@@ -9,9 +9,17 @@ e^{i dt a0}; the remainder (`EvolutionOperator.apply_remainder`, coefficients
 in and out) and any forcing are stepped with RK4 in the rotated frame, and
 they alone pay for transforms.  A pure multiplier with no source therefore
 steps as uhat <- e^{i dt a0} uhat with no transform at all, and a frame is
-inverse-transformed only when it is stored, into one (frames, *grid.shape)
-array.  Scheme "rk4" is the same stepper with identity factors and the
-multiplier moved into the stepped part.
+inverse-transformed only when it is stored.  Scheme "rk4" is the same stepper
+with identity factors and the multiplier moved into the stepped part.
+
+A solve either stores its frames in one (frames, *grid.shape) array or hands
+each frame, as `_march` makes it, to a consumer that keeps a few numbers per
+frame and lets the frame go: `NormSeries` (the L^2 and Sobolev norms of
+`solve-linear`) and `SmoothingSeries` (the terms of a smoothing report).  A
+streamed solve therefore holds a fixed number of state-sized arrays however
+many frames it makes.  A stored solve is reduced by feeding its frames to the
+same consumers (`Solution.feed`), so both paths share every per-frame formula
+and give the same numbers bit for bit.
 
 The stepper allocates its stage arrays once and the operator keeps its
 transform row stack, so a step allocates no state-sized array of its own (a
@@ -73,6 +81,8 @@ __all__ = [
     "WrapGuard",
     "WrapGuardError",
     "Solution",
+    "NormSeries",
+    "SmoothingSeries",
     "SmoothingReport",
     "PropagatorProbeReport",
     "build_evolution_operator",
@@ -96,6 +106,8 @@ SCHEMES = ("auto", "rk4", "if_rk4")  # the time-stepping schemes of solve_linear
 ESTIMATES = ("i", "ii", "iii")  # the smoothing estimates of smoothing_report
 
 SourceLike = Union[None, Field, Callable[[float], Field]]
+# (t, samples) -> None: takes one stored frame, whose buffer may be reused after
+FrameConsumer = Callable[[float, np.ndarray], None]
 
 
 class WrapGuardError(ValueError):
@@ -202,7 +214,9 @@ class Solution:
     grid: Grid
     symbol: Symbol
     times: np.ndarray
-    values: np.ndarray = field(repr=False)  # frames, shape (len(times), *grid.shape)
+    # the stored frames, shape (len(times), *grid.shape); a solve that streams
+    # its frames to a consumer stores only the final one
+    values: np.ndarray = field(repr=False)
     dt: float
     scheme: str
     stride: int
@@ -238,23 +252,54 @@ class Solution:
         """du/dt at a stored node, reconstructed from the equation."""
         return Field(self.grid, self.rhs_values(i))
 
-    # the series below take one frame at a time: a kernel call on the whole
-    # stack would allocate a temporary the size of the stack
+    def feed(self, consume: FrameConsumer) -> FrameConsumer:
+        """Hand every stored frame to consume(t, samples), as a streamed solve
+        does while it marches; returns consume."""
+        for t, v in zip(self.times, self.values):
+            consume(t, v)
+        return consume
 
     def sobolev_series(self, s: Union[float, Sequence[float]]) -> np.ndarray:
         """||u(t_i)||_s at every stored node; for a sequence of indices, one
         row per index, all taken from one spectrum per frame."""
-        g = self.grid
         indices = [s] if np.ndim(s) == 0 else list(s)
-        specs = (_spectrum(g, v) for v in self.values)
-        rows = np.array([[np.sqrt(_sobolev_sq(g, c, si)) for si in indices] for c in specs]).T
+        rows = np.array(self.feed(NormSeries(self.grid, indices)).sobolev).T
         return rows[0] if np.ndim(s) == 0 else rows
 
     def l2_series(self) -> np.ndarray:
-        return np.sqrt([_l2_sq(self.grid, v) for v in self.values])
+        return np.array(self.feed(NormSeries(self.grid)).l2)
 
     def l2_drift(self) -> float:
-        series = self.l2_series()
+        return self.feed(NormSeries(self.grid)).l2_drift()
+
+
+# -- per-frame reductions --------------------------------------------------------------
+# Frame consumers: each keeps a few numbers per frame and takes one frame at a
+# time, so no stack of frames or spectra is formed.
+
+
+class NormSeries:
+    """Per frame: its time, the quadrature L^2 norm and ||u||_s for each s in
+    `indices`, all Sobolev norms taken from one spectrum."""
+
+    def __init__(self, grid: Grid, indices: Sequence[float] = ()):
+        self.grid = grid
+        self.indices = tuple(indices)
+        self.times: list = []
+        self.l2: list = []
+        self.sobolev: list = []  # one row of len(indices) norms per frame
+
+    def __call__(self, t: float, values: np.ndarray) -> None:
+        g = self.grid
+        self.times.append(t)
+        self.l2.append(np.sqrt(_l2_sq(g, values)))
+        if self.indices:
+            spec = _spectrum(g, values)
+            self.sobolev.append([np.sqrt(_sobolev_sq(g, spec, si)) for si in self.indices])
+
+    def l2_drift(self) -> float:
+        """max_t | ||u(t)|| - ||u(0)|| | relative to ||u(0)|| (absolute for u(0) = 0)."""
+        series = np.array(self.l2)
         if series[0] == 0:
             return float(np.max(np.abs(series - series[0])))
         return float(np.max(np.abs(series - series[0])) / series[0])
@@ -363,21 +408,31 @@ def _march(
     steps: int,
     dt: float,
     stride: int = 1,
+    consume: Optional[FrameConsumer] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Take `steps` steps from the samples u0; return the times and the frame
-    stack of the steps `_stored_steps` picks."""
+    """Take `steps` steps from the samples u0 and return the times and the
+    frames of the steps `_stored_steps` picks, as one stack.  With `consume`,
+    each frame is handed to consume(t, samples) as it is made, in one buffer
+    that the next frame overwrites, and only the last frame is returned: the
+    times and stack of that one frame."""
     kept = _stored_steps(steps, stride)
-    frames = np.empty((len(kept), *g.shape), dtype=complex)
+    times = dt * np.array(kept)
+    frames = np.empty((len(kept) if consume is None else 1, *g.shape), dtype=complex)
     frames[0] = u0
+    if consume is not None:
+        consume(times[0], frames[0])
     uhat = g.fftn(u0)
     j = 1
     for k in range(steps):
         uhat = step(uhat, k * dt)
         if k + 1 == kept[j]:
-            frames[j] = uhat  # a copy: the stepper reuses uhat's storage
-            g.ifftn(frames[j], overwrite_x=True)
+            frame = frames[j if consume is None else 0]
+            frame[...] = uhat  # a copy: the stepper reuses uhat's storage
+            g.ifftn(frame, overwrite_x=True)
+            if consume is not None:
+                consume(times[j], frame)
             j += 1
-    return dt * np.array(kept), frames
+    return (times, frames) if consume is None else (times[-1:], frames)
 
 
 def _dt_limit(mag: float, target: float) -> float:
@@ -427,6 +482,7 @@ def solve_linear(
     store_stride: int = 1,
     enforce_wrap_guard: Optional[bool] = None,
     guard: Optional[WrapGuard] = None,
+    consume: Optional[FrameConsumer] = None,
 ) -> Solution:
     """Integrate du/dt = i A u + f over [0, T].
 
@@ -436,6 +492,11 @@ def solve_linear(
     largest step satisfying the stability bound C_STAB/max|a| and the accuracy
     target Y_ACC/max|a_active|; an explicit dt violating stability raises.
     `guard` is `wrap_guard(a, u0, f)` when the caller has it already.
+
+    The solution stores every store_stride-th frame, or with `consume` (a
+    frame consumer such as `NormSeries` or `SmoothingSeries`) hands each such
+    frame to consume(t, samples) as the march makes it and stores only the
+    final frame, so memory does not grow with the number of frames.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
@@ -475,7 +536,7 @@ def solve_linear(
     step = lawson_stepper(
         op, dt, None if f is None else source, integrating_factor=scheme == "if_rk4"
     )
-    times, stored = _march(step, g, u0.values, steps, dt, store_stride)
+    times, stored = _march(step, g, u0.values, steps, dt, store_stride, consume)
     return Solution(
         grid=g,
         symbol=a,
@@ -520,6 +581,90 @@ class SmoothingReport:
         }
 
 
+class SmoothingSeries:
+    """The per-frame terms of a smoothing report, as a frame consumer.
+
+    Per frame it keeps ||u||_s, ||u||_{s+gain}, the weighted integrand at
+    s + gain (estimates 'ii' and 'iii'), all from one spectrum, and the source
+    term of the estimate's right side; gain = (m - 1)/2.  A constant source
+    (a Field) has the same term at every node, taken once; a time-dependent
+    one is evaluated at each node.  `report` assembles the estimate.
+    """
+
+    def __init__(
+        self,
+        grid: Grid,
+        m: float,
+        estimate: str,
+        s: float,
+        lam: Callable[[np.ndarray], np.ndarray],
+        f: SourceLike,
+    ):
+        if estimate not in ESTIMATES:
+            raise ValueError(f"unknown estimate {estimate!r}")
+        self.grid, self.m, self.estimate, self.s, self.lam, self.f = grid, m, estimate, s, lam, f
+        self.gain = (m - 1.0) / 2.0
+        self.times: list = []
+        self.norms: list = []
+        self.gained: list = []
+        self.weighted: list = []
+        self.source: list = []
+        self._const = None if callable(f) else self._source_term(f)
+
+    def _source_term(self, fs: Optional[Field]) -> float:
+        if fs is None:
+            return 0.0
+        if self.estimate == "i":
+            return sobolev_norm(fs, self.s)
+        if self.estimate == "ii":
+            return sobolev_norm(fs, self.s) ** 2
+        return weighted_pairing(fs, lambda r: 1.0 / self.lam(r), self.s - self.gain)
+
+    def __call__(self, t: float, values: np.ndarray) -> None:
+        if not self.times and self.estimate == "iii" and self.f is None and np.any(values):
+            raise ValueError("estimate 'iii' requires the source term")
+        g, s = self.grid, self.s
+        self.times.append(t)
+        spec = _spectrum(g, values)
+        self.norms.append(np.sqrt(_sobolev_sq(g, spec, s)))
+        self.gained.append(np.sqrt(_sobolev_sq(g, spec, s + self.gain)))
+        if self.estimate != "i":
+            self.weighted.append(_weighted_sq(g, spec, self.lam, s + self.gain))
+        self.source.append(self._source_term(self.f(t)) if self._const is None else self._const)
+
+    def report(self, sol: Solution) -> SmoothingReport:
+        """The estimate over the frames taken; `sol` (the solve that made
+        them) gives the run metadata."""
+        times = np.array(self.times)
+        sup_s, u0_s = float(np.max(self.norms)), float(self.norms[0])
+        # each norm squared as a Python float
+        unweighted = float(np.trapezoid([float(v) ** 2 for v in self.gained], times))
+        if self.estimate == "i":
+            lhs = sup_s
+            rhs = u0_s + _trapezoid(times, self.source)
+        else:
+            lhs = sup_s**2 + _trapezoid(times, self.weighted)
+            rhs = u0_s**2 + _trapezoid(times, self.source)
+        ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / rhs
+        meta = {
+            "T": float(times[-1]),
+            "dt": sol.dt,
+            "stride": sol.stride,
+            "scheme": sol.scheme,
+            "wrap_horizon": None if sol.guard is None else sol.guard.horizon,
+        }
+        return SmoothingReport(
+            estimate=self.estimate,
+            lhs=lhs,
+            rhs=rhs,
+            ratio=ratio,
+            s=self.s,
+            m=self.m,
+            unweighted_integral=unweighted,
+            metadata=meta,
+        )
+
+
 def smoothing_report(
     sol: Solution,
     estimate: str,
@@ -536,69 +681,14 @@ def smoothing_report(
 
     The exponential prefactor in T is never folded in: boundedness of the
     ratio across run families is the measured content.  The report also
-    carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.
+    carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.  The stored
+    frames go through `SmoothingSeries`, the consumer that a streamed solve
+    hands its frames to, so both give the same report bit for bit.
     """
-    if estimate not in ESTIMATES:
-        raise ValueError(f"unknown estimate {estimate!r}")
-    if f is _UNSET:
-        f = sol.source
-    if estimate == "iii" and f is None and np.any(sol.values[0]):
-        raise ValueError("estimate 'iii' requires the source term")
-    m = sol.symbol.order
-    gain = (m - 1.0) / 2.0
-    times = sol.times
-    g = sol.grid
-
-    def sources():  # the source at every node, evaluated once per node
-        for t in times:
-            yield f if f is None or isinstance(f, Field) else f(t)
-
-    # one spectrum per stored frame serves ||u||_s, ||u||_{s+gain} and the
-    # weighted integrand at s + gain; frame by frame, so no stack of spectra
-    norms, gained, weighted = np.empty((3, len(sol.values)))
-    for i, v in enumerate(sol.values):
-        spec = _spectrum(g, v)
-        norms[i] = np.sqrt(_sobolev_sq(g, spec, s))
-        gained[i] = np.sqrt(_sobolev_sq(g, spec, s + gain))
-        if estimate != "i":
-            weighted[i] = _weighted_sq(g, spec, lam, s + gain)
-    sup_s, u0_s = float(np.max(norms)), float(norms[0])
-    unweighted = float(np.trapezoid([v**2 for v in gained.tolist()], times))
-
-    if estimate == "i":
-        fnorms = [0.0 if fs is None else sobolev_norm(fs, s) for fs in sources()]
-        lhs = sup_s
-        rhs = u0_s + _trapezoid(times, fnorms)
-    else:
-        lhs = sup_s**2 + _trapezoid(times, weighted)
-        if estimate == "ii":
-            fnorms = [0.0 if fs is None else sobolev_norm(fs, s) ** 2 for fs in sources()]
-            rhs = u0_s**2 + _trapezoid(times, fnorms)
-        else:
-            fpair = [
-                0.0 if fs is None else weighted_pairing(fs, lambda r: 1.0 / lam(r), s - gain)
-                for fs in sources()
-            ]
-            rhs = u0_s**2 + _trapezoid(times, fpair)
-
-    ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / rhs
-    meta = {
-        "T": float(times[-1]),
-        "dt": sol.dt,
-        "stride": sol.stride,
-        "scheme": sol.scheme,
-        "wrap_horizon": None if sol.guard is None else sol.guard.horizon,
-    }
-    return SmoothingReport(
-        estimate=estimate,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        s=s,
-        m=m,
-        unweighted_integral=unweighted,
-        metadata=meta,
+    series = SmoothingSeries(
+        sol.grid, sol.symbol.order, estimate, s, lam, sol.source if f is _UNSET else f
     )
+    return sol.feed(series).report(sol)
 
 
 # -- weighted propagator probe (polynomial-weight bound) --------------------------------

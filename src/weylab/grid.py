@@ -287,13 +287,19 @@ def inverse(uhat: SpectralField) -> Field:
 
 
 def _spectrum(g: Grid, values: np.ndarray) -> np.ndarray:
-    """Transform coefficients uhat of the samples `values` (see `transform`)."""
-    return (g.dx**g.n) * g.phase * g.fftn(values)
+    """Transform coefficients uhat of the samples `values` (see `transform`).
+
+    The scaling is written into the transform's own output, in the operand
+    order (dx^n phase) F at every array size."""
+    out = g.fftn(values)
+    return np.multiply((g.dx**g.n) * g.phase, out, out=out)
 
 
 def _from_spectrum(g: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Samples of the transform coefficients `coeffs` (see `inverse`)."""
-    return g.ifftn(coeffs * g.phase) / (g.dx**g.n)
+    """Samples of the transform coefficients `coeffs` (see `inverse`),
+    transformed and scaled in the storage of the complex product coeffs * phase."""
+    out = g.ifftn(np.multiply(coeffs, g.phase, dtype=complex), overwrite_x=True)
+    return np.divide(out, g.dx**g.n, out=out)
 
 
 def _last_axes(g: Grid) -> tuple[int, ...]:

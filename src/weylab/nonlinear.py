@@ -17,10 +17,14 @@ solver step, and the contraction is measured in the four-term norm
 u-term while parts of the argument use s-2N-5; both are computed and
 reported.)
 
-A trajectory is one (frames, *grid.shape) array.  The nonlinearity, the
-operator and the X-norm act on the whole stack at once through kernels over
-the last n axes, so a Picard sweep is a fixed number of stacked transforms
-plus the Duhamel recurrence, the one sequential step.
+A trajectory is one (frames, *grid.shape) array.  The nonlinearity and the
+operator act on the whole stack at once through kernels over the last n axes,
+so a Picard sweep is a fixed number of stacked transforms plus the Duhamel
+recurrence, the one sequential step.  The X-norm forms one stack of spectra
+at a time (of u, of lam^{-1} u, of lam^{-1} du/dt) and reduces and frees each
+before it forms the next, so a sweep holds at most one stack of spectra.
+The frozen part of the stepped equation is a forcing that writes into one
+buffer of its own, so a Picard step allocates no state-sized array.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 
 from .evolve import (
     Solution,
+    SpectralMap,
     _march,
     _nonlinear_steps,
     _stored_steps,
@@ -169,14 +174,16 @@ def _xts_terms(
     if decay_gate is not None and np.max(_tail_fraction(grid, values, grid.L / 2.0)) > decay_gate:
         raise ValueError("field mass leaks outside |x| <= L/2; lam^{-1} weights unreliable")
     inv_lam = 1.0 / lam(grid.x_radius)
-    u_hat = _spectrum(grid, values)
-    low_hat = _spectrum(grid, inv_lam * values)
-    dt_hat = _spectrum(grid, inv_lam * rhs)
-    sup_s2 = float(np.max(_sobolev_sq(grid, u_hat, s)))
-    smoothing = float(np.trapezoid(_weighted_sq(grid, u_hat, lam, s + 1.0), times))
-    sup_low = float(np.max(_sobolev_sq(grid, low_hat, s - 2 * N_w - 2)))
-    sup_low_alt = float(np.max(_sobolev_sq(grid, low_hat, s - 2 * N_w - 5)))
-    sup_dt = float(np.max(_sobolev_sq(grid, dt_hat, s - 2 * N_w - 5)))
+    # one stack of spectra at a time: each is reduced and freed before the next is formed
+    hat = _spectrum(grid, values)
+    sup_s2 = float(np.max(_sobolev_sq(grid, hat, s)))
+    smoothing = float(np.trapezoid(_weighted_sq(grid, hat, lam, s + 1.0), times))
+    del hat
+    hat = _spectrum(grid, inv_lam * values)
+    sup_low = float(np.max(_sobolev_sq(grid, hat, s - 2 * N_w - 2)))
+    sup_low_alt = float(np.max(_sobolev_sq(grid, hat, s - 2 * N_w - 5)))
+    del hat
+    sup_dt = float(np.max(_sobolev_sq(grid, _spectrum(grid, inv_lam * rhs), s - 2 * N_w - 5)))
     value = float(np.sqrt(sup_s2 + smoothing + sup_low + sup_dt))
     return XtsNorm(
         value=value,
@@ -193,6 +200,19 @@ def _xts_terms(
 def xts_norm(sol: Solution, s: float, lam: WeightFn, N_w: int) -> XtsNorm:
     """Four-term solution norm; du/dt comes from the equation (sol.rhs_values)."""
     return _xts_terms(sol.grid, sol.times, sol.values, sol.rhs_values(), s, lam, N_w)
+
+
+def _frozen_forcing(g: Grid, c_frozen: np.ndarray, mult_alpha: np.ndarray) -> SpectralMap:
+    """The stepper's forcing for the frozen part, uhat -> F(c_frozen D^alpha u),
+    written into one buffer that the forcing owns and returns; every product
+    keeps the operand order written here at every size."""
+    buf = np.empty(g.shape, dtype=complex)
+
+    def frozen_term(uhat, t):
+        g.ifftn(np.multiply(uhat, mult_alpha, out=buf), overwrite_x=True)
+        return g.fftn(np.multiply(c_frozen, buf, out=buf), overwrite_x=True)
+
+    return frozen_term
 
 
 class PicardDivergenceError(RuntimeError):
@@ -251,12 +271,7 @@ def picard_solve(
     op = build_evolution_operator(a, g)
     mult_alpha = _xi_alpha(g, spec.alpha)
     c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
-    frozen_term = None
-    if frozen:
-
-        def frozen_term(uhat, t):  # on coefficients, for the stepper
-            return g.fftn(c_frozen * g.ifftn(uhat * mult_alpha))
-
+    frozen_term = _frozen_forcing(g, c_frozen, mult_alpha) if frozen else None
     extra_mag = float(np.max(np.abs(c_frozen)) * np.max(np.abs(mult_alpha))) if frozen else 0.0
     steps, dt = _nonlinear_steps(op, u0, T, dt, extra_mag)
     times = dt * np.arange(steps + 1)

@@ -128,6 +128,18 @@ def test_solve_linear_conservation_and_series(tmp_path):
     series = (tmp_path / "lin_norms.csv").read_text().splitlines()
     assert series[0] == "t,l2,h1"
     assert len(series) > 3
+    # the CLI streams its frames into the norms; a stored solve gives the same
+    # column and drift bit for bit
+    from weylab.evolve import solve_linear
+    from weylab.grid import gaussian_wavepacket, make_grid
+    from weylab.symbol import catalog
+
+    g = make_grid(1, cfg["grid"]["L"], cfg["grid"]["N"])
+    sol = solve_linear(catalog("airy"), gaussian_wavepacket(g, [2.0], 8.0), T=0.5, store_stride=8)
+    rows = np.array([[float(v) for v in line.split(",")] for line in series[1:]])
+    assert np.array_equal(rows[:, 0], sol.times)
+    assert np.array_equal(rows[:, 1:].T, sol.sobolev_series((0.0, 1.0)))
+    assert rep["details"]["l2_drift"] == sol.l2_drift()
 
 
 def test_trace_bichar_experiment(tmp_path):

@@ -10,7 +10,9 @@ import sympy as sp
 from weylab import calculus, evolve
 from weylab.calculus import apply_fast, quantize_dense
 from weylab.evolve import (
+    ESTIMATES,
     EvolutionOperator,
+    SmoothingSeries,
     WrapGuardError,
     _active_mask,
     build_evolution_operator,
@@ -748,6 +750,101 @@ def test_smoothing_report_takes_one_spectrum_per_frame(estimate, per_frame):
         assert rep.lhs == sup**2 + float(np.trapezoid(weighted, sol.times))
     else:
         assert rep.lhs == sup
+
+
+@pytest.mark.parametrize(
+    "estimate, once", [("i", ["fftn"]), ("ii", ["fftn"]), ("iii", ["fftn", "ifftn"])]
+)
+def test_smoothing_report_takes_a_constant_source_once(estimate, once):
+    # a Field source has the same term at every node: its transforms are made
+    # once per report, and the right side is that of the term taken per node
+    lam = WeightFn(2)
+    g = CountingGrid(1, 40 * np.pi, 1024)
+    s, gain = 0.5, 1.0
+    source = airy_packet(g)
+    sol = solve_linear(catalog("airy"), Field.zero(g), source, T=0.05, store_stride=2)
+    g.transforms.clear()
+    rep = smoothing_report(sol, estimate, s, lam)
+    per_frame = ["fftn"] if estimate == "i" else ["fftn", "ifftn"]
+    assert g.transforms == once + per_frame * len(sol.times)
+    if estimate == "i":
+        terms = [sobolev_norm(source, s) for _ in sol.times]
+    elif estimate == "ii":
+        terms = [sobolev_norm(source, s) ** 2 for _ in sol.times]
+    else:
+        terms = [weighted_pairing(source, lambda r: 1.0 / lam(r), s - gain) for _ in sol.times]
+    assert rep.rhs == float(np.trapezoid(terms, sol.times))  # from rest: u0 adds nothing
+
+
+# estimates in 1D and 2D: (symbol, grid, carrier, width2, solve arguments)
+_STREAM_FAMILIES = {
+    "gkdv-1d": (
+        lambda: catalog("gaussian_kdv", eps=0.05),
+        (1, 40 * np.pi, 1024),
+        [8.0],
+        8.0,
+        {"T": 0.01, "store_stride": 4},
+    ),
+    "uh-2d": (
+        lambda: catalog("ultrahyperbolic", eps=0.05),
+        UH_GRID,
+        [8.0, 0.0],
+        3.0,
+        {"T": 8e-3, "dt": 1e-3, "store_stride": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("forcing", ["free", "forced", "forced-t"])
+@pytest.mark.parametrize("estimate", ESTIMATES)
+@pytest.mark.parametrize("family", sorted(_STREAM_FAMILIES))
+def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, forcing):
+    build, grid, carrier, width2, run = _STREAM_FAMILIES[family]
+    a, g, lam, s = build(), make_grid(*grid), WeightFn(2), 0.5
+    packet = gaussian_wavepacket(g, carrier, width2)
+    source = {"free": None, "forced": packet, "forced-t": lambda t: (1.0 + 10.0 * t) * packet}[forcing]
+    datum = packet if source is None else Field.zero(g)
+    series = SmoothingSeries(g, a.order, estimate, s, lam, source)
+    if estimate == "iii" and source is None:
+        # the estimate needs a source: both paths refuse a free run from data
+        with pytest.raises(ValueError):
+            solve_linear(a, datum, source, consume=series, **run)
+        with pytest.raises(ValueError):
+            smoothing_report(solve_linear(a, datum, source, **run), estimate, s, lam)
+        return
+    sol = solve_linear(a, datum, source, consume=series, **run)
+    streamed = series.report(sol)
+    stored = smoothing_report(solve_linear(a, datum, source, **run), estimate, s, lam)
+    for key in ("lhs", "rhs", "ratio", "unweighted_integral", "metadata"):
+        assert getattr(streamed, key) == getattr(stored, key)
+    assert stored.lhs > 0 and stored.rhs > 0
+    # the streamed solve keeps only its final frame
+    assert sol.values.shape == (1, *g.shape) and sol.times[-1] == series.times[-1]
+
+
+def test_streamed_smoothing_memory_does_not_grow_with_frames():
+    # a stored solve grows by one state array per frame; a streamed one keeps
+    # a few numbers per frame, whatever the stride or the horizon
+    g = make_grid(1, 40 * np.pi, 2048)
+    a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn(2)
+    u0 = airy_packet(g, k=8.0)
+
+    def traced_peak(T, stride):
+        series = SmoothingSeries(g, a.order, "ii", 0.0, lam, None)
+        tracemalloc.start()
+        try:
+            solve_linear(a, u0, T=T, store_stride=stride, consume=series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, len(series.times)
+
+    traced_peak(0.02, 4)  # fills the grid's and the symbol's caches
+    base, frames = traced_peak(0.02, 4)
+    for T, stride in ((0.02, 2), (0.04, 4)):
+        peak, more = traced_peak(T, stride)
+        assert more >= 2 * frames - 1
+        assert abs(peak - base) < u0.values.nbytes
 
 
 def test_smoothing_report_iii_forced():

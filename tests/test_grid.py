@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from weylab.grid import (
     Field,
+    _from_spectrum,
+    _spectrum,
     apply_bessel,
     inverse,
     l2_norm,
@@ -245,3 +247,25 @@ def test_tail_mass_fraction():
     assert tail_mass_fraction(u, 10.0) < 1e-12
     v = Field.from_function(g, lambda x: np.exp(1j * x))
     assert tail_mass_fraction(v, 10.0) > 0.4
+
+
+@pytest.mark.parametrize(
+    "grid, frames",
+    [
+        ((1, 40 * np.pi, 1024), (4,)),  # 64 KiB
+        ((1, 40 * np.pi, 1024), (32,)),  # 512 KiB
+        ((2, 8.0, 64), (2,)),  # 128 KiB
+        ((2, 8.0, 128), (4,)),  # 1 MiB
+        ((2, 8.0, 256), ()),  # one 1 MiB array
+    ],
+    ids=["1d-small", "1d-large", "2d-small", "2d-large", "2d-single"],
+)
+def test_spectrum_pair_in_place_matches_expressions_bit_for_bit(grid, frames):
+    # the products are written into the transform's own output; on both sides
+    # of numpy's 256 KiB temporary-elision threshold the bits are those of the
+    # expressions
+    g = make_grid(*grid)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((*frames, *g.shape)) + 1j * rng.standard_normal((*frames, *g.shape))
+    assert _spectrum(g, v).tobytes() == ((g.dx**g.n) * g.phase * g.fftn(v)).tobytes()
+    assert _from_spectrum(g, v).tobytes() == (g.ifftn(v * g.phase) / (g.dx**g.n)).tobytes()

@@ -1,11 +1,14 @@
 """Nonlinearity evaluation, X-norm, Picard iteration, direct cross-checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from weylab.evolve import WrapGuardError, wrap_guard
+from weylab.evolve import WrapGuardError, build_evolution_operator, lawson_stepper, wrap_guard
 from weylab.grid import (
     Field,
+    gaussian_wavepacket,
     l2_norm,
     make_grid,
     sobolev_norm,
@@ -15,6 +18,9 @@ from weylab.grid import (
 from weylab.nonlinear import (
     NonlinearitySpec,
     PicardDivergenceError,
+    _frozen_forcing,
+    _monomial,
+    _xi_alpha,
     _xts_terms,
     direct_nonlinear_solve,
     nonlinearity_eval,
@@ -230,6 +236,33 @@ def test_picard_frozen_equivalence(setup):
         for i in range(len(run_f.solution.times))
     )
     assert agree <= 1e-8
+
+
+def test_frozen_picard_steps_allocate_no_state_array():
+    # the criterion-9 frozen step (airy, u0 = 0.01 e^{-x^2/8}, dt = 2e-4): the
+    # forcing writes its transforms into its own buffer, allocated with the
+    # stepper's arrays before the first step
+    g = make_grid(1, 20 * np.pi, 256)
+    u0 = gaussian_wavepacket(g, [0.0], 8.0, 0.01)
+    dt = 2e-4
+    forcing = _frozen_forcing(g, _monomial(u0.values, SPEC.p, SPEC.q), _xi_alpha(g, SPEC.alpha))
+    step = lawson_stepper(build_evolution_operator(catalog("airy"), g), dt, forcing)
+    uhat = step(g.fftn(u0.values), 0.0)
+    # scipy.fft keeps about 9 KiB of small objects over its first ~80 calls
+    # with overwrite_x in a process, more than this 4 KiB state: make them
+    # before tracing
+    scratch = uhat.copy()
+    for _ in range(100):
+        g.fftn(scratch, overwrite_x=True)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for k in range(1, 11):
+            uhat = step(uhat, k * dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < uhat.nbytes
 
 
 def test_picard_divergence_abort(setup):
