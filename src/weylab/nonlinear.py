@@ -17,14 +17,22 @@ solver step, and the contraction is measured in the four-term norm
 u-term while parts of the argument use s-2N-5; both are computed and
 reported.)
 
-A trajectory is one (frames, *grid.shape) array.  The nonlinearity and the
-operator act on the whole stack at once through kernels over the last n axes,
-so a Picard sweep is a fixed number of stacked transforms plus the Duhamel
-recurrence, the one sequential step.  The X-norm forms one stack of spectra
-at a time (of u, of lam^{-1} u, of lam^{-1} du/dt) and reduces and frees each
-before it forms the next, so a sweep holds at most one stack of spectra.
-The frozen part of the stepped equation is a forcing that writes into one
-buffer of its own, so a Picard step allocates no state-sized array.
+A Picard solve keeps three (frames, *grid.shape) trajectory stacks: the
+homogeneous flow W(t) u0, the current iterate and its nonlinearity Ntil.  A
+sweep builds the new iterate one chunk of consecutive frames at a time
+(`CHUNK_BYTES`): the Duhamel recurrence, the one sequential step, writes the
+chunk; the chunk then gets its nonlinearity, its difference from the old
+iterate, both right-hand sides and every X-norm term, and only after that are
+its slots in the current iterate and in Ntil overwritten.  The X-norm
+(`_XtsReducer`, which also serves `xts_norm`) keeps running maxima for the
+sup terms and one value per frame for the time integral, so a sweep holds the
+three stacks plus a fixed number of chunks however many steps it takes.  The
+nonlinearity, the operator and the norm kernels act on a chunk through
+kernels over the last n axes; a transform of a chunk gives each frame the
+bits of a transform of the whole stack.  The frozen part of the stepped
+equation is a forcing that writes into one buffer of its own, and so is the
+nonlinearity of the direct solve, so neither steps with a state-sized
+allocation.
 """
 
 from __future__ import annotations
@@ -71,6 +79,9 @@ __all__ = [
 
 SCHWARTZ_TAIL_TOL = 1e-8
 DIVERGENCE_PATIENCE = 3
+# A Picard sweep and the X-norm take this many bytes of frames per chunk (at
+# least one frame).
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,31 +117,77 @@ def _xi_alpha(g: Grid, alpha: tuple) -> np.ndarray:
     return out
 
 
-def _dalpha(g: Grid, values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    return g.ifftn(g.fftn(values) * mult)
+def _chunks(g: Grid, start: int, stop: int) -> list[slice]:
+    """Consecutive slices of the frames start..stop-1, CHUNK_BYTES of frames each."""
+    rows = max(1, CHUNK_BYTES // (16 * g.size))
+    return [slice(a, min(a + rows, stop)) for a in range(start, stop, rows)]
 
 
-def _monomial(values: np.ndarray, p: int, q: int) -> np.ndarray:
-    return values**p * np.conj(values) ** q
-
-
-def _nonlinearity(
-    g: Grid,
+def _monomial(
     values: np.ndarray,
-    spec: NonlinearitySpec,
-    c_frozen: Optional[np.ndarray] = None,
-    dealias: bool = True,
+    p: int,
+    q: int,
+    out: Optional[np.ndarray] = None,
+    spare: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """N(u) = u^p conj(u)^q D^alpha u on samples whose leading axes index a
-    stack; with c_frozen = u0^p conj(u0)^q, the frozen Ntil = (u^p conj(u)^q -
-    c_frozen) D^alpha u.  The product is de-aliased with the 2/3 mask."""
-    coeff = _monomial(values, spec.p, spec.q)
-    if c_frozen is not None:
-        coeff = coeff - c_frozen
-    out = coeff * _dalpha(g, values, _xi_alpha(g, spec.alpha))
-    if dealias:
-        out = g.ifftn(np.where(g.dealias_mask, g.fftn(out), 0.0))
-    return out
+    """values^p conj(values)^q, written into out (with spare as scratch) when
+    they are given; the in-place powers take the ufuncs of `**`."""
+    if out is None:
+        return values**p * np.conj(values) ** q
+    out[...] = values
+    out **= p
+    np.conjugate(values, out=spare)
+    spare **= q
+    return np.multiply(out, spare, out=out)
+
+
+class _Nonlinearity:
+    """u -> N(u) = u^p conj(u)^q D^alpha u, or with c_frozen = u0^p conj(u0)^q
+    the frozen Ntil = (u^p conj(u)^q - c_frozen) D^alpha u, on samples whose
+    leading axes index a stack, written into arrays the caller passes.  The
+    product is de-aliased with the 2/3 mask.
+
+    The product coeff * D^alpha u is formed in the order (coeff, D^alpha u),
+    or (D^alpha u, coeff) with `dalpha_first`: complex multiplication is not
+    bitwise commutative, and Picard's stacked products, which numpy's
+    temporary elision ran with their operands swapped, had the second order.
+    """
+
+    def __init__(
+        self,
+        g: Grid,
+        spec: NonlinearitySpec,
+        c_frozen: Optional[np.ndarray] = None,
+        *,
+        dealias: bool = True,
+        dalpha_first: bool = False,
+    ):
+        self.grid, self.spec, self.c_frozen = g, spec, c_frozen
+        self.dalpha_first = dalpha_first
+        self.mult = _xi_alpha(g, spec.alpha)
+        self.drop = ~g.dealias_mask if dealias else None
+
+    def dalpha(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """D^alpha u of the samples `values`, written into out."""
+        g = self.grid
+        out[...] = values
+        g.fftn(out, overwrite_x=True)
+        return g.ifftn(np.multiply(out, self.mult, out=out), overwrite_x=True)
+
+    def __call__(self, values: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """N (or Ntil) of `values` written into out, with spare as scratch;
+        neither may share memory with `values`."""
+        g, spec = self.grid, self.spec
+        coeff = _monomial(values, spec.p, spec.q, out, spare)
+        if self.c_frozen is not None:
+            coeff -= self.c_frozen
+        d = self.dalpha(values, spare)
+        np.multiply(*((d, coeff) if self.dalpha_first else (coeff, d)), out=out)
+        if self.drop is not None:
+            g.fftn(out, overwrite_x=True)
+            np.copyto(out, 0.0, where=self.drop)
+            g.ifftn(out, overwrite_x=True)
+        return out
 
 
 def nonlinearity_eval(
@@ -147,8 +204,10 @@ def nonlinearity_eval(
     """
     if frozen and u0 is None:
         raise ValueError("the frozen variant requires the datum u0")
+    g = u.grid
     c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
-    return Field(u.grid, _nonlinearity(u.grid, u.values, spec, c_frozen, dealias))
+    out, spare = np.empty((2, *g.shape), dtype=complex)
+    return Field(g, _Nonlinearity(g, spec, c_frozen, dealias=dealias)(u.values, out, spare))
 
 
 @dataclass
@@ -157,49 +216,74 @@ class XtsNorm:
     terms: dict
 
 
-def _xts_terms(
-    grid: Grid,
-    times: np.ndarray,
-    values: np.ndarray,
-    rhs: np.ndarray,
-    s: float,
-    lam: WeightFn,
-    N_w: int,
-    *,
-    decay_gate: Optional[float] = 1e-6,
-) -> XtsNorm:
-    """The four terms for a frame stack `values` and its du/dt stack `rhs`."""
-    if s < 2 * N_w + 5:
-        raise ValueError(f"s={s} too small: the norm needs s >= 2 N_w + 5 = {2 * N_w + 5}")
-    if decay_gate is not None and np.max(_tail_fraction(grid, values, grid.L / 2.0)) > decay_gate:
-        raise ValueError("field mass leaks outside |x| <= L/2; lam^{-1} weights unreliable")
-    inv_lam = 1.0 / lam(grid.x_radius)
-    # one stack of spectra at a time: each is reduced and freed before the next is formed
-    hat = _spectrum(grid, values)
-    sup_s2 = float(np.max(_sobolev_sq(grid, hat, s)))
-    smoothing = float(np.trapezoid(_weighted_sq(grid, hat, lam, s + 1.0), times))
-    del hat
-    hat = _spectrum(grid, inv_lam * values)
-    sup_low = float(np.max(_sobolev_sq(grid, hat, s - 2 * N_w - 2)))
-    sup_low_alt = float(np.max(_sobolev_sq(grid, hat, s - 2 * N_w - 5)))
-    del hat
-    sup_dt = float(np.max(_sobolev_sq(grid, _spectrum(grid, inv_lam * rhs), s - 2 * N_w - 5)))
-    value = float(np.sqrt(sup_s2 + smoothing + sup_low + sup_dt))
-    return XtsNorm(
-        value=value,
-        terms={
-            "sup_Hs_sq": sup_s2,
-            "weighted_smoothing": smoothing,
-            "sup_weighted_low_sq(s-2N-2)": sup_low,
-            "sup_weighted_low_sq(s-2N-5)": sup_low_alt,
-            "sup_weighted_dt_sq(s-2N-5)": sup_dt,
-        },
+class _XtsReducer:
+    """The four-term norm of a trajectory, reduced one chunk of consecutive
+    frames at a time: `add` takes the chunk's samples and du/dt, `norm` the
+    times of all frames added.  The sup terms are running maxima; the time
+    integral keeps one value per frame and is taken once, by `np.trapezoid`.
+
+    With `decay_gate`, `norm` refuses a trajectory whose largest tail
+    fraction outside |x| <= L/2 exceeds it."""
+
+    SUP_TERMS = (
+        "sup_Hs_sq",
+        "sup_weighted_low_sq(s-2N-2)",
+        "sup_weighted_low_sq(s-2N-5)",
+        "sup_weighted_dt_sq(s-2N-5)",
     )
+
+    def __init__(
+        self, grid: Grid, s: float, lam: WeightFn, N_w: int, decay_gate: Optional[float] = 1e-6
+    ):
+        if s < 2 * N_w + 5:
+            raise ValueError(f"s={s} too small: the norm needs s >= 2 N_w + 5 = {2 * N_w + 5}")
+        self.grid, self.s, self.lam, self.N_w, self.decay_gate = grid, s, lam, N_w, decay_gate
+        self.inv_lam = 1.0 / lam(grid.x_radius)
+        self.sup = dict.fromkeys(self.SUP_TERMS, -np.inf)
+        self.tail = -np.inf
+        self.weighted: list = []  # the smoothing integrand, one array per chunk
+
+    def _sup(self, name: str, values: np.ndarray) -> None:
+        self.sup[name] = np.max(values, initial=self.sup[name])
+
+    def add(self, values: np.ndarray, rhs: np.ndarray) -> None:
+        """Reduce the frames `values` and their du/dt `rhs`, the next in time."""
+        g, s, low = self.grid, self.s, self.s - 2 * self.N_w
+        if self.decay_gate is not None:
+            self.tail = np.max(_tail_fraction(g, values, g.L / 2.0), initial=self.tail)
+        # one chunk of spectra at a time: each is reduced and freed before the next is formed
+        hat = _spectrum(g, values)
+        self._sup("sup_Hs_sq", _sobolev_sq(g, hat, s))
+        self.weighted.append(_weighted_sq(g, hat, self.lam, s + 1.0))
+        hat = _spectrum(g, self.inv_lam * values)
+        self._sup("sup_weighted_low_sq(s-2N-2)", _sobolev_sq(g, hat, low - 2))
+        self._sup("sup_weighted_low_sq(s-2N-5)", _sobolev_sq(g, hat, low - 5))
+        hat = _spectrum(g, self.inv_lam * rhs)
+        self._sup("sup_weighted_dt_sq(s-2N-5)", _sobolev_sq(g, hat, low - 5))
+
+    def norm(self, times: np.ndarray) -> XtsNorm:
+        if self.decay_gate is not None and self.tail > self.decay_gate:
+            raise ValueError("field mass leaks outside |x| <= L/2; lam^{-1} weights unreliable")
+        sup = {name: float(v) for name, v in self.sup.items()}
+        smoothing = float(np.trapezoid(np.concatenate(self.weighted), times))
+        value = float(
+            np.sqrt(
+                sup["sup_Hs_sq"]
+                + smoothing
+                + sup["sup_weighted_low_sq(s-2N-2)"]
+                + sup["sup_weighted_dt_sq(s-2N-5)"]
+            )
+        )
+        terms = {"sup_Hs_sq": sup.pop("sup_Hs_sq"), "weighted_smoothing": smoothing, **sup}
+        return XtsNorm(value=value, terms=terms)
 
 
 def xts_norm(sol: Solution, s: float, lam: WeightFn, N_w: int) -> XtsNorm:
     """Four-term solution norm; du/dt comes from the equation (sol.rhs_values)."""
-    return _xts_terms(sol.grid, sol.times, sol.values, sol.rhs_values(), s, lam, N_w)
+    reducer = _XtsReducer(sol.grid, s, lam, N_w)
+    for sl in _chunks(sol.grid, 0, len(sol.times)):
+        reducer.add(sol.values[sl], sol.rhs_values(sl))
+    return reducer.norm(sol.times)
 
 
 def _frozen_forcing(g: Grid, c_frozen: np.ndarray, mult_alpha: np.ndarray) -> SpectralMap:
@@ -213,6 +297,20 @@ def _frozen_forcing(g: Grid, c_frozen: np.ndarray, mult_alpha: np.ndarray) -> Sp
         return g.fftn(np.multiply(c_frozen, buf, out=buf), overwrite_x=True)
 
     return frozen_term
+
+
+def _direct_forcing(g: Grid, spec: NonlinearitySpec) -> SpectralMap:
+    """The stepper's forcing of the direct solve, uhat -> F(N(u)), written into
+    buffers that the forcing owns; it returns one of them."""
+    kernel = _Nonlinearity(g, spec)
+    values, out, spare = (np.empty(g.shape, dtype=complex) for _ in range(3))
+
+    def nonlinearity(uhat, t):
+        values[...] = uhat
+        g.ifftn(values, overwrite_x=True)
+        return g.fftn(kernel(values, out, spare), overwrite_x=True)
+
+    return nonlinearity
 
 
 class PicardDivergenceError(RuntimeError):
@@ -269,38 +367,75 @@ def picard_solve(
         guard.check(T)
 
     op = build_evolution_operator(a, g)
-    mult_alpha = _xi_alpha(g, spec.alpha)
     c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
+    nonlinearity = _Nonlinearity(g, spec, c_frozen, dalpha_first=True)
+    mult_alpha = nonlinearity.mult
     frozen_term = _frozen_forcing(g, c_frozen, mult_alpha) if frozen else None
     extra_mag = float(np.max(np.abs(c_frozen)) * np.max(np.abs(mult_alpha))) if frozen else 0.0
     steps, dt = _nonlinear_steps(op, u0, T, dt, extra_mag)
     times = dt * np.arange(steps + 1)
     step = lawson_stepper(op, dt, frozen_term)
 
-    # every series below is one (steps + 1, *grid.shape) stack
-    _, hom = _march(step, g, u0.values, steps, dt)  # W(t) u0
+    # the three trajectory stacks, each (steps + 1, *grid.shape): W(t) u0,
+    # the current iterate and its nonlinearity
+    _, hom = _march(step, g, u0.values, steps, dt)
+    current = hom.copy()
+    nl = np.empty_like(hom)
+    chunks = _chunks(g, 0, steps + 1)
+    # the chunk buffers, and the frame buffers of the Duhamel recurrence
+    work = np.empty((6, chunks[0].stop, *g.shape), dtype=complex)
+    arg, acc_prev, nl_prev = np.empty((3, *g.shape), dtype=complex)
+    for sl in chunks:
+        nonlinearity(hom[sl], nl[sl], work[0, : sl.stop - sl.start])
 
-    def rhs(traj, nl_traj):
-        # du/dt of the stepped equation: i A u + Ntil (+ the frozen part)
-        out = 1j * op.apply(traj) + nl_traj
+    def rhs(traj, nl_traj, spare):
+        # du/dt of the stepped equation: i A u + Ntil (+ the frozen part), in
+        # the operand order the products had on whole stacks
+        out = op.apply(traj)
+        np.multiply(out, 1j, out=out)
+        out += nl_traj
         if frozen:
-            out = out + c_frozen * _dalpha(g, traj, mult_alpha)
+            out += np.multiply(c_frozen, nonlinearity.dalpha(traj, spare), out=spare)
         return out
 
-    def duhamel(nl_traj):
-        nl_hat = g.fftn(nl_traj)
-        acc = np.zeros_like(nl_hat)  # Duhamel coefficients
-        for i in range(steps):
-            acc[i + 1] = step(acc[i] + (dt / 2.0) * nl_hat[i], i * dt) + (dt / 2.0) * nl_hat[i + 1]
-        return g.ifftn(acc)
+    half = dt / 2.0
 
-    def x_norm_of(traj, rhs_traj, gate=None):
+    def sweep():
+        """One sweep, chunk by chunk: the X-norm reducers of the difference
+        and of the new iterate; the new iterate and its nonlinearity replace
+        the old."""
         # differences of iterates are near-zero fields whose relative tail
         # fraction is meaningless; only physical iterates get the decay gate
-        return _xts_terms(g, times, traj, rhs_traj, s, lam, lam.exponent, decay_gate=gate).value
+        d_norm = _XtsReducer(g, s, lam, lam.exponent, decay_gate=None)
+        x_norm = _XtsReducer(g, s, lam, lam.exponent, decay_gate=1e-6)
+        for sl in chunks:
+            new, nl_hat, nl_new, spare, diff, d_nl = work[:, : sl.stop - sl.start]
+            nl_hat[...] = nl[sl]
+            g.fftn(nl_hat, overwrite_x=True)
+            # the Duhamel coefficients acc[i] = step(acc[i-1] + (dt/2) nl_hat[i-1])
+            # + (dt/2) nl_hat[i], acc[0] = 0; the chunk's first step takes the
+            # last row of the one before
+            for j, i in enumerate(range(sl.start, sl.stop)):
+                if i == 0:
+                    new[j] = 0.0
+                    continue
+                prev, prev_nl = (new[j - 1], nl_hat[j - 1]) if j else (acc_prev, nl_prev)
+                np.add(prev, np.multiply(half, prev_nl, out=arg), out=arg)
+                np.add(step(arg, (i - 1) * dt), np.multiply(half, nl_hat[j], out=new[j]), out=new[j])
+            acc_prev[...] = new[-1]
+            nl_prev[...] = nl_hat[-1]
+            g.ifftn(new, overwrite_x=True)
+            new += hom[sl]
+            nonlinearity(new, nl_new, spare)
+            # rhs(diff) is formed from diff itself: rhs(new) - rhs(current)
+            # would cancel at the round-off floor of the late sweeps
+            np.subtract(new, current[sl], out=diff)
+            d_norm.add(diff, rhs(diff, np.subtract(nl_new, nl[sl], out=d_nl), spare))
+            x_norm.add(new, rhs(new, nl_new, spare))
+            current[sl] = new
+            nl[sl] = nl_new
+        return d_norm, x_norm
 
-    current = hom
-    nl_current = _nonlinearity(g, current, spec, c_frozen)
     history = []
     rhos = []
     prev_diff = None
@@ -309,14 +444,9 @@ def picard_solve(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        new = hom + duhamel(nl_current)
-        nl_new = _nonlinearity(g, new, spec, c_frozen)
-        diff = new - current
+        d_norm, x_norm = sweep()
         try:
-            # rhs(diff) is formed from diff itself: rhs(new) - rhs(current)
-            # would cancel at the round-off floor of the late sweeps
-            dn = x_norm_of(diff, rhs(diff, nl_new - nl_current))
-            xn = x_norm_of(new, rhs(new, nl_new), gate=1e-6)
+            dn, xn = d_norm.norm(times).value, x_norm.norm(times).value
         except ValueError:
             raise PicardDivergenceError(
                 "iterate mass escaped the box; reduce T (or the datum amplitude)"
@@ -343,24 +473,33 @@ def picard_solve(
                     f"(last rho={rho:.3g}); Picard diverges at this horizon -- reduce T"
                 )
         prev_diff = dn
-        current, nl_current = new, nl_new
         if dn < tol or stagnated:
             converged = True
             break
+    del hom
 
     # PDE residual of the converged iterate against the original equation,
-    # with du/dt from centered differences of the stored trajectory
-    plain_nl = _nonlinearity(g, current, spec) if frozen else nl_current
-    dudt = (current[2:] - current[:-2]) / (2.0 * dt)
-    r = dudt - 1j * op.apply(current[1:-1]) - plain_nl[1:-1]
-    resid = np.max(np.sqrt(_sobolev_sq(g, _spectrum(g, r), s - 3.0)), initial=0.0)
+    # with du/dt from centered differences of the stored trajectory: interior
+    # frames a chunk at a time, each with a one-frame halo
+    plain = _Nonlinearity(g, spec, dalpha_first=True) if frozen else None
+    resid = 0.0
+    for sl in _chunks(g, 1, steps):
+        r, plain_nl, spare = work[:3, : sl.stop - sl.start]
+        np.subtract(current[sl.start + 1 : sl.stop + 1], current[sl.start - 1 : sl.stop - 1], out=r)
+        np.divide(r, 2.0 * dt, out=r)
+        a_u = op.apply(current[sl])
+        np.subtract(r, np.multiply(a_u, 1j, out=a_u), out=r)
+        r -= plain(current[sl], plain_nl, spare) if frozen else nl[sl]
+        resid = np.max(np.sqrt(_sobolev_sq(g, _spectrum(g, r), s - 3.0)), initial=resid)
+    del nl, work
 
     keep = _stored_steps(steps, store_stride)
     sol = Solution(
         grid=g,
         symbol=a,
         times=times[keep],
-        values=current[keep],
+        # the iterate itself when every frame is kept
+        values=current if len(keep) == steps + 1 else current[keep],
         dt=dt,
         scheme="picard_duhamel",
         stride=store_stride,
@@ -401,11 +540,7 @@ def direct_nonlinear_solve(
         np.max(np.abs(_monomial(u0.values, spec.p, spec.q))) * np.max(np.abs(mult_alpha))
     )
     steps, dt = _nonlinear_steps(op, u0, T, dt, nl_mag)
-
-    def nonlinearity(uhat, t):
-        return g.fftn(_nonlinearity(g, g.ifftn(uhat), spec))
-
-    step = lawson_stepper(op, dt, nonlinearity)
+    step = lawson_stepper(op, dt, _direct_forcing(g, spec))
     times, stored = _march(step, g, u0.values, steps, dt, store_stride)
     return Solution(
         grid=g,

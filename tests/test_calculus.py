@@ -1,7 +1,6 @@
 """Quantization, composition, change of quantization, and positivity diagnostics."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,18 +226,15 @@ def test_dense_assembly_transforms_through_the_grid_seam(monkeypatch):
         assert calls == [(1, *g.shape)]
 
 
-def test_dense_assembly_memory_is_the_matrix_plus_one_slab():
+def test_dense_assembly_memory_is_the_matrix_plus_one_slab(traced_peak):
     # the one-shot kernel held 2^{n+1} times the matrix (124 MB for this 16 MB
     # matrix); the slabs of the default size add a few MB
     a = catalog("ultrahyperbolic", eps=0.5, matrix=np.eye(2))
     quantize_dense(a, Grid(2, 6.0, 8), "weyl")  # build the closures untraced
-    tracemalloc.start()
-    try:
-        op = quantize_dense(a, Grid(2, 6.0, 32), "weyl")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * op.matrix.nbytes
+    g = Grid(2, 6.0, 32)
+    ops = []
+    peak = traced_peak(lambda: ops.append(quantize_dense(a, g, "weyl")), g)
+    assert peak <= 1.5 * ops[0].matrix.nbytes
 
 
 @pytest.mark.parametrize("tag", ["weyl", "kn"])

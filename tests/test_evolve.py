@@ -1,6 +1,5 @@
 """Linear IVP solver, wrap guard, smoothing reports, weighted propagator probe."""
 
-import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,7 +382,7 @@ def test_buffered_stepper_matches_closure_stepper_2d():
 
 
 @pytest.mark.parametrize("symbol", ["ultrahyperbolic", "zk"])
-def test_lawson_steps_allocate_no_state_array(symbol):
+def test_lawson_steps_allocate_no_state_array(symbol, traced_peak):
     # the stepper and the operator's row stack are allocated by the first step;
     # the later steps run in that storage
     g = make_grid(2, 8 * np.pi, 64)
@@ -392,15 +391,12 @@ def test_lawson_steps_allocate_no_state_array(symbol):
     dt = 1e-3
     step = lawson_stepper(op, dt)
     uhat = step(g.fftn(_zk_packet(g).values), 0.0)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
+
+    def ten_steps():
         for k in range(1, 11):
-            uhat = step(uhat, k * dt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < uhat.nbytes
+            step(uhat, k * dt)
+
+    assert traced_peak(ten_steps, g) < uhat.nbytes
 
 
 def test_unknown_scheme_is_refused_before_any_operator_is_built(monkeypatch):
@@ -683,19 +679,13 @@ def test_zero_datum_adds_nothing_to_its_source_guard(grid):
     assert gw.localized and wrap_guard(a, Field.zero(g), u0) == gw
 
 
-def test_wrap_guard_memory_is_per_probe():
+def test_wrap_guard_memory_is_per_probe(traced_peak):
     # the one-shot (81 probes) x (65k active frequencies) x 2 complex gradient
     # alone is about 168 MB; one probe at a time needs a few arrays of the active band
     g = make_grid(*UH_GRID)
     a = catalog("ultrahyperbolic", eps=0.05)
     u0 = gaussian_wavepacket(g, [32.0, 0.0], width2=3.0)
-    tracemalloc.start()
-    try:
-        wrap_guard(a, u0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert traced_peak(lambda: wrap_guard(a, u0), g) < 16 * 2**20
 
 
 # -- smoothing reports ----------------------------------------------------------------
@@ -822,27 +812,22 @@ def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, 
     assert sol.values.shape == (1, *g.shape) and sol.times[-1] == series.times[-1]
 
 
-def test_streamed_smoothing_memory_does_not_grow_with_frames():
+def test_streamed_smoothing_memory_does_not_grow_with_frames(traced_peak):
     # a stored solve grows by one state array per frame; a streamed one keeps
     # a few numbers per frame, whatever the stride or the horizon
     g = make_grid(1, 40 * np.pi, 2048)
     a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn(2)
     u0 = airy_packet(g, k=8.0)
 
-    def traced_peak(T, stride):
+    def streamed_peak(T, stride):
         series = SmoothingSeries(g, a.order, "ii", 0.0, lam, None)
-        tracemalloc.start()
-        try:
-            solve_linear(a, u0, T=T, store_stride=stride, consume=series)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: solve_linear(a, u0, T=T, store_stride=stride, consume=series), g)
         return peak, len(series.times)
 
-    traced_peak(0.02, 4)  # fills the grid's and the symbol's caches
-    base, frames = traced_peak(0.02, 4)
+    streamed_peak(0.02, 4)  # fills the grid's and the symbol's caches
+    base, frames = streamed_peak(0.02, 4)
     for T, stride in ((0.02, 2), (0.04, 4)):
-        peak, more = traced_peak(T, stride)
+        peak, more = streamed_peak(T, stride)
         assert more >= 2 * frames - 1
         assert abs(peak - base) < u0.values.nbytes
 

@@ -1,6 +1,6 @@
 """Nonlinearity evaluation, X-norm, Picard iteration, direct cross-checks."""
 
-import tracemalloc
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,10 +18,11 @@ from weylab.grid import (
 from weylab.nonlinear import (
     NonlinearitySpec,
     PicardDivergenceError,
+    _direct_forcing,
     _frozen_forcing,
     _monomial,
     _xi_alpha,
-    _xts_terms,
+    _XtsReducer,
     direct_nonlinear_solve,
     nonlinearity_eval,
     picard_solve,
@@ -181,8 +182,17 @@ def test_xts_terms_stacked_match_per_frame(setup, kind):
         pert = Field(g, u0.values * (1.0 + 1e-6 * np.exp(1j * g.x_mesh[..., 0])))
         other = solve_linear(a, pert, T=0.05, dt=1e-3, store_stride=5)
         values, rhs, gate = other.values - values, other.rhs_values() - rhs, None
-    out = _xts_terms(g, sol.times, values, rhs, 15.0, LAM, 2, decay_gate=gate)
     ref = _xts_terms_per_frame(g, sol.times, values, rhs, 15.0, LAM, 2, gate)
+    # the reducer takes chunks of consecutive frames; how the frames are cut
+    # into chunks does not move a bit
+    outs = []
+    for cuts in ([0, len(values)], [0, 3, 4, 7, len(values)], list(range(len(values) + 1))):
+        reducer = _XtsReducer(g, 15.0, LAM, 2, decay_gate=gate)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            reducer.add(values[lo:hi], rhs[lo:hi])
+        outs.append(reducer.norm(sol.times))
+    out = outs[0]
+    assert all(o.terms == out.terms and o.value == out.value for o in outs)
     assert set(out.terms) == set(ref)
     for name, val in ref.items():
         assert val > 0
@@ -238,31 +248,120 @@ def test_picard_frozen_equivalence(setup):
     assert agree <= 1e-8
 
 
-def test_frozen_picard_steps_allocate_no_state_array():
-    # the criterion-9 frozen step (airy, u0 = 0.01 e^{-x^2/8}, dt = 2e-4): the
-    # forcing writes its transforms into its own buffer, allocated with the
-    # stepper's arrays before the first step
+def _criterion_9(T=0.1, p=1, frozen=True):
     g = make_grid(1, 20 * np.pi, 256)
-    u0 = gaussian_wavepacket(g, [0.0], 8.0, 0.01)
-    dt = 2e-4
-    forcing = _frozen_forcing(g, _monomial(u0.values, SPEC.p, SPEC.q), _xi_alpha(g, SPEC.alpha))
-    step = lawson_stepper(build_evolution_operator(catalog("airy"), g), dt, forcing)
+    u0 = gaussian_wavepacket(g, 0.0, 8.0, amplitude=0.01)
+    kw = dict(s=15.0, lam=LAM, T=T, tol=1e-8, dt=2e-4, store_stride=8, frozen=frozen)
+    return catalog("airy"), u0, NonlinearitySpec(p, 0, (1,)), kw
+
+
+def _ten_steps_peak(traced_peak, forcing_of):
+    """The traced peak of steps 2-11 of the criterion-9 stepper with the
+    forcing forcing_of(g, u0), and the bytes of its state; the first step,
+    untraced, allocates the stepper's arrays."""
+    a, u0, _, kw = _criterion_9()
+    g, dt = u0.grid, kw["dt"]
+    step = lawson_stepper(build_evolution_operator(a, g), dt, forcing_of(g, u0))
     uhat = step(g.fftn(u0.values), 0.0)
-    # scipy.fft keeps about 9 KiB of small objects over its first ~80 calls
-    # with overwrite_x in a process, more than this 4 KiB state: make them
-    # before tracing
-    scratch = uhat.copy()
-    for _ in range(100):
-        g.fftn(scratch, overwrite_x=True)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
+
+    def ten_steps():
         for k in range(1, 11):
-            uhat = step(uhat, k * dt)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < uhat.nbytes
+            step(uhat, k * dt)
+
+    return traced_peak(ten_steps, g), uhat.nbytes
+
+
+def test_frozen_picard_steps_allocate_no_state_array(traced_peak):
+    # the frozen forcing writes its transforms into its own buffer, allocated
+    # with the stepper's arrays before the first step
+    def frozen(g, u0):
+        return _frozen_forcing(g, _monomial(u0.values, SPEC.p, SPEC.q), _xi_alpha(g, SPEC.alpha))
+
+    peak, state = _ten_steps_peak(traced_peak, frozen)
+    assert peak < state
+
+
+def test_direct_nonlinear_steps_allocate_no_state_array(traced_peak):
+    # the direct solve's forcing evaluates N(u) in buffers of its own
+    peak, state = _ten_steps_peak(traced_peak, lambda g, u0: _direct_forcing(g, SPEC))
+    assert peak < state
+
+
+def _small_2d():
+    # a coarse grid, so the residual is large: only the bits matter here
+    g = make_grid(2, 8 * np.pi, 32)
+    u0 = gaussian_wavepacket(g, [0.0, 0.0], 8.0, amplitude=0.5)
+    kw = dict(s=15.0, lam=LAM, T=0.05, tol=1e-8)
+    return catalog("ultrahyperbolic", eps=0.3), u0, NonlinearitySpec(1, 1, (1, 0)), kw
+
+
+# Taken with float.hex from the solve as it was before sweeps were built one
+# chunk of frames at a time, when every series was one whole-trajectory stack;
+# "frames" is the first 16 hex digits of the sha256 of the stored frames.
+# Floor-level factors such as criterion 9's 0.364 are round-off noise, so any
+# drift could cross the benchmark's rho < 0.5 check: the solve must not move
+# a bit.
+PICARD_GOLDEN = {
+    "criterion-9": (
+        _criterion_9,
+        5,
+        ["0x1.07b551aacf167p-9", "0x1.b3574ad1b7e29p-6", "0x1.74a9de20a11fcp-2",
+         "0x1.004f4337eadd5p-13"],
+        ["0x1.635837b81e7dep+1", "0x1.6358364a4d0cep+1", "0x1.6358364a8a828p+1",
+         "0x1.6358364a89249p+1", "0x1.6358364a89249p+1"],
+        "0x1.5e38357d260cbp-14",
+        "78620b72988c3e85",
+    ),
+    "criterion-9-plain": (
+        lambda: _criterion_9(frozen=False),
+        6,
+        ["0x1.e407cb3f96207p-7", "0x1.33dd505f89b69p-8", "0x1.c0e6278a058bep-4",
+         "0x1.498e10018f227p-7", "0x1.00097bb39516fp+1"],
+        ["0x1.6354733a39658p+1", "0x1.635838104020dp+1", "0x1.6358393d4dc53p+1",
+         "0x1.6358393d94d96p+1", "0x1.6358393d9874ep+1", "0x1.6358393d9951ap+1"],
+        "0x1.a82c74e77a1cep-16",
+        "0f01c3d1d99c80b9",
+    ),
+    "p2-q0": (
+        lambda: _criterion_9(p=2),
+        3,
+        ["0x1.4dd5788d75127p-11", "0x1.2d7c66a5c49d2p-18"],
+        ["0x1.62ea914c6dd14p+1", "0x1.62ea914bbde02p+1", "0x1.62ea914bbd1e3p+1"],
+        "0x1.01e78de7b530ap-12",
+        "6577e9774ffcf1f7",
+    ),
+    "2d-p1-q1": (
+        _small_2d,
+        3,
+        ["0x1.9883be60a8d5cp-16", "0x1.f1b1a441d137ap-15"],
+        ["0x1.192c6f877dbbep+12", "0x1.192c6f877de37p+12", "0x1.192c6f877de39p+12"],
+        "0x1.0ea7c53d48e52p+8",
+        "88055a9ae8c74863",
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("case", list(PICARD_GOLDEN))
+def test_picard_golden_bits(case):
+    config, iterations, rhos, history, residual, frames = PICARD_GOLDEN[case]
+    a, u0, spec, kw = config()
+    run = picard_solve(a, u0, spec, **kw)
+    assert run.converged and run.iterations == iterations
+    assert [float(r).hex() for r in run.contraction_factors] == rhos
+    assert [float(x).hex() for x in run.xts_history] == history
+    assert float(run.residual).hex() == residual
+    assert hashlib.sha256(run.solution.values.tobytes()).hexdigest()[:16] == frames
+
+
+@pytest.mark.parametrize("T", [0.1, 0.2])
+def test_picard_memory_is_three_stacks_and_chunks(T, traced_peak):
+    # the solve keeps W(t) u0, the iterate and its nonlinearity, each one
+    # (steps + 1, N) stack, plus a fixed number of chunks of frames, so the
+    # bound in stacks holds at any T
+    a, u0, spec, kw = _criterion_9(T)
+    picard_solve(a, u0, spec, **{**kw, "T": 0.01})  # fills the grid's and the symbol's caches
+    stack = (round(T / kw["dt"]) + 1) * u0.values.nbytes
+    assert traced_peak(lambda: picard_solve(a, u0, spec, **kw), u0.grid) <= 4 * stack
 
 
 def test_picard_divergence_abort(setup):
