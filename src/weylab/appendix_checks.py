@@ -70,21 +70,10 @@ class LemmaA1Report:
     N_w: int
     terms_used: int
     truncated: bool
-    probe_count: int
 
     @property
     def passed(self) -> bool:
         return not self.truncated and self.residual <= 1e-10
-
-    def as_dict(self) -> dict:
-        return {
-            "residual": float(self.residual),
-            "N_w": self.N_w,
-            "terms_used": self.terms_used,
-            "truncated": self.truncated,
-            "probes": self.probe_count,
-            "passed": self.passed,
-        }
 
 
 def lemmatec1_residual(
@@ -174,7 +163,6 @@ def lemmatec1_residual(
         N_w=N_w,
         terms_used=terms,
         truncated=truncated,
-        probe_count=len(probes),
     )
 
 

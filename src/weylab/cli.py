@@ -508,8 +508,8 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
         # frames are reduced as the march makes them
         datum, source = (Field.zero(g), u0) if forced else (u0, None)
         series = SmoothingSeries(g, a.order, estimate, s, lam, source)
-        sol = solve_linear(a, datum, source, T=T, store_stride=stride, guard=guards.get(k), consume=series)
-        rep = series.report(sol)
+        solve_linear(a, datum, source, T=T, store_stride=stride, guard=guards.get(k), consume=series)
+        rep = series.report()
         ratios[k] = rep.ratio
         unw = rep.unweighted_integral
         unweighted[k] = unw

@@ -219,7 +219,6 @@ class Solution:
     values: np.ndarray = field(repr=False)
     dt: float
     scheme: str
-    stride: int
     source: SourceLike
     guard: Optional[WrapGuard]
     operator: EvolutionOperator = field(repr=False)
@@ -265,9 +264,6 @@ class Solution:
         indices = [s] if np.ndim(s) == 0 else list(s)
         rows = np.array(self.feed(NormSeries(self.grid, indices)).sobolev).T
         return rows[0] if np.ndim(s) == 0 else rows
-
-    def l2_series(self) -> np.ndarray:
-        return np.array(self.feed(NormSeries(self.grid)).l2)
 
     def l2_drift(self) -> float:
         return self.feed(NormSeries(self.grid)).l2_drift()
@@ -452,12 +448,21 @@ def _time_steps(T: float, dt: float, stab_mag: float) -> tuple[int, float]:
 
 
 def _nonlinear_steps(
-    op: EvolutionOperator, u0: Field, T: float, dt: Optional[float], extra_mag: float
+    op: EvolutionOperator,
+    u0: Field,
+    T: float,
+    dt: Optional[float],
+    coeff: Optional[np.ndarray],
+    mult: np.ndarray,
 ) -> tuple[int, float]:
     """(steps, dt) of the nonlinear solves, which propagate the multiplier
-    exactly and step the remainder and a forcing bounded by extra_mag.
+    exactly and step the remainder and a forcing coeff(x) * Op(mult(xi)),
+    bounded by max|coeff| max|mult| (no forcing when coeff is None).
     dt=None picks the step: stability C_STAB over the stepped part, accuracy
-    Y_ACC over the whole active operator, and at least MIN_STEPS steps."""
+    Y_ACC over the whole active operator, and at least MIN_STEPS steps.
+    This rule stays apart from `solve_linear`'s, which may step the
+    multiplier and has no forcing to bound."""
+    extra_mag = 0.0 if coeff is None else float(np.max(np.abs(coeff)) * np.max(np.abs(mult)))
     stab_mag = op.max_abs_remainder(None) + extra_mag
     if dt is None:
         g = op.grid
@@ -480,7 +485,7 @@ def solve_linear(
     dt: Optional[float] = None,
     scheme: str = "auto",
     store_stride: int = 1,
-    enforce_wrap_guard: Optional[bool] = None,
+    enforce_wrap_guard: bool = True,
     guard: Optional[WrapGuard] = None,
     consume: Optional[FrameConsumer] = None,
 ) -> Solution:
@@ -507,8 +512,7 @@ def solve_linear(
 
     if guard is None:
         guard = wrap_guard(a, u0, f)
-    enforce = guard.localized if enforce_wrap_guard is None else enforce_wrap_guard
-    if enforce:
+    if enforce_wrap_guard:
         guard.check(T)
 
     if scheme == "auto":
@@ -544,7 +548,6 @@ def solve_linear(
         values=stored,
         dt=dt,
         scheme=scheme,
-        stride=store_stride,
         source=f,
         guard=guard,
         operator=op,
@@ -567,18 +570,6 @@ class SmoothingReport:
     m: float
     # int ||u||_{s+(m-1)/2}^2 dt, each norm squared as a Python float
     unweighted_integral: float
-    metadata: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "ratio": float(self.ratio),
-            "s": self.s,
-            "m": self.m,
-            "metadata": self.metadata,
-        }
 
 
 class SmoothingSeries:
@@ -632,9 +623,8 @@ class SmoothingSeries:
             self.weighted.append(_weighted_sq(g, spec, self.lam, s + self.gain))
         self.source.append(self._source_term(self.f(t)) if self._const is None else self._const)
 
-    def report(self, sol: Solution) -> SmoothingReport:
-        """The estimate over the frames taken; `sol` (the solve that made
-        them) gives the run metadata."""
+    def report(self) -> SmoothingReport:
+        """The estimate over the frames taken."""
         times = np.array(self.times)
         sup_s, u0_s = float(np.max(self.norms)), float(self.norms[0])
         # each norm squared as a Python float
@@ -646,13 +636,6 @@ class SmoothingSeries:
             lhs = sup_s**2 + _trapezoid(times, self.weighted)
             rhs = u0_s**2 + _trapezoid(times, self.source)
         ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / rhs
-        meta = {
-            "T": float(times[-1]),
-            "dt": sol.dt,
-            "stride": sol.stride,
-            "scheme": sol.scheme,
-            "wrap_horizon": None if sol.guard is None else sol.guard.horizon,
-        }
         return SmoothingReport(
             estimate=self.estimate,
             lhs=lhs,
@@ -661,7 +644,6 @@ class SmoothingSeries:
             s=self.s,
             m=self.m,
             unweighted_integral=unweighted,
-            metadata=meta,
         )
 
 
@@ -688,7 +670,7 @@ def smoothing_report(
     series = SmoothingSeries(
         sol.grid, sol.symbol.order, estimate, s, lam, sol.source if f is _UNSET else f
     )
-    return sol.feed(series).report(sol)
+    return sol.feed(series).report()
 
 
 # -- weighted propagator probe (polynomial-weight bound) --------------------------------
@@ -704,15 +686,6 @@ class PropagatorProbeReport:
     ratios: dict
     fitted_c: float
     stability: float
-
-    def as_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "N_w": self.N_w,
-            "ratios": {str(k): float(v) for k, v in self.ratios.items()},
-            "fitted_c": float(self.fitted_c),
-            "stability": float(self.stability),
-        }
 
 
 def weighted_propagator_probe(

@@ -91,8 +91,6 @@ class Trajectory:
     t: np.ndarray
     x: np.ndarray
     xi: np.ndarray
-    h: float
-    integrator: str
     drift: float
     xi_min: float
     xi_max: float
@@ -177,8 +175,6 @@ def integrate_bicharacteristic(
         t=t,
         x=x,
         xi=xi,
-        h=h,
-        integrator="rk4",
         drift=drift,
         xi_min=float(np.min(xin)),
         xi_max=float(np.max(xin)),
@@ -287,16 +283,11 @@ def qdelta_values(a_m: Symbol, x, xi, delta: float) -> np.ndarray:
 
 @dataclass
 class QDeltaReport:
-    delta: float
     identity_rel_error: float
     mu: float
     ls_slope: float
     t: np.ndarray = field(repr=False)
     q_values: np.ndarray = field(repr=False)
-
-    @property
-    def monotone(self) -> bool:
-        return self.mu > 0
 
 
 def qdelta_monotonicity(a_m: Symbol, traj: Trajectory, delta: float) -> QDeltaReport:
@@ -321,9 +312,7 @@ def qdelta_monotonicity(a_m: Symbol, traj: Trajectory, delta: float) -> QDeltaRe
     ratios = (qv[1:] - qv[0]) / dt_pos
     mu = float(np.min(ratios)) if ratios.size else 0.0
     ls = float(np.polyfit(t, qv, 1)[0]) if t.size > 2 else np.nan
-    return QDeltaReport(
-        delta=delta, identity_rel_error=err, mu=mu, ls_slope=ls, t=t, q_values=qv
-    )
+    return QDeltaReport(identity_rel_error=err, mu=mu, ls_slope=ls, t=t, q_values=qv)
 
 
 def trajectory_to_csv(path, traj: Trajectory, a_m: Symbol, delta: Optional[float] = None) -> None:

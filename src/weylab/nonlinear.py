@@ -101,9 +101,6 @@ class NonlinearitySpec:
         if sum(self.alpha) > 2:
             raise ValueError("derivative order |alpha| must not exceed 2")
 
-    def degree(self) -> int:
-        return self.p + self.q + 1
-
 
 def _xi_alpha(g: Grid, alpha: tuple) -> np.ndarray:
     """Multiplier of D^alpha = prod_j (-i d_j)^{alpha_j}, namely xi^alpha."""
@@ -130,10 +127,10 @@ def _monomial(
     out: Optional[np.ndarray] = None,
     spare: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """values^p conj(values)^q, written into out (with spare as scratch) when
-    they are given; the in-place powers take the ufuncs of `**`."""
+    """values^p conj(values)^q, written into out with spare as scratch (both
+    allocated when not given); the in-place powers take the ufuncs of `**`."""
     if out is None:
-        return values**p * np.conj(values) ** q
+        out, spare = np.empty((2, *values.shape), dtype=complex)
     out[...] = values
     out **= p
     np.conjugate(values, out=spare)
@@ -147,10 +144,8 @@ class _Nonlinearity:
     leading axes index a stack, written into arrays the caller passes.  The
     product is de-aliased with the 2/3 mask.
 
-    The product coeff * D^alpha u is formed in the order (coeff, D^alpha u),
-    or (D^alpha u, coeff) with `dalpha_first`: complex multiplication is not
-    bitwise commutative, and Picard's stacked products, which numpy's
-    temporary elision ran with their operands swapped, had the second order.
+    The product is formed in the one order (D^alpha u, coeff) at every size:
+    complex multiplication is not bitwise commutative.
     """
 
     def __init__(
@@ -160,10 +155,8 @@ class _Nonlinearity:
         c_frozen: Optional[np.ndarray] = None,
         *,
         dealias: bool = True,
-        dalpha_first: bool = False,
     ):
         self.grid, self.spec, self.c_frozen = g, spec, c_frozen
-        self.dalpha_first = dalpha_first
         self.mult = _xi_alpha(g, spec.alpha)
         self.drop = ~g.dealias_mask if dealias else None
 
@@ -182,7 +175,7 @@ class _Nonlinearity:
         if self.c_frozen is not None:
             coeff -= self.c_frozen
         d = self.dalpha(values, spare)
-        np.multiply(*((d, coeff) if self.dalpha_first else (coeff, d)), out=out)
+        np.multiply(d, coeff, out=out)
         if self.drop is not None:
             g.fftn(out, overwrite_x=True)
             np.copyto(out, 0.0, where=self.drop)
@@ -325,7 +318,6 @@ class PicardRun:
     residual: float
     iterations: int
     converged: bool
-    frozen: bool
 
 
 def picard_solve(
@@ -363,16 +355,14 @@ def picard_solve(
             stacklevel=2,
         )
     guard = wrap_guard(a, u0)
-    if guard.localized:
-        guard.check(T)
+    guard.check(T)
 
     op = build_evolution_operator(a, g)
     c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
-    nonlinearity = _Nonlinearity(g, spec, c_frozen, dalpha_first=True)
+    nonlinearity = _Nonlinearity(g, spec, c_frozen)
     mult_alpha = nonlinearity.mult
     frozen_term = _frozen_forcing(g, c_frozen, mult_alpha) if frozen else None
-    extra_mag = float(np.max(np.abs(c_frozen)) * np.max(np.abs(mult_alpha))) if frozen else 0.0
-    steps, dt = _nonlinear_steps(op, u0, T, dt, extra_mag)
+    steps, dt = _nonlinear_steps(op, u0, T, dt, c_frozen, mult_alpha)
     times = dt * np.arange(steps + 1)
     step = lawson_stepper(op, dt, frozen_term)
 
@@ -481,7 +471,7 @@ def picard_solve(
     # PDE residual of the converged iterate against the original equation,
     # with du/dt from centered differences of the stored trajectory: interior
     # frames a chunk at a time, each with a one-frame halo
-    plain = _Nonlinearity(g, spec, dalpha_first=True) if frozen else None
+    plain = _Nonlinearity(g, spec) if frozen else None
     resid = 0.0
     for sl in _chunks(g, 1, steps):
         r, plain_nl, spare = work[:3, : sl.stop - sl.start]
@@ -502,7 +492,6 @@ def picard_solve(
         values=current if len(keep) == steps + 1 else current[keep],
         dt=dt,
         scheme="picard_duhamel",
-        stride=store_stride,
         source=None,
         guard=guard,
         operator=op,
@@ -514,7 +503,6 @@ def picard_solve(
         residual=float(resid),
         iterations=it,
         converged=converged,
-        frozen=frozen,
     )
 
 
@@ -531,15 +519,12 @@ def direct_nonlinear_solve(
     on the step rule of `picard_solve`."""
     g = u0.grid
     guard = wrap_guard(a, u0)
-    if guard.localized:
-        guard.check(T)
+    guard.check(T)
 
     op = build_evolution_operator(a, g)
-    mult_alpha = _xi_alpha(g, spec.alpha)
-    nl_mag = float(
-        np.max(np.abs(_monomial(u0.values, spec.p, spec.q))) * np.max(np.abs(mult_alpha))
+    steps, dt = _nonlinear_steps(
+        op, u0, T, dt, _monomial(u0.values, spec.p, spec.q), _xi_alpha(g, spec.alpha)
     )
-    steps, dt = _nonlinear_steps(op, u0, T, dt, nl_mag)
     step = lawson_stepper(op, dt, _direct_forcing(g, spec))
     times, stored = _march(step, g, u0.values, steps, dt, store_stride)
     return Solution(
@@ -549,7 +534,6 @@ def direct_nonlinear_solve(
         values=stored,
         dt=dt,
         scheme="nonlinear_if_rk4",
-        stride=store_stride,
         source=None,
         guard=guard,
         operator=op,

@@ -105,9 +105,6 @@ class WeightFn:
         t = np.asarray(t, dtype=float)
         return np.asarray(_lam_primitive_fn(self.exponent)(np.maximum(t, 0.0)), dtype=float)
 
-    def as_dict(self) -> dict:
-        return {"family": "<r>^-N", "exponent": self.exponent}
-
 
 # -- slack fitting --------------------------------------------------------------
 
@@ -333,8 +330,10 @@ class DoiWeight:
             if mm == 1:
                 vals = np.abs(self.lam_tilde(t))
             else:
-                h = 1e-4 * (1.0 + t)
-                vals = np.abs((self.lam_tilde(t + h) - self.lam_tilde(t - h)) / (2 * h))
+                # f'' = lam_tilde', exactly: lam'(t/K - 10)/K past the plateau, 0 on it
+                arg = t / self.K - 10.0
+                lam_prime = self.lam.deriv(np.maximum(arg, 0.0), 1) / self.K
+                vals = np.abs(np.where(arg <= 0.0, 0.0, lam_prime))
             out[f"m={mm}"] = float(np.max(vals * (1.0 + t) ** mm / envelope))
         return out
 
@@ -463,7 +462,6 @@ class ExpWeightPair:
     Et: DenseOperator
     grid: Grid
     conjugation_C: float
-    probe_count: int
 
     def n_norm(self, u: Field, s: float) -> float:
         """N(u) = (||E Lambda^s u||_0^2 + ||u||_{s-2}^2)^{1/2}."""
@@ -504,7 +502,7 @@ def exp_weight_operators(
         v = Field(g, (R @ u.values.ravel()).reshape(g.shape))
         denom = sobolev_norm(u, EXP_FIT_S - 2.0)
         worst = max(worst, sobolev_norm(v, EXP_FIT_S) / denom)
-    return ExpWeightPair(E=E, Et=Et, grid=g, conjugation_C=float(worst), probe_count=probes)
+    return ExpWeightPair(E=E, Et=Et, grid=g, conjugation_C=float(worst))
 
 
 # -- bundled admissibility report ------------------------------------------------------

@@ -406,6 +406,11 @@ def test_nonlinear_solves_refuse_beyond_wrap_horizon(setup):
         picard_solve(a, u0, SPEC, s=15.0, lam=LAM, T=T, dt=2e-4)
     with pytest.raises(WrapGuardError):
         direct_nonlinear_solve(a, u0, SPEC, T=T, dt=2e-4)
+    # a plane wave has no horizon: the guard never refuses its direct solve
+    plane = Field.from_function(g, lambda x: 0.01 * np.exp(1j * x))
+    assert wrap_guard(a, plane).horizon is None
+    sol = direct_nonlinear_solve(a, plane, SPEC, T=T, dt=T / 8)
+    assert np.isclose(sol.times[-1], T) and np.all(np.isfinite(sol.final.values))
 
 
 def test_nonlinear_solves_share_the_step_rule(setup):

@@ -8,6 +8,7 @@ import pytest
 from weylab.grid import make_grid
 from weylab.symbol import SampleSet, catalog, check_grad_ellipticity
 from weylab.weights import (
+    F_FIT_T_MAX_K,
     WeightFn,
     admissibility_report,
     doi_slack,
@@ -191,6 +192,13 @@ def test_doi_f_derivative_bound(airy_doi):
     # the constants scale with K (the lam_tilde transition sits at t = 10K);
     # the check is that they are finite and moderate, as the bound asserts
     assert all(np.isfinite(v) and v < 500.0 for v in fit.values())
+    # m = 2 takes the exact f'' = lam_tilde': for lam = <r>^{-N},
+    # lam'(r) = -N r <r>^{-N-2} at r = t/K - 10 past the plateau, over K; 0 on it
+    t = np.linspace(0.0, F_FIT_T_MAX_K * dw.K, 4001)
+    r, N = np.maximum(t / dw.K - 10.0, 0.0), dw.lam.exponent
+    f2 = N * r * (1.0 + r**2) ** (-N / 2.0 - 1.0) / dw.K
+    exact = np.max(f2 * (1.0 + t) ** 2 / (dw.lam(0.0) + dw.lam.primitive(t)))
+    assert abs(fit["m=2"] - exact) <= 1e-12 * exact
 
 
 def test_doi_weight_chain_rule_against_fd(airy_doi):
