@@ -67,7 +67,6 @@ class ScanReport:
 @dataclass
 class LemmaA1Report:
     residual: float
-    N_w: int
     terms_used: int
     truncated: bool
 
@@ -160,7 +159,6 @@ def lemmatec1_residual(
         worst = max(worst, float(np.linalg.norm((lhs - rhs).ravel()) / scale))
     return LemmaA1Report(
         residual=worst,
-        N_w=N_w,
         terms_used=terms,
         truncated=truncated,
     )

@@ -495,9 +495,9 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
     data = {
         float(k): gaussian_wavepacket(g, [float(k)] + [0.0] * (g.n - 1), run["width2"]) for k in carriers
     }
-    # each datum's guard is taken once: it sets the family horizon and serves
-    # the datum's solve (a zero initial datum adds nothing to its source's guard)
-    guards = {} if run["T"] else {k: wrap_guard(a, u0) for k, u0 in data.items()}
+    # each datum's guard, taken once, sets the family horizon unless T is given
+    # and the solve's dt band (a zero datum adds nothing to its source's guard)
+    guards = {k: wrap_guard(a, u0) for k, u0 in data.items()}
     T = run["T"] or _family_T(guards.values())
     gain = (a.order - 1.0) / 2.0
     ratios = {}
@@ -508,7 +508,7 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
         # frames are reduced as the march makes them
         datum, source = (Field.zero(g), u0) if forced else (u0, None)
         series = SmoothingSeries(g, a.order, estimate, s, lam, source)
-        solve_linear(a, datum, source, T=T, store_stride=stride, guard=guards.get(k), consume=series)
+        solve_linear(a, datum, source, T=T, store_stride=stride, guard=guards[k], consume=series)
         rep = series.report()
         ratios[k] = rep.ratio
         unw = rep.unweighted_integral
@@ -551,8 +551,6 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
     requires=("grid",),
 )
 def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
-    import warnings
-
     from .nonlinear import NonlinearitySpec, PicardDivergenceError, picard_solve
 
     a = _build_symbol(cfg)
@@ -561,20 +559,20 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
     spec = NonlinearitySpec(nl["p"], nl["q"], tuple(nl["alpha"]))
     u0 = gaussian_wavepacket(g, [0.0] * g.n, run["width2"], run["amplitude"])
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            picard = picard_solve(
-                a,
-                u0,
-                spec,
-                s=run["s"],
-                lam=_build_weight(cfg),
-                T=run["T"],
-                tol=run["tol"],
-                max_iter=run["max_iter"],
-                dt=run["dt"],
-                store_stride=8,
-            )
+        # the regularity-floor warning is not caught: catch_warnings() swaps the
+        # process-wide filter list, which experiments on --threads would corrupt
+        picard = picard_solve(
+            a,
+            u0,
+            spec,
+            s=run["s"],
+            lam=_build_weight(cfg),
+            T=run["T"],
+            tol=run["tol"],
+            max_iter=run["max_iter"],
+            dt=run["dt"],
+            store_stride=8,
+        )
     except PicardDivergenceError as exc:
         return {"diverged": True, "message": str(exc)}, {"picard_converged": "fail"}, []
     path = outdir / f"{prefix}_iterates.json"

@@ -19,7 +19,8 @@ frame and lets the frame go: `NormSeries` (the L^2 and Sobolev norms of
 streamed solve therefore holds a fixed number of state-sized arrays however
 many frames it makes.  A stored solve is reduced by feeding its frames to the
 same consumers (`Solution.feed`), so both paths share every per-frame formula
-and give the same numbers bit for bit.
+and give the same numbers bit for bit; the `Solution` of a streamed solve,
+which holds only its final frame, refuses such reductions.
 
 The stepper allocates its stage arrays once and the operator keeps its
 transform row stack, so a step allocates no state-sized array of its own (a
@@ -42,12 +43,15 @@ time-integration error only.  A symbol with no split is refused, and no
 operator is dense.  One remainder application costs two transform calls,
 however many pairs there are.
 
-Every run on localized data records a wrap-guard horizon
+Every source is a fixed Field.  `wrap_guard` is the one place where a solve
+inspects its data, the initial datum and the source together.  It records
+the active band |xi| <= xi_cap of their spectra, from which each solve picks
+its dt, and, for localized data, the wrap-guard horizon
 
     T_wrap = (L - R_data - WRAP_MARGIN L) / v_max,
 
-with v_max the largest group speed |grad_xi a| over the active frequencies
-and a 9^n lattice of x probes, taken one probe at a time so that the guard's
+with v_max the largest group speed |grad_xi a| over the active band and a
+9^n lattice of x probes, taken one probe at a time so that the guard's
 memory is O(active frequencies).  Runs beyond the horizon are refused (the
 torus stops approximating R^n once the data wraps).  Non-localized data
 (plane waves) have no horizon: they are genuinely periodic objects and the
@@ -105,7 +109,6 @@ LOCALIZED_TAIL_TOL = 1e-6
 SCHEMES = ("auto", "rk4", "if_rk4")  # the time-stepping schemes of solve_linear
 ESTIMATES = ("i", "ii", "iii")  # the smoothing estimates of smoothing_report
 
-SourceLike = Union[None, Field, Callable[[float], Field]]
 # (t, samples) -> None: takes one stored frame, whose buffer may be reused after
 FrameConsumer = Callable[[float, np.ndarray], None]
 
@@ -121,6 +124,7 @@ class WrapGuard:
     data_radius: float
     margin: float
     localized: bool
+    xi_cap: float  # the active band is |xi| <= xi_cap (-inf for zero data)
 
     def check(self, T: float):
         if self.horizon is not None and T > self.horizon:
@@ -137,23 +141,15 @@ def build_evolution_operator(symbol: Symbol, grid: Grid) -> EvolutionOperator:
 # -- wrap guard ---------------------------------------------------------------------
 
 
-def _initial_data(u0: Field, f: SourceLike) -> np.ndarray:
-    """The samples of u0 and of the source at t = 0, as one stack."""
-    fs = f(0.0) if callable(f) else f
-    return np.stack([u0.values] if fs is None else [u0.values, fs.values])
-
-
-def _active_mask(g: Grid, spectra, rel: float = ACTIVE_REL_THRESHOLD):
-    """Frequencies active in a stack of spectra, dilated."""
+def _active_cap(g: Grid, spectra, rel: float = ACTIVE_REL_THRESHOLD) -> float:
+    """The radius of the dilated band of frequencies active in a stack of
+    spectra: 1.3x the largest active |xi|, plus 3 modes (-inf when none is)."""
     total = np.max(np.abs(spectra), axis=0)
     peak = float(np.max(total))
     if peak == 0.0:
-        return np.zeros(g.shape, dtype=bool)
-    mask = total >= rel * peak
-    # dilate: keep everything up to 1.3x the largest active |xi| (+3 modes)
-    xi_active = float(np.max(g.xi_norm[mask]))
-    cap = 1.3 * xi_active + 3.0 * np.pi / g.L
-    return g.xi_norm <= cap
+        return -np.inf
+    xi_active = float(np.max(g.xi_norm[total >= rel * peak]))
+    return 1.3 * xi_active + 3.0 * np.pi / g.L
 
 
 def _data_radius(g: Grid, fields: np.ndarray) -> float:
@@ -164,25 +160,28 @@ def _data_radius(g: Grid, fields: np.ndarray) -> float:
     return float(np.max(g.x_radius[dens >= DATA_RADIUS_REL_THRESHOLD * peak]))
 
 
-def wrap_guard(a: Symbol, u0: Field, f: SourceLike = None) -> WrapGuard:
-    """Horizon T_wrap = (L - R_data - WRAP_MARGIN L)/v_max for localized data.
+def wrap_guard(a: Symbol, u0: Field, f: Optional[Field] = None) -> WrapGuard:
+    """The active band of u0 and the source f, and the horizon
+    T_wrap = (L - R_data - WRAP_MARGIN L)/v_max for localized data.
 
-    v_max maximizes |grad_xi a| over the active frequencies and the 9^n probe
-    lattice in x (one probe when a is x-independent).  The lattice is marched
-    one probe at a time, so the guard's memory is O(active frequencies).
-    Returns horizon None for non-localized data.
+    The band |xi| <= xi_cap holds the frequencies active in either spectrum,
+    dilated; every solve picks its dt from it.  v_max maximizes |grad_xi a|
+    over the band and the 9^n probe lattice in x (one probe when a is
+    x-independent).  The lattice is marched one probe at a time, so the
+    guard's memory is O(active frequencies).  Returns horizon None for
+    non-localized data.
     """
     g = u0.grid
     margin = WRAP_MARGIN * g.L
-    fields = _initial_data(u0, f)
+    fields = np.stack([u0.values] if f is None else [u0.values, f.values])
     localized = bool(
         np.all(_tail_fraction(g, fields, g.L / 2.0) < LOCALIZED_TAIL_TOL)
         and np.max(np.abs(fields)) > 0
     )
-    mask = _active_mask(g, _spectrum(g, fields))
-    if not localized or not np.any(mask):
-        return WrapGuard(None, np.nan, np.nan, margin, localized)
-    xi_act = g.xi_mesh.reshape(-1, g.n)[mask.ravel()]
+    xi_cap = _active_cap(g, _spectrum(g, fields))
+    if not localized:  # localized data are nonzero, so their band is not empty
+        return WrapGuard(None, np.nan, np.nan, margin, localized, xi_cap)
+    xi_act = g.xi_mesh.reshape(-1, g.n)[(g.xi_norm <= xi_cap).ravel()]
     if a.x_independent:
         # grad_xi a does not depend on x: one probe gives the lattice v_max
         x_probe = np.zeros((1, g.n))
@@ -203,7 +202,7 @@ def wrap_guard(a: Symbol, u0: Field, f: SourceLike = None) -> WrapGuard:
     v_max = float(np.sqrt(np.max(speed_sq)))
     r_data = _data_radius(g, fields)
     horizon = (g.L - r_data - margin) / v_max if v_max > 0 else np.inf
-    return WrapGuard(max(horizon, 0.0), v_max, r_data, margin, localized)
+    return WrapGuard(max(horizon, 0.0), v_max, r_data, margin, localized, xi_cap)
 
 
 # -- solution container ---------------------------------------------------------------
@@ -219,7 +218,7 @@ class Solution:
     values: np.ndarray = field(repr=False)
     dt: float
     scheme: str
-    source: SourceLike
+    source: Optional[Field]
     guard: Optional[WrapGuard]
     operator: EvolutionOperator = field(repr=False)
 
@@ -230,31 +229,26 @@ class Solution:
     def final(self) -> Field:
         return self.field(len(self.values) - 1)
 
-    def source_field(self, t: float) -> Optional[Field]:
-        if self.source is None:
-            return None
-        if isinstance(self.source, Field):
-            return self.source
-        return self.source(t)
-
     def rhs_values(self, index=slice(None)) -> np.ndarray:
         """du/dt at the stored nodes `index` (all of them by default),
         reconstructed from the equation."""
         vals = 1j * self.operator.apply(self.values[index])
-        if self.source is not None:
-            times = np.atleast_1d(self.times[index])
-            src = np.stack([self.source_field(float(t)).values for t in times])
-            vals = vals + src.reshape(vals.shape)
-        return vals
+        return vals if self.source is None else vals + self.source.values
 
     def rhs_field(self, i: int) -> Field:
         """du/dt at a stored node, reconstructed from the equation."""
         return Field(self.grid, self.rhs_values(i))
 
+    def _stored_values(self) -> np.ndarray:
+        """The stored frames; refused for a streamed solve (first time not 0)."""
+        if self.times[0] != 0:
+            raise ValueError("a streamed solve keeps only its final frame; reduce it by its consumer")
+        return self.values
+
     def feed(self, consume: FrameConsumer) -> FrameConsumer:
         """Hand every stored frame to consume(t, samples), as a streamed solve
         does while it marches; returns consume."""
-        for t, v in zip(self.times, self.values):
+        for t, v in zip(self.times, self._stored_values()):
             consume(t, v)
         return consume
 
@@ -449,7 +443,7 @@ def _time_steps(T: float, dt: float, stab_mag: float) -> tuple[int, float]:
 
 def _nonlinear_steps(
     op: EvolutionOperator,
-    u0: Field,
+    xi_cap: float,
     T: float,
     dt: Optional[float],
     coeff: Optional[np.ndarray],
@@ -459,14 +453,14 @@ def _nonlinear_steps(
     exactly and step the remainder and a forcing coeff(x) * Op(mult(xi)),
     bounded by max|coeff| max|mult| (no forcing when coeff is None).
     dt=None picks the step: stability C_STAB over the stepped part, accuracy
-    Y_ACC over the whole active operator, and at least MIN_STEPS steps.
+    Y_ACC over the whole operator on the active band |xi| <= xi_cap (the
+    datum's `WrapGuard.xi_cap`), and at least MIN_STEPS steps.
     This rule stays apart from `solve_linear`'s, which may step the
     multiplier and has no forcing to bound."""
     extra_mag = 0.0 if coeff is None else float(np.max(np.abs(coeff)) * np.max(np.abs(mult)))
     stab_mag = op.max_abs_remainder(None) + extra_mag
     if dt is None:
-        g = op.grid
-        mask = _active_mask(g, _spectrum(g, u0.values[None]))
+        mask = op.grid.xi_norm <= xi_cap
         act_mag = (
             (op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) + extra_mag)
             if np.any(mask)
@@ -479,7 +473,7 @@ def _nonlinear_steps(
 def solve_linear(
     a: Symbol,
     u0: Field,
-    f: SourceLike = None,
+    f: Optional[Field] = None,
     *,
     T: float,
     dt: Optional[float] = None,
@@ -489,14 +483,16 @@ def solve_linear(
     guard: Optional[WrapGuard] = None,
     consume: Optional[FrameConsumer] = None,
 ) -> Solution:
-    """Integrate du/dt = i A u + f over [0, T].
+    """Integrate du/dt = i A u + f over [0, T] for a fixed source Field f
+    (TypeError for any other source).
 
     scheme 'rk4' steps the whole operator; 'if_rk4' propagates the
     x-independent multiplier part exactly and steps the remainder; 'auto'
     picks 'if_rk4' whenever a multiplier part exists.  dt=None selects the
     largest step satisfying the stability bound C_STAB/max|a| and the accuracy
-    target Y_ACC/max|a_active|; an explicit dt violating stability raises.
-    `guard` is `wrap_guard(a, u0, f)` when the caller has it already.
+    target Y_ACC/max|a_active| over the guard's active band; an explicit dt
+    violating stability raises.  `guard` is `wrap_guard(a, u0, f)` when the
+    caller has it already; it then also sets that band.
 
     The solution stores every store_stride-th frame, or with `consume` (a
     frame consumer such as `NormSeries` or `SmoothingSeries`) hands each such
@@ -507,6 +503,8 @@ def solve_linear(
         raise ValueError("horizon T must be positive")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if f is not None and not isinstance(f, Field):
+        raise TypeError(f"a source is a fixed Field, not {type(f).__name__}")
     g = u0.grid
     op = build_evolution_operator(a, g)
 
@@ -523,7 +521,7 @@ def solve_linear(
     if stepped_mult:
         stab_mag += op.max_abs_multiplier(None)
     if dt is None:
-        mask = _active_mask(g, _spectrum(g, _initial_data(u0, f)))
+        mask = g.xi_norm <= guard.xi_cap
         act_mag = 0.0
         if np.any(mask):
             act_mag = op.max_abs_remainder(mask)
@@ -532,13 +530,9 @@ def solve_linear(
         dt = min(_dt_limit(stab_mag, C_STAB), _dt_limit(act_mag, Y_ACC), T / MIN_STEPS)
     steps, dt = _time_steps(T, dt, stab_mag)
 
-    fhat = g.fftn(f.values) if isinstance(f, Field) else None
-
-    def source(uhat, t):
-        return fhat if fhat is not None else g.fftn(f(t).values)
-
+    fhat = None if f is None else g.fftn(f.values)
     step = lawson_stepper(
-        op, dt, None if f is None else source, integrating_factor=scheme == "if_rk4"
+        op, dt, None if f is None else lambda uhat, t: fhat, integrating_factor=scheme == "if_rk4"
     )
     times, stored = _march(step, g, u0.values, steps, dt, store_stride, consume)
     return Solution(
@@ -557,9 +551,6 @@ def solve_linear(
 # -- smoothing reports -----------------------------------------------------------------
 
 
-_UNSET = object()
-
-
 @dataclass
 class SmoothingReport:
     estimate: str
@@ -575,11 +566,11 @@ class SmoothingReport:
 class SmoothingSeries:
     """The per-frame terms of a smoothing report, as a frame consumer.
 
-    Per frame it keeps ||u||_s, ||u||_{s+gain}, the weighted integrand at
-    s + gain (estimates 'ii' and 'iii'), all from one spectrum, and the source
-    term of the estimate's right side; gain = (m - 1)/2.  A constant source
-    (a Field) has the same term at every node, taken once; a time-dependent
-    one is evaluated at each node.  `report` assembles the estimate.
+    Per frame it keeps ||u||_s, ||u||_{s+gain} and the weighted integrand at
+    s + gain (estimates 'ii' and 'iii'), all from one spectrum; gain =
+    (m - 1)/2.  The source term of the estimate's right side is the same at
+    every node, since the source is a fixed Field, and is taken once.
+    `report` assembles the estimate.
     """
 
     def __init__(
@@ -589,7 +580,7 @@ class SmoothingSeries:
         estimate: str,
         s: float,
         lam: Callable[[np.ndarray], np.ndarray],
-        f: SourceLike,
+        f: Optional[Field],
     ):
         if estimate not in ESTIMATES:
             raise ValueError(f"unknown estimate {estimate!r}")
@@ -600,16 +591,14 @@ class SmoothingSeries:
         self.gained: list = []
         self.weighted: list = []
         self.source: list = []
-        self._const = None if callable(f) else self._source_term(f)
-
-    def _source_term(self, fs: Optional[Field]) -> float:
-        if fs is None:
-            return 0.0
-        if self.estimate == "i":
-            return sobolev_norm(fs, self.s)
-        if self.estimate == "ii":
-            return sobolev_norm(fs, self.s) ** 2
-        return weighted_pairing(fs, lambda r: 1.0 / self.lam(r), self.s - self.gain)
+        if f is None:
+            self._term = 0.0
+        elif estimate == "i":
+            self._term = sobolev_norm(f, s)
+        elif estimate == "ii":
+            self._term = sobolev_norm(f, s) ** 2
+        else:
+            self._term = weighted_pairing(f, lambda r: 1.0 / lam(r), s - self.gain)
 
     def __call__(self, t: float, values: np.ndarray) -> None:
         if not self.times and self.estimate == "iii" and self.f is None and np.any(values):
@@ -621,7 +610,7 @@ class SmoothingSeries:
         self.gained.append(np.sqrt(_sobolev_sq(g, spec, s + self.gain)))
         if self.estimate != "i":
             self.weighted.append(_weighted_sq(g, spec, self.lam, s + self.gain))
-        self.source.append(self._source_term(self.f(t)) if self._const is None else self._const)
+        self.source.append(self._term)
 
     def report(self) -> SmoothingReport:
         """The estimate over the frames taken."""
@@ -652,7 +641,6 @@ def smoothing_report(
     estimate: str,
     s: float,
     lam: Callable[[np.ndarray], np.ndarray],
-    f: SourceLike = _UNSET,
 ) -> SmoothingReport:
     """Assemble LHS/RHS of the homogeneous/inhomogeneous smoothing estimates.
 
@@ -663,13 +651,12 @@ def smoothing_report(
 
     The exponential prefactor in T is never folded in: boundedness of the
     ratio across run families is the measured content.  The report also
-    carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.  The stored
-    frames go through `SmoothingSeries`, the consumer that a streamed solve
-    hands its frames to, so both give the same report bit for bit.
+    carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.  f is the
+    solution's own source.  The stored frames go through `SmoothingSeries`,
+    the consumer that a streamed solve hands its frames to, so both give the
+    same report bit for bit; a streamed solve itself is refused.
     """
-    series = SmoothingSeries(
-        sol.grid, sol.symbol.order, estimate, s, lam, sol.source if f is _UNSET else f
-    )
+    series = SmoothingSeries(sol.grid, sol.symbol.order, estimate, s, lam, sol.source)
     return sol.feed(series).report()
 
 
@@ -681,8 +668,6 @@ class PropagatorProbeReport:
     """Measured constants of sup_t ||<x>^{2N} W(t) u0||_s^2 <= c (1 + T^{2N})
     ||<x>^{2N} u0||_{s+2N}^2 over a horizon sweep."""
 
-    s: float
-    N_w: int
     ratios: dict
     fitted_c: float
     stability: float
@@ -716,8 +701,6 @@ def weighted_propagator_probe(
         ratios[T] = float(np.max(wnorm[sel]) / ((1.0 + T ** (2 * N_w)) * denom))
     vals = list(ratios.values())
     return PropagatorProbeReport(
-        s=s,
-        N_w=N_w,
         ratios=ratios,
         fitted_c=max(vals),
         stability=max(vals) / min(vals),

@@ -272,10 +272,11 @@ class _XtsReducer:
 
 
 def xts_norm(sol: Solution, s: float, lam: WeightFn, N_w: int) -> XtsNorm:
-    """Four-term solution norm; du/dt comes from the equation (sol.rhs_values)."""
+    """Four-term norm of a stored solve; du/dt comes from the equation (sol.rhs_values)."""
     reducer = _XtsReducer(sol.grid, s, lam, N_w)
+    values = sol._stored_values()
     for sl in _chunks(sol.grid, 0, len(sol.times)):
-        reducer.add(sol.values[sl], sol.rhs_values(sl))
+        reducer.add(values[sl], sol.rhs_values(sl))
     return reducer.norm(sol.times)
 
 
@@ -362,7 +363,7 @@ def picard_solve(
     nonlinearity = _Nonlinearity(g, spec, c_frozen)
     mult_alpha = nonlinearity.mult
     frozen_term = _frozen_forcing(g, c_frozen, mult_alpha) if frozen else None
-    steps, dt = _nonlinear_steps(op, u0, T, dt, c_frozen, mult_alpha)
+    steps, dt = _nonlinear_steps(op, guard.xi_cap, T, dt, c_frozen, mult_alpha)
     times = dt * np.arange(steps + 1)
     step = lawson_stepper(op, dt, frozen_term)
 
@@ -523,7 +524,7 @@ def direct_nonlinear_solve(
 
     op = build_evolution_operator(a, g)
     steps, dt = _nonlinear_steps(
-        op, u0, T, dt, _monomial(u0.values, spec.p, spec.q), _xi_alpha(g, spec.alpha)
+        op, guard.xi_cap, T, dt, _monomial(u0.values, spec.p, spec.q), _xi_alpha(g, spec.alpha)
     )
     step = lawson_stepper(op, dt, _direct_forcing(g, spec))
     times, stored = _march(step, g, u0.values, steps, dt, store_stride)

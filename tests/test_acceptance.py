@@ -265,7 +265,7 @@ def test_criterion_7_smoothing_family():
                 )
             )
             forced = solve_linear(a, Field.zero(g), u0, T=T, store_stride=4)
-            r_iii[k] = smoothing_report(forced, "iii", 0.0, LAM, f=u0).ratio
+            r_iii[k] = smoothing_report(forced, "iii", 0.0, LAM).ratio
         spread = max(r_ii.values()) / min(r_ii.values())
         growth = unweighted[32.0] / unweighted[4.0]
         bounded = all(np.isfinite(v) and 0 < v <= 8.0 for v in list(r_i.values()) + list(r_iii.values()))

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,35 @@ def test_batch_with_threads(tmp_path):
     assert run(path, out_dir=str(tmp_path)) == 0
     assert (tmp_path / "b0_report.json").exists()
     assert (tmp_path / "b1_report.json").exists()
+
+
+# s = 16 is even, so below the odd-integer regularity floor (14 here): it warns
+_NLIVP_EVEN_S = {
+    "experiment": "solve-nlivp",
+    "symbol": {"name": "airy"},
+    "grid": {"n": 1, "L": 20 * np.pi, "N": 256},
+    "run": {"s": 16.0, "T": 0.02, "dt": 2e-4},
+}
+
+
+def test_solve_nlivp_regularity_warning_reaches_the_caller(tmp_path):
+    path = write_cfg(tmp_path, dict(_NLIVP_EVEN_S, output={"prefix": "nl"}))
+    with pytest.warns(UserWarning, match="odd-integer regularity floor"):
+        assert run(path, out_dir=str(tmp_path)) != 1
+    assert load_report(tmp_path, "nl")["verdicts"]["picard_converged"] == "pass"
+
+
+def test_threaded_solve_nlivp_batch_leaves_the_warning_filters_alone(tmp_path):
+    # warnings.catch_warnings() in a runner swaps the process-wide filter list:
+    # two threads that leave in the order they entered restore the wrong one
+    import scipy.special  # noqa: F401 -- installs a filter of its own on first import
+
+    cfg = {"threads": 2, "experiments": [dict(_NLIVP_EVEN_S, output={"prefix": p}) for p in "ab"]}
+    path = write_cfg(tmp_path, cfg)
+    with pytest.warns(UserWarning, match="odd-integer regularity floor"):
+        before = list(warnings.filters)
+        assert run(path, out_dir=str(tmp_path)) != 1
+        assert warnings.filters == before
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

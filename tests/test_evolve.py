@@ -13,7 +13,7 @@ from weylab.evolve import (
     EvolutionOperator,
     SmoothingSeries,
     WrapGuardError,
-    _active_mask,
+    _active_cap,
     build_evolution_operator,
     lawson_stepper,
     smoothing_report,
@@ -33,6 +33,7 @@ from weylab.grid import (
     transform,
     weighted_pairing,
 )
+from weylab.nonlinear import xts_norm
 from weylab.symbol import SympySymbol, VectorFieldSystem, build_kdv_type, catalog
 from weylab.symbol.core import phase_symbols
 from weylab.weights import WeightFn
@@ -662,8 +663,8 @@ def test_wrap_guard_matches_one_shot_lattice(build, grid, carrier, width2):
     u0 = gaussian_wavepacket(g, carrier, width2=width2)
     gw = wrap_guard(a, u0)
     assert gw.localized
-    mask = _active_mask(g, [transform(u0).coeffs])
-    xi_act = g.xi_mesh.reshape(-1, g.n)[mask.ravel()]
+    assert gw.xi_cap == _active_cap(g, [transform(u0).coeffs])
+    xi_act = g.xi_mesh.reshape(-1, g.n)[(g.xi_norm <= gw.xi_cap).ravel()]
     v_lat = _one_shot_lattice_v_max(a, g, xi_act)
     assert gw.v_max == v_lat
     assert gw.horizon == (g.L - gw.data_radius - gw.margin) / v_lat
@@ -671,12 +672,37 @@ def test_wrap_guard_matches_one_shot_lattice(build, grid, carrier, width2):
 
 @pytest.mark.parametrize("grid", [(1, 40 * np.pi, 2048), UH_GRID])
 def test_zero_datum_adds_nothing_to_its_source_guard(grid):
-    # a forced solve from rest has the guard of its source as a datum
+    # a forced solve from rest has the guard of its source as a datum, its
+    # active band included
     g = make_grid(*grid)
     a = catalog("airy") if g.n == 1 else catalog("ultrahyperbolic", eps=0.05)
     u0 = gaussian_wavepacket(g, [8.0] + [0.0] * (g.n - 1), width2=3.0)
     gw = wrap_guard(a, u0)
-    assert gw.localized and wrap_guard(a, Field.zero(g), u0) == gw
+    assert gw.localized and np.isfinite(gw.xi_cap)
+    assert wrap_guard(a, Field.zero(g), u0) == gw
+
+
+def test_zero_data_have_an_empty_band():
+    g = make_grid(1, 10.0, 64)
+    gw = wrap_guard(catalog("airy"), Field.zero(g))
+    assert gw.xi_cap == -np.inf and gw.horizon is None
+
+
+def test_picked_dt_solve_transforms_its_data_once(monkeypatch):
+    # the wrap guard takes the spectrum of the data, and the step rule reads
+    # the guard's band instead of transforming the data again
+    calls = []
+
+    def counted(g, values):
+        calls.append(values.shape)
+        return spectrum(g, values)
+
+    spectrum = evolve._spectrum
+    monkeypatch.setattr(evolve, "_spectrum", counted)
+    g = make_grid(1, 40 * np.pi, 1024)
+    u0 = airy_packet(g)
+    solve_linear(catalog("airy"), Field.zero(g), u0, T=0.05, store_stride=8)
+    assert calls == [(2, *g.shape)]
 
 
 def test_wrap_guard_memory_is_per_probe(traced_peak):
@@ -785,14 +811,14 @@ _STREAM_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("forcing", ["free", "forced", "forced-t"])
+@pytest.mark.parametrize("forcing", ["free", "forced"])
 @pytest.mark.parametrize("estimate", ESTIMATES)
 @pytest.mark.parametrize("family", sorted(_STREAM_FAMILIES))
 def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, forcing):
     build, grid, carrier, width2, run = _STREAM_FAMILIES[family]
     a, g, lam, s = build(), make_grid(*grid), WeightFn(2), 0.5
     packet = gaussian_wavepacket(g, carrier, width2)
-    source = {"free": None, "forced": packet, "forced-t": lambda t: (1.0 + 10.0 * t) * packet}[forcing]
+    source = {"free": None, "forced": packet}[forcing]
     datum = packet if source is None else Field.zero(g)
     series = SmoothingSeries(g, a.order, estimate, s, lam, source)
     if estimate == "iii" and source is None:
@@ -810,6 +836,33 @@ def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, 
     assert stored.lhs > 0 and stored.rhs > 0
     # the streamed solve keeps only its final frame
     assert sol.values.shape == (1, *g.shape) and sol.times[-1] == series.times[-1]
+
+
+def test_callable_source_is_refused():
+    # a source is a fixed Field: a source that varies in time would need a
+    # wrap guard and a step rule that see all of it, not only its value at 0
+    g = make_grid(1, 40 * np.pi, 1024)
+    packet = airy_packet(g)
+    with pytest.raises(TypeError, match="fixed Field"):
+        solve_linear(catalog("airy"), Field.zero(g), lambda t: (1.0 + 10.0 * t) * packet, T=0.01)
+
+
+def test_streamed_solve_refuses_frame_reductions():
+    # a streamed solve keeps only its final frame: reducing that one frame as
+    # if it were the whole trajectory gave ratio 1 and drift 0
+    g = make_grid(1, 40 * np.pi, 1024)
+    a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn(2)
+    series = SmoothingSeries(g, a.order, "ii", 0.0, lam, None)
+    sol = solve_linear(a, airy_packet(g, k=8.0), T=0.01, consume=series)
+    assert series.report().ratio > 1.0
+    with pytest.raises(ValueError, match="streamed"):
+        smoothing_report(sol, "ii", 0.0, lam)
+    with pytest.raises(ValueError, match="streamed"):
+        sol.l2_drift()
+    with pytest.raises(ValueError, match="streamed"):
+        sol.sobolev_series(0.0)
+    with pytest.raises(ValueError, match="streamed"):
+        xts_norm(sol, 9.0, lam, 2)
 
 
 def test_streamed_smoothing_memory_does_not_grow_with_frames(traced_peak):
