@@ -29,7 +29,15 @@ import numpy as np
 import sympy as sp
 
 from .grid import Field, Grid, wavepacket_probes
-from .symbol.core import Symbol, SympySymbol, multi_factorial, multi_indices_upto
+from .symbol.core import (
+    Symbol,
+    SympySymbol,
+    _derivative_expr,
+    _lambdified,
+    _xi_degree,
+    multi_factorial,
+    multi_indices_upto,
+)
 
 __all__ = [
     "ScanReport",
@@ -79,11 +87,10 @@ def lemmatec1_residual(
     p_sym: Symbol,
     N_w: int,
     g: Grid,
-    probes: Optional[list[Field]] = None,
     *,
     truncate_at: Optional[int] = None,
 ) -> LemmaA1Report:
-    """Residual of the exact <x>^{2N} commutation identity on probe fields.
+    """Residual of the exact <x>^{2N} commutation identity on seeded probe fields.
 
     Requires p polynomial in xi (the expansion terminates and the identity is
     exact); for other symbols only the truncated check is offered, flagged via
@@ -95,58 +102,46 @@ def lemmatec1_residual(
         raise ValueError("N_w must be a positive integer")
     if not isinstance(p_sym, SympySymbol):
         raise ValueError("the identity check needs a sympy-backed symbol")
+    # Gaussians of width w = 0.11 L must decay to ~1e-13 at the box seam,
+    # exp(-(0.85 L / w)^2 / 2), which holds on every grid, and at the
+    # Nyquist frequency, exp(-(xi_max w)^2 / 2), which needs N >= ~48
+    if g.xi_max * 0.11 * g.L < 7.6:
+        raise ValueError(
+            "grid too coarse for machine-localized probes; increase N (need "
+            "roughly N >= 48 per axis)"
+        )
     n = g.n
-    xs, xis = p_sym._xs, p_sym._xis
-    try:
-        poly_deg = int(sp.Poly(p_sym.expr, *xis).total_degree())
-        truncated = False
+    poly_deg = _xi_degree(p_sym.expr, p_sym._xis)
+    truncated = poly_deg is None
+    if not truncated:
         beta_cap = min(poly_deg, 2 * N_w)
-    except sp.PolynomialError:
-        if truncate_at is None:
-            raise ValueError(
-                "symbol is not polynomial in xi; pass truncate_at for the flagged "
-                "truncated check"
-            )
-        truncated = True
+    elif truncate_at is None:
+        raise ValueError(
+            "symbol is not polynomial in xi; pass truncate_at for the flagged truncated check"
+        )
+    else:
         beta_cap = int(truncate_at)
 
-    w_expr = (1 + sum(v**2 for v in xs)) ** N_w
+    w_expr = (1 + sum(v**2 for v in p_sym._xs)) ** N_w
     w_vals = (1.0 + g.x_radius**2) ** N_w
 
     corrections = []  # (coefficient values D^beta w / beta!, derivative symbol)
-    terms = 0
+    zero = (0,) * n
     for beta in multi_indices_upto(n, beta_cap):
         if sum(beta) < 1:
             continue
-        dw = w_expr
-        dp = p_sym.expr
-        for i, b in enumerate(beta):
-            if b:
-                dw = sp.diff(dw, xs[i], b)
-                dp = sp.diff(dp, xis[i], b)
+        dw = _derivative_expr(w_expr, n, zero, beta)
+        dp = _derivative_expr(p_sym.expr, n, beta, zero)
         if dw == 0 or dp == 0:
             continue
         dw = sp.expand(dw * (-sp.I) ** sum(beta))  # D^beta w
-        dw_fn = sp.lambdify(xs, dw, modules="numpy")
-        dw_vals = np.asarray(
-            dw_fn(*[g.x_mesh[..., i] for i in range(n)]), dtype=complex
-        ) * np.ones(g.shape)
+        dw_vals = _lambdified(dw, n)(g.x_mesh, g.x_mesh)
         dp_sym = SympySymbol(dp, n, p_sym.order - sum(beta), zero_nyquist=p_sym.zero_nyquist)
         corrections.append((dw_vals / multi_factorial(beta), dp_sym))
-        terms += 1
 
-    if not probes:
-        # Gaussians of width w = 0.11 L must decay to ~1e-13 at the box seam,
-        # exp(-(0.85 L / w)^2 / 2), which holds on every grid, and at the
-        # Nyquist frequency, exp(-(xi_max w)^2 / 2), which needs N >= ~48
-        if g.xi_max * 0.11 * g.L < 7.6:
-            raise ValueError(
-                "grid too coarse for machine-localized probes; increase N (need "
-                "roughly N >= 48 per axis)"
-            )
-        probes = wavepacket_probes(
-            g, 4, np.random.default_rng(12345), center=(-0.1, 0.1), carrier=(-0.15, 0.15), width=(0.11, 0.11)
-        )
+    probes = wavepacket_probes(
+        g, 4, np.random.default_rng(12345), center=(-0.1, 0.1), carrier=(-0.15, 0.15), width=(0.11, 0.11)
+    )
     worst = 0.0
     for u in probes:
         lhs = w_vals * apply_fast(p_sym, u).values
@@ -159,7 +154,7 @@ def lemmatec1_residual(
         worst = max(worst, float(np.linalg.norm((lhs - rhs).ravel()) / scale))
     return LemmaA1Report(
         residual=worst,
-        terms_used=terms,
+        terms_used=len(corrections),
         truncated=truncated,
     )
 

@@ -43,7 +43,14 @@ import scipy.linalg
 
 from .grid import Field, Grid, inner_product, sobolev_norm, wavepacket_probes
 from .symbol.checks import SampleSet
-from .symbol.core import Symbol, SympySymbol, bessel_symbol, kn_to_weyl_expr, weyl_product_expr
+from .symbol.core import (
+    Symbol,
+    SympySymbol,
+    _derivative_expr,
+    bessel_symbol,
+    kn_to_weyl_expr,
+    weyl_product_expr,
+)
 
 __all__ = [
     "DenseOperator",
@@ -364,13 +371,13 @@ def poisson_bracket(a: SympySymbol, b: SympySymbol) -> SympySymbol:
         raise TypeError("poisson_bracket is exact and needs sympy-backed symbols")
     import sympy as sp
 
-    xs = a._xs
-    xis = a._xis
+    n, zero = a.n, (0,) * a.n
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     expr = sp.expand(
         sum(
-            sp.diff(a.expr, xis[i]) * sp.diff(b.expr, xs[i])
-            - sp.diff(a.expr, xs[i]) * sp.diff(b.expr, xis[i])
-            for i in range(a.n)
+            _derivative_expr(a.expr, n, e, zero) * _derivative_expr(b.expr, n, zero, e)
+            - _derivative_expr(a.expr, n, zero, e) * _derivative_expr(b.expr, n, e, zero)
+            for e in units
         )
     )
     return SympySymbol(expr, a.n, a.order + b.order - 2.0, label=f"{{{a.label},{b.label}}}")

@@ -21,7 +21,7 @@ import numpy as np
 import sympy as sp
 
 from .export import write_csv
-from .symbol.core import Symbol, SympySymbol, as_points
+from .symbol.core import Symbol, SympySymbol, _derivative_expr, as_points
 
 __all__ = [
     "Trajectory",
@@ -74,12 +74,13 @@ def qdelta_symbol(a: Symbol, delta: float, scale: float = 1.0) -> SympySymbol:
     derived from the sympy expression of a (delta = 1 gives the Garding weight)."""
     if not isinstance(a, SympySymbol):
         raise TypeError("q_delta is derived from the sympy expression; pass a SympySymbol")
-    xs, xis = a._xs, a._xis
+    n, xs, xis = a.n, a._xs, a._xis
     bes = (sp.nsimplify(delta, rational=True) + sum(v**2 for v in xis)) ** (
         -sp.Rational(1, 2) * sp.nsimplify(a.order - 1)
     )
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     expr = sp.nsimplify(scale, rational=False) * bes * sum(
-        xs[j] * sp.diff(a.expr, xis[j]) for j in range(a.n)
+        xs[i] * _derivative_expr(a.expr, n, e, (0,) * n) for i, e in enumerate(units)
     )
     return SympySymbol(expr, a.n, 0.0, zero_nyquist=False, label="q")
 

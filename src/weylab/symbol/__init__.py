@@ -7,7 +7,6 @@ from .checks import (
     check_grad_ellipticity,
     check_im_smallness,
     check_x_decay,
-    seminorm_estimate,
 )
 from .core import (
     FuncSymbol,
@@ -37,7 +36,6 @@ __all__ = [
     "check_grad_ellipticity",
     "check_x_decay",
     "check_im_smallness",
-    "seminorm_estimate",
     "VectorFieldSystem",
     "KdvTypeBuild",
     "build_kdv_type",

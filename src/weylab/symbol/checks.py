@@ -28,7 +28,6 @@ __all__ = [
     "check_grad_ellipticity",
     "check_x_decay",
     "check_im_smallness",
-    "seminorm_estimate",
 ]
 
 # |xi|^{m-1} is regularized as max(|xi|, XI_FLOOR)^{m-1} purely for ratio
@@ -264,16 +263,3 @@ def check_im_smallness(
         threshold=c0_threshold,
     )
 
-
-def seminorm_estimate(a: Symbol, k: int, S: Optional[SampleSet] = None) -> float:
-    """Approximate the class seminorm sup |d^beta_x d^alpha_xi a| <xi>^{-m+|alpha|}
-    over |alpha| + |beta| <= k on the sample set."""
-    if S is None:
-        S = SampleSet.standard(a.n)
-    bessel = np.sqrt(1.0 + S.xi_norm**2)
-    best = 0.0
-    for alpha in multi_indices_upto(a.n, k):
-        for beta in multi_indices_upto(a.n, k - sum(alpha)):
-            vals = np.abs(a.deriv(alpha, beta, S.X, S.XI))
-            best = max(best, float(np.max(vals * bessel ** (-a.order + sum(alpha)))))
-    return best

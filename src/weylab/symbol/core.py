@@ -16,6 +16,14 @@ derivative once.  The derivative expressions form a tree: each is one sp.diff
 by one variable of its parent multi-index, so a jet of derivatives costs one
 diff per entry.  Closures come from sp.lambdify without the docstring that
 prints the expression (docstring_limit, SymPy >= 1.13).
+
+The tree (`_derivative_expr`) is the one path to a phase-space derivative and
+`_lambdified` the one path to evaluating a phase-space expression.  Besides
+the closures, the tree serves the Weyl product and the KN->Weyl change below
+(and so the kdv-type builds of symbol.kdv), the Poisson bracket of
+weylab.calculus, q_delta of weylab.hamilton and the Lemma A.1 expansion of
+weylab.appendix_checks; an operation that reads a derivative some symbol has
+already taken makes no new sp.diff.
 """
 
 from __future__ import annotations
@@ -321,7 +329,7 @@ def weyl_product_expr(a_expr, b_expr, n: int, K: Optional[int] = None):
     For polynomial-in-xi factors the expansion terminates; K=None runs until
     exhaustion (polynomials only).
     """
-    xs, xis = phase_symbols(n)
+    _, xis = phase_symbols(n)
     a_expr = sp.sympify(a_expr)
     b_expr = sp.sympify(b_expr)
     if K is None:
@@ -335,20 +343,10 @@ def weyl_product_expr(a_expr, b_expr, n: int, K: Optional[int] = None):
         term_k = sp.Integer(0)
         for p_plus_q in multi_indices(2 * n, k):
             p, q = p_plus_q[:n], p_plus_q[n:]
-            da = a_expr
-            for i in range(n):
-                if p[i]:
-                    da = sp.diff(da, xs[i], p[i])
-                if q[i]:
-                    da = sp.diff(da, xis[i], q[i])
+            da = _derivative_expr(a_expr, n, q, p)
             if da == 0:
                 continue
-            db = b_expr
-            for i in range(n):
-                if p[i]:
-                    db = sp.diff(db, xis[i], p[i])
-                if q[i]:
-                    db = sp.diff(db, xs[i], q[i])
+            db = _derivative_expr(b_expr, n, p, q)
             if db == 0:
                 continue
             coeff = (
@@ -367,7 +365,7 @@ def kn_to_weyl_expr(a_expr, n: int, K: Optional[int] = None):
 
     Exact (terminating) for symbols polynomial in xi when K=None.
     """
-    xs, xis = phase_symbols(n)
+    _, xis = phase_symbols(n)
     a_expr = sp.sympify(a_expr)
     if K is None:
         K = _xi_degree(a_expr, xis)
@@ -375,11 +373,7 @@ def kn_to_weyl_expr(a_expr, n: int, K: Optional[int] = None):
             raise ValueError("K=None requires a polynomial-in-xi symbol")
     total = sp.Integer(0)
     for g in multi_indices_upto(n, K):
-        e = a_expr
-        for i in range(n):
-            if g[i]:
-                e = sp.diff(e, xs[i], g[i])
-                e = sp.diff(e, xis[i], g[i])
+        e = _derivative_expr(a_expr, n, g, g)
         if e == 0:
             continue
         total += (sp.I / 2) ** sum(g) / multi_factorial(g) * e

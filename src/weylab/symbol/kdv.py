@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .core import SympySymbol, kn_to_weyl_expr, phase_symbols, weyl_product_expr
+from .core import SympySymbol, _lambdified, kn_to_weyl_expr, phase_symbols, weyl_product_expr
 
 __all__ = ["VectorFieldSystem", "KdvTypeBuild", "build_kdv_type"]
 
@@ -29,13 +29,12 @@ class VectorFieldSystem:
 
     n: int
     coefficients: list  # n x n nested list of sympy expressions
-    _xs: list = field(init=False, repr=False)
     _xis: list = field(init=False, repr=False)
+    _weyl: list = field(init=False, repr=False)  # the Weyl symbols X_j + d_{X_j}
 
     def __post_init__(self):
         self.n = int(self.n)
-        xs, xis = phase_symbols(self.n)
-        self._xs, self._xis = xs, xis
+        xs, self._xis = phase_symbols(self.n)
         if len(self.coefficients) != self.n or any(len(row) != self.n for row in self.coefficients):
             raise ValueError(f"coefficients must be an {self.n}x{self.n} matrix")
         coeffs = [[sp.sympify(c) for c in row] for row in self.coefficients]
@@ -45,6 +44,7 @@ class VectorFieldSystem:
                 if c.free_symbols - allowed:
                     raise ValueError(f"coefficient {c} uses symbols outside x1..x{self.n}")
         self.coefficients = coeffs
+        self._weyl = [kn_to_weyl_expr(self.kn_symbol(j), self.n) for j in range(self.n)]
         # Weyl corrections d_{X_j}; must be purely imaginary (or zero)
         for j in range(self.n):
             d = self.weyl_correction(j)
@@ -61,10 +61,10 @@ class VectorFieldSystem:
 
     def weyl_correction(self, j: int):
         """d_{X_j} with Op_KN(X_j) = Op_w(X_j + d_{X_j}); equals (i/2) sum_i d_i a_ij."""
-        return sp.expand(kn_to_weyl_expr(self.kn_symbol(j), self.n) - self.kn_symbol(j))
+        return sp.expand(self._weyl[j] - self.kn_symbol(j))
 
     def weyl_symbol(self, j: int):
-        return sp.expand(self.kn_symbol(j) + self.weyl_correction(j))
+        return self._weyl[j]
 
     def qualifying_directions(self, x_radius: float = 10.0, points: int = 201) -> list[dict]:
         """All k with inf_x |d_{xi_k} X_1| = inf_x |a_k1| > 0, with the paired
@@ -76,8 +76,7 @@ class VectorFieldSystem:
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
 
         def abs_on_mesh(coefficient):
-            fn = sp.lambdify(self._xs, coefficient, modules="numpy")
-            return np.abs(np.broadcast_to(fn(*mesh.T), (mesh.shape[0],)))
+            return np.abs(_lambdified(coefficient, self.n)(mesh, mesh))
 
         out = []
         for k in range(self.n):

@@ -6,6 +6,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylab.calculus import change_quantization, compose_symbols, poisson_bracket
+from weylab.hamilton import qdelta_symbol
 from weylab.symbol import (
     FuncSymbol,
     SampleSet,
@@ -19,7 +21,6 @@ from weylab.symbol import (
     check_x_decay,
     multi_indices_upto,
     phase_symbols,
-    seminorm_estimate,
 )
 from weylab.symbol.core import _derivative_closure, _derivative_expr
 from weylab.weights import garding_weight
@@ -85,6 +86,44 @@ def test_derivative_tree_makes_one_diff_per_closure(monkeypatch):
     assert len(calls) == len(jets) - 1 == 34
     # each diff is by one variable, once
     assert all(len(args) == 2 for args in calls)
+
+
+def _symbolic_op(name):
+    """One exact symbolic operation, built afresh on each call."""
+    (x,), (xi,) = phase_symbols(1)
+    x_xi2 = SympySymbol(x * xi**2, 1, 2.0)
+    if name == "compose_symbols":
+        return compose_symbols(catalog("gaussian_kdv", eps=0.3), x_xi2, K=3)
+    if name == "change_quantization":
+        return change_quantization(x_xi2, K=3)
+    if name == "poisson_bracket":
+        return poisson_bracket(catalog("gaussian_kdv", eps=0.3), x_xi2)
+    xs, _ = phase_symbols(2)
+    bump = sp.exp(-xs[0] ** 2 - xs[1] ** 2) / 9
+    return build_kdv_type(VectorFieldSystem(2, [[1 + bump, bump], [0, 1 - bump]])).full
+
+
+@pytest.mark.parametrize(
+    "name", ["compose_symbols", "change_quantization", "poisson_bracket", "build_kdv_type"]
+)
+def test_symbolic_calculus_reads_the_derivative_tree(name, monkeypatch):
+    first = _symbolic_op(name)
+    calls = []
+    diff = sp.diff
+    monkeypatch.setattr(sp, "diff", lambda *args, **kw: calls.append(args) or diff(*args, **kw))
+    second = _symbolic_op(name)
+    assert calls == []
+    assert sp.srepr(second.expr) == sp.srepr(first.expr)
+
+
+def test_qdelta_reads_the_derivatives_the_symbol_built(monkeypatch):
+    a = catalog("gaussian_kdv", eps=0.0321)
+    a.deriv((1,), (0,), 0.5, 2.0)
+    calls = []
+    diff = sp.diff
+    monkeypatch.setattr(sp, "diff", lambda *args, **kw: calls.append(args) or diff(*args, **kw))
+    qdelta_symbol(a, 0.5)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", [*catalog_names(), "garding_q"])
@@ -372,25 +411,6 @@ def test_worst_point_is_first_tie_of_a_flat_ratio(index):
     # the fitted constants stay exact: the bumped sample sets them
     assert (im.constants["c0_hat"] > 1.0) == (index is not None)
     assert (ell.worst_value < 3.0) == (index is not None)
-
-
-# -- seminorms -------------------------------------------------------------------
-
-
-def test_seminorm_constant_symbol():
-    a = SympySymbol(sp.Integer(1), 1, 0.0)
-    for k in (0, 1, 2):
-        assert np.isclose(seminorm_estimate(a, k), 1.0)
-
-
-def test_seminorm_airy_k0():
-    val = seminorm_estimate(catalog("airy"), 0)
-    assert 0.999 <= val <= 1.0  # sup |xi|^3 <xi>^{-3} = 1, approached from below
-
-
-def test_seminorm_zk_k1_finite():
-    val = seminorm_estimate(catalog("zk"), 1, SampleSet.standard(2, x_points=3))
-    assert np.isfinite(val) and 2.5 <= val <= 10.0  # approaches 3 from below
 
 
 # -- qualifying gradient directions for vector-field systems ------------------------
