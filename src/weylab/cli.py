@@ -451,8 +451,7 @@ def _exp_solve_linear(cfg, run, rng, outdir, prefix):
     write_csv(series_path, ["t", "l2", "h1"], [norms.times, *np.array(norms.sobolev).T])
     details = {
         "scheme": sol.scheme,
-        "dt": sol.dt,
-        "steps": int(round(sol.times[-1] / sol.dt)),
+        **_step_record(sol),
         "l2_drift": drift,
         "wrap_horizon": sol.guard.horizon if sol.guard else None,
     }
@@ -460,6 +459,11 @@ def _exp_solve_linear(cfg, run, rng, outdir, prefix):
     if a.real_valued and sol.source is None:
         verdicts["l2_conservation"] = "pass" if drift <= run["conservation_tolerance"] else "fail"
     return details, verdicts, [series_path]
+
+
+def _step_record(sol) -> dict:
+    """The step a solve took, how many, what set them and the step-doubling estimate."""
+    return {"dt": sol.dt, "steps": sol.steps, "step_bound": sol.step_bound, "step_error": sol.step_error}
 
 
 def _family_T(guards):
@@ -502,13 +506,17 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
     gain = (a.order - 1.0) / 2.0
     ratios = {}
     unweighted = {}
+    solves = {}
     rows = []
     for k, u0 in data.items():
         # a forced run starts from rest with the packet as its source; the
         # frames are reduced as the march makes them
         datum, source = (Field.zero(g), u0) if forced else (u0, None)
         series = SmoothingSeries(g, a.order, estimate, s, lam, source)
-        solve_linear(a, datum, source, T=T, store_stride=stride, guard=guards[k], consume=series)
+        # only the record is kept: the solution holds its operator
+        solves[str(k)] = _step_record(
+            solve_linear(a, datum, source, T=T, store_stride=stride, guard=guards[k], consume=series)
+        )
         rep = series.report()
         ratios[k] = rep.ratio
         unw = rep.unweighted_integral
@@ -525,6 +533,7 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
         "ratios": {str(k): v for k, v in ratios.items()},
         "ratio_spread": spread,
         "unweighted": {str(k): v for k, v in unweighted.items()},
+        "solves": solves,
     }
     verdicts = {"family_bounded": "pass" if spread <= run["ratio_bound"] else "fail"}
     if run["growth_min"] is not None and len(carriers) >= 2:

@@ -12,6 +12,15 @@ steps as uhat <- e^{i dt a0} uhat with no transform at all, and a frame is
 inverse-transformed only when it is stored.  Scheme "rk4" is the same stepper
 with identity factors and the multiplier moved into the stepped part.
 
+A solve with an explicit dt stores a frame every `store_stride` steps.  A
+solve that picks its step (dt=None) keeps frames and steps apart.  Its frame
+clock, the steps that stability, the accuracy target Y_ACC and the floor
+MIN_STEPS call for, sets equal frame intervals of `store_stride` clock steps,
+so the frame times do not move with the step rule.  Each interval then takes
+only the steps that stability and a step-doubling error estimate (one step
+of 2h against two of h, Hairer-Norsett-Wanner, Solving ODEs I, II.4) at
+STEP_TOL need, and never more than the clock's.
+
 A solve either stores its frames in one (frames, *grid.shape) array or hands
 each frame, as `_march` makes it, to a consumer that keeps a few numbers per
 frame and lets the frame go: `NormSeries` (the L^2 and Sobolev norms of
@@ -69,7 +78,9 @@ from .calculus import EvolutionOperator
 from .grid import (
     Field,
     Grid,
+    _bessel_sq,
     _l2_sq,
+    _positive_weight,
     _sobolev_sq,
     _spectrum,
     _tail_fraction,
@@ -100,8 +111,11 @@ __all__ = [
 ]
 
 C_STAB = 2.5  # RK4 stability margin for imaginary spectra (|y| < 2.828)
-Y_ACC = 0.03  # accuracy target dt * |a_active| for conservation-grade runs
+# The frame clock of a picked solve_linear, and the steps of the nonlinear
+# solves: the accuracy target dt * |a_active| and a floor on the steps.
+Y_ACC = 0.03
 MIN_STEPS = 64
+STEP_TOL = 1e-6  # step-doubling error target of a picked solve_linear, relative, over [0, T]
 WRAP_MARGIN = 0.05  # wrap-guard margin, as a fraction of the half-width L
 ACTIVE_REL_THRESHOLD = 1e-8
 DATA_RADIUS_REL_THRESHOLD = 1e-9
@@ -221,9 +235,20 @@ class Solution:
     source: Optional[Field]
     guard: Optional[WrapGuard]
     operator: EvolutionOperator = field(repr=False)
+    # what set the steps: "given" (an explicit dt), "clock" (the picked
+    # clock's steps, which the nonlinear solves always take), "stability" or
+    # "error" (the fewest steps per frame interval that meet the stability
+    # bound or STEP_TOL)
+    step_bound: str
+    # the step-doubling estimate at the chosen dt (None when none was taken)
+    step_error: Optional[float] = None
 
     def field(self, i: int) -> Field:
         return Field(self.grid, self.values[i])
+
+    @property
+    def steps(self) -> int:
+        return int(round(self.times[-1] / self.dt))
 
     @property
     def final(self) -> Field:
@@ -455,8 +480,9 @@ def _nonlinear_steps(
     dt=None picks the step: stability C_STAB over the stepped part, accuracy
     Y_ACC over the whole operator on the active band |xi| <= xi_cap (the
     datum's `WrapGuard.xi_cap`), and at least MIN_STEPS steps.
-    This rule stays apart from `solve_linear`'s, which may step the
-    multiplier and has no forcing to bound."""
+    This rule stays apart from `solve_linear`'s frame clock, which may step
+    the multiplier and has no forcing to bound, and it takes every step it
+    picks: Picard's norms integrate over every step."""
     extra_mag = 0.0 if coeff is None else float(np.max(np.abs(coeff)) * np.max(np.abs(mult)))
     stab_mag = op.max_abs_remainder(None) + extra_mag
     if dt is None:
@@ -468,6 +494,33 @@ def _nonlinear_steps(
         )
         dt = min(_dt_limit(stab_mag, C_STAB), _dt_limit(act_mag, Y_ACC), T / MIN_STEPS)
     return _time_steps(T, dt, stab_mag)
+
+
+def _step_error(
+    op: EvolutionOperator,
+    uhat0: np.ndarray,
+    fhat: Optional[np.ndarray],
+    T: float,
+    h: float,
+    integrating_factor: bool,
+) -> float:
+    """Step doubling: the estimated error of a solve of [0, T] in steps of h,
+
+        (T / 2h) ||S_2h u0 - S_h S_h u0|| / 15  relative to  max(||u0||, ||S_h S_h u0||),
+
+    with S_h one Lawson step of h from the datum's coefficients uhat0 and the
+    source's fhat.  Lawson RK4 has order 4, so the two steps of h are off by
+    about the difference / 15, and the estimate scales as h^4.  Each stepper
+    is freed once its step is taken, and nothing state-sized outlives the call."""
+    forcing = None if fhat is None else lambda uhat, t: fhat
+    step = lawson_stepper(op, h, forcing, integrating_factor=integrating_factor)
+    fine = step(step(uhat0, 0.0), h)
+    del step  # all but its output, fine
+    coarse = lawson_stepper(op, 2.0 * h, forcing, integrating_factor=integrating_factor)(uhat0, 0.0)
+    scale = max(np.linalg.norm(uhat0), np.linalg.norm(fine))
+    if scale == 0.0:
+        return 0.0
+    return float(T / (2.0 * h) * np.linalg.norm(np.subtract(coarse, fine, out=coarse)) / 15.0 / scale)
 
 
 def solve_linear(
@@ -488,16 +541,29 @@ def solve_linear(
 
     scheme 'rk4' steps the whole operator; 'if_rk4' propagates the
     x-independent multiplier part exactly and steps the remainder; 'auto'
-    picks 'if_rk4' whenever a multiplier part exists.  dt=None selects the
-    largest step satisfying the stability bound C_STAB/max|a| and the accuracy
-    target Y_ACC/max|a_active| over the guard's active band; an explicit dt
-    violating stability raises.  `guard` is `wrap_guard(a, u0, f)` when the
-    caller has it already; it then also sets that band.
+    picks 'if_rk4' whenever a multiplier part exists.  `guard` is
+    `wrap_guard(a, u0, f)` when the caller has it already; it also sets the
+    active band below.
 
-    The solution stores every store_stride-th frame, or with `consume` (a
-    frame consumer such as `NormSeries` or `SmoothingSeries`) hands each such
-    frame to consume(t, samples) as the march makes it and stores only the
-    final frame, so memory does not grow with the number of frames.
+    An explicit dt takes equal steps no longer than dt (a dt violating the
+    stability bound C_STAB/max|a| raises) and stores a frame every
+    store_stride steps and at T.  dt=None runs a frame clock of n_clock equal
+    steps: the fewest that meet stability, the accuracy target
+    Y_ACC/max|a_active| over the active band, and at least MIN_STEPS.  The
+    clock cuts [0, T] into F = ceil(n_clock / store_stride) equal frame
+    intervals, so store_stride counts clock steps, and the solve takes r steps
+    per interval: r_stab, the fewest that meet stability, or more while the
+    step-doubling estimate `_step_error` exceeds STEP_TOL, but never more than
+    the clock's ceil(n_clock / F).  The estimate scales as h^4, so each
+    evaluation predicts the r it needs and is measured again there.  A
+    stride-1 solve thus takes the clock's steps, and a pure multiplier with no
+    source, which steps exactly, takes r_stab (one per frame).
+    `Solution.step_bound` and `Solution.step_error` record the choice.
+
+    The solution stores every frame, or with `consume` (a frame consumer such
+    as `NormSeries` or `SmoothingSeries`) hands each frame to
+    consume(t, samples) as the march makes it and stores only the final frame,
+    so memory does not grow with the number of frames.
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
@@ -516,25 +582,48 @@ def solve_linear(
     if scheme == "auto":
         scheme = "if_rk4" if op.multiplier is not None else "rk4"
 
-    stepped_mult = scheme == "rk4"  # the multiplier is stepped, not propagated
+    integrating_factor = scheme == "if_rk4"  # else the multiplier is stepped
     stab_mag = op.max_abs_remainder(None)
-    if stepped_mult:
+    if not integrating_factor:
         stab_mag += op.max_abs_multiplier(None)
-    if dt is None:
+    fhat = None if f is None else g.fftn(f.values)
+    error = None
+    if dt is not None:
+        steps, dt = _time_steps(T, dt, stab_mag)
+        stride, bound = store_stride, "given"
+    else:
         mask = g.xi_norm <= guard.xi_cap
         act_mag = 0.0
         if np.any(mask):
             act_mag = op.max_abs_remainder(mask)
-            if stepped_mult:
+            if not integrating_factor:
                 act_mag += op.max_abs_multiplier(mask)
-        dt = min(_dt_limit(stab_mag, C_STAB), _dt_limit(act_mag, Y_ACC), T / MIN_STEPS)
-    steps, dt = _time_steps(T, dt, stab_mag)
+        dt_stab = _dt_limit(stab_mag, C_STAB)
+        n_clock, _ = _time_steps(T, min(dt_stab, _dt_limit(act_mag, Y_ACC), T / MIN_STEPS), stab_mag)
+        frames = -(-n_clock // store_stride)
+        stride, bound = -(-n_clock // frames), "clock"  # the clock's steps per frame interval
+        r_stab, _ = _time_steps(T / frames, dt_stab, stab_mag)
+        # a pure multiplier with no source steps exactly: it takes r_stab
+        exact = f is None and not op.pairs and integrating_factor
+        if r_stab < stride:
+            r, bound = r_stab, "stability"
+            while not exact:
+                error = _step_error(op, g.fftn(u0.values), fhat, T, T / (frames * r), integrating_factor)
+                if error <= STEP_TOL or r == stride:
+                    break
+                # the estimate scales as h^4: predict the steps it needs, and
+                # measure again there (it may not yet be in its h^4 range)
+                r, bound = int(np.ceil(r * (error / STEP_TOL) ** 0.25)), "error"
+                if r >= stride:
+                    r, bound = stride, "clock"
+            stride = r
+        steps = frames * stride
+        dt = T / steps
 
-    fhat = None if f is None else g.fftn(f.values)
     step = lawson_stepper(
-        op, dt, None if f is None else lambda uhat, t: fhat, integrating_factor=scheme == "if_rk4"
+        op, dt, None if f is None else lambda uhat, t: fhat, integrating_factor=integrating_factor
     )
-    times, stored = _march(step, g, u0.values, steps, dt, store_stride, consume)
+    times, stored = _march(step, g, u0.values, steps, dt, stride, consume)
     return Solution(
         grid=g,
         symbol=a,
@@ -545,6 +634,8 @@ def solve_linear(
         source=f,
         guard=guard,
         operator=op,
+        step_bound=bound,
+        step_error=error,
     )
 
 
@@ -584,8 +675,19 @@ class SmoothingSeries:
     ):
         if estimate not in ESTIMATES:
             raise ValueError(f"unknown estimate {estimate!r}")
-        self.grid, self.m, self.estimate, self.s, self.lam, self.f = grid, m, estimate, s, lam, f
+        self.grid, self.m, self.estimate, self.s, self.f = grid, m, estimate, s, f
         self.gain = (m - 1.0) / 2.0
+        # the per-frame operands, taken once into one block: <xi>^{2s},
+        # <xi>^{2(s+gain)} and, for the weighted integrand, lam(|x|) and
+        # <xi>^{s+gain}.  One block, not four arrays: four 32 KiB arrays held
+        # through a 1D solve (N = 4096) fragmented the heap, and a later
+        # Picard solve in the same process peaked 1 MB higher.
+        base = grid.bessel_base
+        ops = np.empty((2 if estimate == "i" else 4, *grid.shape))
+        ops[0], ops[1] = base ** (2.0 * s), base ** (2.0 * (s + self.gain))
+        if estimate != "i":
+            ops[2], ops[3] = _positive_weight(grid, lam), base ** (s + self.gain)
+        self._ops = ops
         self.times: list = []
         self.norms: list = []
         self.gained: list = []
@@ -603,13 +705,13 @@ class SmoothingSeries:
     def __call__(self, t: float, values: np.ndarray) -> None:
         if not self.times and self.estimate == "iii" and self.f is None and np.any(values):
             raise ValueError("estimate 'iii' requires the source term")
-        g, s = self.grid, self.s
+        g, ops = self.grid, self._ops
         self.times.append(t)
         spec = _spectrum(g, values)
-        self.norms.append(np.sqrt(_sobolev_sq(g, spec, s)))
-        self.gained.append(np.sqrt(_sobolev_sq(g, spec, s + self.gain)))
+        self.norms.append(np.sqrt(_bessel_sq(g, spec, ops[0])))
+        self.gained.append(np.sqrt(_bessel_sq(g, spec, ops[1])))
         if self.estimate != "i":
-            self.weighted.append(_weighted_sq(g, spec, self.lam, s + self.gain))
+            self.weighted.append(_weighted_sq(g, spec, ops[2], ops[3]))
         self.source.append(self._term)
 
     def report(self) -> SmoothingReport:

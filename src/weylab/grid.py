@@ -308,7 +308,13 @@ def _last_axes(g: Grid) -> tuple[int, ...]:
 
 def _sobolev_sq(g: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
     """||u||_s^2 = (2L)^{-n} sum_k <xi_k>^{2s} |uhat|^2 of each spectrum in a stack."""
-    total = np.sum(g.bessel_base ** (2.0 * s) * np.abs(coeffs) ** 2, axis=_last_axes(g))
+    return _bessel_sq(g, coeffs, g.bessel_base ** (2.0 * s))
+
+
+def _bessel_sq(g: Grid, coeffs: np.ndarray, bessel_2s: np.ndarray) -> np.ndarray:
+    """`_sobolev_sq` with the power bessel_2s = <xi>^{2s} given, so that a
+    per-frame consumer takes it once."""
+    total = np.sum(bessel_2s * np.abs(coeffs) ** 2, axis=_last_axes(g))
     return total / (2.0 * g.L) ** g.n
 
 
@@ -317,14 +323,19 @@ def _l2_sq(g: Grid, values: np.ndarray) -> np.ndarray:
     return g.dx**g.n * np.sum(np.abs(values) ** 2, axis=_last_axes(g))
 
 
-def _weighted_sq(
-    g: Grid, coeffs: np.ndarray, lam: Callable[[np.ndarray], np.ndarray], s: float
-) -> np.ndarray:
-    """dx^n sum_j lam(|x_j|) |Lambda^s u(x_j)|^2 of each spectrum in a stack."""
+def _positive_weight(g: Grid, lam: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """lam(|x|) on the nodes; ValueError unless it is strictly positive there."""
     w = np.asarray(lam(g.x_radius), dtype=float)
     if np.any(w <= 0):
         raise ValueError("weight must be strictly positive on the box")
-    v = _from_spectrum(g, coeffs * g.bessel_base**s)
+    return w
+
+
+def _weighted_sq(g: Grid, coeffs: np.ndarray, w: np.ndarray, bessel_s: np.ndarray) -> np.ndarray:
+    """dx^n sum_j w_j |Lambda^s u(x_j)|^2 of each spectrum in a stack, for the
+    weight w = `_positive_weight(g, lam)` and the power bessel_s = <xi>^s,
+    which a per-frame consumer takes once."""
+    v = _from_spectrum(g, coeffs * bessel_s)
     return g.dx**g.n * np.sum(w * np.abs(v) ** 2, axis=_last_axes(g))
 
 
@@ -367,7 +378,7 @@ def weighted_pairing(u: Field, lam: Callable[[np.ndarray], np.ndarray], s: float
     lam must be strictly positive on the box.
     """
     g = u.grid
-    return float(_weighted_sq(g, _spectrum(g, u.values), lam, s))
+    return float(_weighted_sq(g, _spectrum(g, u.values), _positive_weight(g, lam), g.bessel_base**s))
 
 
 def gaussian_wavepacket(

@@ -56,6 +56,8 @@ from .evolve import (
 from .grid import (
     Field,
     Grid,
+    _bessel_sq,
+    _positive_weight,
     _sobolev_sq,
     _spectrum,
     _tail_fraction,
@@ -230,8 +232,18 @@ class _XtsReducer:
     ):
         if s < 2 * N_w + 5:
             raise ValueError(f"s={s} too small: the norm needs s >= 2 N_w + 5 = {2 * N_w + 5}")
-        self.grid, self.s, self.lam, self.N_w, self.decay_gate = grid, s, lam, N_w, decay_gate
-        self.inv_lam = 1.0 / lam(grid.x_radius)
+        self.grid, self.decay_gate = grid, decay_gate
+        # the per-chunk operands, taken once: the weight, its inverse and the
+        # Bessel powers of the four terms
+        self.w = _positive_weight(grid, lam)
+        self.inv_lam = 1.0 / self.w
+        low, base = s - 2 * N_w, grid.bessel_base
+        self.bessel = {
+            "Hs": base ** (2.0 * s),
+            "weighted": base ** (s + 1.0),
+            "low-2": base ** (2.0 * (low - 2)),
+            "low-5": base ** (2.0 * (low - 5)),
+        }
         self.sup = dict.fromkeys(self.SUP_TERMS, -np.inf)
         self.tail = -np.inf
         self.weighted: list = []  # the smoothing integrand, one array per chunk
@@ -241,18 +253,18 @@ class _XtsReducer:
 
     def add(self, values: np.ndarray, rhs: np.ndarray) -> None:
         """Reduce the frames `values` and their du/dt `rhs`, the next in time."""
-        g, s, low = self.grid, self.s, self.s - 2 * self.N_w
+        g, b = self.grid, self.bessel
         if self.decay_gate is not None:
             self.tail = np.max(_tail_fraction(g, values, g.L / 2.0), initial=self.tail)
         # one chunk of spectra at a time: each is reduced and freed before the next is formed
         hat = _spectrum(g, values)
-        self._sup("sup_Hs_sq", _sobolev_sq(g, hat, s))
-        self.weighted.append(_weighted_sq(g, hat, self.lam, s + 1.0))
+        self._sup("sup_Hs_sq", _bessel_sq(g, hat, b["Hs"]))
+        self.weighted.append(_weighted_sq(g, hat, self.w, b["weighted"]))
         hat = _spectrum(g, self.inv_lam * values)
-        self._sup("sup_weighted_low_sq(s-2N-2)", _sobolev_sq(g, hat, low - 2))
-        self._sup("sup_weighted_low_sq(s-2N-5)", _sobolev_sq(g, hat, low - 5))
+        self._sup("sup_weighted_low_sq(s-2N-2)", _bessel_sq(g, hat, b["low-2"]))
+        self._sup("sup_weighted_low_sq(s-2N-5)", _bessel_sq(g, hat, b["low-5"]))
         hat = _spectrum(g, self.inv_lam * rhs)
-        self._sup("sup_weighted_dt_sq(s-2N-5)", _sobolev_sq(g, hat, low - 5))
+        self._sup("sup_weighted_dt_sq(s-2N-5)", _bessel_sq(g, hat, b["low-5"]))
 
     def norm(self, times: np.ndarray) -> XtsNorm:
         if self.decay_gate is not None and self.tail > self.decay_gate:
@@ -363,6 +375,7 @@ def picard_solve(
     nonlinearity = _Nonlinearity(g, spec, c_frozen)
     mult_alpha = nonlinearity.mult
     frozen_term = _frozen_forcing(g, c_frozen, mult_alpha) if frozen else None
+    bound = "clock" if dt is None else "given"
     steps, dt = _nonlinear_steps(op, guard.xi_cap, T, dt, c_frozen, mult_alpha)
     times = dt * np.arange(steps + 1)
     step = lawson_stepper(op, dt, frozen_term)
@@ -496,6 +509,7 @@ def picard_solve(
         source=None,
         guard=guard,
         operator=op,
+        step_bound=bound,
     )
     return PicardRun(
         solution=sol,
@@ -523,6 +537,7 @@ def direct_nonlinear_solve(
     guard.check(T)
 
     op = build_evolution_operator(a, g)
+    bound = "clock" if dt is None else "given"
     steps, dt = _nonlinear_steps(
         op, guard.xi_cap, T, dt, _monomial(u0.values, spec.p, spec.q), _xi_alpha(g, spec.alpha)
     )
@@ -538,4 +553,5 @@ def direct_nonlinear_solve(
         source=None,
         guard=guard,
         operator=op,
+        step_bound=bound,
     )

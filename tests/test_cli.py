@@ -141,6 +141,9 @@ def test_solve_linear_conservation_and_series(tmp_path):
     assert np.array_equal(rows[:, 0], sol.times)
     assert np.array_equal(rows[:, 1:].T, sol.sobolev_series((0.0, 1.0)))
     assert rep["details"]["l2_drift"] == sol.l2_drift()
+    # the step record: a pure multiplier takes one exact step per frame
+    step = {k: rep["details"][k] for k in ("dt", "steps", "step_bound", "step_error")}
+    assert step == {"dt": sol.dt, "steps": sol.steps, "step_bound": "stability", "step_error": None}
 
 
 def test_trace_bichar_experiment(tmp_path):
@@ -467,3 +470,30 @@ def test_smoothing_report_takes_each_wrap_guard_once(tmp_path, monkeypatch, esti
     assert len(calls) == 2
     rep = load_report(tmp_path, "fam")
     assert rep["details"]["T"] == 0.8 * min(real(*args).horizon for args in calls)
+
+
+@pytest.mark.parametrize("estimate", ["ii", "iii"])
+def test_smoothing_report_records_each_carriers_steps(tmp_path, estimate):
+    # per carrier: dt, steps, the bound that set them and the step-doubling
+    # estimate, inside the determinism hash
+    from weylab.evolve import solve_linear, wrap_guard
+    from weylab.grid import Field, gaussian_wavepacket, make_grid
+    from weylab.symbol import catalog
+
+    cfg = {
+        "experiment": "smoothing-report",
+        "symbol": {"name": "gaussian_kdv", "params": {"eps": 0.3}},
+        "grid": {"n": 1, "L": 20 * np.pi, "N": 512},
+        "run": {"carriers": [4, 8], "width2": 4.0, "estimate": estimate},
+        "output": {"prefix": "fam"},
+    }
+    run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path))  # the record, whatever the verdicts
+    details = load_report(tmp_path, "fam")["details"]
+    g, a = make_grid(1, 20 * np.pi, 512), catalog("gaussian_kdv", eps=0.3)
+    for k in (4.0, 8.0):
+        u0 = gaussian_wavepacket(g, [k], 4.0)
+        datum, source = (Field.zero(g), u0) if estimate == "iii" else (u0, None)
+        sol = solve_linear(a, datum, source, T=details["T"], store_stride=4, guard=wrap_guard(a, u0))
+        want = {"dt": sol.dt, "steps": sol.steps, "step_bound": sol.step_bound, "step_error": sol.step_error}
+        assert details["solves"][str(k)] == want
+        assert sol.step_bound in ("clock", "stability", "error") and sol.step_error > 0

@@ -109,11 +109,11 @@ def test_pure_multiplier_matches_exact_propagator():
     u0 = _zk_packet(g)
     T, stride = 0.15, 5
     sol = solve_linear(a, u0, T=T, store_stride=stride)
-    steps = int(round(T / sol.dt))
-    kept = list(range(0, steps + 1, stride))
-    if kept[-1] != steps:
-        kept.append(steps)
-    assert np.array_equal(sol.times, np.array(kept) * sol.dt)
+    # the clock's MIN_STEPS steps make ceil(64 / 5) = 13 equal frame
+    # intervals, and an exact step spans each
+    frames = -(-evolve.MIN_STEPS // stride)
+    assert (sol.steps, sol.step_bound, sol.step_error) == (frames, "stability", None)
+    assert np.array_equal(sol.times, np.arange(frames + 1) * sol.dt)
     assert sol.times[-1] == pytest.approx(T, rel=1e-15)
 
     xi = g.xi_mesh.reshape(-1, 2)
@@ -567,6 +567,113 @@ def test_user_dt_stability_rejection():
         solve_linear(catalog("airy"), u0, T=0.1, dt=1e-3, scheme="rk4")
 
 
+# -- the picked step rule ----------------------------------------------------------------
+# A picked solve keeps the frame clock's frames and takes only the steps that
+# stability and the step-doubling estimate need.  Test-sized members of the
+# benchmark families: gkdv (eps 0.3 on a 512-node line) and uh (64^2 nodes).
+
+
+def _member(name, grid, carrier, width2, **params):
+    g = make_grid(*grid)
+    a = catalog(name, **params)
+    u0 = gaussian_wavepacket(g, carrier, width2)
+    gw = wrap_guard(a, u0)
+    return a, u0, gw, 0.8 * gw.horizon
+
+
+_MEMBERS = {
+    "gkdv": lambda: _member("gaussian_kdv", (1, 20 * np.pi, 512), [8.0], 4.0, eps=0.3),
+    "uh": lambda: _member("ultrahyperbolic", (2, 256 * np.pi / 72, 64), [8.0, 0.0], 3.0, eps=0.05),
+}
+
+
+@pytest.mark.parametrize("member, factor", [("gkdv", 1e3), ("uh", 2.0)])
+def test_step_error_tracks_the_error_against_a_4x_finer_solve(member, factor):
+    # the estimate (T/2h) ||S_2h u0 - S_h S_h u0|| / 15 bounds the relative
+    # error of the final state from above, within the stated factor: in 2D
+    # it is 1.6x the error; in 1D the phases of a fast-rotating frame make the
+    # step errors cancel, and it is 190x
+    a, u0, gw, T = _MEMBERS[member]()
+    sol = solve_linear(a, u0, T=T, store_stride=4, guard=gw)
+    assert sol.step_error is not None
+    fine = solve_linear(a, u0, T=T, dt=sol.dt / 4, store_stride=10**6, guard=gw)
+    coarse = solve_linear(a, u0, T=T, dt=sol.dt, store_stride=10**6, guard=gw)
+    error = l2_norm(coarse.final - fine.final) / l2_norm(fine.final)
+    assert error <= sol.step_error <= factor * error
+
+
+def test_stride_one_picked_solve_keeps_the_clock():
+    # stride 1: one step per frame interval, the clock's 348 steps, bit for
+    # bit the explicit solve at the clock's dt
+    g = make_grid(1, 40 * np.pi, 1024)
+    a, u0 = catalog("gaussian_kdv", eps=0.05), gaussian_wavepacket(g, [8.0], 8.0)
+    sol = solve_linear(a, u0, T=0.1)
+    assert (sol.steps, sol.step_bound, sol.step_error) == (348, "clock", None)
+    given = solve_linear(a, u0, T=0.1, dt=0.1 / 348)
+    assert given.step_bound == "given" and sol.dt == given.dt
+    assert np.array_equal(sol.times, given.times) and np.array_equal(sol.values, given.values)
+
+
+@pytest.mark.parametrize("member", sorted(_MEMBERS))
+@pytest.mark.parametrize("stride", [3, 4, 7])
+def test_thinned_solve_steps_between_stability_and_the_clock(member, stride):
+    a, u0, gw, T = _MEMBERS[member]()
+    clock = solve_linear(a, u0, T=T, guard=gw).steps  # stride 1 takes the clock
+    frames = -(-clock // stride)
+    sol = solve_linear(a, u0, T=T, store_stride=stride, guard=gw)
+    # equal frame intervals of `stride` clock steps, each taking r steps
+    assert len(sol.times) == frames + 1 and sol.steps % frames == 0
+    assert np.allclose(sol.times, np.linspace(0.0, T, frames + 1), rtol=1e-14, atol=0.0)
+    # never more steps per interval than the clock's, never fewer than stability needs
+    assert sol.steps <= frames * -(-clock // frames)
+    op = build_evolution_operator(a, u0.grid)
+    assert sol.dt * op.max_abs_remainder() <= evolve.C_STAB
+    assert sol.steps < clock or sol.step_bound == "clock"
+    assert sol.step_error <= evolve.STEP_TOL or sol.step_bound == "clock"
+
+
+def test_member_above_step_tol_takes_more_than_one_step_per_frame():
+    # negative control: the 1D member's estimate at one step per frame
+    # exceeds STEP_TOL, so it takes two
+    a, u0, gw, T = _MEMBERS["gkdv"]()
+    sol = solve_linear(a, u0, T=T, store_stride=4, guard=gw)
+    frames = len(sol.times) - 1
+    op = build_evolution_operator(a, u0.grid)
+    one = evolve._step_error(op, u0.grid.fftn(u0.values), None, T, T / frames, True)
+    assert one > evolve.STEP_TOL
+    assert sol.step_bound == "error" and sol.steps // frames == 2
+    assert sol.step_error <= evolve.STEP_TOL
+
+
+def test_step_error_keeps_no_state_array(traced_peak):
+    # nothing state-sized outlives the estimate, and the thinned solve's peak
+    # is the march's: no more than the explicit solve at its dt
+    import tracemalloc
+
+    a, u0, gw, T = _MEMBERS["uh"]()
+    g = u0.grid
+    op = build_evolution_operator(a, g)
+    uhat0 = g.fftn(u0.values)
+    evolve._step_error(op, uhat0, None, T, T / 16, True)  # fills the operator's row stack
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        evolve._step_error(op, uhat0, None, T, T / 16, True)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - base < uhat0.nbytes / 16
+
+    def peak(dt):
+        series = SmoothingSeries(g, a.order, "ii", 0.0, WeightFn(2), None)
+        return traced_peak(lambda: solve_linear(a, u0, T=T, dt=dt, store_stride=4, guard=gw, consume=series), g)
+
+    thinned = solve_linear(a, u0, T=T, store_stride=4, guard=gw)
+    assert thinned.step_error is not None
+    peak(None)  # fills the grid's and the symbol's caches
+    assert peak(None) - peak(thinned.dt) < uhat0.nbytes
+
+
 def test_duhamel_consistency():
     # solve with f equals homogeneous solve plus trapezoid Duhamel of the
     # propagated source, to O(dt^2)
@@ -689,8 +796,8 @@ def test_zero_data_have_an_empty_band():
 
 
 def test_picked_dt_solve_transforms_its_data_once(monkeypatch):
-    # the wrap guard takes the spectrum of the data, and the step rule reads
-    # the guard's band instead of transforming the data again
+    # the wrap guard takes the spectrum of the data, and the frame clock reads
+    # the guard's band instead of taking it again
     calls = []
 
     def counted(g, values):
@@ -766,6 +873,27 @@ def test_smoothing_report_takes_one_spectrum_per_frame(estimate, per_frame):
         assert rep.lhs == sup**2 + float(np.trapezoid(weighted, sol.times))
     else:
         assert rep.lhs == sup
+
+
+@pytest.mark.parametrize("estimate", ESTIMATES)
+def test_smoothing_series_takes_its_per_frame_operands_once(monkeypatch, estimate):
+    # lam(|x|), its positivity check and the Bessel powers are taken when the
+    # consumer is made, not on every frame
+    calls, reads = [], []
+    bessel = Grid.bessel_base
+    monkeypatch.setattr(Grid, "bessel_base", property(lambda g: reads.append(1) or bessel.fget(g)))
+
+    def lam(r):
+        calls.append(1)
+        return WeightFn(2)(r)
+
+    g = make_grid(1, 40 * np.pi, 1024)
+    u0 = airy_packet(g)
+    series = SmoothingSeries(g, 3.0, estimate, 0.5, lam, u0 if estimate == "iii" else None)
+    made = (len(calls), len(reads))
+    for t in range(4):
+        series(0.01 * t, u0.values)
+    assert (len(calls), len(reads)) == made
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from weylab.evolve import WrapGuardError, build_evolution_operator, lawson_stepper, wrap_guard
 from weylab.grid import (
     Field,
+    Grid,
     gaussian_wavepacket,
     l2_norm,
     make_grid,
@@ -168,6 +169,28 @@ def _xts_terms_per_frame(g, times, fields, rhs_fields, s, lam, N_w, decay_gate):
         "sup_weighted_low_sq(s-2N-5)": sup_low_alt,
         "sup_weighted_dt_sq(s-2N-5)": sup_dt,
     }
+
+
+def test_xts_reducer_takes_its_per_chunk_operands_once(setup, monkeypatch):
+    # lam(|x|), its positivity check and the Bessel powers are taken when the
+    # reducer is made, not for every chunk
+    from weylab.evolve import solve_linear
+
+    g, a, u0 = setup
+    sol = solve_linear(a, u0, T=0.05, dt=1e-3, store_stride=5)
+    calls, reads = [], []
+    bessel = Grid.bessel_base
+    monkeypatch.setattr(Grid, "bessel_base", property(lambda g: reads.append(1) or bessel.fget(g)))
+
+    def lam(r):
+        calls.append(1)
+        return LAM(r)
+
+    reducer = _XtsReducer(g, 15.0, lam, 2)
+    made = (len(calls), len(reads))
+    for lo in range(len(sol.times)):
+        reducer.add(sol.values[lo : lo + 1], sol.rhs_values(slice(lo, lo + 1)))
+    assert (len(calls), len(reads)) == made
 
 
 @pytest.mark.parametrize("kind", ["physical", "difference"])
