@@ -76,25 +76,18 @@ class ScanReport:
 class LemmaA1Report:
     residual: float
     terms_used: int
-    truncated: bool
 
     @property
     def passed(self) -> bool:
-        return not self.truncated and self.residual <= 1e-10
+        return self.residual <= 1e-10
 
 
-def lemmatec1_residual(
-    p_sym: Symbol,
-    N_w: int,
-    g: Grid,
-    *,
-    truncate_at: Optional[int] = None,
-) -> LemmaA1Report:
+def lemmatec1_residual(p_sym: Symbol, N_w: int, g: Grid) -> LemmaA1Report:
     """Residual of the exact <x>^{2N} commutation identity on seeded probe fields.
 
-    Requires p polynomial in xi (the expansion terminates and the identity is
-    exact); for other symbols only the truncated check is offered, flagged via
-    truncate_at.  Operators act through `calculus.apply_fast` (KN).
+    Requires p polynomial in xi, so that the expansion terminates and the
+    identity is exact; any other symbol raises ValueError.  Operators act
+    through `calculus.apply_fast` (KN).
     """
     from .calculus import apply_fast
 
@@ -112,15 +105,9 @@ def lemmatec1_residual(
         )
     n = g.n
     poly_deg = _xi_degree(p_sym.expr, p_sym._xis)
-    truncated = poly_deg is None
-    if not truncated:
-        beta_cap = min(poly_deg, 2 * N_w)
-    elif truncate_at is None:
-        raise ValueError(
-            "symbol is not polynomial in xi; pass truncate_at for the flagged truncated check"
-        )
-    else:
-        beta_cap = int(truncate_at)
+    if poly_deg is None:
+        raise ValueError("symbol is not polynomial in xi; the identity holds only for polynomial symbols")
+    beta_cap = min(poly_deg, 2 * N_w)
 
     w_expr = (1 + sum(v**2 for v in p_sym._xs)) ** N_w
     w_vals = (1.0 + g.x_radius**2) ** N_w
@@ -152,11 +139,7 @@ def lemmatec1_residual(
         if scale == 0:
             continue
         worst = max(worst, float(np.linalg.norm((lhs - rhs).ravel()) / scale))
-    return LemmaA1Report(
-        residual=worst,
-        terms_used=len(corrections),
-        truncated=truncated,
-    )
+    return LemmaA1Report(residual=worst, terms_used=len(corrections))
 
 
 def _a3_slack(xi_abs: np.ndarray, delta: float, m: int, c: float, c1: float) -> np.ndarray:
@@ -173,7 +156,6 @@ def lemmatec3_scan(
     *,
     c: float = 0.5,
     c1: float = 4.0,
-    search_on_failure: bool = True,
 ) -> ScanReport:
     """Scan the regularized-bracket inequality for the committed (c, c1).
 
@@ -201,7 +183,7 @@ def lemmatec3_scan(
 
     worst, wit = worst_for(c, c1)
     searched = False
-    if worst < -1e-10 and search_on_failure:
+    if worst < -1e-10:
         searched = True
         for cc in np.logspace(-3, -0.05, 17):
             for cc1 in np.logspace(0.05, 2, 17):

@@ -70,7 +70,7 @@ guard does not apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -120,7 +120,7 @@ WRAP_MARGIN = 0.05  # wrap-guard margin, as a fraction of the half-width L
 ACTIVE_REL_THRESHOLD = 1e-8
 DATA_RADIUS_REL_THRESHOLD = 1e-9
 LOCALIZED_TAIL_TOL = 1e-6
-SCHEMES = ("auto", "rk4", "if_rk4")  # the time-stepping schemes of solve_linear
+SCHEMES = ("if_rk4", "rk4")  # the time-stepping schemes of solve_linear
 ESTIMATES = ("i", "ii", "iii")  # the smoothing estimates of smoothing_report
 
 # (t, samples) -> None: takes one stored frame, whose buffer may be reused after
@@ -234,7 +234,6 @@ class Solution:
     scheme: str
     source: Optional[Field]
     guard: Optional[WrapGuard]
-    operator: EvolutionOperator = field(repr=False)
     # what set the steps: "given" (an explicit dt), "clock" (the picked
     # clock's steps, which the nonlinear solves always take), "stability" or
     # "error" (the fewest steps per frame interval that meet the stability
@@ -254,35 +253,15 @@ class Solution:
     def final(self) -> Field:
         return self.field(len(self.values) - 1)
 
-    def rhs_values(self, index=slice(None)) -> np.ndarray:
-        """du/dt at the stored nodes `index` (all of them by default),
-        reconstructed from the equation."""
-        vals = 1j * self.operator.apply(self.values[index])
-        return vals if self.source is None else vals + self.source.values
-
-    def rhs_field(self, i: int) -> Field:
-        """du/dt at a stored node, reconstructed from the equation."""
-        return Field(self.grid, self.rhs_values(i))
-
-    def _stored_values(self) -> np.ndarray:
-        """The stored frames; refused for a streamed solve (first time not 0)."""
-        if self.times[0] != 0:
-            raise ValueError("a streamed solve keeps only its final frame; reduce it by its consumer")
-        return self.values
-
     def feed(self, consume: FrameConsumer) -> FrameConsumer:
         """Hand every stored frame to consume(t, samples), as a streamed solve
-        does while it marches; returns consume."""
-        for t, v in zip(self.times, self._stored_values()):
+        does while it marches; returns consume.  A streamed solve (first time
+        not 0) is refused."""
+        if self.times[0] != 0:
+            raise ValueError("a streamed solve keeps only its final frame; reduce it by its consumer")
+        for t, v in zip(self.times, self.values):
             consume(t, v)
         return consume
-
-    def sobolev_series(self, s: Union[float, Sequence[float]]) -> np.ndarray:
-        """||u(t_i)||_s at every stored node; for a sequence of indices, one
-        row per index, all taken from one spectrum per frame."""
-        indices = [s] if np.ndim(s) == 0 else list(s)
-        rows = np.array(self.feed(NormSeries(self.grid, indices)).sobolev).T
-        return rows[0] if np.ndim(s) == 0 else rows
 
     def l2_drift(self) -> float:
         return self.feed(NormSeries(self.grid)).l2_drift()
@@ -466,6 +445,15 @@ def _time_steps(T: float, dt: float, stab_mag: float) -> tuple[int, float]:
     return steps, T / steps
 
 
+def _clock_steps(T: float, stab_mag: float, act_mag: float) -> tuple[int, float]:
+    """The picked step rule: the fewest equal steps of [0, T], and at least
+    MIN_STEPS, that meet the stability bound C_STAB / stab_mag and the
+    accuracy target Y_ACC / act_mag.  Each caller measures its own
+    magnitudes.  Returns (steps, T / steps)."""
+    dt = min(_dt_limit(stab_mag, C_STAB), _dt_limit(act_mag, Y_ACC), T / MIN_STEPS)
+    return _time_steps(T, dt, stab_mag)
+
+
 def _nonlinear_steps(
     op: EvolutionOperator,
     xi_cap: float,
@@ -477,23 +465,23 @@ def _nonlinear_steps(
     """(steps, dt) of the nonlinear solves, which propagate the multiplier
     exactly and step the remainder and a forcing coeff(x) * Op(mult(xi)),
     bounded by max|coeff| max|mult| (no forcing when coeff is None).
-    dt=None picks the step: stability C_STAB over the stepped part, accuracy
-    Y_ACC over the whole operator on the active band |xi| <= xi_cap (the
-    datum's `WrapGuard.xi_cap`), and at least MIN_STEPS steps.
-    This rule stays apart from `solve_linear`'s frame clock, which may step
-    the multiplier and has no forcing to bound, and it takes every step it
-    picks: Picard's norms integrate over every step."""
+    dt=None picks the step by `_clock_steps`: stability over the stepped
+    part, accuracy over the whole operator on the active band |xi| <= xi_cap
+    (the datum's `WrapGuard.xi_cap`).  The accuracy magnitude counts the
+    exactly propagated multiplier, which `solve_linear`'s clock counts only
+    when it steps it, and every picked step is taken: Picard's norms
+    integrate over every step."""
     extra_mag = 0.0 if coeff is None else float(np.max(np.abs(coeff)) * np.max(np.abs(mult)))
     stab_mag = op.max_abs_remainder(None) + extra_mag
-    if dt is None:
-        mask = op.grid.xi_norm <= xi_cap
-        act_mag = (
-            (op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) + extra_mag)
-            if np.any(mask)
-            else 0.0
-        )
-        dt = min(_dt_limit(stab_mag, C_STAB), _dt_limit(act_mag, Y_ACC), T / MIN_STEPS)
-    return _time_steps(T, dt, stab_mag)
+    if dt is not None:
+        return _time_steps(T, dt, stab_mag)
+    mask = op.grid.xi_norm <= xi_cap
+    act_mag = (
+        (op.max_abs_remainder(mask) + op.max_abs_multiplier(mask) + extra_mag)
+        if np.any(mask)
+        else 0.0
+    )
+    return _clock_steps(T, stab_mag, act_mag)
 
 
 def _step_error(
@@ -530,7 +518,7 @@ def solve_linear(
     *,
     T: float,
     dt: Optional[float] = None,
-    scheme: str = "auto",
+    scheme: str = "if_rk4",
     store_stride: int = 1,
     enforce_wrap_guard: bool = True,
     guard: Optional[WrapGuard] = None,
@@ -540,8 +528,8 @@ def solve_linear(
     (TypeError for any other source).
 
     scheme 'rk4' steps the whole operator; 'if_rk4' propagates the
-    x-independent multiplier part exactly and steps the remainder; 'auto'
-    picks 'if_rk4' whenever a multiplier part exists.  `guard` is
+    x-independent multiplier part exactly and steps the remainder (with no
+    multiplier part the two take the same steps).  `guard` is
     `wrap_guard(a, u0, f)` when the caller has it already; it also sets the
     active band below.
 
@@ -579,9 +567,6 @@ def solve_linear(
     if enforce_wrap_guard:
         guard.check(T)
 
-    if scheme == "auto":
-        scheme = "if_rk4" if op.multiplier is not None else "rk4"
-
     integrating_factor = scheme == "if_rk4"  # else the multiplier is stepped
     stab_mag = op.max_abs_remainder(None)
     if not integrating_factor:
@@ -598,17 +583,19 @@ def solve_linear(
             act_mag = op.max_abs_remainder(mask)
             if not integrating_factor:
                 act_mag += op.max_abs_multiplier(mask)
-        dt_stab = _dt_limit(stab_mag, C_STAB)
-        n_clock, _ = _time_steps(T, min(dt_stab, _dt_limit(act_mag, Y_ACC), T / MIN_STEPS), stab_mag)
+        n_clock, _ = _clock_steps(T, stab_mag, act_mag)
         frames = -(-n_clock // store_stride)
         stride, bound = -(-n_clock // frames), "clock"  # the clock's steps per frame interval
-        r_stab, _ = _time_steps(T / frames, dt_stab, stab_mag)
+        r_stab, _ = _time_steps(T / frames, _dt_limit(stab_mag, C_STAB), stab_mag)
         # a pure multiplier with no source steps exactly: it takes r_stab
         exact = f is None and not op.pairs and integrating_factor
         if r_stab < stride:
             r, bound = r_stab, "stability"
+            # the datum's coefficients, taken once for every estimate and freed
+            # before the march
+            uhat0 = None if exact else g.fftn(u0.values)
             while not exact:
-                error = _step_error(op, g.fftn(u0.values), fhat, T, T / (frames * r), integrating_factor)
+                error = _step_error(op, uhat0, fhat, T, T / (frames * r), integrating_factor)
                 if error <= STEP_TOL or r == stride:
                     break
                 # the estimate scales as h^4: predict the steps it needs, and
@@ -616,6 +603,7 @@ def solve_linear(
                 r, bound = int(np.ceil(r * (error / STEP_TOL) ** 0.25)), "error"
                 if r >= stride:
                     r, bound = stride, "clock"
+            del uhat0
             stride = r
         steps = frames * stride
         dt = T / steps
@@ -633,7 +621,6 @@ def solve_linear(
         scheme=scheme,
         source=f,
         guard=guard,
-        operator=op,
         step_bound=bound,
         step_error=error,
     )
@@ -782,7 +769,6 @@ def weighted_propagator_probe(
     s: float,
     N_w: int,
     *,
-    dt: Optional[float] = None,
     store_stride: int = 1,
 ) -> PropagatorProbeReport:
     g = u0.grid
@@ -792,7 +778,7 @@ def weighted_propagator_probe(
         raise ValueError("datum has insufficient decay for the <x>^{2N} weight")
     denom = sobolev_norm(weighted0, s + 2.0 * N_w) ** 2
     T_sweep = sorted(float(t) for t in T_sweep)
-    sol = solve_linear(a, u0, None, T=max(T_sweep), dt=dt, store_stride=store_stride)
+    sol = solve_linear(a, u0, None, T=max(T_sweep), store_stride=store_stride)
     # each norm squared as a Python float, which rounds like sobolev_norm(...) ** 2
     wnorm = np.array(
         [float(np.sqrt(_sobolev_sq(g, _spectrum(g, wvals * v), s))) ** 2 for v in sol.values]

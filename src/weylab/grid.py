@@ -109,11 +109,6 @@ class Grid:
         return (np.pi / self.L) * self.k_int
 
     @property
-    def frequencies(self) -> np.ndarray:
-        """Frequencies along one axis, sorted ascending (for display)."""
-        return np.sort(self.xi_axis)
-
-    @property
     def xi_max(self) -> float:
         """Largest resolved |xi| component: N pi / (2L)."""
         return np.pi * self.N / (2.0 * self.L)

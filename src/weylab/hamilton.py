@@ -215,8 +215,6 @@ def classify_strong_ellipticity(a_m: Symbol, traj: Trajectory) -> EllipticityCla
 class TrappingVerdict:
     forward_escape_time: Optional[float]
     backward_escape_time: Optional[float]
-    radius: float
-    horizon: float
     verdict: str  # forward_nontrapped | backward_nontrapped | nontrapped_both | inconclusive
 
     @property
@@ -250,7 +248,7 @@ def _first_escape(t: np.ndarray, x: np.ndarray, R: float):
     return t_lo + hi * (t_hi - t_lo)
 
 
-def escape_verdict(traj: Trajectory, R: float, horizon: float) -> TrappingVerdict:
+def escape_verdict(traj: Trajectory, R: float) -> TrappingVerdict:
     """Certify escape from |x| < R along a trajectory, in either direction."""
     i0 = traj.start_index
     fwd = _first_escape(traj.t[i0:], traj.x[i0:], R)
@@ -263,18 +261,12 @@ def escape_verdict(traj: Trajectory, R: float, horizon: float) -> TrappingVerdic
         verdict = "backward_nontrapped"
     else:
         verdict = "inconclusive"
-    return TrappingVerdict(
-        forward_escape_time=fwd,
-        backward_escape_time=bwd,
-        radius=R,
-        horizon=horizon,
-        verdict=verdict,
-    )
+    return TrappingVerdict(forward_escape_time=fwd, backward_escape_time=bwd, verdict=verdict)
 
 
 def trapping_probe(a_m: Symbol, x0, xi0, R: float, T_max: float, h: float) -> TrappingVerdict:
     """Certify escape from |x| < R within the horizon, in either direction."""
-    return escape_verdict(integrate_bicharacteristic(a_m, x0, xi0, T_max, h), R, T_max)
+    return escape_verdict(integrate_bicharacteristic(a_m, x0, xi0, T_max, h), R)
 
 
 def qdelta_values(a_m: Symbol, x, xi, delta: float) -> np.ndarray:

@@ -24,12 +24,12 @@ sweep builds the new iterate one chunk of consecutive frames at a time
 chunk; the chunk then gets its nonlinearity, its difference from the old
 iterate, both right-hand sides and every X-norm term, and only after that are
 its slots in the current iterate and in Ntil overwritten.  The X-norm
-(`_XtsReducer`, which also serves `xts_norm`) keeps running maxima for the
-sup terms and one value per frame for the time integral, so a sweep holds the
-three stacks plus a fixed number of chunks however many steps it takes.  The
-nonlinearity, the operator and the norm kernels act on a chunk through
-kernels over the last n axes; a transform of a chunk gives each frame the
-bits of a transform of the whole stack.  The frozen part of the stepped
+(`_XtsReducer`) keeps running maxima for the sup terms and one value per
+frame for the time integral, so a sweep holds the three stacks plus a fixed
+number of chunks however many steps it takes.  The nonlinearity, the
+operator and the norm kernels act on a chunk through kernels over the last n
+axes; a transform of a chunk gives each frame the bits of a transform of the
+whole stack.  The frozen part of the stepped
 equation is a forcing that writes into one buffer of its own, and so is the
 nonlinearity of the direct solve, so neither steps with a state-sized
 allocation.
@@ -74,7 +74,6 @@ __all__ = [
     "PicardDivergenceError",
     "XtsNorm",
     "nonlinearity_eval",
-    "xts_norm",
     "picard_solve",
     "direct_nonlinear_solve",
 ]
@@ -150,17 +149,10 @@ class _Nonlinearity:
     complex multiplication is not bitwise commutative.
     """
 
-    def __init__(
-        self,
-        g: Grid,
-        spec: NonlinearitySpec,
-        c_frozen: Optional[np.ndarray] = None,
-        *,
-        dealias: bool = True,
-    ):
+    def __init__(self, g: Grid, spec: NonlinearitySpec, c_frozen: Optional[np.ndarray] = None):
         self.grid, self.spec, self.c_frozen = g, spec, c_frozen
         self.mult = _xi_alpha(g, spec.alpha)
-        self.drop = ~g.dealias_mask if dealias else None
+        self.drop = ~g.dealias_mask
 
     def dalpha(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """D^alpha u of the samples `values`, written into out."""
@@ -178,10 +170,9 @@ class _Nonlinearity:
             coeff -= self.c_frozen
         d = self.dalpha(values, spare)
         np.multiply(d, coeff, out=out)
-        if self.drop is not None:
-            g.fftn(out, overwrite_x=True)
-            np.copyto(out, 0.0, where=self.drop)
-            g.ifftn(out, overwrite_x=True)
+        g.fftn(out, overwrite_x=True)
+        np.copyto(out, 0.0, where=self.drop)
+        g.ifftn(out, overwrite_x=True)
         return out
 
 
@@ -191,18 +182,15 @@ def nonlinearity_eval(
     u0: Optional[Field] = None,
     *,
     frozen: bool = False,
-    dealias: bool = True,
 ) -> Field:
-    """Evaluate N(u) = u^p conj(u)^q D^alpha u (or Ntil when frozen=True).
-
-    Products are de-aliased with the 2/3 mask by default.
-    """
+    """Evaluate N(u) = u^p conj(u)^q D^alpha u (or Ntil when frozen=True),
+    de-aliased with the 2/3 mask."""
     if frozen and u0 is None:
         raise ValueError("the frozen variant requires the datum u0")
     g = u.grid
     c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
     out, spare = np.empty((2, *g.shape), dtype=complex)
-    return Field(g, _Nonlinearity(g, spec, c_frozen, dealias=dealias)(u.values, out, spare))
+    return Field(g, _Nonlinearity(g, spec, c_frozen)(u.values, out, spare))
 
 
 @dataclass
@@ -281,15 +269,6 @@ class _XtsReducer:
         )
         terms = {"sup_Hs_sq": sup.pop("sup_Hs_sq"), "weighted_smoothing": smoothing, **sup}
         return XtsNorm(value=value, terms=terms)
-
-
-def xts_norm(sol: Solution, s: float, lam: WeightFn, N_w: int) -> XtsNorm:
-    """Four-term norm of a stored solve; du/dt comes from the equation (sol.rhs_values)."""
-    reducer = _XtsReducer(sol.grid, s, lam, N_w)
-    values = sol._stored_values()
-    for sl in _chunks(sol.grid, 0, len(sol.times)):
-        reducer.add(values[sl], sol.rhs_values(sl))
-    return reducer.norm(sol.times)
 
 
 def _frozen_forcing(g: Grid, c_frozen: np.ndarray, mult_alpha: np.ndarray) -> SpectralMap:
@@ -508,7 +487,6 @@ def picard_solve(
         scheme="picard_duhamel",
         source=None,
         guard=guard,
-        operator=op,
         step_bound=bound,
     )
     return PicardRun(
@@ -552,6 +530,5 @@ def direct_nonlinear_solve(
         scheme="nonlinear_if_rk4",
         source=None,
         guard=guard,
-        operator=op,
         step_bound=bound,
     )

@@ -19,7 +19,6 @@ from .core import (
     multi_indices_upto,
     phase_symbols,
     weyl_product_expr,
-    zero_symbol,
 )
 from .kdv import KdvTypeBuild, VectorFieldSystem, build_kdv_type
 
@@ -40,7 +39,6 @@ __all__ = [
     "KdvTypeBuild",
     "build_kdv_type",
     "bessel_symbol",
-    "zero_symbol",
     "weyl_product_expr",
     "kn_to_weyl_expr",
     "phase_symbols",

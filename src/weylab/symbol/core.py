@@ -46,7 +46,6 @@ __all__ = [
     "weyl_product_expr",
     "kn_to_weyl_expr",
     "bessel_symbol",
-    "zero_symbol",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -302,10 +301,6 @@ class FuncSymbol(Symbol):
 
     def _closure(self, alpha, beta):
         return self._derivs.get((alpha, beta))
-
-
-def zero_symbol(n: int, order: float = 0.0) -> SympySymbol:
-    return SympySymbol(sp.Integer(0), n, order, zero_nyquist=False, label="0")
 
 
 def bessel_symbol(s: float, n: int = 1) -> SympySymbol:

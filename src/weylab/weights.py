@@ -176,16 +176,7 @@ class GardingWeight:
     q: SympySymbol
     C1: float
     C: float
-    source: Symbol
     bound_fit: dict = field(default_factory=dict)
-
-    def rescaled(self, C2: float) -> "GardingWeight":
-        """q' = (C2/C1) q is again a Garding weight, with constant C2."""
-        if self.C1 == 0:
-            raise ValueError("cannot rescale a degenerate (C1 = 0) weight")
-        q = self.q
-        q = SympySymbol((C2 / self.C1) * q.expr, q.n, q.order, zero_nyquist=False, label=q.label)
-        return GardingWeight(q=q, C1=C2, C=self.C, source=self.source, bound_fit={})
 
 
 def _envelope_fit(q: Symbol, S: SampleSet, max_total: int = 2) -> dict:
@@ -229,7 +220,7 @@ def garding_weight(
         C1 = 1.0 / (2.0 * C**2)
     C1 = float(C1)
     q = qdelta_symbol(a, 1.0, 2.0 * C1 * C**2)
-    gw = GardingWeight(q=q, C1=C1, C=C, source=a)
+    gw = GardingWeight(q=q, C1=C1, C=C)
     gw.bound_fit = _envelope_fit(q, S)
     return gw
 

@@ -131,7 +131,7 @@ def test_solve_linear_conservation_and_series(tmp_path):
     assert len(series) > 3
     # the CLI streams its frames into the norms; a stored solve gives the same
     # column and drift bit for bit
-    from weylab.evolve import solve_linear
+    from weylab.evolve import NormSeries, solve_linear
     from weylab.grid import gaussian_wavepacket, make_grid
     from weylab.symbol import catalog
 
@@ -139,7 +139,7 @@ def test_solve_linear_conservation_and_series(tmp_path):
     sol = solve_linear(catalog("airy"), gaussian_wavepacket(g, [2.0], 8.0), T=0.5, store_stride=8)
     rows = np.array([[float(v) for v in line.split(",")] for line in series[1:]])
     assert np.array_equal(rows[:, 0], sol.times)
-    assert np.array_equal(rows[:, 1:].T, sol.sobolev_series((0.0, 1.0)))
+    assert np.array_equal(rows[:, 1:].T, np.array(sol.feed(NormSeries(g, (0.0, 1.0))).sobolev).T)
     assert rep["details"]["l2_drift"] == sol.l2_drift()
     # the step record: a pure multiplier takes one exact step per frame
     step = {k: rep["details"][k] for k in ("dt", "steps", "step_bound", "step_error")}
@@ -361,6 +361,10 @@ def test_failing_experiment_does_not_hide_the_others(tmp_path, threads):
             "run.scheme",
         ),
         (
+            {"experiment": "solve-linear", "symbol": {"name": "airy"}, "grid": _AIRY_GRID, "run": {"scheme": "auto"}},
+            "run.scheme",
+        ),
+        (
             {
                 "experiment": "solve-linear",
                 "symbol": {"name": "airy"},
@@ -383,7 +387,7 @@ def test_failing_experiment_does_not_hide_the_others(tmp_path, threads):
             "run.flavor",
         ),
     ],
-    ids=["scheme", "datum-kind", "estimate", "flavor"],
+    ids=["scheme", "scheme-auto", "datum-kind", "estimate", "flavor"],
 )
 def test_unknown_run_names_stop_the_batch_at_validation(tmp_path, capsys, experiment, where):
     cfg = {"experiments": [{"experiment": "appendix", "output": {"prefix": "first"}}, experiment]}

@@ -11,6 +11,7 @@ from weylab.calculus import apply_fast, quantize_dense
 from weylab.evolve import (
     ESTIMATES,
     EvolutionOperator,
+    NormSeries,
     SmoothingSeries,
     WrapGuardError,
     _active_cap,
@@ -33,7 +34,6 @@ from weylab.grid import (
     transform,
     weighted_pairing,
 )
-from weylab.nonlinear import xts_norm
 from weylab.symbol import SympySymbol, VectorFieldSystem, build_kdv_type, catalog
 from weylab.symbol.core import phase_symbols
 from weylab.weights import WeightFn
@@ -865,9 +865,10 @@ def test_smoothing_report_takes_one_spectrum_per_frame(estimate, per_frame):
     rep = smoothing_report(sol, estimate, s, lam)
     assert g.transforms == per_frame * len(sol.times)
     # the unweighted integral squares each norm as a Python float
-    norms = sol.sobolev_series(s + gain).tolist()
+    rows = np.array(sol.feed(NormSeries(g, (s + gain, s))).sobolev).T
+    norms = rows[0].tolist()
     assert rep.unweighted_integral == float(np.trapezoid([v**2 for v in norms], sol.times))
-    sup = float(np.max(sol.sobolev_series(s)))
+    sup = float(np.max(rows[1]))
     if estimate == "ii":
         weighted = [weighted_pairing(sol.field(i), lam, s + gain) for i in range(len(sol.times))]
         assert rep.lhs == sup**2 + float(np.trapezoid(weighted, sol.times))
@@ -988,9 +989,7 @@ def test_streamed_solve_refuses_frame_reductions():
     with pytest.raises(ValueError, match="streamed"):
         sol.l2_drift()
     with pytest.raises(ValueError, match="streamed"):
-        sol.sobolev_series(0.0)
-    with pytest.raises(ValueError, match="streamed"):
-        xts_norm(sol, 9.0, lam, 2)
+        sol.feed(NormSeries(g, (0.0,)))
 
 
 def test_streamed_smoothing_memory_does_not_grow_with_frames(traced_peak):

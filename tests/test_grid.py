@@ -28,7 +28,7 @@ def test_make_grid_nodes_and_frequencies():
     g = make_grid(1, np.pi, 8)
     assert np.allclose(g.x_axis, -np.pi + (np.pi / 4) * np.arange(8))
     assert np.array_equal(np.sort(g.k_int), np.arange(-4, 4))
-    assert np.allclose(g.frequencies, np.arange(-4, 4))
+    assert np.allclose(np.sort(g.xi_axis), np.arange(-4, 4))
 
 
 def test_make_grid_rejects_odd_N():

@@ -218,7 +218,7 @@ def test_trapping_probe_monotone_in_horizon():
 def test_escape_verdict_reuses_trajectory():
     a = catalog("gaussian_kdv", eps=0.05)
     traj = integrate_bicharacteristic(a, 0.0, 1.0, 4.0, 0.01)
-    assert escape_verdict(traj, 8.0, 4.0) == trapping_probe(a, 0.0, 1.0, R=8.0, T_max=4.0, h=0.01)
+    assert escape_verdict(traj, 8.0) == trapping_probe(a, 0.0, 1.0, R=8.0, T_max=4.0, h=0.01)
 
 
 def test_qdelta_airy_hand_values():

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from weylab.evolve import WrapGuardError, build_evolution_operator, lawson_stepper, wrap_guard
+from weylab.calculus import EvolutionOperator
+from weylab.evolve import WrapGuardError, build_evolution_operator, lawson_stepper, solve_linear, wrap_guard
 from weylab.grid import (
     Field,
     Grid,
@@ -19,6 +20,7 @@ from weylab.grid import (
 from weylab.nonlinear import (
     NonlinearitySpec,
     PicardDivergenceError,
+    _chunks,
     _direct_forcing,
     _frozen_forcing,
     _monomial,
@@ -27,9 +29,8 @@ from weylab.nonlinear import (
     direct_nonlinear_solve,
     nonlinearity_eval,
     picard_solve,
-    xts_norm,
 )
-from weylab.symbol import catalog
+from weylab.symbol import SympySymbol, catalog
 from weylab.weights import WeightFn
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -68,7 +69,7 @@ def test_nonlinearity_plane_wave():
     # u = e^{ix}: D u = e^{ix}, so N = u D u = e^{2ix}
     g = make_grid(1, np.pi, 64)
     u = Field.from_function(g, lambda x: np.exp(1j * x))
-    out = nonlinearity_eval(u, SPEC, dealias=False)
+    out = nonlinearity_eval(u, SPEC)
     exact = Field.from_function(g, lambda x: np.exp(2j * x))
     assert np.max(np.abs(out.values - exact.values)) < 1e-13
 
@@ -82,7 +83,7 @@ def test_nonlinearity_frozen_vanishes_at_datum(setup):
 def test_nonlinearity_conjugate_power():
     g = make_grid(1, np.pi, 64)
     u = Field.from_function(g, lambda x: np.exp(1j * x))
-    out = nonlinearity_eval(u, NonlinearitySpec(0, 1, (1,)), dealias=False)
+    out = nonlinearity_eval(u, NonlinearitySpec(0, 1, (1,)))
     # conj(u) D u = e^{-ix} e^{ix} = 1
     assert np.max(np.abs(out.values - 1.0)) < 1e-13
 
@@ -90,27 +91,36 @@ def test_nonlinearity_conjugate_power():
 # -- X_T^s norm --------------------------------------------------------------------
 
 
+def _rhs(a, sol):
+    """du/dt at every stored frame of a source-free solve, from the equation."""
+    return 1j * EvolutionOperator(a, sol.grid).apply(sol.values)
+
+
+def _xts(a, sol, s, lam, N_w):
+    """The four-term norm of a stored source-free solve, reduced one chunk
+    of frames at a time."""
+    reducer = _XtsReducer(sol.grid, s, lam, N_w)
+    rhs = _rhs(a, sol)
+    for sl in _chunks(sol.grid, 0, len(sol.times)):
+        reducer.add(sol.values[sl], rhs[sl])
+    return reducer.norm(sol.times)
+
+
 def test_xts_norm_zero(setup):
     g, a, _ = setup
-    from weylab.evolve import solve_linear
-
     sol = solve_linear(a, Field.zero(g), T=0.01, dt=1e-3)
-    out = xts_norm(sol, 15.0, LAM, 2)
+    out = _xts(a, sol, 15.0, LAM, 2)
     assert out.value == 0.0
 
 
 def test_xts_norm_stationary_zero_symbol(setup):
     # A = 0, N = 0: norm reduces to known closed form of the frozen datum
     g, _, u0 = setup
-    from weylab.symbol import zero_symbol
-    from weylab.evolve import solve_linear
-
+    zero = SympySymbol(0, 1, 0.0, zero_nyquist=False)
     T = 0.25
-    sol = solve_linear(zero_symbol(1), u0, T=T, dt=0.025, enforce_wrap_guard=False)
-    out = xts_norm(sol, 15.0, LAM, 2)
+    sol = solve_linear(zero, u0, T=T, dt=0.025, enforce_wrap_guard=False)
+    out = _xts(zero, sol, 15.0, LAM, 2)
     s = 15.0
-    from weylab.grid import weighted_pairing
-
     expect = (
         sobolev_norm(u0, s) ** 2
         + T * weighted_pairing(u0, LAM, s + 1.0)
@@ -123,13 +133,11 @@ def test_xts_norm_stationary_zero_symbol(setup):
 def test_xts_norm_reassembly_oracle(setup):
     # independent quadrature assembly of the four terms for an airy run
     g, a, u0 = setup
-    from weylab.evolve import solve_linear
-    from weylab.grid import weighted_pairing
-
     sol = solve_linear(a, u0, T=0.05, dt=1e-3, store_stride=5)
-    out = xts_norm(sol, 15.0, LAM, 2)
+    out = _xts(a, sol, 15.0, LAM, 2)
     s = 15.0
     inv = 1.0 / LAM(g.x_radius)
+    rhs = _rhs(a, sol)
     sup_s2 = max(sobolev_norm(sol.field(i), s) ** 2 for i in range(len(sol.times)))
     wvals = [weighted_pairing(sol.field(i), LAM, s + 1.0) for i in range(len(sol.times))]
     smooth = np.trapezoid(wvals, sol.times)
@@ -137,7 +145,7 @@ def test_xts_norm_reassembly_oracle(setup):
         sobolev_norm(Field(g, inv * sol.values[i]), s - 6.0) ** 2 for i in range(len(sol.times))
     )
     dtv = max(
-        sobolev_norm(Field(g, inv * sol.rhs_field(i).values), s - 9.0) ** 2
+        sobolev_norm(Field(g, inv * rhs[i]), s - 9.0) ** 2
         for i in range(len(sol.times))
     )
     assert np.isclose(out.value**2, sup_s2 + smooth + low + dtv, rtol=1e-12)
@@ -174,10 +182,9 @@ def _xts_terms_per_frame(g, times, fields, rhs_fields, s, lam, N_w, decay_gate):
 def test_xts_reducer_takes_its_per_chunk_operands_once(setup, monkeypatch):
     # lam(|x|), its positivity check and the Bessel powers are taken when the
     # reducer is made, not for every chunk
-    from weylab.evolve import solve_linear
-
     g, a, u0 = setup
     sol = solve_linear(a, u0, T=0.05, dt=1e-3, store_stride=5)
+    rhs = _rhs(a, sol)
     calls, reads = [], []
     bessel = Grid.bessel_base
     monkeypatch.setattr(Grid, "bessel_base", property(lambda g: reads.append(1) or bessel.fget(g)))
@@ -189,22 +196,20 @@ def test_xts_reducer_takes_its_per_chunk_operands_once(setup, monkeypatch):
     reducer = _XtsReducer(g, 15.0, lam, 2)
     made = (len(calls), len(reads))
     for lo in range(len(sol.times)):
-        reducer.add(sol.values[lo : lo + 1], sol.rhs_values(slice(lo, lo + 1)))
+        reducer.add(sol.values[lo : lo + 1], rhs[lo : lo + 1])
     assert (len(calls), len(reads)) == made
 
 
 @pytest.mark.parametrize("kind", ["physical", "difference"])
 def test_xts_terms_stacked_match_per_frame(setup, kind):
     g, a, u0 = setup
-    from weylab.evolve import solve_linear
-
     sol = solve_linear(a, u0, T=0.05, dt=1e-3, store_stride=5)
-    values, rhs, gate = sol.values, sol.rhs_values(), 1e-6
+    values, rhs, gate = sol.values, _rhs(a, sol), 1e-6
     if kind == "difference":
         # a near-zero difference of two trajectories, normed without the gate
         pert = Field(g, u0.values * (1.0 + 1e-6 * np.exp(1j * g.x_mesh[..., 0])))
         other = solve_linear(a, pert, T=0.05, dt=1e-3, store_stride=5)
-        values, rhs, gate = other.values - values, other.rhs_values() - rhs, None
+        values, rhs, gate = other.values - values, _rhs(a, other) - rhs, None
     ref = _xts_terms_per_frame(g, sol.times, values, rhs, 15.0, LAM, 2, gate)
     # the reducer takes chunks of consecutive frames; how the frames are cut
     # into chunks does not move a bit
@@ -223,12 +228,9 @@ def test_xts_terms_stacked_match_per_frame(setup, kind):
 
 
 def test_xts_norm_rejects_small_s(setup):
-    g, a, u0 = setup
-    from weylab.evolve import solve_linear
-
-    sol = solve_linear(a, u0, T=0.01, dt=1e-3)
+    g, _, _ = setup
     with pytest.raises(ValueError):
-        xts_norm(sol, 3.0, LAM, 2)
+        _XtsReducer(g, 3.0, LAM, 2)
 
 
 # -- Picard ------------------------------------------------------------------------
