@@ -480,7 +480,7 @@ def positivity_diagnostic(
     if flavor == "fefferman_phong" and not a.real_valued:
         raise ValueError("Fefferman-Phong flavor requires a real-valued symbol")
 
-    S = SampleSet.from_grid(g, x_points=17)
+    S = SampleSet.standard(g.n, x_radius=g.L, xi_max=g.xi_max, x_points=17)
     vals = np.real(a.eval(S.X, S.XI))
     if np.min(vals) < -1e-10 * max(1.0, float(np.max(np.abs(vals)))):
         raise ValueError("symbol is not nonnegative on the sample set")

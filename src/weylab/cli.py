@@ -443,20 +443,17 @@ def _exp_solve_linear(cfg, run, rng, outdir, prefix):
     g = _build_grid(cfg)
     u0 = _datum(g, run["datum"])
     norms = NormSeries(g, (0.0, 1.0))  # the frames are reduced as the march makes them
+    # the solve takes the wrap guard itself: taken here, before the solve
+    # builds its operator, it raised the linear-2d peak RSS by 0.2 MB (heap layout)
     sol = solve_linear(
         a, u0, T=run["T"], dt=run["dt"], scheme=run["scheme"], store_stride=run["store_stride"], consume=norms
     )
     drift = norms.l2_drift()
     series_path = outdir / f"{prefix}_norms.csv"
     write_csv(series_path, ["t", "l2", "h1"], [norms.times, *np.array(norms.sobolev).T])
-    details = {
-        "scheme": sol.scheme,
-        **_step_record(sol),
-        "l2_drift": drift,
-        "wrap_horizon": sol.guard.horizon if sol.guard else None,
-    }
+    details = {"scheme": run["scheme"], **_step_record(sol), "l2_drift": drift, "wrap_horizon": sol.guard.horizon}
     verdicts = {}
-    if a.real_valued and sol.source is None:
+    if a.real_valued:
         verdicts["l2_conservation"] = "pass" if drift <= run["conservation_tolerance"] else "fail"
     return details, verdicts, [series_path]
 
@@ -580,7 +577,6 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
             tol=run["tol"],
             max_iter=run["max_iter"],
             dt=run["dt"],
-            store_stride=8,
         )
     except PicardDivergenceError as exc:
         return {"diverged": True, "message": str(exc)}, {"picard_converged": "fail"}, []

@@ -155,14 +155,15 @@ def build_evolution_operator(symbol: Symbol, grid: Grid) -> EvolutionOperator:
 # -- wrap guard ---------------------------------------------------------------------
 
 
-def _active_cap(g: Grid, spectra, rel: float = ACTIVE_REL_THRESHOLD) -> float:
+def _active_cap(g: Grid, spectra) -> float:
     """The radius of the dilated band of frequencies active in a stack of
-    spectra: 1.3x the largest active |xi|, plus 3 modes (-inf when none is)."""
+    spectra, those within ACTIVE_REL_THRESHOLD of the peak: 1.3x the largest
+    active |xi|, plus 3 modes (-inf when none is)."""
     total = np.max(np.abs(spectra), axis=0)
     peak = float(np.max(total))
     if peak == 0.0:
         return -np.inf
-    xi_active = float(np.max(g.xi_norm[total >= rel * peak]))
+    xi_active = float(np.max(g.xi_norm[total >= ACTIVE_REL_THRESHOLD * peak]))
     return 1.3 * xi_active + 3.0 * np.pi / g.L
 
 
@@ -231,9 +232,8 @@ class Solution:
     # its frames to a consumer stores only the final one
     values: np.ndarray = field(repr=False)
     dt: float
-    scheme: str
     source: Optional[Field]
-    guard: Optional[WrapGuard]
+    guard: WrapGuard
     # what set the steps: "given" (an explicit dt), "clock" (the picked
     # clock's steps, which the nonlinear solves always take), "stability" or
     # "error" (the fewest steps per frame interval that meet the stability
@@ -618,7 +618,6 @@ def solve_linear(
         times=times,
         values=stored,
         dt=dt,
-        scheme=scheme,
         source=f,
         guard=guard,
         step_bound=bound,

@@ -308,12 +308,10 @@ def qdelta_monotonicity(a_m: Symbol, traj: Trajectory, delta: float) -> QDeltaRe
     return QDeltaReport(identity_rel_error=err, mu=mu, ls_slope=ls, t=t, q_values=qv)
 
 
-def trajectory_to_csv(path, traj: Trajectory, a_m: Symbol, delta: Optional[float] = None) -> None:
+def trajectory_to_csv(path, traj: Trajectory, a_m: Symbol, delta: float) -> None:
     """Export (t, x, xi, a_m, q_delta) samples."""
     n = traj.x.shape[1]
-    header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)] + ["a_m"]
-    columns = [traj.t, *traj.x.T, *traj.xi.T, np.real(a_m.eval(traj.x, traj.xi))]
-    if delta is not None:
-        columns.append(qdelta_values(a_m, traj.x, traj.xi, delta))
-        header.append("q_delta")
+    header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)] + ["a_m", "q_delta"]
+    a_vals = np.real(a_m.eval(traj.x, traj.xi))
+    columns = [traj.t, *traj.x.T, *traj.xi.T, a_vals, qdelta_values(a_m, traj.x, traj.xi, delta)]
     write_csv(path, header, columns)

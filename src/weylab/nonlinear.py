@@ -72,7 +72,6 @@ __all__ = [
     "NonlinearitySpec",
     "PicardRun",
     "PicardDivergenceError",
-    "XtsNorm",
     "nonlinearity_eval",
     "picard_solve",
     "direct_nonlinear_solve",
@@ -194,7 +193,7 @@ def nonlinearity_eval(
 
 
 @dataclass
-class XtsNorm:
+class _XtsNorm:
     value: float
     terms: dict
 
@@ -254,7 +253,7 @@ class _XtsReducer:
         hat = _spectrum(g, self.inv_lam * rhs)
         self._sup("sup_weighted_dt_sq(s-2N-5)", _bessel_sq(g, hat, b["low-5"]))
 
-    def norm(self, times: np.ndarray) -> XtsNorm:
+    def norm(self, times: np.ndarray) -> _XtsNorm:
         if self.decay_gate is not None and self.tail > self.decay_gate:
             raise ValueError("field mass leaks outside |x| <= L/2; lam^{-1} weights unreliable")
         sup = {name: float(v) for name, v in self.sup.items()}
@@ -268,7 +267,7 @@ class _XtsReducer:
             )
         )
         terms = {"sup_Hs_sq": sup.pop("sup_Hs_sq"), "weighted_smoothing": smoothing, **sup}
-        return XtsNorm(value=value, terms=terms)
+        return _XtsNorm(value=value, terms=terms)
 
 
 def _frozen_forcing(g: Grid, c_frozen: np.ndarray, mult_alpha: np.ndarray) -> SpectralMap:
@@ -484,7 +483,6 @@ def picard_solve(
         # the iterate itself when every frame is kept
         values=current if len(keep) == steps + 1 else current[keep],
         dt=dt,
-        scheme="picard_duhamel",
         source=None,
         guard=guard,
         step_bound=bound,
@@ -527,7 +525,6 @@ def direct_nonlinear_solve(
         times=times,
         values=stored,
         dt=dt,
-        scheme="nonlinear_if_rk4",
         source=None,
         guard=guard,
         step_bound=bound,

@@ -101,12 +101,6 @@ class SampleSet:
         )
         return cls(n=n, X=X, XI=XI, shell_radii=radii, shell_index=shell_index, description=desc)
 
-    @classmethod
-    def from_grid(cls, grid, **kwargs) -> "SampleSet":
-        kwargs.setdefault("x_radius", grid.L)
-        kwargs.setdefault("xi_max", grid.xi_max)
-        return cls.standard(grid.n, **kwargs)
-
 
 @dataclass
 class ConditionReport:

@@ -19,6 +19,9 @@ from .core import SympySymbol, _lambdified, kn_to_weyl_expr, phase_symbols, weyl
 
 __all__ = ["VectorFieldSystem", "KdvTypeBuild", "build_kdv_type"]
 
+QUALIFY_X_RADIUS = 10.0  # qualifying_directions scans [-QUALIFY_X_RADIUS, QUALIFY_X_RADIUS]^n
+QUALIFY_POINTS = 201  # nodes per axis of that scan
+
 
 @dataclass
 class VectorFieldSystem:
@@ -66,13 +69,14 @@ class VectorFieldSystem:
     def weyl_symbol(self, j: int):
         return self._weyl[j]
 
-    def qualifying_directions(self, x_radius: float = 10.0, points: int = 201) -> list[dict]:
+    def qualifying_directions(self) -> list[dict]:
         """All k with inf_x |d_{xi_k} X_1| = inf_x |a_k1| > 0, with the paired
-        smallness bound sup_x |a_kj|^2 < 3 C_k/(n-1) for j >= 2.
+        smallness bound sup_x |a_kj|^2 < 3 C_k/(n-1) for j >= 2, over the
+        QUALIFY_POINTS^n x mesh.
 
         When several k qualify, all are reported rather than one being chosen.
         """
-        axes = [np.linspace(-x_radius, x_radius, points)] * self.n
+        axes = [np.linspace(-QUALIFY_X_RADIUS, QUALIFY_X_RADIUS, QUALIFY_POINTS)] * self.n
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
 
         def abs_on_mesh(coefficient):

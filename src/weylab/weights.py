@@ -61,7 +61,9 @@ __all__ = [
 
 F_FIT_ORDERS = (1, 2)  # derivative orders m of the f bound fit
 F_FIT_T_MAX_K = 100.0  # the f bound fit runs over 0 <= t <= F_FIT_T_MAX_K K
-EXP_FIT_S = 0.0  # Sobolev index s of the exp-weight conjugation fit
+EXP_FIT_S = 0.0  # Sobolev index s of the exp-weight conjugation and equivalence fits
+EXP_FIT_PROBES = 24  # wavepacket probes of the exp-weight fits, drawn with seed EXP_FIT_SEED
+EXP_FIT_SEED = 0
 
 
 def _lam_expr(exponent: int):
@@ -179,14 +181,14 @@ class GardingWeight:
     bound_fit: dict = field(default_factory=dict)
 
 
-def _envelope_fit(q: Symbol, S: SampleSet, max_total: int = 2) -> dict:
+def _envelope_fit(q: Symbol, S: SampleSet) -> dict:
     """Fitted constants of |d^beta_x d^alpha_xi q| <= C <x><xi>^{-|alpha|}
-    (beta = 0) or C <xi>^{-|alpha|} (|beta| >= 1)."""
+    (beta = 0) or C <xi>^{-|alpha|} (|beta| >= 1), for |alpha| + |beta| <= 2."""
     xw = np.sqrt(1.0 + S.x_norm**2)
     bes = np.sqrt(1.0 + S.xi_norm**2)
     out = {}
-    for alpha in multi_indices_upto(q.n, max_total):
-        for beta in multi_indices_upto(q.n, max_total - sum(alpha)):
+    for alpha in multi_indices_upto(q.n, 2):
+        for beta in multi_indices_upto(q.n, 2 - sum(alpha)):
             vals = np.abs(q.deriv(alpha, beta, S.X, S.XI))
             envelope = bes ** (-float(sum(alpha)))
             if sum(beta) == 0:
@@ -197,20 +199,19 @@ def _envelope_fit(q: Symbol, S: SampleSet, max_total: int = 2) -> dict:
 
 def garding_weight(
     a: Symbol,
+    S: SampleSet,
     C1: Optional[float] = None,
     ellipticity: Optional[ConditionReport] = None,
-    S: Optional[SampleSet] = None,
 ) -> GardingWeight:
     """Build q = 2 C1 C^2 <xi>^{-(m-1)} sum_j x_j d_{xi_j} a.
 
     Requires a sympy-backed symbol (TypeError otherwise) and a (passing)
-    gradient-ellipticity report, which supplies C.  C1 defaults to 1/(2 C^2),
-    normalizing the prefactor to 1.
+    gradient-ellipticity report, which supplies C; without one, the check
+    runs on the caller's sample set S, which also carries the envelope fit.
+    C1 defaults to 1/(2 C^2), normalizing the prefactor to 1.
     """
     if not isinstance(a, SympySymbol):
         raise TypeError("the Garding weight is derived from a sympy expression; pass a SympySymbol")
-    if S is None:
-        S = SampleSet.standard(a.n)
     if ellipticity is None:
         ellipticity = check_grad_ellipticity(a, S)
     if ellipticity.verdict == "fail":
@@ -335,19 +336,18 @@ def doi_weight(
     lam: WeightFn,
     eps: float = 0.1,
     *,
-    S: Optional[SampleSet] = None,
+    S: SampleSet,
     p_cap: float = 1.5,
 ) -> DoiWeight:
     """Assemble the Doi weight p from a Garding weight (three-region formula).
 
-    p is scaled by rho <= 1 so that sup|p| stays within p_cap and Op^w(e^p)
-    stays well conditioned.  The unscaled symbol is kept too.  Both carry
-    exact first derivatives only.
+    K and sup|p| are fitted on the caller's sample set S.  p is scaled by
+    rho <= 1 so that sup|p| stays within p_cap and Op^w(e^p) stays well
+    conditioned.  The unscaled symbol is kept too.  Both carry exact first
+    derivatives only.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("cutoff scale eps must lie in (0, 1)")
-    if S is None:
-        S = SampleSet.standard(a.n)
     n = a.n
     qsym = q.q
 
@@ -445,6 +445,11 @@ def doi_slack(
 _BAND = {"center": (-0.3, 0.3), "carrier": (-1 / 3, 1 / 3), "width": (0.08, 0.15)}
 
 
+def _fit_probes(g: Grid) -> list[Field]:
+    """The EXP_FIT_PROBES wavepackets of the exp-weight fits, drawn from _BAND."""
+    return wavepacket_probes(g, EXP_FIT_PROBES, np.random.default_rng(EXP_FIT_SEED), **_BAND)
+
+
 @dataclass
 class ExpWeightPair:
     """E = Op^w(e^p), Et = Op^w(e^{-p}), with the order(-2) conjugation fit."""
@@ -459,19 +464,19 @@ class ExpWeightPair:
         v = self.E.apply(apply_bessel(u, s))
         return float(np.sqrt(l2_norm(v) ** 2 + sobolev_norm(u, s - 2.0) ** 2))
 
-    def equivalence_fit(self, s: float = 0.0, count: int = 24, seed: int = 0) -> tuple[float, float]:
-        """Fitted c1, c2 with c1 ||u||_s <= N(u) <= c2 ||u||_s on wavepackets."""
+    def equivalence_fit(self) -> tuple[float, float]:
+        """Fitted c1, c2 with c1 ||u||_s <= N(u) <= c2 ||u||_s, s = EXP_FIT_S,
+        on the wavepackets of the conjugation fit."""
         lo, hi = np.inf, 0.0
-        for u in wavepacket_probes(self.grid, count, np.random.default_rng(seed), **_BAND):
-            ratio = self.n_norm(u, s) / sobolev_norm(u, s)
+        for u in _fit_probes(self.grid):
+            ratio = self.n_norm(u, EXP_FIT_S) / sobolev_norm(u, EXP_FIT_S)
             lo, hi = min(lo, ratio), max(hi, ratio)
         return float(lo), float(hi)
 
 
-def exp_weight_operators(
-    p: Union[DoiWeight, Symbol], g: Grid, *, probes: int = 24, seed: int = 0
-) -> ExpWeightPair:
-    """Quantize e^{+-p} and fit C in ||(Et E - I)u||_s <= C ||u||_{s-2}."""
+def exp_weight_operators(p: Union[DoiWeight, Symbol], g: Grid) -> ExpWeightPair:
+    """Quantize e^{+-p} and fit C in ||(Et E - I)u||_s <= C ||u||_{s-2},
+    s = EXP_FIT_S, over EXP_FIT_PROBES wavepackets."""
     psym = p.symbol if isinstance(p, DoiWeight) else p
 
     def exp_p(sign: float) -> DenseOperator:
@@ -489,7 +494,7 @@ def exp_weight_operators(
     E, Et = exp_p(1.0), exp_p(-1.0)
     R = Et.matrix @ E.matrix - np.eye(g.size)
     worst = 0.0
-    for u in wavepacket_probes(g, probes, np.random.default_rng(seed), **_BAND):
+    for u in _fit_probes(g):
         v = Field(g, (R @ u.values.ravel()).reshape(g.shape))
         denom = sobolev_norm(u, EXP_FIT_S - 2.0)
         worst = max(worst, sobolev_norm(v, EXP_FIT_S) / denom)
@@ -540,26 +545,24 @@ class AdmissibilityReport:
 def admissibility_report(
     a: Symbol,
     lam: WeightFn,
-    S: Optional[SampleSet] = None,
+    S: SampleSet,
     *,
     eps_threshold: float = 1.0,
     c0_threshold: float = 1.0,
-    C1: Optional[float] = None,
 ) -> AdmissibilityReport:
-    """Run the full admissibility pipeline on a symbol.
+    """Run the full admissibility pipeline on a symbol over the caller's
+    sample set S.
 
     Gradient ellipticity and spatial decay are checked on Re(a); the imaginary
     part is checked against the smallness bound; passing symbols get the explicit Garding weight and the H_a q slack
     fit.  The overall verdict requires every stage to pass with slack C1 > 0.
     """
-    if S is None:
-        S = SampleSet.standard(a.n)
     grad = check_grad_ellipticity(a, S)
     decay = check_x_decay(a, lam, S, eps_threshold=eps_threshold)
     imaginary = check_im_smallness(a, lam, S, c0_threshold=c0_threshold)
     gw = None
     slack = None
     if grad.verdict != "fail":
-        gw = garding_weight(a, C1=C1, ellipticity=grad, S=S)
+        gw = garding_weight(a, S, ellipticity=grad)
         slack = hamilton_slack(a, gw.q, S)
     return AdmissibilityReport(grad=grad, decay=decay, imaginary=imaginary, garding=gw, slack=slack)

@@ -232,7 +232,7 @@ def test_criterion_6_exp_weights(sample_1d):
         fits[N] = exp_weight_operators(dw, make_grid(1, 8.0, N)).conjugation_C
     ratio = fits[128] / fits[64]
     pair = exp_weight_operators(dw, make_grid(1, 8.0, 64))
-    c1, c2 = pair.equivalence_fit(0.0)
+    c1, c2 = pair.equivalence_fit()
     ok = 0.4 <= ratio <= 2.5 and c1 > 0
     report(
         6,

@@ -285,6 +285,28 @@ def test_main_usage_error():
     assert main(["list"]) == 0
 
 
+# a cheap experiment: one commutation identity and one scalar-inequality delta
+_APPENDIX_SMALL = {"experiment": "appendix", "run": {"N_w_max": 1, "degree_max": 1, "delta_list": [0.5]}}
+
+
+def test_main_run_json_prints_the_written_report(tmp_path, capsys):
+    from weylab.cli import main
+
+    path = write_cfg(tmp_path, dict(_APPENDIX_SMALL, output={"prefix": "one"}))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--json"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "out" / "one_report.json").read_text()
+
+
+def test_main_run_json_prints_a_batch_as_its_reports(tmp_path, capsys):
+    from weylab.cli import main
+
+    cfg = {"experiments": [dict(_APPENDIX_SMALL, output={"prefix": p}) for p in ("a", "b")]}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"reports": [load_report(tmp_path / "out", p) for p in ("a", "b")]}
+
+
 def test_list_text_matches_golden(capsys):
     from weylab.cli import main
 
@@ -474,6 +496,33 @@ def test_smoothing_report_takes_each_wrap_guard_once(tmp_path, monkeypatch, esti
     assert len(calls) == 2
     rep = load_report(tmp_path, "fam")
     assert rep["details"]["T"] == 0.8 * min(real(*args).horizon for args in calls)
+
+
+@pytest.mark.parametrize(
+    "carriers, scale, verdict",
+    [([4, 8], 0.5, "pass"), ([4, 8], 2.0, "fail"), ([8], 0.5, None)],
+    ids=["growth-pass", "growth-fail", "one-carrier"],
+)
+def test_smoothing_report_unweighted_growth_verdict(tmp_path, carriers, scale, verdict):
+    # growth = unweighted integral of the largest carrier over the smallest's,
+    # 1.41 for this family; growth_min below it passes, above it fails, and a
+    # one-carrier family has no growth to judge
+    cfg = {
+        "experiment": "smoothing-report",
+        "symbol": {"name": "airy"},
+        "grid": _AIRY_GRID,
+        "run": {"carriers": carriers, "growth_min": scale * 1.41},
+        "output": {"prefix": "fam"},
+    }
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == (2 if verdict == "fail" else 0)
+    rep = load_report(tmp_path, "fam")
+    assert rep["verdicts"].get("unweighted_growth") == verdict
+    unweighted = rep["details"]["unweighted"]
+    if verdict is None:
+        assert "unweighted_growth" not in rep["details"]
+    else:
+        assert rep["details"]["unweighted_growth"] == unweighted["8.0"] / unweighted["4.0"]
+        assert np.isclose(rep["details"]["unweighted_growth"], 1.41, rtol=1e-2)
 
 
 @pytest.mark.parametrize("estimate", ["ii", "iii"])

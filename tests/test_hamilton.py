@@ -9,6 +9,7 @@ from weylab import hamilton
 from weylab.calculus import poisson_bracket
 from weylab.hamilton import (
     XI_FLOOR,
+    Trajectory,
     classify_strong_ellipticity,
     escape_verdict,
     hamilton_derivative,
@@ -219,6 +220,23 @@ def test_escape_verdict_reuses_trajectory():
     a = catalog("gaussian_kdv", eps=0.05)
     traj = integrate_bicharacteristic(a, 0.0, 1.0, 4.0, 0.01)
     assert escape_verdict(traj, 8.0) == trapping_probe(a, 0.0, 1.0, R=8.0, T_max=4.0, h=0.01)
+
+
+@pytest.mark.parametrize(
+    "speed, verdict, forward, backward",
+    [((20.0, 0.0), "forward_nontrapped", 0.5, None), ((0.0, 20.0), "backward_nontrapped", None, -0.5)],
+    ids=["forward", "backward"],
+)
+def test_escape_verdict_one_sided(speed, verdict, forward, backward):
+    # a synthetic path on t in [-1, 1] that leaves |x| < 10 in one direction
+    # only: |x| = 20 t forward or 20 |t| backward, and 0 the other way
+    t = np.linspace(-1.0, 1.0, 41)
+    x = np.where(t >= 0, speed[0] * t, -speed[1] * t)[:, None]
+    traj = Trajectory(t=t, x=x, xi=np.ones_like(x), drift=0.0, xi_min=1.0, xi_max=1.0)
+    v = escape_verdict(traj, 10.0)
+    assert v.verdict == verdict and v.nontrapped
+    for got, want in ((v.forward_escape_time, forward), (v.backward_escape_time, backward)):
+        assert got is None if want is None else abs(got - want) < 1e-8
 
 
 def test_qdelta_airy_hand_values():

@@ -1,5 +1,6 @@
-"""Static checks of the package sources: every imported name is used, and
-sympy's calculus runs only where the package keeps it."""
+"""Static checks of the package sources: every imported name is used, every
+private definition is referenced, and sympy's calculus runs only where the
+package keeps it."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,54 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "from dataclasses import dataclass, field\nimport numpy as np\n__all__ = ['dataclass']\nnp.pi\n"
     assert unused_imports(source) == ["field (line 1)"]
+
+
+def unreferenced_private_defs(sources: dict) -> list[str]:
+    """Private module-level functions and classes, and private methods, whose
+    name no module of `sources` (file name -> source) reads.  A definition
+    decorated by a decorator that its own module defines counts as read: the
+    decorator registers it, as `cli._experiment` registers the runners."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        local = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+        for top in tree.body:
+            defs = [(top, top.name)] if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(top, ast.ClassDef):
+                defs += [(d, f"{top.name}.{d.name}") for d in top.body if isinstance(d, ast.FunctionDef)]
+            for node, label in defs:
+                private = node.name.startswith("_") and not node.name.startswith("__")
+                registered = any(
+                    getattr(getattr(dec, "func", dec), "id", None) in local for dec in node.decorator_list
+                )
+                if private and not registered and node.name not in read:
+                    found.append(f"{name}: {label} (line {node.lineno})")
+    return found
+
+
+def test_every_private_definition_is_referenced():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_unreferenced_private_definition_is_found():
+    source = (
+        "def _register(f):\n    return f\n"
+        "@_register\ndef _runner():\n    pass\n"
+        "def _dead():\n    pass\n"
+        "class _Box:\n    def __init__(self):\n        self._kept()\n"
+        "    def _kept(self):\n        pass\n"
+        "    def _stale(self):\n        pass\n"
+        "_Box()\n"
+    )
+    assert unreferenced_private_defs({"m.py": source}) == ["m.py: _dead (line 6)", "m.py: _Box._stale (line 13)"]
 
 
 def stray_sympy_calls(source: str, homes: set) -> list[str]:

@@ -425,7 +425,7 @@ def test_qualifying_directions_reports_all():
             [sp.Rational(1, 50), 1],
         ],
     )
-    out = sys2.qualifying_directions(x_radius=5.0, points=41)
+    out = sys2.qualifying_directions()
     ks = {e["k"] for e in out}
     assert 1 in ks
     for e in out:

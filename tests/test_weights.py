@@ -10,6 +10,7 @@ from weylab.symbol import SampleSet, catalog, check_grad_ellipticity
 from weylab.weights import (
     F_FIT_T_MAX_K,
     WeightFn,
+    _fit_lower_bound,
     admissibility_report,
     doi_slack,
     doi_weight,
@@ -118,6 +119,41 @@ def test_hamilton_slack_zk(lam):
     gw = garding_weight(a, S=S2)
     fit = hamilton_slack(a, gw.q, S2)
     assert fit.passed and fit.C1 > 0
+
+
+# -- the slack fit's interior-dip branch -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def S12():
+    # 12 shells: the outer quarter is shells 9-11, the top two shells 10-11
+    return SampleSet.standard(1, x_radius=1.0, xi_max=16.0, num_shells=12, x_points=3)
+
+
+def test_slack_fit_absorbs_an_inner_dip_into_C2(S12):
+    w = S12.xi_norm
+    values = w * (1.0 + 0.1 * S12.shell_index)
+    values[S12.shell_index == 0] = -2.0  # a dip on the innermost shell (|xi| = 1)
+    fit = _fit_lower_bound(values, w, S12, "dip")
+    outer = S12.shell_index >= 9
+    assert fit.verdict == "pass"
+    assert fit.C1 == 0.5 * np.min(values[outer] / w[outer])
+    assert np.isclose(fit.C1, 0.95, rtol=1e-12)  # ratio 1.9 on shell 9
+    assert fit.C2 == np.max(fit.C1 * w - values)
+    assert np.isclose(fit.C2, 0.95 + 2.0, rtol=1e-12)  # set by the dip
+    assert np.min(fit.slack) >= -1e-12
+
+
+def test_slack_fit_with_an_unmeasured_top_shell_deficit_is_inconclusive(S12):
+    # the slope is half the smallest ratio over the outer quarter, which holds
+    # the top two shells, so a finite deficit there is negative and C2 always
+    # covers it; a sample with no value (NaN) leaves the top deficit unknown
+    w = S12.xi_norm
+    values = w.copy()
+    values[S12.shell_index == 0] = -2.0
+    values[np.flatnonzero(S12.shell_index == 11)[0]] = np.nan
+    fit = _fit_lower_bound(values, w, S12, "unknown top")
+    assert fit.verdict == "inconclusive"
 
 
 # -- Doi weight -------------------------------------------------------------------
@@ -292,7 +328,7 @@ def test_exp_weights_norm_equivalence(airy_doi):
     _, _, dw = airy_doi
     g = make_grid(1, 8.0, 64)
     pair = exp_weight_operators(dw, g)
-    c1, c2 = pair.equivalence_fit(0.0)
+    c1, c2 = pair.equivalence_fit()
     assert c1 > 0 and c2 < np.inf and c1 <= c2
     assert pair.conjugation_C < np.inf
 
