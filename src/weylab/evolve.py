@@ -26,10 +26,10 @@ each frame, as `_march` makes it, to a consumer that keeps a few numbers per
 frame and lets the frame go: `NormSeries` (the L^2 and Sobolev norms of
 `solve-linear`) and `SmoothingSeries` (the terms of a smoothing report).  A
 streamed solve therefore holds a fixed number of state-sized arrays however
-many frames it makes.  A stored solve is reduced by feeding its frames to the
-same consumers (`Solution.feed`), so both paths share every per-frame formula
-and give the same numbers bit for bit; the `Solution` of a streamed solve,
-which holds only its final frame, refuses such reductions.
+many frames it makes.  Every trajectory reduction of the package streams
+(`smoothing_report` and `weighted_propagator_probe` too); the stored stack
+serves the Picard and direct nonlinear solves and callers that read the
+frames themselves.
 
 The stepper allocates its stage arrays once and the operator keeps its
 transform row stack, so a step allocates no state-sized array of its own (a
@@ -226,13 +226,11 @@ def wrap_guard(a: Symbol, u0: Field, f: Optional[Field] = None) -> WrapGuard:
 @dataclass
 class Solution:
     grid: Grid
-    symbol: Symbol
     times: np.ndarray
     # the stored frames, shape (len(times), *grid.shape); a solve that streams
     # its frames to a consumer stores only the final one
     values: np.ndarray = field(repr=False)
     dt: float
-    source: Optional[Field]
     guard: WrapGuard
     # what set the steps: "given" (an explicit dt), "clock" (the picked
     # clock's steps, which the nonlinear solves always take), "stability" or
@@ -252,19 +250,6 @@ class Solution:
     @property
     def final(self) -> Field:
         return self.field(len(self.values) - 1)
-
-    def feed(self, consume: FrameConsumer) -> FrameConsumer:
-        """Hand every stored frame to consume(t, samples), as a streamed solve
-        does while it marches; returns consume.  A streamed solve (first time
-        not 0) is refused."""
-        if self.times[0] != 0:
-            raise ValueError("a streamed solve keeps only its final frame; reduce it by its consumer")
-        for t, v in zip(self.times, self.values):
-            consume(t, v)
-        return consume
-
-    def l2_drift(self) -> float:
-        return self.feed(NormSeries(self.grid)).l2_drift()
 
 
 # -- per-frame reductions --------------------------------------------------------------
@@ -614,11 +599,9 @@ def solve_linear(
     times, stored = _march(step, g, u0.values, steps, dt, stride, consume)
     return Solution(
         grid=g,
-        symbol=a,
         times=times,
         values=stored,
         dt=dt,
-        source=f,
         guard=guard,
         step_bound=bound,
         step_error=error,
@@ -630,12 +613,9 @@ def solve_linear(
 
 @dataclass
 class SmoothingReport:
-    estimate: str
     lhs: float
     rhs: float
     ratio: float
-    s: float
-    m: float
     # int ||u||_{s+(m-1)/2}^2 dt, each norm squared as a Python float
     unweighted_integral: float
 
@@ -661,7 +641,7 @@ class SmoothingSeries:
     ):
         if estimate not in ESTIMATES:
             raise ValueError(f"unknown estimate {estimate!r}")
-        self.grid, self.m, self.estimate, self.s, self.f = grid, m, estimate, s, f
+        self.grid, self.estimate, self.f = grid, estimate, f
         self.gain = (m - 1.0) / 2.0
         # the per-frame operands, taken once into one block: <xi>^{2s},
         # <xi>^{2(s+gain)} and, for the weighted integrand, lam(|x|) and
@@ -713,24 +693,21 @@ class SmoothingSeries:
             lhs = sup_s**2 + _trapezoid(times, self.weighted)
             rhs = u0_s**2 + _trapezoid(times, self.source)
         ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / rhs
-        return SmoothingReport(
-            estimate=self.estimate,
-            lhs=lhs,
-            rhs=rhs,
-            ratio=ratio,
-            s=self.s,
-            m=self.m,
-            unweighted_integral=unweighted,
-        )
+        return SmoothingReport(lhs=lhs, rhs=rhs, ratio=ratio, unweighted_integral=unweighted)
 
 
 def smoothing_report(
-    sol: Solution,
+    a: Symbol,
+    u0: Field,
+    f: Optional[Field],
     estimate: str,
     s: float,
     lam: Callable[[np.ndarray], np.ndarray],
-) -> SmoothingReport:
-    """Assemble LHS/RHS of the homogeneous/inhomogeneous smoothing estimates.
+    **solve,
+) -> tuple[SmoothingReport, Solution]:
+    """Solve du/dt = i A u + f from u0 (`solve_linear` with the keywords
+    `solve`) and assemble LHS/RHS of the homogeneous/inhomogeneous smoothing
+    estimates over its frames.
 
     estimate 'i':   sup ||u||_s                    vs ||u0||_s + int ||f||_s dt
     estimate 'ii':  sup ||u||_s^2 + weighted int   vs ||u0||_s^2 + int ||f||_s^2 dt
@@ -739,13 +716,12 @@ def smoothing_report(
 
     The exponential prefactor in T is never folded in: boundedness of the
     ratio across run families is the measured content.  The report also
-    carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.  f is the
-    solution's own source.  The stored frames go through `SmoothingSeries`,
-    the consumer that a streamed solve hands its frames to, so both give the
-    same report bit for bit; a streamed solve itself is refused.
+    carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.  The frames
+    stream into a `SmoothingSeries`, so the solution keeps only its final one.
     """
-    series = SmoothingSeries(sol.grid, sol.symbol.order, estimate, s, lam, sol.source)
-    return sol.feed(series).report()
+    series = SmoothingSeries(u0.grid, a.order, estimate, s, lam, f)
+    sol = solve_linear(a, u0, f, consume=series, **solve)
+    return series.report(), sol
 
 
 # -- weighted propagator probe (polynomial-weight bound) --------------------------------
@@ -777,14 +753,18 @@ def weighted_propagator_probe(
         raise ValueError("datum has insufficient decay for the <x>^{2N} weight")
     denom = sobolev_norm(weighted0, s + 2.0 * N_w) ** 2
     T_sweep = sorted(float(t) for t in T_sweep)
-    sol = solve_linear(a, u0, None, T=max(T_sweep), store_stride=store_stride)
-    # each norm squared as a Python float, which rounds like sobolev_norm(...) ** 2
-    wnorm = np.array(
-        [float(np.sqrt(_sobolev_sq(g, _spectrum(g, wvals * v), s))) ** 2 for v in sol.values]
-    )
+    times, wnorm = [], []
+
+    def weigh(t, v):
+        times.append(t)
+        # each norm squared as a Python float, which rounds like sobolev_norm(...) ** 2
+        wnorm.append(float(np.sqrt(_sobolev_sq(g, _spectrum(g, wvals * v), s))) ** 2)
+
+    solve_linear(a, u0, None, T=max(T_sweep), store_stride=store_stride, consume=weigh)
+    times, wnorm = np.array(times), np.array(wnorm)
     ratios = {}
     for T in T_sweep:
-        sel = sol.times <= T * (1 + 1e-12)
+        sel = times <= T * (1 + 1e-12)
         ratios[T] = float(np.max(wnorm[sel]) / ((1.0 + T ** (2 * N_w)) * denom))
     vals = list(ratios.values())
     return PropagatorProbeReport(

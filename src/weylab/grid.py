@@ -231,18 +231,9 @@ class Field:
     def zero(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
-    def __add__(self, other: "Field") -> "Field":
-        self._check(other)
-        return Field(self.grid, self.values + other.values)
-
     def __sub__(self, other: "Field") -> "Field":
         self._check(other)
         return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, c) -> "Field":
-        return Field(self.grid, self.values * c)
-
-    __rmul__ = __mul__
 
     def _check(self, other: "Field"):
         if other.grid is not self.grid and other.grid != self.grid:

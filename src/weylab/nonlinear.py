@@ -478,12 +478,10 @@ def picard_solve(
     keep = _stored_steps(steps, store_stride)
     sol = Solution(
         grid=g,
-        symbol=a,
         times=times[keep],
         # the iterate itself when every frame is kept
         values=current if len(keep) == steps + 1 else current[keep],
         dt=dt,
-        source=None,
         guard=guard,
         step_bound=bound,
     )
@@ -521,11 +519,9 @@ def direct_nonlinear_solve(
     times, stored = _march(step, g, u0.values, steps, dt, store_stride)
     return Solution(
         grid=g,
-        symbol=a,
         times=times,
         values=stored,
         dt=dt,
-        source=None,
         guard=guard,
         step_bound=bound,
     )

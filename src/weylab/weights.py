@@ -452,10 +452,9 @@ def _fit_probes(g: Grid) -> list[Field]:
 
 @dataclass
 class ExpWeightPair:
-    """E = Op^w(e^p), Et = Op^w(e^{-p}), with the order(-2) conjugation fit."""
+    """E = Op^w(e^p), with the fitted C of the order(-2) conjugation Et E - I, Et = Op^w(e^{-p})."""
 
     E: DenseOperator
-    Et: DenseOperator
     grid: Grid
     conjugation_C: float
 
@@ -498,7 +497,7 @@ def exp_weight_operators(p: Union[DoiWeight, Symbol], g: Grid) -> ExpWeightPair:
         v = Field(g, (R @ u.values.ravel()).reshape(g.shape))
         denom = sobolev_norm(u, EXP_FIT_S - 2.0)
         worst = max(worst, sobolev_norm(v, EXP_FIT_S) / denom)
-    return ExpWeightPair(E=E, Et=Et, grid=g, conjugation_C=float(worst))
+    return ExpWeightPair(E=E, grid=g, conjugation_C=float(worst))
 
 
 # -- bundled admissibility report ------------------------------------------------------

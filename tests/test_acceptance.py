@@ -9,8 +9,15 @@ import pytest
 
 from weylab.appendix_checks import lemmatec1_residual, lemmatec3_scan
 from weylab.calculus import compose_symbols, quantize_dense
-from weylab.evolve import smoothing_report, solve_linear, weighted_propagator_probe, wrap_guard
-from weylab.grid import Field, gaussian_wavepacket, l2_norm, make_grid, sobolev_norm
+from weylab.evolve import (
+    NormSeries,
+    SmoothingSeries,
+    smoothing_report,
+    solve_linear,
+    weighted_propagator_probe,
+    wrap_guard,
+)
+from weylab.grid import Field, gaussian_wavepacket, l2_norm, make_grid
 from weylab.hamilton import (
     classify_strong_ellipticity,
     integrate_bicharacteristic,
@@ -141,8 +148,9 @@ def test_criterion_3_conservation_dispersion():
     }
     drifts = {}
     for name, (a, u0) in runs.items():
-        sol = solve_linear(a, u0, T=1.0, store_stride=16)
-        drifts[name] = sol.l2_drift()
+        norms = NormSeries(u0.grid)
+        solve_linear(a, u0, T=1.0, store_stride=16, consume=norms)
+        drifts[name] = norms.l2_drift()
     cons_ok = all(v <= 1e-6 for v in drifts.values())
     report(
         3,
@@ -255,17 +263,16 @@ def test_criterion_7_smoothing_family():
         T = 0.8 * min(wrap_guard(a, u).horizon for u in data.values())
         r_ii, r_i, r_iii, unweighted = {}, {}, {}, {}
         for k, u0 in data.items():
-            sol = solve_linear(a, u0, T=T, store_stride=4)
-            r_ii[k] = smoothing_report(sol, "ii", 0.0, LAM).ratio
-            r_i[k] = smoothing_report(sol, "i", 0.0, LAM).ratio
-            unweighted[k] = float(
-                np.trapezoid(
-                    [sobolev_norm(sol.field(i), 1.0) ** 2 for i in range(len(sol.times))],
-                    sol.times,
-                )
-            )
-            forced = solve_linear(a, Field.zero(g), u0, T=T, store_stride=4)
-            r_iii[k] = smoothing_report(forced, "iii", 0.0, LAM).ratio
+            # one solve scores (ii), (i) and the unweighted integral
+            ii = SmoothingSeries(g, a.order, "ii", 0.0, LAM, None)
+            i = SmoothingSeries(g, a.order, "i", 0.0, LAM, None)
+            h1 = NormSeries(g, (1.0,))
+            solve_linear(a, u0, T=T, store_stride=4, consume=lambda t, v: (ii(t, v), i(t, v), h1(t, v)))
+            r_ii[k] = ii.report().ratio
+            r_i[k] = i.report().ratio
+            unweighted[k] = float(np.trapezoid([float(row[0]) ** 2 for row in h1.sobolev], h1.times))
+            forced, _ = smoothing_report(a, Field.zero(g), u0, "iii", 0.0, LAM, T=T, store_stride=4)
+            r_iii[k] = forced.ratio
         spread = max(r_ii.values()) / min(r_ii.values())
         growth = unweighted[32.0] / unweighted[4.0]
         bounded = all(np.isfinite(v) and 0 < v <= 8.0 for v in list(r_i.values()) + list(r_iii.values()))
@@ -429,9 +436,9 @@ def test_criterion_11_order_two_regression(sample_2d):
     )
     disp = l2_norm(solp.final - exact) / l2_norm(exact)
     g2s = make_grid(2, 10 * np.pi, 128)
-    drift = solve_linear(
-        a, gaussian_wavepacket(g2s, [1.0, 0.0], 4.0), T=1.0, store_stride=16
-    ).l2_drift()
+    norms = NormSeries(g2s)
+    solve_linear(a, gaussian_wavepacket(g2s, [1.0, 0.0], 4.0), T=1.0, store_stride=16, consume=norms)
+    drift = norms.l2_drift()
     c3_ok = disp <= 1e-12 and drift <= 1e-6
 
     # criterion 4
@@ -445,10 +452,9 @@ def test_criterion_11_order_two_regression(sample_2d):
     data = {k: gaussian_wavepacket(g, [k, 0.0], 5.0) for k in carriers}
     T = 0.8 * min(wrap_guard(a, u).horizon for u in data.values())
     ratios = {}
+    assert a.order == 2.0  # gain (m-1)/2 = 1/2
     for k, u0 in data.items():
-        sol = solve_linear(a, u0, T=T, dt=2.2e-3, store_stride=4)
-        rep = smoothing_report(sol, "ii", 0.0, LAM)
-        assert rep.m == 2.0  # gain (m-1)/2 = 1/2
+        rep, _ = smoothing_report(a, u0, None, "ii", 0.0, LAM, T=T, dt=2.2e-3, store_stride=4)
         ratios[k] = rep.ratio
     spread = max(ratios.values()) / min(ratios.values())
     family_ok = spread <= 8.0

@@ -129,21 +129,39 @@ def test_solve_linear_conservation_and_series(tmp_path):
     series = (tmp_path / "lin_norms.csv").read_text().splitlines()
     assert series[0] == "t,l2,h1"
     assert len(series) > 3
-    # the CLI streams its frames into the norms; a stored solve gives the same
-    # column and drift bit for bit
+    # the CLI streams its frames into the norms; the same solve streamed in
+    # process gives the same columns and drift bit for bit
     from weylab.evolve import NormSeries, solve_linear
     from weylab.grid import gaussian_wavepacket, make_grid
     from weylab.symbol import catalog
 
     g = make_grid(1, cfg["grid"]["L"], cfg["grid"]["N"])
-    sol = solve_linear(catalog("airy"), gaussian_wavepacket(g, [2.0], 8.0), T=0.5, store_stride=8)
+    norms = NormSeries(g, (0.0, 1.0))
+    u0 = gaussian_wavepacket(g, [2.0], 8.0)
+    sol = solve_linear(catalog("airy"), u0, T=0.5, store_stride=8, consume=norms)
     rows = np.array([[float(v) for v in line.split(",")] for line in series[1:]])
-    assert np.array_equal(rows[:, 0], sol.times)
-    assert np.array_equal(rows[:, 1:].T, np.array(sol.feed(NormSeries(g, (0.0, 1.0))).sobolev).T)
-    assert rep["details"]["l2_drift"] == sol.l2_drift()
+    assert np.array_equal(rows[:, 0], norms.times)
+    assert np.array_equal(rows[:, 1:].T, np.array(norms.sobolev).T)
+    assert rep["details"]["l2_drift"] == norms.l2_drift()
     # the step record: a pure multiplier takes one exact step per frame
     step = {k: rep["details"][k] for k in ("dt", "steps", "step_bound", "step_error")}
     assert step == {"dt": sol.dt, "steps": sol.steps, "step_bound": "stability", "step_error": None}
+
+
+def test_solve_linear_plane_wave_datum(tmp_path):
+    # a plane wave is periodic, not localized: it has no wrap-guard horizon,
+    # and the pure multiplier conserves its L^2 norm
+    cfg = {
+        "experiment": "solve-linear",
+        "symbol": {"name": "airy"},
+        "grid": {"n": 1, "L": 125.66370614359172, "N": 1024},
+        "run": {"T": 0.5, "store_stride": 8, "datum": {"kind": "plane_wave", "carrier": 2.0}},
+        "output": {"prefix": "wave"},
+    }
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == 0
+    rep = load_report(tmp_path, "wave")
+    assert rep["details"]["wrap_horizon"] is None
+    assert rep["verdicts"]["l2_conservation"] == "pass"
 
 
 def test_trace_bichar_experiment(tmp_path):
@@ -396,6 +414,15 @@ def test_failing_experiment_does_not_hide_the_others(tmp_path, threads):
             "run.datum.kind",
         ),
         (
+            {
+                "experiment": "solve-linear",
+                "symbol": {"name": "airy"},
+                "grid": _AIRY_GRID,
+                "run": {"datum": {"kind": "gaussian"}},
+            },
+            "run.datum.kind",
+        ),
+        (
             {"experiment": "smoothing-report", "symbol": {"name": "airy"}, "grid": _AIRY_GRID, "run": {"estimate": "vii"}},
             "run.estimate",
         ),
@@ -409,7 +436,7 @@ def test_failing_experiment_does_not_hide_the_others(tmp_path, threads):
             "run.flavor",
         ),
     ],
-    ids=["scheme", "scheme-auto", "datum-kind", "estimate", "flavor"],
+    ids=["scheme", "scheme-auto", "datum-kind", "datum-gaussian", "estimate", "flavor"],
 )
 def test_unknown_run_names_stop_the_batch_at_validation(tmp_path, capsys, experiment, where):
     cfg = {"experiments": [{"experiment": "appendix", "output": {"prefix": "first"}}, experiment]}

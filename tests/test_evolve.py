@@ -65,8 +65,9 @@ def test_airy_plane_wave_dispersion_integrating_factor():
 def test_l2_conservation_real_symbol():
     g = make_grid(1, 40 * np.pi, 1024)
     u0 = airy_packet(g, k=1.0)
-    sol = solve_linear(catalog("gaussian_kdv", eps=0.05), u0, T=1.0, store_stride=8)
-    assert sol.l2_drift() <= 1e-6
+    norms = NormSeries(g)
+    solve_linear(catalog("gaussian_kdv", eps=0.05), u0, T=1.0, store_stride=8, consume=norms)
+    assert norms.l2_drift() <= 1e-6
 
 
 def test_rk4_step_halving_order():
@@ -463,9 +464,11 @@ def test_evolution_builds_no_dense_matrix(monkeypatch):
     a = _kdv_type_symbol()
     dt = 2.0 / build_evolution_operator(a, g).max_abs_remainder()
     u0 = gaussian_wavepacket(g, [2.0], width2=2.0)
-    sol = solve_linear(a, u0, T=4 * dt, dt=dt, enforce_wrap_guard=False)
-    assert len(sol.times) == 5
-    assert np.all(np.isfinite(sol.values)) and sol.l2_drift() < 1e-6
+    norms = NormSeries(g)
+    solve_linear(a, u0, T=4 * dt, dt=dt, enforce_wrap_guard=False, consume=norms)
+    assert len(norms.times) == 5
+    # a frame with a non-finite sample has a non-finite L^2 norm
+    assert np.all(np.isfinite(norms.l2)) and norms.l2_drift() < 1e-6
 
 
 def test_complex_symbol_steps_with_integrating_factor():
@@ -714,8 +717,9 @@ def test_wrap_guard_plane_wave_unlocalized():
     gw = wrap_guard(catalog("airy"), u0)
     assert not gw.localized and gw.horizon is None
     # and the solver does not refuse long horizons for periodic data
-    sol = solve_linear(catalog("airy"), u0, T=1.0, scheme="if_rk4")
-    assert sol.l2_drift() < 1e-10
+    norms = NormSeries(g)
+    solve_linear(catalog("airy"), u0, T=1.0, scheme="if_rk4", consume=norms)
+    assert norms.l2_drift() < 1e-10
 
 
 def test_wrap_guard_refuses_long_horizon():
@@ -823,12 +827,22 @@ def test_wrap_guard_memory_is_per_probe(traced_peak):
 # -- smoothing reports ----------------------------------------------------------------
 
 
+class Frames:
+    """A test's frame consumer: a Field copy of every frame it is handed."""
+
+    def __init__(self, grid):
+        self.grid, self.times, self.fields = grid, [], []
+
+    def __call__(self, t, values):
+        self.times.append(t)
+        self.fields.append(Field(self.grid, values))
+
+
 def test_smoothing_report_zero_solution():
     g = make_grid(1, 10.0, 64)
-    sol = solve_linear(catalog("airy"), Field.zero(g), T=0.01, dt=1e-3)
     lam = WeightFn(2)
     for est in ("i", "ii", "iii"):
-        rep = smoothing_report(sol, est, 0.0, lam)
+        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), None, est, 0.0, lam, T=0.01, dt=1e-3)
         assert rep.lhs == 0.0 and rep.ratio == 0.0
 
 
@@ -843,11 +857,11 @@ def test_smoothing_report_weighted_family_bounded():
     ratios = {}
     unweighted = {}
     for k, u0 in packets.items():
-        sol = solve_linear(a, u0, T=T, store_stride=4)
-        ratios[k] = smoothing_report(sol, "ii", 0.0, lam).ratio
-        unweighted[k] = np.trapezoid(
-            [sobolev_norm(sol.field(i), 1.0) ** 2 for i in range(len(sol.times))], sol.times
-        )
+        # one solve scores both quantities
+        ii, h1 = SmoothingSeries(g, a.order, "ii", 0.0, lam, None), NormSeries(g, (1.0,))
+        solve_linear(a, u0, T=T, store_stride=4, consume=lambda t, v: (ii(t, v), h1(t, v)))
+        ratios[k] = ii.report().ratio
+        unweighted[k] = np.trapezoid([row[0] ** 2 for row in h1.sobolev], h1.times)
     assert max(ratios.values()) / min(ratios.values()) <= 4.0
     expected = (1 + 16.0**2) / (1 + 4.0**2)
     assert unweighted[16] / unweighted[4] >= 0.8 * expected
@@ -859,18 +873,25 @@ def test_smoothing_report_takes_one_spectrum_per_frame(estimate, per_frame):
     g = CountingGrid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     s, gain = 0.5, 1.0
-    sol = solve_linear(a, airy_packet(g), T=0.05, store_stride=2)
+    series, frames, taken = SmoothingSeries(g, a.order, estimate, s, lam, None), Frames(g), []
+
+    def consume(t, v):
+        g.transforms.clear()
+        series(t, v)
+        taken.append(list(g.transforms))
+        frames(t, v)
+
+    solve_linear(a, airy_packet(g), T=0.05, store_stride=2, consume=consume)
     g.transforms.clear()
-    rep = smoothing_report(sol, estimate, s, lam)
-    assert g.transforms == per_frame * len(sol.times)
+    rep = series.report()
+    assert taken == [per_frame] * len(frames.times) and g.transforms == []
     # the unweighted integral squares each norm as a Python float
-    rows = np.array(sol.feed(NormSeries(g, (s + gain, s))).sobolev).T
-    norms = rows[0].tolist()
-    assert rep.unweighted_integral == float(np.trapezoid([v**2 for v in norms], sol.times))
-    sup = float(np.max(rows[1]))
+    norms = [sobolev_norm(u, s + gain) for u in frames.fields]
+    assert rep.unweighted_integral == float(np.trapezoid([v**2 for v in norms], frames.times))
+    sup = max(sobolev_norm(u, s) for u in frames.fields)
     if estimate == "ii":
-        weighted = [weighted_pairing(sol.field(i), lam, s + gain) for i in range(len(sol.times))]
-        assert rep.lhs == sup**2 + float(np.trapezoid(weighted, sol.times))
+        weighted = [weighted_pairing(u, lam, s + gain) for u in frames.fields]
+        assert rep.lhs == sup**2 + float(np.trapezoid(weighted, frames.times))
     else:
         assert rep.lhs == sup
 
@@ -905,19 +926,28 @@ def test_smoothing_report_takes_a_constant_source_once(estimate, once):
     lam = WeightFn(2)
     g = CountingGrid(1, 40 * np.pi, 1024)
     s, gain = 0.5, 1.0
-    source = airy_packet(g)
-    sol = solve_linear(catalog("airy"), Field.zero(g), source, T=0.05, store_stride=2)
+    a, source = catalog("airy"), airy_packet(g)
     g.transforms.clear()
-    rep = smoothing_report(sol, estimate, s, lam)
+    series = SmoothingSeries(g, a.order, estimate, s, lam, source)
+    assert g.transforms == once
+    taken = []
+
+    def consume(t, v):
+        g.transforms.clear()
+        series(t, v)
+        taken.append(list(g.transforms))
+
+    solve_linear(a, Field.zero(g), source, T=0.05, store_stride=2, consume=consume)
+    rep = series.report()
     per_frame = ["fftn"] if estimate == "i" else ["fftn", "ifftn"]
-    assert g.transforms == once + per_frame * len(sol.times)
+    assert taken == [per_frame] * len(series.times)
     if estimate == "i":
-        terms = [sobolev_norm(source, s) for _ in sol.times]
+        terms = [sobolev_norm(source, s) for _ in series.times]
     elif estimate == "ii":
-        terms = [sobolev_norm(source, s) ** 2 for _ in sol.times]
+        terms = [sobolev_norm(source, s) ** 2 for _ in series.times]
     else:
-        terms = [weighted_pairing(source, lambda r: 1.0 / lam(r), s - gain) for _ in sol.times]
-    assert rep.rhs == float(np.trapezoid(terms, sol.times))  # from rest: u0 adds nothing
+        terms = [weighted_pairing(source, lambda r: 1.0 / lam(r), s - gain) for _ in series.times]
+    assert rep.rhs == float(np.trapezoid(terms, series.times))  # from rest: u0 adds nothing
 
 
 # estimates in 1D and 2D: (symbol, grid, carrier, width2, solve arguments)
@@ -943,27 +973,50 @@ _STREAM_FAMILIES = {
 @pytest.mark.parametrize("estimate", ESTIMATES)
 @pytest.mark.parametrize("family", sorted(_STREAM_FAMILIES))
 def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, forcing):
+    # the streamed report equals, bit for bit, the estimate recomputed per
+    # Field with the public norms over stored copies of the streamed frames
     build, grid, carrier, width2, run = _STREAM_FAMILIES[family]
     a, g, lam, s = build(), make_grid(*grid), WeightFn(2), 0.5
+    gain = (a.order - 1.0) / 2.0
     packet = gaussian_wavepacket(g, carrier, width2)
     source = {"free": None, "forced": packet}[forcing]
     datum = packet if source is None else Field.zero(g)
-    series = SmoothingSeries(g, a.order, estimate, s, lam, source)
+    series, frames = SmoothingSeries(g, a.order, estimate, s, lam, source), Frames(g)
+    consume = lambda t, v: (series(t, v), frames(t, v))  # noqa: E731
     if estimate == "iii" and source is None:
-        # the estimate needs a source: both paths refuse a free run from data
+        # the estimate needs a source: a free run from data is refused
         with pytest.raises(ValueError):
-            solve_linear(a, datum, source, consume=series, **run)
+            solve_linear(a, datum, source, consume=consume, **run)
         with pytest.raises(ValueError):
-            smoothing_report(solve_linear(a, datum, source, **run), estimate, s, lam)
+            smoothing_report(a, datum, source, estimate, s, lam, **run)
         return
-    sol = solve_linear(a, datum, source, consume=series, **run)
-    streamed = series.report()
-    stored = smoothing_report(solve_linear(a, datum, source, **run), estimate, s, lam)
-    for key in ("lhs", "rhs", "ratio", "unweighted_integral"):
-        assert getattr(streamed, key) == getattr(stored, key)
-    assert stored.lhs > 0 and stored.rhs > 0
-    # the streamed solve keeps only its final frame
-    assert sol.values.shape == (1, *g.shape) and sol.times[-1] == series.times[-1]
+    sol = solve_linear(a, datum, source, consume=consume, **run)
+    rep = series.report()
+    times, fields = frames.times, frames.fields
+    sup = max(sobolev_norm(u, s) for u in fields)
+    unweighted = float(np.trapezoid([sobolev_norm(u, s + gain) ** 2 for u in fields], times))
+    if source is None:
+        term = 0.0
+    elif estimate == "i":
+        term = sobolev_norm(source, s)
+    elif estimate == "ii":
+        term = sobolev_norm(source, s) ** 2
+    else:
+        term = weighted_pairing(source, lambda r: 1.0 / lam(r), s - gain)
+    rhs_integral = float(np.trapezoid([term for _ in times], times))
+    if estimate == "i":
+        lhs, rhs = sup, sobolev_norm(fields[0], s) + rhs_integral
+    else:
+        weighted = [weighted_pairing(u, lam, s + gain) for u in fields]
+        lhs = sup**2 + float(np.trapezoid(weighted, times))
+        rhs = sobolev_norm(fields[0], s) ** 2 + rhs_integral
+    assert (rep.lhs, rep.rhs, rep.unweighted_integral) == (lhs, rhs, unweighted)
+    assert rep.lhs > 0 and rep.rhs > 0
+    # the streamed solve keeps only its final frame, and smoothing_report
+    # gives the same report
+    assert sol.values.shape == (1, *g.shape) and sol.times[-1] == times[-1]
+    driven, _ = smoothing_report(a, datum, source, estimate, s, lam, **run)
+    assert (driven.lhs, driven.rhs, driven.ratio) == (rep.lhs, rep.rhs, rep.ratio)
 
 
 def test_callable_source_is_refused():
@@ -976,19 +1029,14 @@ def test_callable_source_is_refused():
 
 
 def test_streamed_solve_refuses_frame_reductions():
-    # a streamed solve keeps only its final frame: reducing that one frame as
-    # if it were the whole trajectory gave ratio 1 and drift 0
+    # a streamed solve keeps only its final frame, so its consumer reduces the
+    # whole trajectory: reducing that one frame as if it were the trajectory
+    # gave ratio 1
     g = make_grid(1, 40 * np.pi, 1024)
     a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn(2)
     series = SmoothingSeries(g, a.order, "ii", 0.0, lam, None)
-    sol = solve_linear(a, airy_packet(g, k=8.0), T=0.01, consume=series)
+    solve_linear(a, airy_packet(g, k=8.0), T=0.01, consume=series)
     assert series.report().ratio > 1.0
-    with pytest.raises(ValueError, match="streamed"):
-        smoothing_report(sol, "ii", 0.0, lam)
-    with pytest.raises(ValueError, match="streamed"):
-        sol.l2_drift()
-    with pytest.raises(ValueError, match="streamed"):
-        sol.feed(NormSeries(g, (0.0,)))
 
 
 def test_streamed_smoothing_memory_does_not_grow_with_frames(traced_peak):
@@ -1016,17 +1064,17 @@ def test_smoothing_report_iii_forced():
     g = make_grid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     fsrc = Field.from_function(g, lambda x: np.exp(4j * x) * np.exp(-(x**2) / 8))
-    sol = solve_linear(a, Field.zero(g), fsrc, T=0.05, store_stride=4)
-    rep = smoothing_report(sol, "iii", 0.0, lam)
+    rep, _ = smoothing_report(a, Field.zero(g), fsrc, "iii", 0.0, lam, T=0.05, store_stride=4)
     assert np.isfinite(rep.ratio) and rep.ratio > 0
 
 
 def test_smoothing_report_iii_requires_source():
     g = make_grid(1, 10.0, 64)
     u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
-    sol = solve_linear(catalog("airy"), u0, T=0.01, dt=1e-3, enforce_wrap_guard=False)
     with pytest.raises(ValueError):
-        smoothing_report(sol, "iii", 0.0, WeightFn(2))
+        smoothing_report(
+            catalog("airy"), u0, None, "iii", 0.0, WeightFn(2), T=0.01, dt=1e-3, enforce_wrap_guard=False
+        )
 
 
 def test_smoothing_lhs_monotone_in_T():
@@ -1070,6 +1118,21 @@ def test_propagator_probe_sweep_stable(probe_setup):
     )
     assert rep.stability <= 2.0
     assert all(np.isfinite(v) for v in rep.ratios.values())
+
+
+def test_propagator_probe_matches_stored_reference(probe_setup):
+    # the probe's per-frame weighted norm, recomputed per Field over a stored
+    # solve with the same stride, gives the same ratios bit for bit
+    g, u0 = probe_setup
+    a, s, N_w, sweep = catalog("airy"), 0.0, 1, [0.5, 1.0, 2.0]
+    rep = weighted_propagator_probe(a, u0, sweep, s=s, N_w=N_w, store_stride=4)
+    w = (1.0 + g.x_radius**2) ** N_w
+    sol = solve_linear(a, u0, T=max(sweep), store_stride=4)
+    wnorm = np.array([sobolev_norm(Field(g, w * v), s) ** 2 for v in sol.values])
+    denom = sobolev_norm(Field(g, w * u0.values), s + 2.0 * N_w) ** 2
+    for T in sweep:
+        sel = sol.times <= T * (1 + 1e-12)
+        assert rep.ratios[T] == float(np.max(wnorm[sel]) / ((1.0 + T ** (2 * N_w)) * denom))
 
 
 def test_propagator_probe_rejects_plane_wave(probe_setup):

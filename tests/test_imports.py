@@ -1,14 +1,17 @@
 """Static checks of the package sources: every imported name is used, every
-private definition is referenced, and sympy's calculus runs only where the
-package keeps it."""
+private definition is referenced, every dataclass field is read, and sympy's
+calculus runs only where the package keeps it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "weylab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "weylab"
 MODULES = sorted(SRC.rglob("*.py"))
+# the sources whose attribute reads count for the dataclass-field check
+READERS = MODULES + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 
 # sp.diff, sp.lambdify and sp.Poly are called only in symbol/core.py (the
 # phase-space derivative tree and its closures) and in the two functions of
@@ -93,6 +96,46 @@ def test_unreferenced_private_definition_is_found():
         "_Box()\n"
     )
     assert unreferenced_private_defs({"m.py": source}) == ["m.py: _dead (line 6)", "m.py: _Box._stale (line 13)"]
+
+
+def unread_dataclass_fields(defining: dict, readers: list[str]) -> list[str]:
+    """Fields of the @dataclass classes in `defining` (file name -> source)
+    that no source in `readers` reads as an attribute, `.name`."""
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for name, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                getattr(getattr(dec, "func", dec), "id", None) == "dataclass" for dec in cls.decorator_list
+            ):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read:
+                    found.append(f"{name}: {cls.name}.{stmt.target.id} (line {stmt.lineno})")
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    defining = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert unread_dataclass_fields(defining, [p.read_text() for p in READERS]) == []
+
+
+def test_unread_dataclass_field_is_found():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    kept: int\n    echo: int\n"
+        "@dataclass\nclass Box:\n    size: float\n"
+        "class Plain:\n    loose: int\n"
+        "Box(size=Pair(1, 2).kept).size\n"
+    )
+    assert unread_dataclass_fields({"m.py": source}, [source, "p = Pair(kept=0, echo=1)\np.echo = 2\n"]) == [
+        "m.py: Pair.echo (line 5)"
+    ]
 
 
 def stray_sympy_calls(source: str, homes: set) -> list[str]:
