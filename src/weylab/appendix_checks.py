@@ -16,8 +16,9 @@ The scalar inequality: with <xi>_d = (d + |xi|^2)^{1/2},
 
     |xi|^{2(m-1)} / <xi>_d^{m-1} >= c |xi|^{m-1} - c1^{m/2} d^{(m-1)/2},
 
-certified for the committed witnesses (c, c1) = (1/2, 4); on failure a log
-grid of candidate constants is searched before reporting a failure.
+certified for the fixed witnesses (c, c1) = (1/2, 4).  They hold for every
+d > 0 and m <= 3: where |xi|^2 >= d, <xi>_d^{m-1} <= 2^{(m-1)/2} |xi|^{m-1}
+<= 2 |xi|^{m-1}, and where |xi|^2 < d the right side is negative.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class ScanReport:
     constants: dict
     worst_slack: float
     witness: dict
-    searched: bool = False
 
     @property
     def passed(self) -> bool:
@@ -67,7 +67,6 @@ class ScanReport:
             "constants": {k: float(v) for k, v in self.constants.items()},
             "worst_slack": float(self.worst_slack),
             "witness": self.witness,
-            "searched": self.searched,
             "passed": self.passed,
         }
 
@@ -142,10 +141,13 @@ def lemmatec1_residual(p_sym: Symbol, N_w: int, g: Grid) -> LemmaA1Report:
     return LemmaA1Report(residual=worst, terms_used=len(corrections))
 
 
-def _a3_slack(xi_abs: np.ndarray, delta: float, m: int, c: float, c1: float) -> np.ndarray:
+A3_C, A3_C1 = 0.5, 4.0  # the witnesses (c, c1) of the scalar inequality
+
+
+def _a3_slack(xi_abs: np.ndarray, delta: float, m: int) -> np.ndarray:
     bracket = np.sqrt(delta + xi_abs**2)
     lhs = xi_abs ** (2 * (m - 1)) / bracket ** (m - 1)
-    rhs = c * xi_abs ** (m - 1) - c1 ** (m / 2.0) * delta ** ((m - 1) / 2.0)
+    rhs = A3_C * xi_abs ** (m - 1) - A3_C1 ** (m / 2.0) * delta ** ((m - 1) / 2.0)
     return lhs - rhs
 
 
@@ -153,47 +155,26 @@ def lemmatec3_scan(
     m_values: Sequence[int] = (2, 3),
     delta_list: Sequence[float] = (0.01, 0.1, 0.5, 1.0),
     xi_grid: Optional[np.ndarray] = None,
-    *,
-    c: float = 0.5,
-    c1: float = 4.0,
 ) -> ScanReport:
-    """Scan the regularized-bracket inequality for the committed (c, c1).
-
-    If the committed witnesses fail anywhere, a log grid of candidates is
-    searched before a failure is reported.
-    """
+    """Scan the regularized-bracket inequality for the witnesses (A3_C, A3_C1)
+    over every m, delta and xi given; the worst slack and where it falls."""
     if xi_grid is None:
         xi_grid = np.linspace(-10.0, 10.0, 401)
     xi_abs = np.abs(np.asarray(xi_grid, dtype=float))
+    if not delta_list:
+        raise ValueError("the scan needs at least one delta")
     for d in delta_list:
         if not (0.0 < d <= 1.0):
             raise ValueError("delta values must lie in (0, 1]")
-
-    def worst_for(cc, cc1):
-        worst = np.inf
-        wit = {}
-        for m in m_values:
-            for d in delta_list:
-                slack = _a3_slack(xi_abs, float(d), int(m), cc, cc1)
-                j = int(np.argmin(slack))
-                if slack[j] < worst:
-                    worst = float(slack[j])
-                    wit = {"xi": float(xi_grid[j]), "delta": float(d), "m": int(m)}
-        return worst, wit
-
-    worst, wit = worst_for(c, c1)
-    searched = False
-    if worst < -1e-10:
-        searched = True
-        for cc in np.logspace(-3, -0.05, 17):
-            for cc1 in np.logspace(0.05, 2, 17):
-                cand, cwit = worst_for(cc, cc1)
-                if cand >= -1e-10:
-                    c, c1, worst, wit = float(cc), float(cc1), cand, cwit
-                    break
-            else:
-                continue
-            break
+    worst = np.inf
+    wit = {}
+    for m in m_values:
+        for d in delta_list:
+            slack = _a3_slack(xi_abs, float(d), int(m))
+            j = int(np.argmin(slack))
+            if slack[j] < worst:
+                worst = float(slack[j])
+                wit = {"xi": float(xi_grid[j]), "delta": float(d), "m": int(m)}
     return ScanReport(
         lemma="regularized-bracket inequality",
         parameter_ranges={
@@ -201,8 +182,7 @@ def lemmatec3_scan(
             "delta": [float(d) for d in delta_list],
             "xi": [float(np.min(xi_grid)), float(np.max(xi_grid)), int(xi_grid.size)],
         },
-        constants={"c": c, "c1": c1},
+        constants={"c": A3_C, "c1": A3_C1},
         worst_slack=worst,
         witness=wit,
-        searched=searched,
     )

@@ -364,7 +364,9 @@ def change_quantization(a_kn: SympySymbol, K: int = 3) -> SympySymbol:
 def poisson_bracket(a: SympySymbol, b: SympySymbol) -> SympySymbol:
     """{a, b} = grad_xi a . grad_x b - grad_x a . grad_xi b, exact in sympy.
 
-    Numeric Hamilton derivatives go through hamilton.hamilton_derivative."""
+    Each term takes one xi-derivative, so the bracket of orders m1 and m2 has
+    order m1 + m2 - 1.  Numeric Hamilton derivatives go through
+    hamilton.hamilton_derivative."""
     if a.n != b.n:
         raise ValueError("symbols have different dimensions")
     if not (isinstance(a, SympySymbol) and isinstance(b, SympySymbol)):
@@ -380,7 +382,7 @@ def poisson_bracket(a: SympySymbol, b: SympySymbol) -> SympySymbol:
             for e in units
         )
     )
-    return SympySymbol(expr, a.n, a.order + b.order - 2.0, label=f"{{{a.label},{b.label}}}")
+    return SympySymbol(expr, a.n, a.order + b.order - 1.0, label=f"{{{a.label},{b.label}}}")
 
 
 @dataclass

@@ -52,6 +52,11 @@ from .weights import WeightFn
 __all__ = ["run", "list_catalog", "main", "ConfigError"]
 
 ENV_OUT_DIR = "WEYLAB_OUT"
+# verdict bounds: solve-linear's l2_conservation holds when the relative L^2
+# drift is at most CONSERVATION_TOL, solve-nlivp's residual when the Picard
+# residual is at most RESIDUAL_TOL
+CONSERVATION_TOL = 1e-6
+RESIDUAL_TOL = 1e-4
 
 
 class ConfigError(ValueError):
@@ -113,6 +118,20 @@ def _check_value(val, path: str, typ):
 def _nonempty_list(val, path: str) -> list:
     if not isinstance(val, list) or not val:
         raise ConfigError(f"{path}: expected a non-empty list")
+    return val
+
+
+def _positive_int(val, path: str) -> int:
+    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        raise ConfigError(f"{path}: expected a positive integer, got {val!r}")
+    return val
+
+
+def _delta_list(val, path: str) -> list:
+    """A non-empty list of numbers in (0, 1], the deltas of the Lemma A.3 scan."""
+    for i, d in enumerate(_nonempty_list(val, path)):
+        if not isinstance(d, (int, float)) or isinstance(d, bool) or not 0.0 < d <= 1.0:
+            raise ConfigError(f"{path}[{i}]: expected a number in (0, 1], got {d!r}")
     return val
 
 
@@ -307,21 +326,12 @@ def _datum(grid, spec: dict):
 # -- experiment implementations ---------------------------------------------------------
 
 
-@_experiment(
-    "check-admissible",
-    {"eps_threshold": ("number", 1.0), "c0_threshold": ("number", 1.0), **_SAMPLES},
-)
+@_experiment("check-admissible", _SAMPLES)
 def _exp_check_admissible(cfg, run, rng, outdir, prefix):
     from .weights import admissibility_report
 
     a = _build_symbol(cfg)
-    rep = admissibility_report(
-        a,
-        _build_weight(cfg),
-        _sample_set(a, run),
-        eps_threshold=run["eps_threshold"],
-        c0_threshold=run["c0_threshold"],
-    )
+    rep = admissibility_report(a, _build_weight(cfg), _sample_set(a, run))
     artifacts = []
     if rep.slack is not None:
         path = outdir / f"{prefix}_hamilton_slack.csv"
@@ -330,10 +340,7 @@ def _exp_check_admissible(cfg, run, rng, outdir, prefix):
     return rep.as_dict(), {"admissible": rep.verdict}, artifacts
 
 
-@_experiment(
-    "doi-weight",
-    {"export_surface": ("bool", True), "p_cap": ("number", 1.5), **_SAMPLES},
-)
+@_experiment("doi-weight", _SAMPLES)
 def _exp_doi_weight(cfg, run, rng, outdir, prefix):
     from .weights import doi_slack, doi_weight, garding_weight
 
@@ -341,15 +348,12 @@ def _exp_doi_weight(cfg, run, rng, outdir, prefix):
     lam = _build_weight(cfg)
     S = _sample_set(a, run)
     gw = garding_weight(a, S=S)
-    dw = doi_weight(a, gw, lam, eps=cfg["weight"]["eps"], S=S, p_cap=run["p_cap"])
+    dw = doi_weight(a, gw, lam, eps=cfg["weight"]["eps"], S=S)
     fit = doi_slack(a, dw, lam, S)
     # f'(|q|) = lam_tilde(|q|) >= lam(|x|), the bound the Doi argument uses
     fprime_ok = dw.lam_tilde_margin(S) >= -1e-15
-    artifacts = []
-    if run["export_surface"]:
-        path = outdir / f"{prefix}_doi_slack.csv"
-        fit.to_csv(path)
-        artifacts.append(path)
+    path = outdir / f"{prefix}_doi_slack.csv"
+    fit.to_csv(path)
     details = {
         "K": dw.K,
         "eps": dw.eps,
@@ -359,7 +363,7 @@ def _exp_doi_weight(cfg, run, rng, outdir, prefix):
         "f_bound_fit": dw.f_derivative_bound_fit(),
     }
     verdicts = {"doi_slack": fit.verdict, "f_prime_dominates": "pass" if fprime_ok else "fail"}
-    return details, verdicts, artifacts
+    return details, verdicts, [path]
 
 
 @_experiment(
@@ -431,7 +435,6 @@ def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
             },
             {"kind": "wavepacket"},
         ),
-        "conservation_tolerance": ("number", 1e-6),
     },
     requires=("grid",),
 )
@@ -453,7 +456,7 @@ def _exp_solve_linear(cfg, run, rng, outdir, prefix):
     details = {"scheme": run["scheme"], **_step_record(sol), "l2_drift": drift, "wrap_horizon": sol.guard.horizon}
     verdicts = {}
     if a.real_valued:
-        verdicts["l2_conservation"] = "pass" if drift <= run["conservation_tolerance"] else "fail"
+        verdicts["l2_conservation"] = "pass" if drift <= CONSERVATION_TOL else "fail"
     return details, verdicts, [series_path]
 
 
@@ -550,11 +553,9 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
         "T": ("number", 0.1),
         "dt": ("number", None),
         "tol": ("number", 1e-8),
-        "max_iter": ("int", 25),
         "amplitude": ("number", 0.01),
         "width2": ("number", 8.0),
         "nonlinearity": ({"p": ("int", 1), "q": ("int", 0), "alpha": ("list", [1])}, {}),
-        "residual_tolerance": ("number", 1e-4),
     },
     requires=("grid",),
 )
@@ -577,7 +578,6 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
             lam=_build_weight(cfg),
             T=run["T"],
             tol=run["tol"],
-            max_iter=run["max_iter"],
             dt=run["dt"],
         )
     except PicardDivergenceError as exc:
@@ -592,7 +592,7 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
     }
     verdicts = {
         "picard_converged": "pass" if picard.converged else "fail",
-        "residual": "pass" if picard.residual <= run["residual_tolerance"] else "fail",
+        "residual": "pass" if picard.residual <= RESIDUAL_TOL else "fail",
     }
     return details, verdicts, [path]
 
@@ -613,7 +613,11 @@ def _exp_positivity(cfg, run, rng, outdir, prefix):
 
 @_experiment(
     "appendix",
-    {"N_w_max": ("int", 2), "degree_max": ("int", 3), "delta_list": ("list", [0.01, 0.1, 0.5, 1.0])},
+    {
+        "N_w_max": (_positive_int, 2),
+        "degree_max": (_positive_int, 3),
+        "delta_list": (_delta_list, [0.01, 0.1, 0.5, 1.0]),
+    },
     grid={"n": 1, "L": 10.0, "N": 64},
 )
 def _exp_appendix(cfg, run, rng, outdir, prefix):
@@ -627,7 +631,7 @@ def _exp_appendix(cfg, run, rng, outdir, prefix):
         for deg in range(1, run["degree_max"] + 1)
         for N_w in range(1, run["N_w_max"] + 1)
     ]
-    worst = max((rep.residual for rep in reports), default=0.0)
+    worst = max(rep.residual for rep in reports)
     scan = lemmatec3_scan(delta_list=tuple(run["delta_list"]))
     details = {"commutation_worst_residual": worst, "scalar_scan": scan.as_dict()}
     verdicts = {
@@ -639,7 +643,7 @@ def _exp_appendix(cfg, run, rng, outdir, prefix):
 
 @_experiment(
     "kdv-type-build",
-    {"c0_threshold": ("number", 1.0), **_SAMPLES},
+    _SAMPLES,
     requires=("symbol",),
     symbol=_coefficient_symbol,
 )
@@ -657,7 +661,7 @@ def _exp_kdv_type_build(cfg, run, rng, outdir, prefix):
     build = build_kdv_type(system)
     lam = _build_weight(cfg)
     S = _sample_set(build.full, run)
-    im_rep = check_im_smallness(build.full, lam, S, c0_threshold=run["c0_threshold"])
+    im_rep = check_im_smallness(build.full, lam, S)
     adm = admissibility_report(build.a3, lam, S)
     details = {
         "corrections": [str(c) for c in build.corrections],

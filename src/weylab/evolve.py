@@ -136,8 +136,6 @@ class WrapGuard:
     horizon: Optional[float]
     v_max: float
     data_radius: float
-    margin: float
-    localized: bool
     xi_cap: float  # the active band is |xi| <= xi_cap (-inf for zero data)
 
     def check(self, T: float):
@@ -187,7 +185,6 @@ def wrap_guard(a: Symbol, u0: Field, f: Optional[Field] = None) -> WrapGuard:
     non-localized data.
     """
     g = u0.grid
-    margin = WRAP_MARGIN * g.L
     fields = np.stack([u0.values] if f is None else [u0.values, f.values])
     localized = bool(
         np.all(_tail_fraction(g, fields, g.L / 2.0) < LOCALIZED_TAIL_TOL)
@@ -195,7 +192,7 @@ def wrap_guard(a: Symbol, u0: Field, f: Optional[Field] = None) -> WrapGuard:
     )
     xi_cap = _active_cap(g, _spectrum(g, fields))
     if not localized:  # localized data are nonzero, so their band is not empty
-        return WrapGuard(None, np.nan, np.nan, margin, localized, xi_cap)
+        return WrapGuard(None, np.nan, np.nan, xi_cap)
     xi_act = g.xi_mesh.reshape(-1, g.n)[(g.xi_norm <= xi_cap).ravel()]
     if a.x_independent:
         # grad_xi a does not depend on x: one probe gives the lattice v_max
@@ -216,8 +213,8 @@ def wrap_guard(a: Symbol, u0: Field, f: Optional[Field] = None) -> WrapGuard:
     ]
     v_max = float(np.sqrt(np.max(speed_sq)))
     r_data = _data_radius(g, fields)
-    horizon = (g.L - r_data - margin) / v_max if v_max > 0 else np.inf
-    return WrapGuard(max(horizon, 0.0), v_max, r_data, margin, localized, xi_cap)
+    horizon = (g.L - r_data - WRAP_MARGIN * g.L) / v_max if v_max > 0 else np.inf
+    return WrapGuard(max(horizon, 0.0), v_max, r_data, xi_cap)
 
 
 # -- solution container ---------------------------------------------------------------

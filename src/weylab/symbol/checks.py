@@ -40,6 +40,9 @@ GRAD_DEGENERATE_TOL = 1e-8
 GRAD_PASS_TOL = 1e-3
 X_DECAY_MAX_ORDER = 3  # x-decay fit over |alpha| + |beta| <= X_DECAY_MAX_ORDER
 VERDICT_BAND = 1e-9  # slack within +-VERDICT_BAND of 0 is inconclusive
+# the symbol-class constants the fitted ones are checked against
+X_DECAY_EPS = 1.0  # x-decay: eps_hat <= X_DECAY_EPS
+IM_SMALLNESS_C0 = 1.0  # imaginary smallness: c0_hat <= IM_SMALLNESS_C0
 TIE_RTOL = 1e-12  # samples within this relative distance of an extreme tie with it
 
 
@@ -187,15 +190,9 @@ def check_grad_ellipticity(
     )
 
 
-def check_x_decay(
-    a: Symbol,
-    lam: Callable[[np.ndarray], np.ndarray],
-    S: SampleSet,
-    *,
-    eps_threshold: float = 1.0,
-) -> ConditionReport:
+def check_x_decay(a: Symbol, lam: Callable[[np.ndarray], np.ndarray], S: SampleSet) -> ConditionReport:
     """Fit eps_hat = max |d_x^beta d_xi^alpha Re a| / (lam(|x|) |xi|^{m-|alpha|})
-    over 1 <= |beta|, |alpha| + |beta| <= X_DECAY_MAX_ORDER."""
+    over 1 <= |beta|, |alpha| + |beta| <= X_DECAY_MAX_ORDER, against X_DECAY_EPS."""
     m = a.order
     lam_vals = np.asarray(lam(S.x_norm), dtype=float)
     xi = np.maximum(S.xi_norm, XI_FLOOR)
@@ -215,7 +212,7 @@ def check_x_decay(
                 eps_hat = float(ratio[j])
                 worst_idx = _first_tie(ratio, j)
                 worst_key = (alpha, beta)
-    slack = eps_threshold - eps_hat
+    slack = X_DECAY_EPS - eps_hat
     verdict = _band_verdict(slack)
     return ConditionReport(
         condition="x_decay",
@@ -224,18 +221,13 @@ def check_x_decay(
         worst_point=_worst(S, worst_idx),
         worst_value=eps_hat,
         verdict=verdict,
-        threshold=eps_threshold,
+        threshold=X_DECAY_EPS,
     )
 
 
-def check_im_smallness(
-    a: Symbol,
-    lam: Callable[[np.ndarray], np.ndarray],
-    S: SampleSet,
-    *,
-    c0_threshold: float = 1.0,
-) -> ConditionReport:
-    """Fit c0_hat = max |Im a| / (lam(|x|) |xi|^{m-1}) over the sample set."""
+def check_im_smallness(a: Symbol, lam: Callable[[np.ndarray], np.ndarray], S: SampleSet) -> ConditionReport:
+    """Fit c0_hat = max |Im a| / (lam(|x|) |xi|^{m-1}) over the sample set,
+    against IM_SMALLNESS_C0."""
     m = a.order
     if a.real_valued:
         im_vals = np.zeros(S.X.shape[0])
@@ -245,7 +237,7 @@ def check_im_smallness(
     ratio = im_vals / (lam_vals * np.maximum(S.xi_norm, XI_FLOOR) ** (m - 1.0))
     j = int(np.argmax(ratio))
     c0_hat = float(ratio[j])
-    slack = c0_threshold - c0_hat
+    slack = IM_SMALLNESS_C0 - c0_hat
     verdict = _band_verdict(slack)
     return ConditionReport(
         condition="im_smallness",
@@ -254,6 +246,6 @@ def check_im_smallness(
         worst_point=_worst(S, _first_tie(ratio, j)),
         worst_value=c0_hat,
         verdict=verdict,
-        threshold=c0_threshold,
+        threshold=IM_SMALLNESS_C0,
     )
 

@@ -17,8 +17,8 @@ cutoffs psi_* = phi_*(q/<x>) built from phi(t) = g(t-1)/(g(t-1)+g(2-t)),
 g(s) = exp(-1/s) for s > 0.
 
 Because e^p must be quantized on a grid, p is rescaled by rho <= 1 so that
-sup |p| stays within a configurable cap; the lower bound H_a p >= C lam
-|xi|^{m-1} - C' survives with C scaled by rho.
+sup |p| stays within P_CAP; the lower bound H_a p >= C lam |xi|^{m-1} - C'
+survives with C scaled by rho.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ F_FIT_T_MAX_K = 100.0  # the f bound fit runs over 0 <= t <= F_FIT_T_MAX_K K
 EXP_FIT_S = 0.0  # Sobolev index s of the exp-weight conjugation and equivalence fits
 EXP_FIT_PROBES = 24  # wavepacket probes of the exp-weight fits, drawn with seed EXP_FIT_SEED
 EXP_FIT_SEED = 0
+P_CAP = 1.5  # the Doi weight is scaled so that sup|p| <= P_CAP
 
 
 def _lam_expr(exponent: int):
@@ -337,12 +338,11 @@ def doi_weight(
     eps: float = 0.1,
     *,
     S: SampleSet,
-    p_cap: float = 1.5,
 ) -> DoiWeight:
     """Assemble the Doi weight p from a Garding weight (three-region formula).
 
     K and sup|p| are fitted on the caller's sample set S.  p is scaled by
-    rho <= 1 so that sup|p| stays within p_cap and Op^w(e^p) stays well
+    rho <= 1 so that sup|p| stays within P_CAP and Op^w(e^p) stays well
     conditioned.  The unscaled symbol is kept too.  Both carry exact first
     derivatives only.
     """
@@ -418,7 +418,7 @@ def doi_weight(
 
     base = weight(1.0)
     sup_p = float(np.max(np.abs(np.real(base.eval(S.X, S.XI)))))
-    dw.rho = 1.0 if sup_p <= p_cap else p_cap / sup_p
+    dw.rho = 1.0 if sup_p <= P_CAP else P_CAP / sup_p
     dw.base_symbol = base
     dw.symbol = weight(dw.rho) if dw.rho != 1.0 else base
     return dw
@@ -541,24 +541,19 @@ class AdmissibilityReport:
         }
 
 
-def admissibility_report(
-    a: Symbol,
-    lam: WeightFn,
-    S: SampleSet,
-    *,
-    eps_threshold: float = 1.0,
-    c0_threshold: float = 1.0,
-) -> AdmissibilityReport:
+def admissibility_report(a: Symbol, lam: WeightFn, S: SampleSet) -> AdmissibilityReport:
     """Run the full admissibility pipeline on a symbol over the caller's
     sample set S.
 
-    Gradient ellipticity and spatial decay are checked on Re(a); the imaginary
-    part is checked against the smallness bound; passing symbols get the explicit Garding weight and the H_a q slack
-    fit.  The overall verdict requires every stage to pass with slack C1 > 0.
+    Gradient ellipticity and spatial decay are checked on Re(a), and the
+    imaginary part against the smallness bound; the decay and smallness
+    constants are the fixed `symbol.checks` X_DECAY_EPS and IM_SMALLNESS_C0.
+    Passing symbols get the explicit Garding weight and the H_a q slack fit.
+    The overall verdict requires every stage to pass with slack C1 > 0.
     """
     grad = check_grad_ellipticity(a, S)
-    decay = check_x_decay(a, lam, S, eps_threshold=eps_threshold)
-    imaginary = check_im_smallness(a, lam, S, c0_threshold=c0_threshold)
+    decay = check_x_decay(a, lam, S)
+    imaginary = check_im_smallness(a, lam, S)
     gw = None
     slack = None
     if grad.verdict != "fail":

@@ -90,19 +90,13 @@ def test_scan_large_xi_asymptotics():
 
 def test_scan_standard_pass():
     rep = lemmatec3_scan()
-    assert rep.passed and not rep.searched
+    assert rep.passed
     assert rep.constants == {"c": 0.5, "c1": 4.0}
     assert rep.worst_slack >= 0
-
-
-def test_scan_search_fallback():
-    # c = 2 fails at large |xi| (the ratio tends to 1); the log-grid search
-    # recovers a valid pair
-    rep = lemmatec3_scan(c=2.0, c1=1.5)
-    assert rep.searched and rep.passed
-    assert rep.constants["c"] < 1.0
 
 
 def test_scan_rejects_bad_delta():
     with pytest.raises(ValueError):
         lemmatec3_scan(delta_list=(2.0,))
+    with pytest.raises(ValueError):
+        lemmatec3_scan(delta_list=())

@@ -515,10 +515,18 @@ def test_change_quantization_polynomial_dense_oracle():
 
 
 def test_poisson_bracket_airy():
+    # each term of {a, b} takes one xi-derivative: the order is m1 + m2 - 1
+    from weylab.hamilton import qdelta_symbol
+
     xs, xis = phase_symbols(1)
-    q = SympySymbol(xs[0] * xis[0] ** 2, 1, 1.0, zero_nyquist=False)
+    q = SympySymbol(xs[0] * xis[0] ** 2, 1, 2.0, zero_nyquist=False)
     br = poisson_bracket(catalog("airy"), q)
     assert sp.expand(br.expr - 3 * xis[0] ** 4) == 0
+    assert br.order == 4.0
+    # the Garding bracket 9 xi^4 / (xi^2 + 1) has order 2, so Nyquist is kept
+    garding = poisson_bracket(catalog("airy"), qdelta_symbol(catalog("airy"), 1.0))
+    assert sp.simplify(garding.expr - 9 * xis[0] ** 4 / (xis[0] ** 2 + 1)) == 0
+    assert garding.order == 2.0 and not garding.zero_nyquist
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,42 @@ def test_solve_linear_plane_wave_datum(tmp_path):
     assert rep["verdicts"]["l2_conservation"] == "pass"
 
 
+def test_solve_linear_datum_amplitude_scales_the_norms(tmp_path):
+    # the solve is linear: doubling the datum doubles every norm of the series
+    # and leaves the relative drift alone (an explicit dt fixes the steps)
+    one = {
+        "experiment": "solve-linear",
+        "symbol": {"name": "gaussian_kdv", "params": {"eps": 0.3}},
+        "grid": {"n": 1, "L": 62.83185307179586, "N": 256},
+        "run": {"T": 0.05, "dt": 1e-3, "store_stride": 10, "datum": {"kind": "wavepacket", "carrier": 2.0}},
+        "output": {"prefix": "one"},
+    }
+    two = {
+        "experiment": "solve-linear",
+        "symbol": {"name": "gaussian_kdv", "params": {"eps": 0.3}},
+        "grid": {"n": 1, "L": 62.83185307179586, "N": 256},
+        "run": {
+            "T": 0.05,
+            "dt": 1e-3,
+            "store_stride": 10,
+            "datum": {"kind": "wavepacket", "carrier": 2.0, "amplitude": 2.0},
+        },
+        "output": {"prefix": "two"},
+    }
+    batch = {"experiments": [one, two]}
+    assert run(write_cfg(tmp_path, batch), out_dir=str(tmp_path)) == 0
+
+    def columns(prefix):
+        lines = (tmp_path / f"{prefix}_norms.csv").read_text().splitlines()[1:]
+        return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+    unit, double = columns("one"), columns("two")
+    assert len(unit) > 3 and np.array_equal(unit[:, 0], double[:, 0])
+    assert np.allclose(double[:, 1:], 2.0 * unit[:, 1:], rtol=1e-14, atol=0.0)
+    d1, d2 = (load_report(tmp_path, p)["details"]["l2_drift"] for p in ("one", "two"))
+    assert np.isclose(d2, d1, rtol=1e-14, atol=0.0)
+
+
 def test_trace_bichar_experiment(tmp_path):
     cfg = {
         "experiment": "trace-bichar",
@@ -192,6 +228,7 @@ def test_kdv_type_build_experiment(tmp_path):
     cfg = {
         "experiment": "kdv-type-build",
         "symbol": {"coefficients": [["1 + 0.02*exp(-x1**2)"]], "n": 1},
+        "run": {"x_radius": 5.0, "xi_max": 16.0},
         "output": {"prefix": "kdv"},
     }
     path = write_cfg(tmp_path, cfg)
@@ -199,6 +236,10 @@ def test_kdv_type_build_experiment(tmp_path):
     rep = load_report(tmp_path, "kdv")
     assert rep["verdicts"]["im_smallness"] == "pass"
     assert rep["verdicts"]["a3_admissible"] == "pass"
+    # both checks sample the configured extent
+    details = rep["details"]
+    for samples in (details["im_smallness"]["samples"], details["a3_admissibility"]["x_decay"]["samples"]):
+        assert "|xi| in [1, 16]" in samples and "over [-5, 5]^1" in samples
 
 
 def test_kdv_type_build_rejects_python_in_coefficients(tmp_path, capsys):
@@ -267,6 +308,32 @@ def test_threaded_solve_nlivp_batch_leaves_the_warning_filters_alone(tmp_path):
         before = list(warnings.filters)
         assert run(path, out_dir=str(tmp_path)) != 1
         assert warnings.filters == before
+
+
+def test_solve_nlivp_width2_sets_the_datum(tmp_path):
+    # a wider packet is a different datum: both converge, to different norms
+    cfg = {
+        "experiments": [
+            {
+                "experiment": "solve-nlivp",
+                "symbol": {"name": "airy"},
+                "grid": {"n": 1, "L": 20 * np.pi, "N": 256},
+                "run": {"T": 0.02, "dt": 2e-4},
+                "output": {"prefix": "default"},
+            },
+            {
+                "experiment": "solve-nlivp",
+                "symbol": {"name": "airy"},
+                "grid": {"n": 1, "L": 20 * np.pi, "N": 256},
+                "run": {"T": 0.02, "dt": 2e-4, "width2": 16.0},
+                "output": {"prefix": "wide"},
+            },
+        ]
+    }
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == 0
+    default, wide = (load_report(tmp_path, p) for p in ("default", "wide"))
+    assert default["verdicts"]["picard_converged"] == wide["verdicts"]["picard_converged"] == "pass"
+    assert wide["details"]["xts_final"] != default["details"]["xts_final"]
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
@@ -446,6 +513,26 @@ def test_unknown_run_names_stop_the_batch_at_validation(tmp_path, capsys, experi
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "appendix, where",
+    [
+        ({"experiment": "appendix", "run": {"N_w_max": 1, "degree_max": 0, "delta_list": []}}, "run.degree_max"),
+        ({"experiment": "appendix", "run": {"N_w_max": 0}}, "run.N_w_max"),
+        ({"experiment": "appendix", "run": {"delta_list": []}}, "run.delta_list"),
+        ({"experiment": "appendix", "run": {"delta_list": [0.5, 2.0]}}, "run.delta_list[1]"),
+    ],
+    ids=["no-degrees", "no-weights", "no-deltas", "delta-above-1"],
+)
+def test_appendix_checks_that_check_nothing_stop_at_validation(tmp_path, capsys, appendix, where):
+    # an empty identity or scan would pass vacuously; a delta outside (0, 1]
+    # would fail only at run time, after the experiments before it
+    cfg = {"experiments": [{"experiment": "appendix", "output": {"prefix": "first"}}, appendix]}
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
+    assert f"config.experiments[1].{where}: expected" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # one 2D and one 1D slack surface, a Doi slack surface, a trajectory and the
 # two series CSVs of the CLI; their hashes pin the artifact format
 _ARTIFACT_BATCH = {
@@ -523,6 +610,31 @@ def test_smoothing_report_takes_each_wrap_guard_once(tmp_path, monkeypatch, esti
     assert len(calls) == 2
     rep = load_report(tmp_path, "fam")
     assert rep["details"]["T"] == 0.8 * min(real(*args).horizon for args in calls)
+
+
+def test_forced_smoothing_report_matches_the_library(tmp_path):
+    # forced: true with estimate ii starts each carrier from rest with its
+    # packet as the source; T and s are taken as given
+    from weylab.evolve import smoothing_report
+    from weylab.grid import Field, gaussian_wavepacket, make_grid
+    from weylab.symbol import catalog
+    from weylab.weights import WeightFn
+
+    cfg = {
+        "experiment": "smoothing-report",
+        "symbol": {"name": "airy"},
+        "grid": _AIRY_GRID,
+        "run": {"carriers": [4, 8], "estimate": "ii", "forced": True, "T": 0.2, "s": 1.0},
+        "output": {"prefix": "fam"},
+    }
+    run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path))  # the numbers, whatever the verdicts
+    details = load_report(tmp_path, "fam")["details"]
+    assert details["T"] == 0.2 and details["s"] == 1.0
+    g = make_grid(**_AIRY_GRID)
+    for k in (4.0, 8.0):
+        u0 = gaussian_wavepacket(g, [k], 8.0)
+        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), u0, "ii", 1.0, WeightFn(2), T=0.2, store_stride=4)
+        assert details["ratios"][str(k)] == rep.ratio
 
 
 @pytest.mark.parametrize(

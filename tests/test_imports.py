@@ -1,6 +1,7 @@
 """Static checks of the package sources: every imported name is used, every
-private definition is referenced, every dataclass field is read, and sympy's
-calculus runs only where the package keeps it."""
+private definition is referenced, every dataclass field is read, sympy's
+calculus runs only where the package keeps it, and every run key is set by a
+test or benchmark config."""
 
 import ast
 from pathlib import Path
@@ -178,3 +179,76 @@ def test_stray_sympy_call_is_found():
         "sp.Poly in stray (line 5)",
         "sp.lambdify in module level (line 6)",
     ]
+
+
+def run_key_leaves(schema: dict, prefix: str = "") -> list[str]:
+    """The dotted paths of a run schema's leaves; a nested schema is a dict."""
+    leaves = []
+    for key, (typ, _) in schema.items():
+        if isinstance(typ, dict):
+            leaves += run_key_leaves(typ, f"{prefix}{key}.")
+        else:
+            leaves.append(prefix + key)
+    return leaves
+
+
+def _literal_key_paths(node: ast.Dict, prefix: str = "") -> set:
+    paths = set()
+    for key, value in zip(node.keys, node.values):
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            paths.add(prefix + key.value)
+            if isinstance(value, ast.Dict):
+                paths |= _literal_key_paths(value, f"{prefix}{key.value}.")
+    return paths
+
+
+def unset_run_keys(schemas: dict, sources: list[str]) -> list[str]:
+    """Run-key leaves of `schemas` (kind -> run schema) that no "run" dict
+    literal in `sources` sets.  A literal counts for the kind its sibling
+    "experiment" literal names, or for every kind when it has none."""
+    set_by = {kind: set() for kind in schemas}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Dict):
+                continue
+            fields = {k.value: v for k, v in zip(node.keys, node.values) if isinstance(k, ast.Constant)}
+            if not isinstance(fields.get("run"), ast.Dict):
+                continue
+            paths = _literal_key_paths(fields["run"])
+            kind = fields.get("experiment")
+            if isinstance(kind, ast.Constant):
+                kinds = [kind.value] if kind.value in schemas else []
+            else:  # no literal kind: the literal counts for every kind
+                kinds = schemas
+            for k in kinds:
+                set_by[k] |= paths
+    return [
+        f"{kind}: run.{leaf}"
+        for kind, schema in schemas.items()
+        for leaf in run_key_leaves(schema)
+        if leaf not in set_by[kind]
+    ]
+
+
+def test_every_run_key_is_set_by_a_config():
+    # a run key that no test or benchmark config sets is an option nothing exercises
+    from weylab.cli import _EXPERIMENT_TABLE
+
+    schemas = {kind: e.schema["run"][0] for kind, e in _EXPERIMENT_TABLE.items()}
+    configs = sorted((ROOT / "tests").glob("*.py")) + [ROOT / "perfbench" / "workloads.py"]
+    assert unset_run_keys(schemas, [p.read_text() for p in configs]) == []
+
+
+def test_unset_run_key_is_found():
+    schemas = {
+        "solve": {"T": ("number", 1.0), "datum": ({"kind": ("str", None), "amplitude": ("number", 1.0)}, {})},
+        "scan": {"delta": ("number", 0.5), "cap": ("number", 2.0)},
+    }
+    source = (
+        'A = {"experiment": "solve", "run": {"T": 2.0, "datum": {"kind": "wave"}}}\n'
+        'B = {"experiment": "scan", "run": {"amplitude": 3.0}}\n'
+        'C = {"run": {"delta": 0.1}}\n'
+        'D = {"experiment": "scan", "cap": 1.0}\n'
+        'E = {"experiment": "other", "run": {"cap": 1.0}}\n'
+    )
+    assert unset_run_keys(schemas, [source]) == ["solve: run.datum.amplitude", "scan: run.cap"]
