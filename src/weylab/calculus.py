@@ -153,19 +153,12 @@ def quantize_dense(a: Symbol, g: Grid, tag: str = "weyl") -> DenseOperator:
     rest_lag = (rest[:, None] - rest[None, :]) % N
     kernel_shape = (axis.size ** (n - 1), N, rest.size)
     step = max(1, SLAB_ENTRIES // (kernel_shape[0] * g.size))  # first-axis midpoints per slab
-    row = None
-    if a.x_independent:
-        # one transformed row, the same at every midpoint
-        row = g.ifftn(_symbol_samples(a, g, np.full((1, n), axis[0]))).reshape(N, rest.size)
     mat = np.empty((N, rest.size, N, rest.size), dtype=complex)  # [j1, j', l1, l']
     for start in range(0, axis.size, step):
         stop = min(start + step, axis.size)
-        if row is None:
-            mids = np.meshgrid(axis[start:stop], *([axis] * (n - 1)), indexing="ij")
-            samples = _symbol_samples(a, g, np.stack(mids, axis=-1).reshape(-1, n))
-            kernel = g.ifftn(samples).reshape(stop - start, *kernel_shape)
-        else:
-            kernel = np.broadcast_to(row, (stop - start, *kernel_shape))
+        mids = np.meshgrid(axis[start:stop], *([axis] * (n - 1)), indexing="ij")
+        samples = _symbol_samples(a, g, np.stack(mids, axis=-1).reshape(-1, n))
+        kernel = g.ifftn(samples).reshape(stop - start, *kernel_shape)
         # the first-axis pairs (j1, l1) whose midpoint index m lies in the slab
         m, l1 = np.meshgrid(np.arange(start, stop), np.arange(N), indexing="ij")
         j1 = m - l1 if weyl else m

@@ -8,7 +8,7 @@ Every experiment object supports
       "symbol":  {"name": "airy", "params": {...}}        # catalog reference
                  | {"coefficients": [["..."]], "n": 1}    # kdv-type-build only
       "grid":    {"n": 1, "L": 125.66, "N": 1024},
-      "weight":  {"exponent": 2, "eps": 0.1},
+      "weight":  {"eps": 0.1},
       "run":     {... experiment-specific keys ...},
       "output":  {"prefix": "my_run"},
       "seed":    1234
@@ -241,7 +241,7 @@ def _experiment(kind: str, run: dict, requires: tuple = (), symbol=_CATALOG_SYMB
             "experiment": ("str", _REQUIRED),
             "symbol": (symbol, {"name": "airy"}),
             "grid": (_GRID, grid),
-            "weight": ({"exponent": ("int", 2), "eps": ("number", 0.1)}, {}),
+            "weight": ({"eps": ("number", 0.1)}, {}),
             "run": (run, {}),
             "output": ({"prefix": ("str", None)}, {}),
             "seed": ("int", None),
@@ -290,10 +290,6 @@ def _build_grid(cfg: dict):
     return make_grid(**cfg["grid"])
 
 
-def _build_weight(cfg: dict) -> WeightFn:
-    return WeightFn(cfg["weight"]["exponent"])
-
-
 def _sample_set(a, run: dict) -> SampleSet:
     kw = {key: run[key] for key in _SAMPLES if run[key] is not None}
     if a.n == 2:
@@ -331,7 +327,7 @@ def _exp_check_admissible(cfg, run, rng, outdir, prefix):
     from .weights import admissibility_report
 
     a = _build_symbol(cfg)
-    rep = admissibility_report(a, _build_weight(cfg), _sample_set(a, run))
+    rep = admissibility_report(a, WeightFn(), _sample_set(a, run))
     artifacts = []
     if rep.slack is not None:
         path = outdir / f"{prefix}_hamilton_slack.csv"
@@ -345,7 +341,7 @@ def _exp_doi_weight(cfg, run, rng, outdir, prefix):
     from .weights import doi_slack, doi_weight, garding_weight
 
     a = _build_symbol(cfg)
-    lam = _build_weight(cfg)
+    lam = WeightFn()
     S = _sample_set(a, run)
     gw = garding_weight(a, S=S)
     dw = doi_weight(a, gw, lam, eps=cfg["weight"]["eps"], S=S)
@@ -425,7 +421,7 @@ def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
         "T": ("number", 0.1),
         "dt": ("number", None),
         "scheme": (_one_of(SCHEMES), "if_rk4"),
-        "store_stride": ("int", 1),
+        "store_stride": (_positive_int, 1),
         "datum": (
             {
                 "kind": (_one_of(_DATUM_KINDS), _REQUIRED),
@@ -480,7 +476,7 @@ def _family_T(guards):
         "carriers": (_nonempty_list, [4, 8, 16, 32]),
         "width2": ("number", 8.0),
         "T": ("number", None),
-        "store_stride": ("int", 4),
+        "store_stride": (_positive_int, 4),
         "ratio_bound": ("number", 8.0),
         "growth_min": ("number", None),
         "forced": ("bool", None),
@@ -492,7 +488,7 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
 
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
-    lam = _build_weight(cfg)
+    lam = WeightFn()
     s, estimate, carriers, stride = run["s"], run["estimate"], run["carriers"], run["store_stride"]
     forced = run["forced"] if run["forced"] is not None else estimate == "iii"
     data = {
@@ -501,7 +497,7 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
     # each datum's guard, taken once, sets the family horizon unless T is given
     # and the solve's dt band (a zero datum adds nothing to its source's guard)
     guards = {k: wrap_guard(a, u0) for k, u0 in data.items()}
-    T = run["T"] or _family_T(guards.values())
+    T = _family_T(guards.values()) if run["T"] is None else run["T"]
     gain = (a.order - 1.0) / 2.0
     ratios = {}
     unweighted = {}
@@ -575,7 +571,7 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
             u0,
             spec,
             s=run["s"],
-            lam=_build_weight(cfg),
+            lam=WeightFn(),
             T=run["T"],
             tol=run["tol"],
             dt=run["dt"],
@@ -659,7 +655,7 @@ def _exp_kdv_type_build(cfg, run, rng, outdir, prefix):
     coeffs = [[sp.sympify(c, locals=xs_names) for c in row] for row in cfg["symbol"]["coefficients"]]
     system = VectorFieldSystem(n, coeffs)
     build = build_kdv_type(system)
-    lam = _build_weight(cfg)
+    lam = WeightFn()
     S = _sample_set(build.full, run)
     im_rep = check_im_smallness(build.full, lam, S)
     adm = admissibility_report(build.a3, lam, S)

@@ -66,7 +66,7 @@ from .grid import (
     tail_mass_fraction,
 )
 from .symbol.core import Symbol
-from .weights import WeightFn
+from .weights import LAM_EXPONENT, WeightFn
 
 __all__ = [
     "NonlinearitySpec",
@@ -214,17 +214,16 @@ class _XtsReducer:
         "sup_weighted_dt_sq(s-2N-5)",
     )
 
-    def __init__(
-        self, grid: Grid, s: float, lam: WeightFn, N_w: int, decay_gate: Optional[float] = 1e-6
-    ):
-        if s < 2 * N_w + 5:
-            raise ValueError(f"s={s} too small: the norm needs s >= 2 N_w + 5 = {2 * N_w + 5}")
+    def __init__(self, grid: Grid, s: float, lam: WeightFn, decay_gate: Optional[float] = 1e-6):
+        N = LAM_EXPONENT
+        if s < 2 * N + 5:
+            raise ValueError(f"s={s} too small: the norm needs s >= 2 N + 5 = {2 * N + 5}")
         self.grid, self.decay_gate = grid, decay_gate
         # the per-chunk operands, taken once: the weight, its inverse and the
         # Bessel powers of the four terms
         self.w = _positive_weight(grid, lam)
         self.inv_lam = 1.0 / self.w
-        low, base = s - 2 * N_w, grid.bessel_base
+        low, base = s - 2 * N, grid.bessel_base
         self.bessel = {
             "Hs": base ** (2.0 * s),
             "weighted": base ** (s + 1.0),
@@ -336,9 +335,9 @@ def picard_solve(
     g = u0.grid
     if tail_mass_fraction(u0, g.L / 2.0) > SCHWARTZ_TAIL_TOL and np.max(np.abs(u0.values)) > 0:
         raise ValueError("datum is not localized enough (tail mass above 1e-8 outside L/2)")
-    if s < 2 * lam.exponent + 5:
-        raise ValueError(f"s={s} below the norm floor 2 N_w + 5 = {2 * lam.exponent + 5}")
-    floor = g.n + 4 * lam.exponent + 5
+    if s < 2 * LAM_EXPONENT + 5:
+        raise ValueError(f"s={s} below the norm floor 2 N + 5 = {2 * LAM_EXPONENT + 5}")
+    floor = g.n + 4 * LAM_EXPONENT + 5
     if s < floor or int(s) % 2 == 0:
         warnings.warn(
             f"s={s} is below the odd-integer regularity floor s >= n + 4N + 5 = {floor}; "
@@ -388,8 +387,8 @@ def picard_solve(
         the old."""
         # differences of iterates are near-zero fields whose relative tail
         # fraction is meaningless; only physical iterates get the decay gate
-        d_norm = _XtsReducer(g, s, lam, lam.exponent, decay_gate=None)
-        x_norm = _XtsReducer(g, s, lam, lam.exponent, decay_gate=1e-6)
+        d_norm = _XtsReducer(g, s, lam, decay_gate=None)
+        x_norm = _XtsReducer(g, s, lam, decay_gate=1e-6)
         for sl in chunks:
             new, nl_hat, nl_new, spare, diff, d_nl = work[:, : sl.stop - sl.start]
             nl_hat[...] = nl[sl]

@@ -1,5 +1,6 @@
-"""Admissibility weights: spatial decay lam, Garding weight q, Doi weight p,
-and the exponential-weight operators E = Op^w(e^p), Et = Op^w(e^{-p}).
+"""Admissibility weights: the spatial decay lam(r) = <r>^{-2}, Garding weight
+q, Doi weight p, and the exponential-weight operators E = Op^w(e^p),
+Et = Op^w(e^{-p}).
 
 The Garding weight is the explicit
 
@@ -23,12 +24,10 @@ survives with C scaled by rho.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import sympy as sp
 
 from .calculus import DenseOperator, quantize_dense
 from .export import write_csv
@@ -65,48 +64,26 @@ EXP_FIT_S = 0.0  # Sobolev index s of the exp-weight conjugation and equivalence
 EXP_FIT_PROBES = 24  # wavepacket probes of the exp-weight fits, drawn with seed EXP_FIT_SEED
 EXP_FIT_SEED = 0
 P_CAP = 1.5  # the Doi weight is scaled so that sup|p| <= P_CAP
-
-
-def _lam_expr(exponent: int):
-    r = sp.Symbol("r", real=True)
-    return r, (1 + r**2) ** (-sp.Rational(exponent, 2))
-
-
-@functools.lru_cache(maxsize=None)
-def _lam_deriv_fn(exponent: int, order: int):
-    """d^order/dr^order <r>^-exponent, lambdified once per process."""
-    r, expr = _lam_expr(exponent)
-    return sp.lambdify(r, sp.diff(expr, r, order), modules="numpy")
-
-
-@functools.lru_cache(maxsize=None)
-def _lam_primitive_fn(exponent: int):
-    """t -> int_0^t <r>^-exponent dr in closed form, integrated once per process."""
-    r, expr = _lam_expr(exponent)
-    t = sp.Symbol("t", positive=True)
-    return sp.lambdify(t, sp.integrate(expr, (r, 0, t)), modules="numpy")
+LAM_EXPONENT = 2  # lam(r) = <r>^{-LAM_EXPONENT}, the N of the X-norm
 
 
 class WeightFn:
-    """lam(r) = <r>^{-N_w} with exact derivative and primitive closures."""
-
-    def __init__(self, exponent: int = 2):
-        exponent = int(exponent)
-        if exponent <= 1:
-            raise ValueError("weight exponent must exceed 1 (lam must be integrable)")
-        self.exponent = exponent
+    """lam(r) = <r>^{-2} (N = LAM_EXPONENT), its first derivative and its
+    primitive, in closed form."""
 
     def __call__(self, r) -> np.ndarray:
-        return self.deriv(r, 0)
+        r = np.asarray(r, dtype=float)
+        return np.asarray((r**2 + 1) ** (-1.0), dtype=float)
 
-    def deriv(self, r, order: int = 1) -> np.ndarray:
-        fn = _lam_deriv_fn(self.exponent, order)
-        return np.asarray(fn(np.asarray(r, dtype=float)), dtype=float)
+    def deriv(self, r) -> np.ndarray:
+        """lam'(r) = -2 r <r>^{-4}."""
+        r = np.asarray(r, dtype=float)
+        return np.asarray(-2 * r / (r**2 + 1) ** 2, dtype=float)
 
     def primitive(self, t) -> np.ndarray:
-        """Integral of lam over [0, t], exact (closed form)."""
+        """Integral of lam over [0, t]: arctan(t), and 0 for t <= 0."""
         t = np.asarray(t, dtype=float)
-        return np.asarray(_lam_primitive_fn(self.exponent)(np.maximum(t, 0.0)), dtype=float)
+        return np.asarray(np.arctan(np.maximum(t, 0.0)), dtype=float)
 
 
 # -- slack fitting --------------------------------------------------------------
@@ -325,7 +302,7 @@ class DoiWeight:
             else:
                 # f'' = lam_tilde', exactly: lam'(t/K - 10)/K past the plateau, 0 on it
                 arg = t / self.K - 10.0
-                lam_prime = self.lam.deriv(np.maximum(arg, 0.0), 1) / self.K
+                lam_prime = self.lam.deriv(np.maximum(arg, 0.0)) / self.K
                 vals = np.abs(np.where(arg <= 0.0, 0.0, lam_prime))
             out[f"m={mm}"] = float(np.max(vals * (1.0 + t) ** mm / envelope))
         return out

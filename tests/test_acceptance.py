@@ -42,7 +42,7 @@ from weylab.weights import (
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
-LAM = WeightFn(2)
+LAM = WeightFn()
 
 
 def report(criterion, ok, detail):

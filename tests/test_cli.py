@@ -420,8 +420,19 @@ _AIRY_GRID = {"n": 1, "L": 62.83185307179586, "N": 256}
             {"experiment": "smoothing-report", "grid": _AIRY_GRID, "run": {"carriers": []}},
             "config.run.carriers",
         ),
+        # the spatial weight is fixed, <x>^{-2}: its exponent is no key
+        ({"experiment": "doi-weight", "weight": {"exponent": 2}}, "config.weight.exponent"),
+        # a stride below 1 failed only at run time (IndexError, ZeroDivisionError)
+        (
+            {"experiment": "solve-linear", "grid": _AIRY_GRID, "run": {"store_stride": 0}},
+            "config.run.store_stride",
+        ),
+        (
+            {"experiment": "smoothing-report", "grid": _AIRY_GRID, "run": {"store_stride": -1}},
+            "config.run.store_stride",
+        ),
     ],
-    ids=["missing-grid", "missing-symbol", "no-carriers"],
+    ids=["missing-grid", "missing-symbol", "no-carriers", "weight-exponent", "stride-0", "stride-negative"],
 )
 def test_config_errors_stop_the_run_before_any_experiment(tmp_path, capsys, cfg, where):
     with pytest.raises(ConfigError, match=rf"^{re.escape(where)}:"):
@@ -612,6 +623,21 @@ def test_smoothing_report_takes_each_wrap_guard_once(tmp_path, monkeypatch, esti
     assert rep["details"]["T"] == 0.8 * min(real(*args).horizon for args in calls)
 
 
+def test_smoothing_report_zero_horizon_is_an_error(tmp_path):
+    # T = 0 is a horizon given, not a missing one: the solve refuses it
+    cfg = {
+        "experiment": "smoothing-report",
+        "symbol": {"name": "airy"},
+        "grid": _AIRY_GRID,
+        "run": {"carriers": [4, 8], "T": 0},
+        "output": {"prefix": "fam"},
+    }
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == 1
+    rep = load_report(tmp_path, "fam")
+    assert rep["status"] == "error" and "horizon T must be positive" in rep["error"]
+    assert rep["verdicts"] == {}
+
+
 def test_forced_smoothing_report_matches_the_library(tmp_path):
     # forced: true with estimate ii starts each carrier from rest with its
     # packet as the source; T and s are taken as given
@@ -633,7 +659,7 @@ def test_forced_smoothing_report_matches_the_library(tmp_path):
     g = make_grid(**_AIRY_GRID)
     for k in (4.0, 8.0):
         u0 = gaussian_wavepacket(g, [k], 8.0)
-        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), u0, "ii", 1.0, WeightFn(2), T=0.2, store_stride=4)
+        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), u0, "ii", 1.0, WeightFn(), T=0.2, store_stride=4)
         assert details["ratios"][str(k)] == rep.ratio
 
 

@@ -668,7 +668,7 @@ def test_step_error_keeps_no_state_array(traced_peak):
     assert kept - base < uhat0.nbytes / 16
 
     def peak(dt):
-        series = SmoothingSeries(g, a.order, "ii", 0.0, WeightFn(2), None)
+        series = SmoothingSeries(g, a.order, "ii", 0.0, WeightFn(), None)
         return traced_peak(lambda: solve_linear(a, u0, T=T, dt=dt, store_stride=4, guard=gw, consume=series), g)
 
     thinned = solve_linear(a, u0, T=T, store_stride=4, guard=gw)
@@ -841,7 +841,7 @@ class Frames:
 
 def test_smoothing_report_zero_solution():
     g = make_grid(1, 10.0, 64)
-    lam = WeightFn(2)
+    lam = WeightFn()
     for est in ("i", "ii", "iii"):
         rep, _ = smoothing_report(catalog("airy"), Field.zero(g), None, est, 0.0, lam, T=0.01, dt=1e-3)
         assert rep.lhs == 0.0 and rep.ratio == 0.0
@@ -850,7 +850,7 @@ def test_smoothing_report_zero_solution():
 def test_smoothing_report_weighted_family_bounded():
     # compact version of the family run: weighted ratio stays bounded while the
     # unweighted integral grows like k^2
-    lam = WeightFn(2)
+    lam = WeightFn()
     g = make_grid(1, 40 * np.pi, 2048)
     a = catalog("airy")
     packets = {k: airy_packet(g, k=k) for k in (4, 16)}
@@ -870,7 +870,7 @@ def test_smoothing_report_weighted_family_bounded():
 
 @pytest.mark.parametrize("estimate, per_frame", [("i", ["fftn"]), ("ii", ["fftn", "ifftn"])])
 def test_smoothing_report_takes_one_spectrum_per_frame(estimate, per_frame):
-    lam = WeightFn(2)
+    lam = WeightFn()
     g = CountingGrid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     s, gain = 0.5, 1.0
@@ -907,7 +907,7 @@ def test_smoothing_series_takes_its_per_frame_operands_once(monkeypatch, estimat
 
     def lam(r):
         calls.append(1)
-        return WeightFn(2)(r)
+        return WeightFn()(r)
 
     g = make_grid(1, 40 * np.pi, 1024)
     u0 = airy_packet(g)
@@ -924,7 +924,7 @@ def test_smoothing_series_takes_its_per_frame_operands_once(monkeypatch, estimat
 def test_smoothing_report_takes_a_constant_source_once(estimate, once):
     # a Field source has the same term at every node: its transforms are made
     # once per report, and the right side is that of the term taken per node
-    lam = WeightFn(2)
+    lam = WeightFn()
     g = CountingGrid(1, 40 * np.pi, 1024)
     s, gain = 0.5, 1.0
     a, source = catalog("airy"), airy_packet(g)
@@ -977,7 +977,7 @@ def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, 
     # the streamed report equals, bit for bit, the estimate recomputed per
     # Field with the public norms over stored copies of the streamed frames
     build, grid, carrier, width2, run = _STREAM_FAMILIES[family]
-    a, g, lam, s = build(), make_grid(*grid), WeightFn(2), 0.5
+    a, g, lam, s = build(), make_grid(*grid), WeightFn(), 0.5
     gain = (a.order - 1.0) / 2.0
     packet = gaussian_wavepacket(g, carrier, width2)
     source = {"free": None, "forced": packet}[forcing]
@@ -1034,7 +1034,7 @@ def test_streamed_solve_refuses_frame_reductions():
     # whole trajectory: reducing that one frame as if it were the trajectory
     # gave ratio 1
     g = make_grid(1, 40 * np.pi, 1024)
-    a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn(2)
+    a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn()
     series = SmoothingSeries(g, a.order, "ii", 0.0, lam, None)
     solve_linear(a, airy_packet(g, k=8.0), T=0.01, consume=series)
     assert series.report().ratio > 1.0
@@ -1044,7 +1044,7 @@ def test_streamed_smoothing_memory_does_not_grow_with_frames(traced_peak):
     # a stored solve grows by one state array per frame; a streamed one keeps
     # a few numbers per frame, whatever the stride or the horizon
     g = make_grid(1, 40 * np.pi, 2048)
-    a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn(2)
+    a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn()
     u0 = airy_packet(g, k=8.0)
 
     def streamed_peak(T, stride):
@@ -1061,7 +1061,7 @@ def test_streamed_smoothing_memory_does_not_grow_with_frames(traced_peak):
 
 
 def test_smoothing_report_iii_forced():
-    lam = WeightFn(2)
+    lam = WeightFn()
     g = make_grid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     fsrc = Field.from_function(g, lambda x: np.exp(4j * x) * np.exp(-(x**2) / 8))
@@ -1074,13 +1074,13 @@ def test_smoothing_report_iii_requires_source():
     u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
     with pytest.raises(ValueError):
         smoothing_report(
-            catalog("airy"), u0, None, "iii", 0.0, WeightFn(2), T=0.01, dt=1e-3, enforce_wrap_guard=False
+            catalog("airy"), u0, None, "iii", 0.0, WeightFn(), T=0.01, dt=1e-3, enforce_wrap_guard=False
         )
 
 
 def test_smoothing_lhs_monotone_in_T():
     # estimate (ii) LHS accumulates: nondecreasing in T for f = 0
-    lam = WeightFn(2)
+    lam = WeightFn()
     g = make_grid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     u0 = airy_packet(g, k=4.0)

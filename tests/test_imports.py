@@ -14,11 +14,9 @@ MODULES = sorted(SRC.rglob("*.py"))
 # the sources whose attribute reads count for the dataclass-field check
 READERS = MODULES + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 
-# sp.diff, sp.lambdify and sp.Poly are called only in symbol/core.py (the
-# phase-space derivative tree and its closures) and in the two functions of
-# weights.py that work in the radial variable r
-SYMPY_CALLS = ("diff", "lambdify", "Poly")
-SYMPY_HOMES = {"weights.py": {"_lam_deriv_fn", "_lam_primitive_fn"}}
+# sp.diff, sp.integrate, sp.lambdify and sp.Poly are called only in
+# symbol/core.py (the phase-space derivative tree and its closures)
+SYMPY_CALLS = ("diff", "integrate", "lambdify", "Poly")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -139,12 +137,10 @@ def test_unread_dataclass_field_is_found():
     ]
 
 
-def stray_sympy_calls(source: str, homes: set) -> list[str]:
-    """sp.diff / sp.lambdify / sp.Poly calls outside the top-level functions in homes."""
+def stray_sympy_calls(source: str) -> list[str]:
+    """The sp.diff / sp.integrate / sp.lambdify / sp.Poly calls of a source."""
     stray = []
     for top in ast.parse(source).body:
-        if getattr(top, "name", None) in homes:
-            continue
         for node in ast.walk(top):
             func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
             if (
@@ -164,18 +160,19 @@ def stray_sympy_calls(source: str, homes: set) -> list[str]:
     ids=lambda p: str(p.relative_to(SRC)),
 )
 def test_sympy_calculus_stays_in_symbol_core(path):
-    homes = SYMPY_HOMES.get(path.relative_to(SRC).as_posix(), set())
-    assert stray_sympy_calls(path.read_text(), homes) == []
+    assert stray_sympy_calls(path.read_text()) == []
 
 
 def test_stray_sympy_call_is_found():
     source = (
         "import sympy as sp\n"
-        "def keep(e):\n    return sp.diff(e)\n"
+        "def prim(e, r):\n    return sp.integrate(e, r)\n"
         "def stray(e):\n    return sp.Poly(e).total_degree()\n"
         "R = sp.lambdify([], 1)\n"
+        "S = sp.sqrt(2)\n"
     )
-    assert stray_sympy_calls(source, {"keep"}) == [
+    assert stray_sympy_calls(source) == [
+        "sp.integrate in prim (line 3)",
         "sp.Poly in stray (line 5)",
         "sp.lambdify in module level (line 6)",
     ]

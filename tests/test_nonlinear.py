@@ -31,11 +31,11 @@ from weylab.nonlinear import (
     picard_solve,
 )
 from weylab.symbol import SympySymbol, catalog
-from weylab.weights import WeightFn
+from weylab.weights import LAM_EXPONENT, WeightFn
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
-LAM = WeightFn(2)
+LAM = WeightFn()
 SPEC = NonlinearitySpec(1, 0, (1,))
 
 
@@ -96,10 +96,10 @@ def _rhs(a, sol):
     return 1j * EvolutionOperator(a, sol.grid).apply(sol.values)
 
 
-def _xts(a, sol, s, lam, N_w):
+def _xts(a, sol, s, lam):
     """The four-term norm of a stored source-free solve, reduced one chunk
     of frames at a time."""
-    reducer = _XtsReducer(sol.grid, s, lam, N_w)
+    reducer = _XtsReducer(sol.grid, s, lam)
     rhs = _rhs(a, sol)
     for sl in _chunks(sol.grid, 0, len(sol.times)):
         reducer.add(sol.values[sl], rhs[sl])
@@ -109,7 +109,7 @@ def _xts(a, sol, s, lam, N_w):
 def test_xts_norm_zero(setup):
     g, a, _ = setup
     sol = solve_linear(a, Field.zero(g), T=0.01, dt=1e-3)
-    out = _xts(a, sol, 15.0, LAM, 2)
+    out = _xts(a, sol, 15.0, LAM)
     assert out.value == 0.0
 
 
@@ -119,7 +119,7 @@ def test_xts_norm_stationary_zero_symbol(setup):
     zero = SympySymbol(0, 1, 0.0, zero_nyquist=False)
     T = 0.25
     sol = solve_linear(zero, u0, T=T, dt=0.025, enforce_wrap_guard=False)
-    out = _xts(zero, sol, 15.0, LAM, 2)
+    out = _xts(zero, sol, 15.0, LAM)
     s = 15.0
     expect = (
         sobolev_norm(u0, s) ** 2
@@ -134,7 +134,7 @@ def test_xts_norm_reassembly_oracle(setup):
     # independent quadrature assembly of the four terms for an airy run
     g, a, u0 = setup
     sol = solve_linear(a, u0, T=0.05, dt=1e-3, store_stride=5)
-    out = _xts(a, sol, 15.0, LAM, 2)
+    out = _xts(a, sol, 15.0, LAM)
     s = 15.0
     inv = 1.0 / LAM(g.x_radius)
     rhs = _rhs(a, sol)
@@ -151,8 +151,9 @@ def test_xts_norm_reassembly_oracle(setup):
     assert np.isclose(out.value**2, sup_s2 + smooth + low + dtv, rtol=1e-12)
 
 
-def _xts_terms_per_frame(g, times, fields, rhs_fields, s, lam, N_w, decay_gate):
+def _xts_terms_per_frame(g, times, fields, rhs_fields, s, lam, decay_gate):
     """The four-term norm frame by frame through the per-Field functions."""
+    N = LAM_EXPONENT
     inv_lam = 1.0 / lam(g.x_radius)
     sup_s2 = sup_low = sup_low_alt = sup_dt = 0.0
     weighted = []
@@ -167,9 +168,9 @@ def _xts_terms_per_frame(g, times, fields, rhs_fields, s, lam, N_w, decay_gate):
         sup_s2 = max(sup_s2, sobolev_norm(f, s) ** 2)
         weighted.append(weighted_pairing(f, lam, s + 1.0))
         wf = Field(g, inv_lam * vals)
-        sup_low = max(sup_low, sobolev_norm(wf, s - 2 * N_w - 2) ** 2)
-        sup_low_alt = max(sup_low_alt, sobolev_norm(wf, s - 2 * N_w - 5) ** 2)
-        sup_dt = max(sup_dt, sobolev_norm(Field(g, inv_lam * rhs), s - 2 * N_w - 5) ** 2)
+        sup_low = max(sup_low, sobolev_norm(wf, s - 2 * N - 2) ** 2)
+        sup_low_alt = max(sup_low_alt, sobolev_norm(wf, s - 2 * N - 5) ** 2)
+        sup_dt = max(sup_dt, sobolev_norm(Field(g, inv_lam * rhs), s - 2 * N - 5) ** 2)
     return {
         "sup_Hs_sq": sup_s2,
         "weighted_smoothing": float(np.trapezoid(weighted, times)),
@@ -193,7 +194,7 @@ def test_xts_reducer_takes_its_per_chunk_operands_once(setup, monkeypatch):
         calls.append(1)
         return LAM(r)
 
-    reducer = _XtsReducer(g, 15.0, lam, 2)
+    reducer = _XtsReducer(g, 15.0, lam)
     made = (len(calls), len(reads))
     for lo in range(len(sol.times)):
         reducer.add(sol.values[lo : lo + 1], rhs[lo : lo + 1])
@@ -210,12 +211,12 @@ def test_xts_terms_stacked_match_per_frame(setup, kind):
         pert = Field(g, u0.values * (1.0 + 1e-6 * np.exp(1j * g.x_mesh[..., 0])))
         other = solve_linear(a, pert, T=0.05, dt=1e-3, store_stride=5)
         values, rhs, gate = other.values - values, _rhs(a, other) - rhs, None
-    ref = _xts_terms_per_frame(g, sol.times, values, rhs, 15.0, LAM, 2, gate)
+    ref = _xts_terms_per_frame(g, sol.times, values, rhs, 15.0, LAM, gate)
     # the reducer takes chunks of consecutive frames; how the frames are cut
     # into chunks does not move a bit
     outs = []
     for cuts in ([0, len(values)], [0, 3, 4, 7, len(values)], list(range(len(values) + 1))):
-        reducer = _XtsReducer(g, 15.0, LAM, 2, decay_gate=gate)
+        reducer = _XtsReducer(g, 15.0, LAM, decay_gate=gate)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             reducer.add(values[lo:hi], rhs[lo:hi])
         outs.append(reducer.norm(sol.times))
@@ -230,7 +231,7 @@ def test_xts_terms_stacked_match_per_frame(setup, kind):
 def test_xts_norm_rejects_small_s(setup):
     g, _, _ = setup
     with pytest.raises(ValueError):
-        _XtsReducer(g, 3.0, LAM, 2)
+        _XtsReducer(g, 3.0, LAM)
 
 
 # -- Picard ------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from weylab.grid import make_grid
 from weylab.symbol import SampleSet, catalog, check_grad_ellipticity
 from weylab.weights import (
     F_FIT_T_MAX_K,
+    LAM_EXPONENT,
     WeightFn,
     _fit_lower_bound,
     admissibility_report,
@@ -22,7 +23,7 @@ from weylab.weights import (
 
 @pytest.fixture(scope="module")
 def lam():
-    return WeightFn(2)
+    return WeightFn()
 
 
 @pytest.fixture(scope="module")
@@ -36,25 +37,25 @@ def test_weightfn_properties(lam):
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) <= 0)
     assert np.isclose(lam.primitive(1e8), np.pi / 2, atol=1e-6)
-    with pytest.raises(ValueError):
-        WeightFn(1)
 
 
-def test_weightfn_integrates_once_per_exponent(monkeypatch):
+def test_weightfn_matches_its_lambdified_reference(lam):
+    # the closed forms give the bits of sympy's lambdify of <r>^{-2}, of its
+    # derivative and of its primitive atan
     import sympy as sp
 
-    from weylab import weights
-
-    weights._lam_primitive_fn.cache_clear()
-    calls = []
-    integrate = sp.integrate
-    monkeypatch.setattr(sp, "integrate", lambda *args, **kw: calls.append(args) or integrate(*args, **kw))
-    one, two = WeightFn(2), WeightFn(2)
-    r = np.linspace(0.0, 20.0, 41)
-    assert np.array_equal(one(r), two(r))
-    assert np.array_equal(one.deriv(r, 2), two.deriv(r, 2))
-    assert np.array_equal(one.primitive(r), two.primitive(r))
-    assert len(calls) == 1
+    r = sp.Symbol("r", real=True)
+    expr = (1 + r**2) ** -1
+    value = sp.lambdify(r, expr, modules="numpy")
+    deriv = sp.lambdify(r, sp.diff(expr, r), modules="numpy")
+    primitive = sp.lambdify(r, sp.atan(r), modules="numpy")
+    rs = np.concatenate([[0.0], np.geomspace(1e-8, 5e3, 2001)])
+    ts = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 2001)])
+    assert np.array_equal(lam(rs), value(rs))
+    assert np.array_equal(lam.deriv(rs), deriv(rs))
+    assert np.array_equal(lam.primitive(ts), primitive(ts))
+    # the primitive of lam over [0, t] is 0 for t <= 0
+    assert np.array_equal(lam.primitive([-1.0, -1e8]), [0.0, 0.0])
 
 
 # -- Garding weight ---------------------------------------------------------------
@@ -221,7 +222,7 @@ def test_doi_f_derivative_bound(airy_doi):
     # m = 2 takes the exact f'' = lam_tilde': for lam = <r>^{-N},
     # lam'(r) = -N r <r>^{-N-2} at r = t/K - 10 past the plateau, over K; 0 on it
     t = np.linspace(0.0, F_FIT_T_MAX_K * dw.K, 4001)
-    r, N = np.maximum(t / dw.K - 10.0, 0.0), dw.lam.exponent
+    r, N = np.maximum(t / dw.K - 10.0, 0.0), LAM_EXPONENT
     f2 = N * r * (1.0 + r**2) ** (-N / 2.0 - 1.0) / dw.K
     exact = np.max(f2 * (1.0 + t) ** 2 / (dw.lam(0.0) + dw.lam.primitive(t)))
     assert abs(fit["m=2"] - exact) <= 1e-12 * exact
