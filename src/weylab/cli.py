@@ -47,7 +47,6 @@ from .evolve import ESTIMATES, SCHEMES
 from .export import write_csv
 from .grid import Field, gaussian_wavepacket, make_grid
 from .symbol import CATALOG, SampleSet, catalog
-from .weights import WeightFn
 
 __all__ = ["run", "list_catalog", "main", "ConfigError"]
 
@@ -327,7 +326,7 @@ def _exp_check_admissible(cfg, run, rng, outdir, prefix):
     from .weights import admissibility_report
 
     a = _build_symbol(cfg)
-    rep = admissibility_report(a, WeightFn(), _sample_set(a, run))
+    rep = admissibility_report(a, _sample_set(a, run))
     artifacts = []
     if rep.slack is not None:
         path = outdir / f"{prefix}_hamilton_slack.csv"
@@ -341,11 +340,10 @@ def _exp_doi_weight(cfg, run, rng, outdir, prefix):
     from .weights import doi_slack, doi_weight, garding_weight
 
     a = _build_symbol(cfg)
-    lam = WeightFn()
     S = _sample_set(a, run)
     gw = garding_weight(a, S=S)
-    dw = doi_weight(a, gw, lam, eps=cfg["weight"]["eps"], S=S)
-    fit = doi_slack(a, dw, lam, S)
+    dw = doi_weight(a, gw, eps=cfg["weight"]["eps"], S=S)
+    fit = doi_slack(a, dw, S)
     # f'(|q|) = lam_tilde(|q|) >= lam(|x|), the bound the Doi argument uses
     fprime_ok = dw.lam_tilde_margin(S) >= -1e-15
     path = outdir / f"{prefix}_doi_slack.csv"
@@ -488,7 +486,6 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
 
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
-    lam = WeightFn()
     s, estimate, carriers, stride = run["s"], run["estimate"], run["carriers"], run["store_stride"]
     forced = run["forced"] if run["forced"] is not None else estimate == "iii"
     data = {
@@ -510,7 +507,7 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
         # evolve.smoothing_report written out: called here, it gives the same
         # numbers but left glibc's arena 1.4 MB larger after the kdv-1d
         # family (mallinfo2), and kdv-1d's peak RSS about 1 MB higher
-        series = SmoothingSeries(g, a.order, estimate, s, lam, source)
+        series = SmoothingSeries(g, a.order, estimate, s, source)
         # only the record is kept: the solution holds a state-sized final frame
         solves[str(k)] = _step_record(
             solve_linear(a, datum, source, T=T, store_stride=stride, guard=guards[k], consume=series)
@@ -571,7 +568,6 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
             u0,
             spec,
             s=run["s"],
-            lam=WeightFn(),
             T=run["T"],
             tol=run["tol"],
             dt=run["dt"],
@@ -655,10 +651,9 @@ def _exp_kdv_type_build(cfg, run, rng, outdir, prefix):
     coeffs = [[sp.sympify(c, locals=xs_names) for c in row] for row in cfg["symbol"]["coefficients"]]
     system = VectorFieldSystem(n, coeffs)
     build = build_kdv_type(system)
-    lam = WeightFn()
     S = _sample_set(build.full, run)
-    im_rep = check_im_smallness(build.full, lam, S)
-    adm = admissibility_report(build.a3, lam, S)
+    im_rep = check_im_smallness(build.full, S)
+    adm = admissibility_report(build.a3, S)
     details = {
         "corrections": [str(c) for c in build.corrections],
         "qualifying_directions": system.qualifying_directions(),

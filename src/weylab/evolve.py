@@ -85,6 +85,7 @@ from .grid import (
     _spectrum,
     _tail_fraction,
     _weighted_sq,
+    lam,
     sobolev_norm,
     tail_mass_fraction,
     weighted_pairing,
@@ -369,6 +370,13 @@ def lawson_stepper(
     return step
 
 
+def _check_stride(store_stride) -> None:
+    """ValueError unless store_stride, the steps between stored frames, is a
+    positive integer; every solve checks it before it steps."""
+    if not isinstance(store_stride, (int, np.integer)) or store_stride < 1:
+        raise ValueError(f"store_stride must be a positive integer, got {store_stride!r}")
+
+
 def _stored_steps(steps: int, stride: int) -> list[int]:
     """Indices of the stored frames of a march: 0, every stride-th step and the last."""
     kept = list(range(0, steps + 1, stride))
@@ -537,6 +545,7 @@ def solve_linear(
     """
     if T <= 0:
         raise ValueError("horizon T must be positive")
+    _check_stride(store_stride)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if f is not None and not isinstance(f, Field):
@@ -633,7 +642,6 @@ class SmoothingSeries:
         m: float,
         estimate: str,
         s: float,
-        lam: Callable[[np.ndarray], np.ndarray],
         f: Optional[Field],
     ):
         if estimate not in ESTIMATES:
@@ -699,7 +707,6 @@ def smoothing_report(
     f: Optional[Field],
     estimate: str,
     s: float,
-    lam: Callable[[np.ndarray], np.ndarray],
     **solve,
 ) -> tuple[SmoothingReport, Solution]:
     """Solve du/dt = i A u + f from u0 (`solve_linear` with the keywords
@@ -716,7 +723,7 @@ def smoothing_report(
     carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.  The frames
     stream into a `SmoothingSeries`, so the solution keeps only its final one.
     """
-    series = SmoothingSeries(u0.grid, a.order, estimate, s, lam, f)
+    series = SmoothingSeries(u0.grid, a.order, estimate, s, f)
     sol = solve_linear(a, u0, f, consume=series, **solve)
     return series.report(), sol
 

@@ -30,12 +30,38 @@ __all__ = [
     "l2_norm",
     "weighted_pairing",
     "inner_product",
+    "lam",
+    "lam_deriv",
+    "lam_primitive",
+    "LAM_EXPONENT",
     "tail_mass_fraction",
     "wavepacket_probes",
 ]
 
 # Dense N^n-by-N^n operator matrices are allowed up to this many entries.
 DENSE_ENTRY_BUDGET = 1 << 26
+LAM_EXPONENT = 2  # lam(r) = <r>^{-LAM_EXPONENT}, the N of the X-norm
+
+
+# -- the one spatial weight of the package, which no function takes as an argument --
+
+
+def lam(r) -> np.ndarray:
+    """lam(r) = <r>^{-2} (N = LAM_EXPONENT)."""
+    r = np.asarray(r, dtype=float)
+    return np.asarray((r**2 + 1) ** (-1.0), dtype=float)
+
+
+def lam_deriv(r) -> np.ndarray:
+    """lam'(r) = -2 r <r>^{-4}."""
+    r = np.asarray(r, dtype=float)
+    return np.asarray(-2 * r / (r**2 + 1) ** 2, dtype=float)
+
+
+def lam_primitive(t) -> np.ndarray:
+    """Integral of lam over [0, t]: arctan(t), and 0 for t <= 0."""
+    t = np.asarray(t, dtype=float)
+    return np.asarray(np.arctan(np.maximum(t, 0.0)), dtype=float)
 
 
 def _cached(compute: Callable[["Grid"], np.ndarray]) -> property:
@@ -309,17 +335,19 @@ def _l2_sq(g: Grid, values: np.ndarray) -> np.ndarray:
     return g.dx**g.n * np.sum(np.abs(values) ** 2, axis=_last_axes(g))
 
 
-def _positive_weight(g: Grid, lam: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """lam(|x|) on the nodes; ValueError unless it is strictly positive there."""
-    w = np.asarray(lam(g.x_radius), dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("weight must be strictly positive on the box")
+def _positive_weight(g: Grid, weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """weight(|x|) on the nodes; ValueError unless it is finite and strictly
+    positive there."""
+    w = np.asarray(weight(g.x_radius), dtype=float)
+    # min and max carry a NaN through, and neither allocates
+    if not (np.min(w) > 0 and np.max(w) < np.inf):
+        raise ValueError("weight must be finite and strictly positive on the box")
     return w
 
 
 def _weighted_sq(g: Grid, coeffs: np.ndarray, w: np.ndarray, bessel_s: np.ndarray) -> np.ndarray:
     """dx^n sum_j w_j |Lambda^s u(x_j)|^2 of each spectrum in a stack, for the
-    weight w = `_positive_weight(g, lam)` and the power bessel_s = <xi>^s,
+    weight w = `_positive_weight(g, weight)` and the power bessel_s = <xi>^s,
     which a per-frame consumer takes once."""
     v = _from_spectrum(g, coeffs * bessel_s)
     return g.dx**g.n * np.sum(w * np.abs(v) ** 2, axis=_last_axes(g))
@@ -358,13 +386,13 @@ def inner_product(u: Field, v: Field) -> complex:
     return complex(g.dx**g.n * np.sum(u.values * np.conj(v.values)))
 
 
-def weighted_pairing(u: Field, lam: Callable[[np.ndarray], np.ndarray], s: float) -> float:
-    """Spatially weighted pairing dx^n sum_j lam(|x_j|) |Lambda^s u(x_j)|^2.
+def weighted_pairing(u: Field, weight: Callable[[np.ndarray], np.ndarray], s: float) -> float:
+    """Spatially weighted pairing dx^n sum_j weight(|x_j|) |Lambda^s u(x_j)|^2.
 
-    lam must be strictly positive on the box.
+    weight must be finite and strictly positive on the box.
     """
     g = u.grid
-    return float(_weighted_sq(g, _spectrum(g, u.values), _positive_weight(g, lam), g.bessel_base**s))
+    return float(_weighted_sq(g, _spectrum(g, u.values), _positive_weight(g, weight), g.bessel_base**s))
 
 
 def gaussian_wavepacket(

@@ -11,7 +11,9 @@ D^alpha.  The Duhamel integral uses the propagated composite trapezoid at the
 solver step, and the contraction is measured in the four-term norm
 
     ||u||_X^2 = sup ||u||_s^2 + int int lam |Lambda^{s+1} u|^2
-              + sup ||lam^{-1} u||_{s-2N-2}^2 + sup ||lam^{-1} du/dt||_{s-2N-5}^2.
+              + sup ||lam^{-1} u||_{s-2N-2}^2 + sup ||lam^{-1} du/dt||_{s-2N-5}^2,
+
+with lam(r) = <r>^{-N}, N = LAM_EXPONENT = 2, the weight `weylab.grid.lam`.
 
 (The display definition of the space uses index s-2N-2 for the weighted
 u-term while parts of the argument use s-2N-5; both are computed and
@@ -46,6 +48,7 @@ import numpy as np
 from .evolve import (
     Solution,
     SpectralMap,
+    _check_stride,
     _march,
     _nonlinear_steps,
     _stored_steps,
@@ -54,6 +57,7 @@ from .evolve import (
     wrap_guard,
 )
 from .grid import (
+    LAM_EXPONENT,
     Field,
     Grid,
     _bessel_sq,
@@ -62,11 +66,11 @@ from .grid import (
     _spectrum,
     _tail_fraction,
     _weighted_sq,
+    lam,
     sobolev_norm,
     tail_mass_fraction,
 )
 from .symbol.core import Symbol
-from .weights import LAM_EXPONENT, WeightFn
 
 __all__ = [
     "NonlinearitySpec",
@@ -214,7 +218,7 @@ class _XtsReducer:
         "sup_weighted_dt_sq(s-2N-5)",
     )
 
-    def __init__(self, grid: Grid, s: float, lam: WeightFn, decay_gate: Optional[float] = 1e-6):
+    def __init__(self, grid: Grid, s: float, decay_gate: Optional[float] = 1e-6):
         N = LAM_EXPONENT
         if s < 2 * N + 5:
             raise ValueError(f"s={s} too small: the norm needs s >= 2 N + 5 = {2 * N + 5}")
@@ -315,7 +319,6 @@ def picard_solve(
     u0: Field,
     spec: NonlinearitySpec,
     s: float,
-    lam: WeightFn,
     T: float,
     *,
     tol: float = 1e-6,
@@ -332,6 +335,7 @@ def picard_solve(
     when the contraction factor stays >= 1 for three consecutive sweeps or an
     iterate blows past the overflow guard.
     """
+    _check_stride(store_stride)
     g = u0.grid
     if tail_mass_fraction(u0, g.L / 2.0) > SCHWARTZ_TAIL_TOL and np.max(np.abs(u0.values)) > 0:
         raise ValueError("datum is not localized enough (tail mass above 1e-8 outside L/2)")
@@ -387,8 +391,8 @@ def picard_solve(
         the old."""
         # differences of iterates are near-zero fields whose relative tail
         # fraction is meaningless; only physical iterates get the decay gate
-        d_norm = _XtsReducer(g, s, lam, decay_gate=None)
-        x_norm = _XtsReducer(g, s, lam, decay_gate=1e-6)
+        d_norm = _XtsReducer(g, s, decay_gate=None)
+        x_norm = _XtsReducer(g, s, decay_gate=1e-6)
         for sl in chunks:
             new, nl_hat, nl_new, spare, diff, d_nl = work[:, : sl.stop - sl.start]
             nl_hat[...] = nl[sl]
@@ -505,6 +509,7 @@ def direct_nonlinear_solve(
 ) -> Solution:
     """Method-of-lines integration of du/dt = i A u + N(u) with Lawson RK4,
     on the step rule of `picard_solve`."""
+    _check_stride(store_stride)
     g = u0.grid
     guard = wrap_guard(a, u0)
     guard.check(T)

@@ -9,6 +9,8 @@ constants of
   * imaginary smallness    |Im a| <= c0 lam(|x|) |xi|^{m-1}  (the principal
                            part a_m is real, so Im a = Im a_{m-1})
 
+with lam(r) = <r>^{-2} the package's one spatial weight, `weylab.grid.lam`.
+
 Verdicts: fail when the slack is negative beyond tolerance at a sample,
 inconclusive when it sits inside the tolerance band, pass otherwise.
 """
@@ -16,10 +18,11 @@ inconclusive when it sits inside the tolerance band, pass otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from ..grid import lam
 from .core import Symbol, multi_indices_upto
 
 __all__ = [
@@ -190,11 +193,11 @@ def check_grad_ellipticity(
     )
 
 
-def check_x_decay(a: Symbol, lam: Callable[[np.ndarray], np.ndarray], S: SampleSet) -> ConditionReport:
+def check_x_decay(a: Symbol, S: SampleSet) -> ConditionReport:
     """Fit eps_hat = max |d_x^beta d_xi^alpha Re a| / (lam(|x|) |xi|^{m-|alpha|})
     over 1 <= |beta|, |alpha| + |beta| <= X_DECAY_MAX_ORDER, against X_DECAY_EPS."""
     m = a.order
-    lam_vals = np.asarray(lam(S.x_norm), dtype=float)
+    lam_vals = lam(S.x_norm)
     xi = np.maximum(S.xi_norm, XI_FLOOR)
     eps_hat = 0.0
     worst_idx = 0
@@ -225,7 +228,7 @@ def check_x_decay(a: Symbol, lam: Callable[[np.ndarray], np.ndarray], S: SampleS
     )
 
 
-def check_im_smallness(a: Symbol, lam: Callable[[np.ndarray], np.ndarray], S: SampleSet) -> ConditionReport:
+def check_im_smallness(a: Symbol, S: SampleSet) -> ConditionReport:
     """Fit c0_hat = max |Im a| / (lam(|x|) |xi|^{m-1}) over the sample set,
     against IM_SMALLNESS_C0."""
     m = a.order
@@ -233,7 +236,7 @@ def check_im_smallness(a: Symbol, lam: Callable[[np.ndarray], np.ndarray], S: Sa
         im_vals = np.zeros(S.X.shape[0])
     else:
         im_vals = np.abs(np.imag(a.eval(S.X, S.XI)))
-    lam_vals = np.asarray(lam(S.x_norm), dtype=float)
+    lam_vals = lam(S.x_norm)
     ratio = im_vals / (lam_vals * np.maximum(S.xi_norm, XI_FLOOR) ** (m - 1.0))
     j = int(np.argmax(ratio))
     c0_hat = float(ratio[j])

@@ -1,6 +1,6 @@
-"""Admissibility weights: the spatial decay lam(r) = <r>^{-2}, Garding weight
-q, Doi weight p, and the exponential-weight operators E = Op^w(e^p),
-Et = Op^w(e^{-p}).
+"""Admissibility weights: the Garding weight q, the Doi weight p, and the
+exponential-weight operators E = Op^w(e^p), Et = Op^w(e^{-p}), against the
+spatial decay lam(r) = <r>^{-2} of `weylab.grid`.
 
 The Garding weight is the explicit
 
@@ -31,7 +31,17 @@ import numpy as np
 
 from .calculus import DenseOperator, quantize_dense
 from .export import write_csv
-from .grid import Field, Grid, apply_bessel, l2_norm, sobolev_norm, wavepacket_probes
+from .grid import (
+    Field,
+    Grid,
+    apply_bessel,
+    l2_norm,
+    lam,
+    lam_deriv,
+    lam_primitive,
+    sobolev_norm,
+    wavepacket_probes,
+)
 from .hamilton import hamilton_derivative, qdelta_symbol
 from .symbol.checks import (
     XI_FLOOR,
@@ -44,7 +54,6 @@ from .symbol.checks import (
 from .symbol.core import FuncSymbol, Symbol, SympySymbol, multi_indices_upto
 
 __all__ = [
-    "WeightFn",
     "GardingWeight",
     "DoiWeight",
     "ExpWeightPair",
@@ -64,26 +73,6 @@ EXP_FIT_S = 0.0  # Sobolev index s of the exp-weight conjugation and equivalence
 EXP_FIT_PROBES = 24  # wavepacket probes of the exp-weight fits, drawn with seed EXP_FIT_SEED
 EXP_FIT_SEED = 0
 P_CAP = 1.5  # the Doi weight is scaled so that sup|p| <= P_CAP
-LAM_EXPONENT = 2  # lam(r) = <r>^{-LAM_EXPONENT}, the N of the X-norm
-
-
-class WeightFn:
-    """lam(r) = <r>^{-2} (N = LAM_EXPONENT), its first derivative and its
-    primitive, in closed form."""
-
-    def __call__(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return np.asarray((r**2 + 1) ** (-1.0), dtype=float)
-
-    def deriv(self, r) -> np.ndarray:
-        """lam'(r) = -2 r <r>^{-4}."""
-        r = np.asarray(r, dtype=float)
-        return np.asarray(-2 * r / (r**2 + 1) ** 2, dtype=float)
-
-    def primitive(self, t) -> np.ndarray:
-        """Integral of lam over [0, t]: arctan(t), and 0 for t <= 0."""
-        t = np.asarray(t, dtype=float)
-        return np.asarray(np.arctan(np.maximum(t, 0.0)), dtype=float)
 
 
 # -- slack fitting --------------------------------------------------------------
@@ -249,22 +238,21 @@ class DoiWeight:
     K: float
     eps: float
     rho: float
-    lam: WeightFn
     garding: GardingWeight
 
     def lam_tilde(self, t) -> np.ndarray:
         """lam(t/K - 10), frozen at lam(0) for nonpositive arguments."""
         t = np.asarray(t, dtype=float)
         arg = t / self.K - 10.0
-        return np.where(arg <= 0.0, self.lam(0.0), self.lam(np.maximum(arg, 0.0)))
+        return np.where(arg <= 0.0, lam(0.0), lam(np.maximum(arg, 0.0)))
 
     def f(self, t) -> np.ndarray:
         """Exact primitive of lam_tilde; nonnegative, nondecreasing."""
         t = np.asarray(t, dtype=float)
         t0 = 10.0 * self.K
-        lam0 = float(self.lam(0.0))
+        lam0 = float(lam(0.0))
         inner = t * lam0
-        outer = t0 * lam0 + self.K * self.lam.primitive((t - t0) / self.K)
+        outer = t0 * lam0 + self.K * lam_primitive((t - t0) / self.K)
         return np.where(t <= t0, inner, outer)
 
     def lam_tilde_margin(self, S: SampleSet) -> float:
@@ -273,7 +261,7 @@ class DoiWeight:
         The Doi argument needs it >= 0 on the outer regions; |q| <= K <x>
         gives it everywhere, with equality at x = 0 (where q = 0)."""
         q_abs = np.abs(np.real(self.garding.q.eval(S.X, S.XI)))
-        return float(np.min(self.lam_tilde(q_abs) - self.lam(S.x_norm)))
+        return float(np.min(self.lam_tilde(q_abs) - lam(S.x_norm)))
 
     def region(self, x, xi) -> np.ndarray:
         """Region code per point: 0 where psi_0 = 1, +-1 on the outer plateaus,
@@ -294,7 +282,7 @@ class DoiWeight:
         """Fit C_m in |f^(m)(t)| <= C_m (lam(0) + int_0^t lam) (1 + t)^{-m} for
         m in F_FIT_ORDERS, over 0 <= t <= F_FIT_T_MAX_K K."""
         t = np.linspace(0.0, F_FIT_T_MAX_K * self.K, 4001)
-        envelope = (float(self.lam(0.0)) + self.lam.primitive(t))
+        envelope = (float(lam(0.0)) + lam_primitive(t))
         out = {}
         for mm in F_FIT_ORDERS:
             if mm == 1:
@@ -302,7 +290,7 @@ class DoiWeight:
             else:
                 # f'' = lam_tilde', exactly: lam'(t/K - 10)/K past the plateau, 0 on it
                 arg = t / self.K - 10.0
-                lam_prime = self.lam.deriv(np.maximum(arg, 0.0)) / self.K
+                lam_prime = lam_deriv(np.maximum(arg, 0.0)) / self.K
                 vals = np.abs(np.where(arg <= 0.0, 0.0, lam_prime))
             out[f"m={mm}"] = float(np.max(vals * (1.0 + t) ** mm / envelope))
         return out
@@ -311,7 +299,6 @@ class DoiWeight:
 def doi_weight(
     a: Symbol,
     q: GardingWeight,
-    lam: WeightFn,
     eps: float = 0.1,
     *,
     S: SampleSet,
@@ -335,8 +322,8 @@ def doi_weight(
         raise ValueError("K fit diverges: q violates the Garding envelope bounds")
     K = max(1.0, K_fit)
 
-    # f and lam_tilde depend on K and lam only; the symbol is filled in below
-    dw = DoiWeight(symbol=None, base_symbol=None, K=K, eps=eps, rho=1.0, lam=lam, garding=q)
+    # f and lam_tilde depend on K only; the symbol is filled in below
+    dw = DoiWeight(symbol=None, base_symbol=None, K=K, eps=eps, rho=1.0, garding=q)
     f_val, lam_tilde = dw.f, dw.lam_tilde
 
     def pieces(X, XI):
@@ -404,7 +391,6 @@ def doi_weight(
 def doi_slack(
     a: Symbol,
     p: Union[DoiWeight, Symbol],
-    lam: WeightFn,
     S: SampleSet,
 ) -> SlackFit:
     """Fit H_a p >= C lam(|x|) |xi|^{m-1} - C' over the sample set."""
@@ -518,7 +504,7 @@ class AdmissibilityReport:
         }
 
 
-def admissibility_report(a: Symbol, lam: WeightFn, S: SampleSet) -> AdmissibilityReport:
+def admissibility_report(a: Symbol, S: SampleSet) -> AdmissibilityReport:
     """Run the full admissibility pipeline on a symbol over the caller's
     sample set S.
 
@@ -529,8 +515,8 @@ def admissibility_report(a: Symbol, lam: WeightFn, S: SampleSet) -> Admissibilit
     The overall verdict requires every stage to pass with slack C1 > 0.
     """
     grad = check_grad_ellipticity(a, S)
-    decay = check_x_decay(a, lam, S)
-    imaginary = check_im_smallness(a, lam, S)
+    decay = check_x_decay(a, S)
+    imaginary = check_im_smallness(a, S)
     gw = None
     slack = None
     if grad.verdict != "fail":

@@ -32,7 +32,6 @@ from weylab.nonlinear import (
 )
 from weylab.symbol import SampleSet, SympySymbol, catalog, phase_symbols
 from weylab.weights import (
-    WeightFn,
     admissibility_report,
     doi_slack,
     doi_weight,
@@ -41,8 +40,6 @@ from weylab.weights import (
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
-LAM = WeightFn()
 
 
 def report(criterion, ok, detail):
@@ -174,15 +171,15 @@ def test_criterion_4_admissibility(sample_1d, sample_2d):
     results = {}
     slacks = {}
     for name, (a, S) in passing.items():
-        rep = admissibility_report(a, LAM, S)
+        rep = admissibility_report(a, S)
         results[name] = rep.verdict
         slacks[name] = rep.slack.C1 if rep.slack else 0.0
     pass_ok = all(v == "pass" for v in results.values()) and all(c > 0 for c in slacks.values())
 
-    fail_big = admissibility_report(catalog("gaussian_kdv", eps=5.0), LAM, sample_1d).verdict
+    fail_big = admissibility_report(catalog("gaussian_kdv", eps=5.0), sample_1d).verdict
     xs, xis = phase_symbols(2)
     degenerate = SympySymbol(xis[0] ** 3, 2, 3.0)
-    fail_deg = admissibility_report(degenerate, LAM, sample_2d).verdict
+    fail_deg = admissibility_report(degenerate, sample_2d).verdict
     fail_ok = fail_big == "fail" and fail_deg == "fail"
     report(
         4,
@@ -200,15 +197,15 @@ def test_criterion_5_doi_weight(sample_1d):
     for name, kw in [("airy", {}), ("gaussian_kdv", dict(eps=0.05))]:
         a = catalog(name, **kw)
         gw = garding_weight(a, S=sample_1d)
-        dw = doi_weight(a, gw, LAM, eps=0.1, S=sample_1d)
-        fit = doi_slack(a, dw, LAM, sample_1d)
+        dw = doi_weight(a, gw, eps=0.1, S=sample_1d)
+        fit = doi_slack(a, dw, sample_1d)
         outcomes[name] = (fit.verdict, fit.C1)
     slack_ok = all(v == "pass" and c > 0 for v, c in outcomes.values())
 
     # three-region structure at plateau probes (airy weight, unscaled symbol)
     a = catalog("airy")
     gw = garding_weight(a, S=sample_1d)
-    dw = doi_weight(a, gw, LAM, eps=0.1, S=sample_1d)
+    dw = doi_weight(a, gw, eps=0.1, S=sample_1d)
     qv = gw.q.eval(5.0, 2.0).item().real
     plateau = dw.base_symbol.eval(5.0, 2.0).item().real
     region_ok = (
@@ -234,7 +231,7 @@ def test_criterion_5_doi_weight(sample_1d):
 def test_criterion_6_exp_weights(sample_1d):
     a = catalog("airy")
     gw = garding_weight(a, S=sample_1d)
-    dw = doi_weight(a, gw, LAM, eps=0.1, S=sample_1d)
+    dw = doi_weight(a, gw, eps=0.1, S=sample_1d)
     fits = {}
     for N in (64, 128):
         fits[N] = exp_weight_operators(dw, make_grid(1, 8.0, N)).conjugation_C
@@ -264,14 +261,14 @@ def test_criterion_7_smoothing_family():
         r_ii, r_i, r_iii, unweighted = {}, {}, {}, {}
         for k, u0 in data.items():
             # one solve scores (ii), (i) and the unweighted integral
-            ii = SmoothingSeries(g, a.order, "ii", 0.0, LAM, None)
-            i = SmoothingSeries(g, a.order, "i", 0.0, LAM, None)
+            ii = SmoothingSeries(g, a.order, "ii", 0.0, None)
+            i = SmoothingSeries(g, a.order, "i", 0.0, None)
             h1 = NormSeries(g, (1.0,))
             solve_linear(a, u0, T=T, store_stride=4, consume=lambda t, v: (ii(t, v), i(t, v), h1(t, v)))
             r_ii[k] = ii.report().ratio
             r_i[k] = i.report().ratio
             unweighted[k] = float(np.trapezoid([float(row[0]) ** 2 for row in h1.sobolev], h1.times))
-            forced, _ = smoothing_report(a, Field.zero(g), u0, "iii", 0.0, LAM, T=T, store_stride=4)
+            forced, _ = smoothing_report(a, Field.zero(g), u0, "iii", 0.0, T=T, store_stride=4)
             r_iii[k] = forced.ratio
         spread = max(r_ii.values()) / min(r_ii.values())
         growth = unweighted[32.0] / unweighted[4.0]
@@ -337,7 +334,7 @@ def test_criterion_9_nlivp():
     a = catalog("airy")
     spec = NonlinearitySpec(1, 0, (1,))
     u0 = gaussian_wavepacket(g, 0.0, 8.0, amplitude=0.01)
-    kw = dict(s=15.0, lam=LAM, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
+    kw = dict(s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
     run = picard_solve(a, u0, spec, **kw)
     rho_ok = run.converged and all(r < 0.5 for r in run.contraction_factors)
     res_ok = run.residual <= 1e-4
@@ -349,7 +346,7 @@ def test_criterion_9_nlivp():
     agree_ok = agree <= 1e-4
 
     pert = Field.from_function(g, lambda x: np.exp(-(x**2) / 6) * np.exp(1j * x))
-    kw_c = dict(s=15.0, lam=LAM, T=0.05, tol=1e-10, dt=2e-4, store_stride=8)
+    kw_c = dict(s=15.0, T=0.05, tol=1e-10, dt=2e-4, store_stride=8)
     base_run = picard_solve(a, u0, spec, **kw_c)
     ratios = []
     for delta in (1e-3, 5e-4, 2.5e-4):
@@ -442,7 +439,7 @@ def test_criterion_11_order_two_regression(sample_2d):
     c3_ok = disp <= 1e-12 and drift <= 1e-6
 
     # criterion 4
-    adm = admissibility_report(a, LAM, sample_2d)
+    adm = admissibility_report(a, sample_2d)
     c4_ok = adm.passed and adm.slack.C1 > 0
 
     # smoothing family with half-derivative gain (weighted index s + 1/2)
@@ -454,7 +451,7 @@ def test_criterion_11_order_two_regression(sample_2d):
     ratios = {}
     assert a.order == 2.0  # gain (m-1)/2 = 1/2
     for k, u0 in data.items():
-        rep, _ = smoothing_report(a, u0, None, "ii", 0.0, LAM, T=T, dt=2.2e-3, store_stride=4)
+        rep, _ = smoothing_report(a, u0, None, "ii", 0.0, T=T, dt=2.2e-3, store_stride=4)
         ratios[k] = rep.ratio
     spread = max(ratios.values()) / min(ratios.values())
     family_ok = spread <= 8.0

@@ -644,7 +644,6 @@ def test_forced_smoothing_report_matches_the_library(tmp_path):
     from weylab.evolve import smoothing_report
     from weylab.grid import Field, gaussian_wavepacket, make_grid
     from weylab.symbol import catalog
-    from weylab.weights import WeightFn
 
     cfg = {
         "experiment": "smoothing-report",
@@ -659,7 +658,7 @@ def test_forced_smoothing_report_matches_the_library(tmp_path):
     g = make_grid(**_AIRY_GRID)
     for k in (4.0, 8.0):
         u0 = gaussian_wavepacket(g, [k], 8.0)
-        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), u0, "ii", 1.0, WeightFn(), T=0.2, store_stride=4)
+        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), u0, "ii", 1.0, T=0.2, store_stride=4)
         assert details["ratios"][str(k)] == rep.ratio
 
 

@@ -30,6 +30,7 @@ from weylab.grid import (
     gaussian_wavepacket,
     inverse,
     l2_norm,
+    lam,
     make_grid,
     sobolev_norm,
     transform,
@@ -37,7 +38,6 @@ from weylab.grid import (
 )
 from weylab.symbol import SympySymbol, VectorFieldSystem, build_kdv_type, catalog
 from weylab.symbol.core import phase_symbols
-from weylab.weights import WeightFn
 
 
 def airy_packet(g, k=4.0, width2=8.0):
@@ -668,7 +668,7 @@ def test_step_error_keeps_no_state_array(traced_peak):
     assert kept - base < uhat0.nbytes / 16
 
     def peak(dt):
-        series = SmoothingSeries(g, a.order, "ii", 0.0, WeightFn(), None)
+        series = SmoothingSeries(g, a.order, "ii", 0.0, None)
         return traced_peak(lambda: solve_linear(a, u0, T=T, dt=dt, store_stride=4, guard=gw, consume=series), g)
 
     thinned = solve_linear(a, u0, T=T, store_stride=4, guard=gw)
@@ -841,16 +841,14 @@ class Frames:
 
 def test_smoothing_report_zero_solution():
     g = make_grid(1, 10.0, 64)
-    lam = WeightFn()
     for est in ("i", "ii", "iii"):
-        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), None, est, 0.0, lam, T=0.01, dt=1e-3)
+        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), None, est, 0.0, T=0.01, dt=1e-3)
         assert rep.lhs == 0.0 and rep.ratio == 0.0
 
 
 def test_smoothing_report_weighted_family_bounded():
     # compact version of the family run: weighted ratio stays bounded while the
     # unweighted integral grows like k^2
-    lam = WeightFn()
     g = make_grid(1, 40 * np.pi, 2048)
     a = catalog("airy")
     packets = {k: airy_packet(g, k=k) for k in (4, 16)}
@@ -859,7 +857,7 @@ def test_smoothing_report_weighted_family_bounded():
     unweighted = {}
     for k, u0 in packets.items():
         # one solve scores both quantities
-        ii, h1 = SmoothingSeries(g, a.order, "ii", 0.0, lam, None), NormSeries(g, (1.0,))
+        ii, h1 = SmoothingSeries(g, a.order, "ii", 0.0, None), NormSeries(g, (1.0,))
         solve_linear(a, u0, T=T, store_stride=4, consume=lambda t, v: (ii(t, v), h1(t, v)))
         ratios[k] = ii.report().ratio
         unweighted[k] = np.trapezoid([row[0] ** 2 for row in h1.sobolev], h1.times)
@@ -870,11 +868,10 @@ def test_smoothing_report_weighted_family_bounded():
 
 @pytest.mark.parametrize("estimate, per_frame", [("i", ["fftn"]), ("ii", ["fftn", "ifftn"])])
 def test_smoothing_report_takes_one_spectrum_per_frame(estimate, per_frame):
-    lam = WeightFn()
     g = CountingGrid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     s, gain = 0.5, 1.0
-    series, frames, taken = SmoothingSeries(g, a.order, estimate, s, lam, None), Frames(g), []
+    series, frames, taken = SmoothingSeries(g, a.order, estimate, s, None), Frames(g), []
 
     def consume(t, v):
         g.transforms.clear()
@@ -905,13 +902,14 @@ def test_smoothing_series_takes_its_per_frame_operands_once(monkeypatch, estimat
     bessel = Grid.bessel_base
     monkeypatch.setattr(Grid, "bessel_base", property(lambda g: reads.append(1) or bessel.fget(g)))
 
-    def lam(r):
+    def counted(r):
         calls.append(1)
-        return WeightFn()(r)
+        return lam(r)
 
+    monkeypatch.setattr(evolve, "lam", counted)
     g = make_grid(1, 40 * np.pi, 1024)
     u0 = airy_packet(g)
-    series = SmoothingSeries(g, 3.0, estimate, 0.5, lam, u0 if estimate == "iii" else None)
+    series = SmoothingSeries(g, 3.0, estimate, 0.5, u0 if estimate == "iii" else None)
     made = (len(calls), len(reads))
     for t in range(4):
         series(0.01 * t, u0.values)
@@ -924,12 +922,11 @@ def test_smoothing_series_takes_its_per_frame_operands_once(monkeypatch, estimat
 def test_smoothing_report_takes_a_constant_source_once(estimate, once):
     # a Field source has the same term at every node: its transforms are made
     # once per report, and the right side is that of the term taken per node
-    lam = WeightFn()
     g = CountingGrid(1, 40 * np.pi, 1024)
     s, gain = 0.5, 1.0
     a, source = catalog("airy"), airy_packet(g)
     g.transforms.clear()
-    series = SmoothingSeries(g, a.order, estimate, s, lam, source)
+    series = SmoothingSeries(g, a.order, estimate, s, source)
     assert g.transforms == once
     taken = []
 
@@ -977,19 +974,19 @@ def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, 
     # the streamed report equals, bit for bit, the estimate recomputed per
     # Field with the public norms over stored copies of the streamed frames
     build, grid, carrier, width2, run = _STREAM_FAMILIES[family]
-    a, g, lam, s = build(), make_grid(*grid), WeightFn(), 0.5
+    a, g, s = build(), make_grid(*grid), 0.5
     gain = (a.order - 1.0) / 2.0
     packet = gaussian_wavepacket(g, carrier, width2)
     source = {"free": None, "forced": packet}[forcing]
     datum = packet if source is None else Field.zero(g)
-    series, frames = SmoothingSeries(g, a.order, estimate, s, lam, source), Frames(g)
+    series, frames = SmoothingSeries(g, a.order, estimate, s, source), Frames(g)
     consume = lambda t, v: (series(t, v), frames(t, v))  # noqa: E731
     if estimate == "iii" and source is None:
         # the estimate needs a source: a free run from data is refused
         with pytest.raises(ValueError):
             solve_linear(a, datum, source, consume=consume, **run)
         with pytest.raises(ValueError):
-            smoothing_report(a, datum, source, estimate, s, lam, **run)
+            smoothing_report(a, datum, source, estimate, s, **run)
         return
     sol = solve_linear(a, datum, source, consume=consume, **run)
     rep = series.report()
@@ -1016,7 +1013,7 @@ def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, 
     # the streamed solve keeps only its final frame, and smoothing_report
     # gives the same report
     assert sol.values.shape == (1, *g.shape) and sol.times[-1] == times[-1]
-    driven, _ = smoothing_report(a, datum, source, estimate, s, lam, **run)
+    driven, _ = smoothing_report(a, datum, source, estimate, s, **run)
     assert (driven.lhs, driven.rhs, driven.ratio) == (rep.lhs, rep.rhs, rep.ratio)
 
 
@@ -1034,8 +1031,8 @@ def test_streamed_solve_refuses_frame_reductions():
     # whole trajectory: reducing that one frame as if it were the trajectory
     # gave ratio 1
     g = make_grid(1, 40 * np.pi, 1024)
-    a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn()
-    series = SmoothingSeries(g, a.order, "ii", 0.0, lam, None)
+    a = catalog("gaussian_kdv", eps=0.05)
+    series = SmoothingSeries(g, a.order, "ii", 0.0, None)
     solve_linear(a, airy_packet(g, k=8.0), T=0.01, consume=series)
     assert series.report().ratio > 1.0
 
@@ -1044,11 +1041,11 @@ def test_streamed_smoothing_memory_does_not_grow_with_frames(traced_peak):
     # a stored solve grows by one state array per frame; a streamed one keeps
     # a few numbers per frame, whatever the stride or the horizon
     g = make_grid(1, 40 * np.pi, 2048)
-    a, lam = catalog("gaussian_kdv", eps=0.05), WeightFn()
+    a = catalog("gaussian_kdv", eps=0.05)
     u0 = airy_packet(g, k=8.0)
 
     def streamed_peak(T, stride):
-        series = SmoothingSeries(g, a.order, "ii", 0.0, lam, None)
+        series = SmoothingSeries(g, a.order, "ii", 0.0, None)
         peak = traced_peak(lambda: solve_linear(a, u0, T=T, store_stride=stride, consume=series), g)
         return peak, len(series.times)
 
@@ -1061,11 +1058,10 @@ def test_streamed_smoothing_memory_does_not_grow_with_frames(traced_peak):
 
 
 def test_smoothing_report_iii_forced():
-    lam = WeightFn()
     g = make_grid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     fsrc = Field.from_function(g, lambda x: np.exp(4j * x) * np.exp(-(x**2) / 8))
-    rep, _ = smoothing_report(a, Field.zero(g), fsrc, "iii", 0.0, lam, T=0.05, store_stride=4)
+    rep, _ = smoothing_report(a, Field.zero(g), fsrc, "iii", 0.0, T=0.05, store_stride=4)
     assert np.isfinite(rep.ratio) and rep.ratio > 0
 
 
@@ -1074,13 +1070,12 @@ def test_smoothing_report_iii_requires_source():
     u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
     with pytest.raises(ValueError):
         smoothing_report(
-            catalog("airy"), u0, None, "iii", 0.0, WeightFn(), T=0.01, dt=1e-3, enforce_wrap_guard=False
+            catalog("airy"), u0, None, "iii", 0.0, T=0.01, dt=1e-3, enforce_wrap_guard=False
         )
 
 
 def test_smoothing_lhs_monotone_in_T():
     # estimate (ii) LHS accumulates: nondecreasing in T for f = 0
-    lam = WeightFn()
     g = make_grid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     u0 = airy_packet(g, k=4.0)

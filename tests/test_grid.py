@@ -235,10 +235,17 @@ def test_weighted_pairing_direct_sum_oracle():
 
 
 def test_weighted_pairing_rejects_nonpositive_weight():
+    # a weight must be finite and strictly positive at every node: a negative,
+    # a NaN or an infinite value is refused, not summed into the pairing
     g = make_grid(1, 5.0, 64)
     u = Field.from_function(g, lambda x: np.exp(-(x**2)))
-    with pytest.raises(ValueError):
-        weighted_pairing(u, lambda r: r - 1.0, 0.0)
+    for weight in (
+        lambda r: r - 1.0,
+        lambda r: np.where(r > 1, np.nan, 1.0),
+        lambda r: np.where(r > 1, np.inf, 1.0),
+    ):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            weighted_pairing(u, weight, 0.0)
 
 
 def test_tail_mass_fraction():

@@ -1,7 +1,8 @@
 """Static checks of the package sources: every imported name is used, every
 private definition is referenced, every dataclass field is read, sympy's
-calculus runs only where the package keeps it, and every run key is set by a
-test or benchmark config."""
+calculus runs only where the package keeps it, no function takes the spatial
+weight as an argument, and every run key is set by a test or benchmark
+config."""
 
 import ast
 from pathlib import Path
@@ -175,6 +176,56 @@ def test_stray_sympy_call_is_found():
         "sp.integrate in prim (line 3)",
         "sp.Poly in stray (line 5)",
         "sp.lambdify in module level (line 6)",
+    ]
+
+
+# the deleted weight class, spelled in two parts so that a text search of
+# src and tests for its name finds no use
+WEIGHT_CLASS = "Weight" + "Fn"
+
+
+def weight_arguments(source: str) -> list[str]:
+    """The parameters named `lam` of a source's functions and lambdas, and
+    every use of the name WEIGHT_CLASS.  lam(r) = <r>^{-2} is the module
+    function `grid.lam`, read where it is needed: no function takes it as an
+    argument (`grid.weighted_pairing` and `grid._positive_weight` take any
+    weight, as `weight`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+                if arg is not None and arg.arg == "lam":
+                    found.append((node.lineno, f"lam parameter of {getattr(node, 'name', 'lambda')}"))
+        # a name read, an attribute, a definition, an import or a string
+        if WEIGHT_CLASS in {getattr(node, f, None) for f in ("id", "attr", "name", "asname", "value")}:
+            found.append((node.lineno, WEIGHT_CLASS))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_function_takes_the_spatial_weight(path):
+    assert weight_arguments(path.read_text()) == []
+
+
+def test_spatial_weight_argument_is_found():
+    source = (
+        f"from .weights import {WEIGHT_CLASS}\n"
+        "def lam(r):\n    return r\n"
+        "def fit(a, lam, S):\n    return lam(S)\n"
+        "def solve(a, *, lam=None):\n    return a\n"
+        "w = lambda lam: lam(0.0)\n"
+        f"class {WEIGHT_CLASS}:\n    pass\n"
+        f"__all__ = ['{WEIGHT_CLASS}', 'lam']\n"
+        "weighted = fit(1, lam, 2)\n"
+    )
+    assert weight_arguments(source) == [
+        f"{WEIGHT_CLASS} (line 1)",
+        "lam parameter of fit (line 4)",
+        "lam parameter of solve (line 6)",
+        "lam parameter of lambda (line 8)",
+        f"{WEIGHT_CLASS} (line 9)",
+        f"{WEIGHT_CLASS} (line 11)",
     ]
 
 

@@ -5,13 +5,16 @@ import hashlib
 import numpy as np
 import pytest
 
+from weylab import nonlinear
 from weylab.calculus import EvolutionOperator
 from weylab.evolve import WrapGuardError, build_evolution_operator, lawson_stepper, solve_linear, wrap_guard
 from weylab.grid import (
+    LAM_EXPONENT,
     Field,
     Grid,
     gaussian_wavepacket,
     l2_norm,
+    lam,
     make_grid,
     sobolev_norm,
     tail_mass_fraction,
@@ -31,11 +34,9 @@ from weylab.nonlinear import (
     picard_solve,
 )
 from weylab.symbol import SympySymbol, catalog
-from weylab.weights import LAM_EXPONENT, WeightFn
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
-LAM = WeightFn()
 SPEC = NonlinearitySpec(1, 0, (1,))
 
 
@@ -96,10 +97,10 @@ def _rhs(a, sol):
     return 1j * EvolutionOperator(a, sol.grid).apply(sol.values)
 
 
-def _xts(a, sol, s, lam):
+def _xts(a, sol, s):
     """The four-term norm of a stored source-free solve, reduced one chunk
     of frames at a time."""
-    reducer = _XtsReducer(sol.grid, s, lam)
+    reducer = _XtsReducer(sol.grid, s)
     rhs = _rhs(a, sol)
     for sl in _chunks(sol.grid, 0, len(sol.times)):
         reducer.add(sol.values[sl], rhs[sl])
@@ -109,7 +110,7 @@ def _xts(a, sol, s, lam):
 def test_xts_norm_zero(setup):
     g, a, _ = setup
     sol = solve_linear(a, Field.zero(g), T=0.01, dt=1e-3)
-    out = _xts(a, sol, 15.0, LAM)
+    out = _xts(a, sol, 15.0)
     assert out.value == 0.0
 
 
@@ -119,12 +120,12 @@ def test_xts_norm_stationary_zero_symbol(setup):
     zero = SympySymbol(0, 1, 0.0, zero_nyquist=False)
     T = 0.25
     sol = solve_linear(zero, u0, T=T, dt=0.025, enforce_wrap_guard=False)
-    out = _xts(zero, sol, 15.0, LAM)
+    out = _xts(zero, sol, 15.0)
     s = 15.0
     expect = (
         sobolev_norm(u0, s) ** 2
-        + T * weighted_pairing(u0, LAM, s + 1.0)
-        + sobolev_norm(Field(g, u0.values / LAM(g.x_radius)), s - 2 * 2 - 2) ** 2
+        + T * weighted_pairing(u0, lam, s + 1.0)
+        + sobolev_norm(Field(g, u0.values / lam(g.x_radius)), s - 2 * 2 - 2) ** 2
     )
     assert np.isclose(out.value**2, expect, rtol=1e-7)
     assert out.terms["sup_weighted_dt_sq(s-2N-5)"] == 0.0
@@ -134,12 +135,12 @@ def test_xts_norm_reassembly_oracle(setup):
     # independent quadrature assembly of the four terms for an airy run
     g, a, u0 = setup
     sol = solve_linear(a, u0, T=0.05, dt=1e-3, store_stride=5)
-    out = _xts(a, sol, 15.0, LAM)
+    out = _xts(a, sol, 15.0)
     s = 15.0
-    inv = 1.0 / LAM(g.x_radius)
+    inv = 1.0 / lam(g.x_radius)
     rhs = _rhs(a, sol)
     sup_s2 = max(sobolev_norm(sol.field(i), s) ** 2 for i in range(len(sol.times)))
-    wvals = [weighted_pairing(sol.field(i), LAM, s + 1.0) for i in range(len(sol.times))]
+    wvals = [weighted_pairing(sol.field(i), lam, s + 1.0) for i in range(len(sol.times))]
     smooth = np.trapezoid(wvals, sol.times)
     low = max(
         sobolev_norm(Field(g, inv * sol.values[i]), s - 6.0) ** 2 for i in range(len(sol.times))
@@ -151,7 +152,7 @@ def test_xts_norm_reassembly_oracle(setup):
     assert np.isclose(out.value**2, sup_s2 + smooth + low + dtv, rtol=1e-12)
 
 
-def _xts_terms_per_frame(g, times, fields, rhs_fields, s, lam, decay_gate):
+def _xts_terms_per_frame(g, times, fields, rhs_fields, s, decay_gate):
     """The four-term norm frame by frame through the per-Field functions."""
     N = LAM_EXPONENT
     inv_lam = 1.0 / lam(g.x_radius)
@@ -190,11 +191,12 @@ def test_xts_reducer_takes_its_per_chunk_operands_once(setup, monkeypatch):
     bessel = Grid.bessel_base
     monkeypatch.setattr(Grid, "bessel_base", property(lambda g: reads.append(1) or bessel.fget(g)))
 
-    def lam(r):
+    def counted(r):
         calls.append(1)
-        return LAM(r)
+        return lam(r)
 
-    reducer = _XtsReducer(g, 15.0, lam)
+    monkeypatch.setattr(nonlinear, "lam", counted)
+    reducer = _XtsReducer(g, 15.0)
     made = (len(calls), len(reads))
     for lo in range(len(sol.times)):
         reducer.add(sol.values[lo : lo + 1], rhs[lo : lo + 1])
@@ -211,12 +213,12 @@ def test_xts_terms_stacked_match_per_frame(setup, kind):
         pert = Field(g, u0.values * (1.0 + 1e-6 * np.exp(1j * g.x_mesh[..., 0])))
         other = solve_linear(a, pert, T=0.05, dt=1e-3, store_stride=5)
         values, rhs, gate = other.values - values, _rhs(a, other) - rhs, None
-    ref = _xts_terms_per_frame(g, sol.times, values, rhs, 15.0, LAM, gate)
+    ref = _xts_terms_per_frame(g, sol.times, values, rhs, 15.0, gate)
     # the reducer takes chunks of consecutive frames; how the frames are cut
     # into chunks does not move a bit
     outs = []
     for cuts in ([0, len(values)], [0, 3, 4, 7, len(values)], list(range(len(values) + 1))):
-        reducer = _XtsReducer(g, 15.0, LAM, decay_gate=gate)
+        reducer = _XtsReducer(g, 15.0, decay_gate=gate)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             reducer.add(values[lo:hi], rhs[lo:hi])
         outs.append(reducer.norm(sol.times))
@@ -231,7 +233,7 @@ def test_xts_terms_stacked_match_per_frame(setup, kind):
 def test_xts_norm_rejects_small_s(setup):
     g, _, _ = setup
     with pytest.raises(ValueError):
-        _XtsReducer(g, 3.0, LAM)
+        _XtsReducer(g, 3.0)
 
 
 # -- Picard ------------------------------------------------------------------------
@@ -239,14 +241,14 @@ def test_xts_norm_rejects_small_s(setup):
 
 def test_picard_zero_datum_fixed_point(setup):
     g, a, _ = setup
-    run = picard_solve(a, Field.zero(g), SPEC, s=15.0, lam=LAM, T=0.1, dt=1e-3)
+    run = picard_solve(a, Field.zero(g), SPEC, s=15.0, T=0.1, dt=1e-3)
     assert run.converged and run.iterations == 1
     assert max(np.max(np.abs(v)) for v in run.solution.values) == 0.0
 
 
 def test_picard_small_datum_converges(setup):
     g, a, u0 = setup
-    run = picard_solve(a, u0, SPEC, s=15.0, lam=LAM, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
     assert run.converged
     assert all(r < 0.5 for r in run.contraction_factors)
     assert run.residual <= 1e-4
@@ -254,7 +256,7 @@ def test_picard_small_datum_converges(setup):
 
 def test_picard_agrees_with_direct_integration(setup):
     g, a, u0 = setup
-    run = picard_solve(a, u0, SPEC, s=15.0, lam=LAM, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
     direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=2e-4, store_stride=8)
     agree = max(
         l2_norm(run.solution.field(i) - direct.field(i)) for i in range(len(direct.times))
@@ -264,7 +266,7 @@ def test_picard_agrees_with_direct_integration(setup):
 
 def test_picard_frozen_equivalence(setup):
     g, a, u0 = setup
-    kw = dict(s=15.0, lam=LAM, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
+    kw = dict(s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
     run_f = picard_solve(a, u0, SPEC, frozen=True, **kw)
     run_p = picard_solve(a, u0, SPEC, frozen=False, **kw)
     agree = max(
@@ -277,7 +279,7 @@ def test_picard_frozen_equivalence(setup):
 def _criterion_9(T=0.1, p=1, frozen=True):
     g = make_grid(1, 20 * np.pi, 256)
     u0 = gaussian_wavepacket(g, 0.0, 8.0, amplitude=0.01)
-    kw = dict(s=15.0, lam=LAM, T=T, tol=1e-8, dt=2e-4, store_stride=8, frozen=frozen)
+    kw = dict(s=15.0, T=T, tol=1e-8, dt=2e-4, store_stride=8, frozen=frozen)
     return catalog("airy"), u0, NonlinearitySpec(p, 0, (1,)), kw
 
 
@@ -317,7 +319,7 @@ def _small_2d():
     # a coarse grid, so the residual is large: only the bits matter here
     g = make_grid(2, 8 * np.pi, 32)
     u0 = gaussian_wavepacket(g, [0.0, 0.0], 8.0, amplitude=0.5)
-    kw = dict(s=15.0, lam=LAM, T=0.05, tol=1e-8)
+    kw = dict(s=15.0, T=0.05, tol=1e-8)
     return catalog("ultrahyperbolic", eps=0.3), u0, NonlinearitySpec(1, 1, (1, 0)), kw
 
 
@@ -394,7 +396,7 @@ def test_picard_divergence_abort(setup):
     g, a, _ = setup
     u_big = Field.from_function(g, lambda x: 100.0 * np.exp(-(x**2) / 8))
     with pytest.raises(PicardDivergenceError):
-        picard_solve(a, u_big, SPEC, s=15.0, lam=LAM, T=0.1, dt=2e-4)
+        picard_solve(a, u_big, SPEC, s=15.0, T=0.1, dt=2e-4)
 
 
 def test_picard_contraction_improves_with_smaller_T(setup):
@@ -402,7 +404,7 @@ def test_picard_contraction_improves_with_smaller_T(setup):
     u0 = Field.from_function(g, lambda x: 0.5 * np.exp(-(x**2) / 8))
     rhos = []
     for T in (0.1, 0.05, 0.025):
-        run = picard_solve(a, u0, SPEC, s=15.0, lam=LAM, T=T, tol=1e-12, dt=2e-4, max_iter=14)
+        run = picard_solve(a, u0, SPEC, s=15.0, T=T, tol=1e-12, dt=2e-4, max_iter=14)
         rhos.append(run.contraction_factors[0])
     assert rhos[0] > rhos[1] > rhos[2]
 
@@ -410,7 +412,7 @@ def test_picard_contraction_improves_with_smaller_T(setup):
 def test_picard_datum_continuity(setup):
     g, a, u0 = setup
     pert = Field.from_function(g, lambda x: np.exp(-(x**2) / 6) * np.exp(1j * x))
-    kw = dict(s=15.0, lam=LAM, T=0.05, tol=1e-10, dt=2e-4, store_stride=8)
+    kw = dict(s=15.0, T=0.05, tol=1e-10, dt=2e-4, store_stride=8)
     run0 = picard_solve(a, u0, SPEC, **kw)
     ratios = []
     for delta in (1e-3, 5e-4, 2.5e-4):
@@ -429,7 +431,7 @@ def test_nonlinear_solves_refuse_beyond_wrap_horizon(setup):
     g, a, u0 = setup
     T = 1.5 * wrap_guard(a, u0).horizon
     with pytest.raises(WrapGuardError):
-        picard_solve(a, u0, SPEC, s=15.0, lam=LAM, T=T, dt=2e-4)
+        picard_solve(a, u0, SPEC, s=15.0, T=T, dt=2e-4)
     with pytest.raises(WrapGuardError):
         direct_nonlinear_solve(a, u0, SPEC, T=T, dt=2e-4)
     # a plane wave has no horizon: the guard never refuses its direct solve
@@ -443,26 +445,42 @@ def test_nonlinear_solves_share_the_step_rule(setup):
     # an explicit dt is never exceeded: T = 0.1 at dt = 0.0096 takes 11 steps,
     # not 10 steps of 0.01
     g, a, u0 = setup
-    run = picard_solve(a, u0, SPEC, s=15.0, lam=LAM, T=0.1, dt=0.0096, max_iter=2)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, dt=0.0096, max_iter=2)
     direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=0.0096)
     for sol in (run.solution, direct):
         assert len(sol.times) == 12 and sol.dt == 0.1 / 11
     # and a dt beyond the stability bound is refused, as in solve_linear
     bumpy = catalog("gaussian_kdv", eps=0.5)
     with pytest.raises(ValueError, match="stability"):
-        picard_solve(bumpy, u0, SPEC, s=15.0, lam=LAM, T=0.1, dt=0.05)
+        picard_solve(bumpy, u0, SPEC, s=15.0, T=0.1, dt=0.05)
     with pytest.raises(ValueError, match="stability"):
         direct_nonlinear_solve(bumpy, u0, SPEC, T=0.1, dt=0.05)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+@pytest.mark.parametrize("solve", ["linear-picked", "linear-given", "picard", "direct"])
+def test_every_solve_names_a_bad_store_stride(setup, solve, stride):
+    # a stride below 1 is refused by name before any step; it used to surface
+    # as ZeroDivisionError, IndexError or range()'s "arg 3 must not be zero"
+    g, a, u0 = setup
+    calls = {
+        "linear-picked": lambda: solve_linear(a, u0, T=0.1, store_stride=stride),
+        "linear-given": lambda: solve_linear(a, u0, T=0.1, dt=1e-3, store_stride=stride),
+        "picard": lambda: picard_solve(a, u0, SPEC, s=15.0, T=0.1, dt=2e-4, store_stride=stride),
+        "direct": lambda: direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=2e-4, store_stride=stride),
+    }
+    with pytest.raises(ValueError, match="store_stride must be a positive integer"):
+        calls[solve]()
 
 
 def test_picard_rejects_delocalized_datum(setup):
     g, a, _ = setup
     plane = Field.from_function(g, lambda x: np.exp(1j * x))
     with pytest.raises(ValueError):
-        picard_solve(a, plane, SPEC, s=15.0, lam=LAM, T=0.05)
+        picard_solve(a, plane, SPEC, s=15.0, T=0.05)
 
 
 def test_picard_warns_below_regularity_floor(setup):
     g, a, u0 = setup
     with pytest.warns(UserWarning):
-        picard_solve(a, u0, SPEC, s=10.0, lam=LAM, T=0.02, dt=1e-3)
+        picard_solve(a, u0, SPEC, s=10.0, T=0.02, dt=1e-3)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylab.calculus import change_quantization, compose_symbols, poisson_bracket
+from weylab.grid import lam
 from weylab.hamilton import qdelta_symbol
 from weylab.symbol import (
     FuncSymbol,
@@ -24,10 +25,6 @@ from weylab.symbol import (
 )
 from weylab.symbol.core import _derivative_closure, _derivative_expr
 from weylab.weights import garding_weight
-
-
-def lam2(r):
-    return 1.0 / (1.0 + r**2)
 
 
 # -- catalog -------------------------------------------------------------------
@@ -275,7 +272,7 @@ def test_build_kdv_type_im_part_is_odd_and_small():
     val = abs(kb.im_a2.eval(0.7, 1.0).item().real)
     assert 0 < val < 10 * eps
     S = SampleSet.standard(1, x_radius=10, xi_max=32)
-    rep = check_im_smallness(kb.full, lam2, S)
+    rep = check_im_smallness(kb.full, S)
     assert rep.passed and rep.constants["c0_hat"] < 1.0
 
 
@@ -337,25 +334,25 @@ def test_grad_ellipticity_scaling_invariance(scale):
 
 
 def test_x_decay_airy_zero():
-    rep = check_x_decay(catalog("airy"), lam2, SampleSet.standard(1))
+    rep = check_x_decay(catalog("airy"), SampleSet.standard(1))
     assert rep.passed and rep.constants["eps_hat"] == 0.0
 
 
 @pytest.mark.parametrize("eps,expect", [(0.05, "pass"), (5.0, "fail")])
 def test_x_decay_gaussian_kdv(eps, expect):
-    rep = check_x_decay(catalog("gaussian_kdv", eps=eps), lam2, SampleSet.standard(1))
+    rep = check_x_decay(catalog("gaussian_kdv", eps=eps), SampleSet.standard(1))
     assert rep.verdict == expect
 
 
 def test_im_smallness_real_symbol_zero():
-    rep = check_im_smallness(catalog("airy"), lam2, SampleSet.standard(1))
+    rep = check_im_smallness(catalog("airy"), SampleSet.standard(1))
     assert rep.passed and rep.constants["c0_hat"] == 0.0
 
 
 def test_im_smallness_unit_imaginary_fails():
     xs, xis = phase_symbols(1)
     a = SympySymbol(xis[0] ** 3 + sp.I * xis[0] ** 2, 1, 3.0, label="xi^3+i xi^2")
-    rep = check_im_smallness(a, lam2, SampleSet.standard(1))
+    rep = check_im_smallness(a, SampleSet.standard(1))
     assert rep.verdict == "fail"
     # the fitted constant grows like <x>^2 over the scan box
     assert rep.constants["c0_hat"] > 50.0
@@ -366,8 +363,8 @@ def test_im_smallness_reads_the_whole_symbol():
     # gets the verdict and c0_hat of its imaginary lower-order part alone
     xs, xis = phase_symbols(1)
     S = SampleSet.standard(1)
-    whole = check_im_smallness(SympySymbol(xis[0] ** 3 + sp.I * xis[0] ** 2, 1, 3.0), lam2, S)
-    lower = check_im_smallness(SympySymbol(sp.I * xis[0] ** 2, 1, 3.0), lam2, S)
+    whole = check_im_smallness(SympySymbol(xis[0] ** 3 + sp.I * xis[0] ** 2, 1, 3.0), S)
+    lower = check_im_smallness(SympySymbol(sp.I * xis[0] ** 2, 1, 3.0), S)
     assert whole.verdict == lower.verdict == "fail"
     assert whole.constants["c0_hat"] == lower.constants["c0_hat"]
 
@@ -387,14 +384,16 @@ def _bumped(fn, index, direction):
 
 @pytest.mark.parametrize("index", [None, 5, 17])
 def test_worst_point_is_first_tie_of_a_flat_ratio(index):
-    # both ratios are flat over the samples: |Im a| / |xi|^2 = 1 and
-    # |grad_xi a| / |xi|^2 = 3.  A one-ulp move of one sample changes the exact
-    # extreme, not the reported point, which stays at the first sample.
+    # both ratios are flat over the samples: |Im a| / (lam(|x|) |xi|^2) = 1,
+    # since Im a is that product of the check's own operands (|x| as
+    # SampleSet.x_norm takes it), and |grad_xi a| / |xi|^2 = 3.  A one-ulp
+    # move of one sample changes the exact extreme, not the reported point,
+    # which stays at the first sample.
     S = SampleSet.standard(1, num_shells=4, x_points=3)
     first = (tuple(S.X[0]), tuple(S.XI[0]))
 
     def im_part(X, XI):
-        return 1j * np.abs(XI[..., 0]) ** 2
+        return 1j * (lam(np.sqrt(np.sum(X**2, axis=-1))) * np.abs(XI[..., 0]) ** 2)
 
     def grad(X, XI):
         return 3.0 * np.abs(XI[..., 0]) ** 2 + 0j
@@ -405,7 +404,7 @@ def test_worst_point_is_first_tie_of_a_flat_ratio(index):
         3.0,
         derivs={((1,), (0,)): _bumped(grad, index, -np.inf)},
     )
-    im = check_im_smallness(a, lambda r: np.ones_like(r), S)
+    im = check_im_smallness(a, S)
     ell = check_grad_ellipticity(a, S)
     assert im.worst_point == first and ell.worst_point == first
     # the fitted constants stay exact: the bumped sample sets them

@@ -5,12 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from weylab.grid import make_grid
+from weylab.grid import LAM_EXPONENT, lam, lam_deriv, lam_primitive, make_grid
 from weylab.symbol import SampleSet, catalog, check_grad_ellipticity
 from weylab.weights import (
     F_FIT_T_MAX_K,
-    LAM_EXPONENT,
-    WeightFn,
     _fit_lower_bound,
     admissibility_report,
     doi_slack,
@@ -22,26 +20,21 @@ from weylab.weights import (
 
 
 @pytest.fixture(scope="module")
-def lam():
-    return WeightFn()
-
-
-@pytest.fixture(scope="module")
 def S1():
     return SampleSet.standard(1, x_radius=10.0, xi_max=64.0)
 
 
-def test_weightfn_properties(lam):
+def test_weightfn_properties():
     r = np.linspace(0, 50, 501)
     vals = lam(r)
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) <= 0)
-    assert np.isclose(lam.primitive(1e8), np.pi / 2, atol=1e-6)
+    assert np.isclose(lam_primitive(1e8), np.pi / 2, atol=1e-6)
 
 
-def test_weightfn_matches_its_lambdified_reference(lam):
-    # the closed forms give the bits of sympy's lambdify of <r>^{-2}, of its
-    # derivative and of its primitive atan
+def test_weightfn_matches_its_lambdified_reference():
+    # grid.lam, lam_deriv and lam_primitive give the bits of sympy's lambdify
+    # of <r>^{-2}, of its derivative and of its primitive atan
     import sympy as sp
 
     r = sp.Symbol("r", real=True)
@@ -52,16 +45,16 @@ def test_weightfn_matches_its_lambdified_reference(lam):
     rs = np.concatenate([[0.0], np.geomspace(1e-8, 5e3, 2001)])
     ts = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 2001)])
     assert np.array_equal(lam(rs), value(rs))
-    assert np.array_equal(lam.deriv(rs), deriv(rs))
-    assert np.array_equal(lam.primitive(ts), primitive(ts))
+    assert np.array_equal(lam_deriv(rs), deriv(rs))
+    assert np.array_equal(lam_primitive(ts), primitive(ts))
     # the primitive of lam over [0, t] is 0 for t <= 0
-    assert np.array_equal(lam.primitive([-1.0, -1e8]), [0.0, 0.0])
+    assert np.array_equal(lam_primitive([-1.0, -1e8]), [0.0, 0.0])
 
 
 # -- Garding weight ---------------------------------------------------------------
 
 
-def test_garding_weight_airy_closed_form(lam, S1):
+def test_garding_weight_airy_closed_form(S1):
     # q = 2 C1 C^2 <xi>^{-2} x (3 xi^2) with C = 3; at (1, 1): 54/2 = 27
     a = catalog("airy")
     rep = check_grad_ellipticity(a, S1)
@@ -73,7 +66,7 @@ def test_garding_weight_airy_closed_form(lam, S1):
     assert np.allclose(got, expect, rtol=1e-12)
 
 
-def test_garding_weight_zero_scale(lam, S1):
+def test_garding_weight_zero_scale(S1):
     a = catalog("airy")
     gw = garding_weight(a, C1=0.0, S=S1)
     assert np.max(np.abs(gw.q.eval(S1.X[:100], S1.XI[:100]))) == 0.0
@@ -97,14 +90,14 @@ def test_garding_weight_rejects_degenerate():
         garding_weight(a, S=SampleSet.standard(1))
 
 
-def test_garding_envelope_bounds_finite(lam, S1):
+def test_garding_envelope_bounds_finite(S1):
     gw = garding_weight(catalog("airy"), C1=1.0, S=S1)
     assert all(np.isfinite(v) for v in gw.bound_fit.values())
     # beta = 0 entries are <x>-weighted, so constants stay O(100) on this box
     assert max(gw.bound_fit.values()) < 500.0
 
 
-def test_hamilton_slack_airy_anchor(lam, S1):
+def test_hamilton_slack_airy_anchor(S1):
     # H_a q = 162 xi^4 <xi>^{-2} >= 81 |xi|^2 on the shells |xi| >= 1
     a = catalog("airy")
     gw = garding_weight(a, C1=1.0, S=S1)
@@ -114,7 +107,7 @@ def test_hamilton_slack_airy_anchor(lam, S1):
     assert np.isclose(fit.C1, 81.0, rtol=1e-6)  # minimum attained on the |xi| = 1 shell
 
 
-def test_hamilton_slack_zk(lam):
+def test_hamilton_slack_zk():
     S2 = SampleSet.standard(2, x_radius=10.0, xi_max=32.0, x_points=9)
     a = catalog("zk")
     gw = garding_weight(a, S=S2)
@@ -161,13 +154,13 @@ def test_slack_fit_with_an_unmeasured_top_shell_deficit_is_inconclusive(S12):
 
 
 @pytest.fixture(scope="module")
-def airy_doi(lam, S1):
+def airy_doi(S1):
     a = catalog("airy")
     gw = garding_weight(a, S=S1)
-    return a, gw, doi_weight(a, gw, lam, eps=0.1, S=S1)
+    return a, gw, doi_weight(a, gw, eps=0.1, S=S1)
 
 
-def test_doi_weight_three_regions(airy_doi, lam):
+def test_doi_weight_three_regions(airy_doi):
     a, gw, dw = airy_doi
     # plateau probe: q/<x> >= 2 eps -> p = f(|q|) + 2 eps on the unscaled symbol
     x_pt, xi_pt = 5.0, 2.0
@@ -192,12 +185,12 @@ def test_doi_weight_bounded_and_real(airy_doi, S1):
     assert np.max(np.abs(vals.real)) <= 1.5 + 1e-9
 
 
-def test_doi_f_prime_dominates_lam(lam, S1):
+def test_doi_f_prime_dominates_lam(S1):
     # f'(|q|) = lam_tilde(|q|) >= lam(|x|), with equality at x = 0 (q = 0);
     # with K cut tenfold, |q| <= K <x> fails and so does the bound
     for name, kw in [("airy", {}), ("gaussian_kdv", dict(eps=0.05))]:
         a = catalog(name, **kw)
-        dw = doi_weight(a, garding_weight(a, S=S1), lam, eps=0.1, S=S1)
+        dw = doi_weight(a, garding_weight(a, S=S1), eps=0.1, S=S1)
         assert dw.lam_tilde_margin(S1) == 0.0
         assert dataclasses.replace(dw, K=dw.K / 10.0).lam_tilde_margin(S1) < -0.2
 
@@ -224,7 +217,7 @@ def test_doi_f_derivative_bound(airy_doi):
     t = np.linspace(0.0, F_FIT_T_MAX_K * dw.K, 4001)
     r, N = np.maximum(t / dw.K - 10.0, 0.0), LAM_EXPONENT
     f2 = N * r * (1.0 + r**2) ** (-N / 2.0 - 1.0) / dw.K
-    exact = np.max(f2 * (1.0 + t) ** 2 / (dw.lam(0.0) + dw.lam.primitive(t)))
+    exact = np.max(f2 * (1.0 + t) ** 2 / (lam(0.0) + lam_primitive(t)))
     assert abs(fit["m=2"] - exact) <= 1e-12 * exact
 
 
@@ -277,46 +270,46 @@ def test_deriv_on_broadcast_points_matches_materialized(airy_doi):
         assert scaled.tobytes() == (dw.rho * dw.base_symbol.deriv(alpha, beta, x, xi)).tobytes()
 
 
-def test_doi_slack_airy_and_gaussian(lam, S1):
+def test_doi_slack_airy_and_gaussian(S1):
     for name, kw in [("airy", {}), ("gaussian_kdv", dict(eps=0.05))]:
         a = catalog(name, **kw)
         gw = garding_weight(a, S=S1)
-        dw = doi_weight(a, gw, lam, eps=0.1, S=S1)
-        fit = doi_slack(a, dw, lam, S1)
+        dw = doi_weight(a, gw, eps=0.1, S=S1)
+        fit = doi_slack(a, dw, S1)
         assert fit.passed and fit.C1 > 0
 
 
-def test_doi_slack_zero_weight_fails(lam, S1):
+def test_doi_slack_zero_weight_fails(S1):
     from weylab.symbol import SympySymbol
 
-    fit = doi_slack(catalog("airy"), SympySymbol(0, 1, 0.0, zero_nyquist=False), lam, S1)
+    fit = doi_slack(catalog("airy"), SympySymbol(0, 1, 0.0, zero_nyquist=False), S1)
     assert fit.C1 == 0.0 and not fit.passed
 
 
-def test_doi_slack_stable_under_grid_refinement(lam):
+def test_doi_slack_stable_under_grid_refinement():
     # constant-coefficient symbol: fitted C bounded away from 0 as xi_max grows
     a = catalog("airy")
     cs = []
     for xi_max in (32.0, 64.0, 128.0):
         S = SampleSet.standard(1, x_radius=10.0, xi_max=xi_max)
         gw = garding_weight(a, S=S)
-        dw = doi_weight(a, gw, lam, eps=0.1, S=S)
-        cs.append(doi_slack(a, dw, lam, S).C1)
+        dw = doi_weight(a, gw, eps=0.1, S=S)
+        cs.append(doi_slack(a, dw, S).C1)
     assert min(cs) > 0
     assert max(cs) / min(cs) < 3.0
 
 
-def test_doi_weight_rejects_bad_eps(lam, S1):
+def test_doi_weight_rejects_bad_eps(S1):
     a = catalog("airy")
     gw = garding_weight(a, S=S1)
     with pytest.raises(ValueError):
-        doi_weight(a, gw, lam, eps=1.5, S=S1)
+        doi_weight(a, gw, eps=1.5, S=S1)
 
 
 # -- exponential weights -------------------------------------------------------------
 
 
-def test_exp_weights_identity_for_zero_p(lam):
+def test_exp_weights_identity_for_zero_p():
     from weylab.symbol import SympySymbol
 
     g = make_grid(1, 8.0, 64)
@@ -382,17 +375,17 @@ def test_probe_generator_reproduces_band_probes():
         ("gaussian_kdv", dict(eps=0.05)),
     ],
 )
-def test_admissibility_pass_1d(lam, S1, name, kw):
-    rep = admissibility_report(catalog(name, **kw), lam, S1)
+def test_admissibility_pass_1d(S1, name, kw):
+    rep = admissibility_report(catalog(name, **kw), S1)
     assert rep.passed
     assert rep.slack is not None and rep.slack.C1 > 0
 
 
-def test_admissibility_fail_cases(lam, S1):
-    assert admissibility_report(catalog("gaussian_kdv", eps=5.0), lam, S1).verdict == "fail"
+def test_admissibility_fail_cases(S1):
+    assert admissibility_report(catalog("gaussian_kdv", eps=5.0), S1).verdict == "fail"
     from weylab.symbol import SympySymbol, phase_symbols
 
     _, xis = phase_symbols(2)
     bad = SympySymbol(xis[0] ** 3, 2, 3.0)
     S2 = SampleSet.standard(2, x_points=5)
-    assert admissibility_report(bad, lam, S2).verdict == "fail"
+    assert admissibility_report(bad, S2).verdict == "fail"
