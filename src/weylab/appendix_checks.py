@@ -24,7 +24,7 @@ d > 0 and m <= 3: where |xi|^2 >= d, <xi>_d^{m-1} <= 2^{(m-1)/2} |xi|^{m-1}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import sympy as sp
@@ -142,6 +142,10 @@ def lemmatec1_residual(p_sym: Symbol, N_w: int, g: Grid) -> LemmaA1Report:
 
 
 A3_C, A3_C1 = 0.5, 4.0  # the witnesses (c, c1) of the scalar inequality
+# the orders m and the xi samples of the scan
+A3_M_VALUES = (2, 3)
+A3_XI = np.linspace(-10.0, 10.0, 401)
+A3_XI.flags.writeable = False
 
 
 def _a3_slack(xi_abs: np.ndarray, delta: float, m: int) -> np.ndarray:
@@ -151,16 +155,11 @@ def _a3_slack(xi_abs: np.ndarray, delta: float, m: int) -> np.ndarray:
     return lhs - rhs
 
 
-def lemmatec3_scan(
-    m_values: Sequence[int] = (2, 3),
-    delta_list: Sequence[float] = (0.01, 0.1, 0.5, 1.0),
-    xi_grid: Optional[np.ndarray] = None,
-) -> ScanReport:
+def lemmatec3_scan(delta_list: Sequence[float] = (0.01, 0.1, 0.5, 1.0)) -> ScanReport:
     """Scan the regularized-bracket inequality for the witnesses (A3_C, A3_C1)
-    over every m, delta and xi given; the worst slack and where it falls."""
-    if xi_grid is None:
-        xi_grid = np.linspace(-10.0, 10.0, 401)
-    xi_abs = np.abs(np.asarray(xi_grid, dtype=float))
+    over every m in A3_M_VALUES, delta given and xi in A3_XI; the worst slack
+    and where it falls."""
+    xi_abs = np.abs(A3_XI)
     if not delta_list:
         raise ValueError("the scan needs at least one delta")
     for d in delta_list:
@@ -168,19 +167,19 @@ def lemmatec3_scan(
             raise ValueError("delta values must lie in (0, 1]")
     worst = np.inf
     wit = {}
-    for m in m_values:
+    for m in A3_M_VALUES:
         for d in delta_list:
-            slack = _a3_slack(xi_abs, float(d), int(m))
+            slack = _a3_slack(xi_abs, float(d), m)
             j = int(np.argmin(slack))
             if slack[j] < worst:
                 worst = float(slack[j])
-                wit = {"xi": float(xi_grid[j]), "delta": float(d), "m": int(m)}
+                wit = {"xi": float(A3_XI[j]), "delta": float(d), "m": m}
     return ScanReport(
         lemma="regularized-bracket inequality",
         parameter_ranges={
-            "m": list(int(m) for m in m_values),
+            "m": list(A3_M_VALUES),
             "delta": [float(d) for d in delta_list],
-            "xi": [float(np.min(xi_grid)), float(np.max(xi_grid)), int(xi_grid.size)],
+            "xi": [float(np.min(A3_XI)), float(np.max(A3_XI)), A3_XI.size],
         },
         constants={"c": A3_C, "c1": A3_C1},
         worst_slack=worst,

@@ -109,7 +109,8 @@ def _check_value(val, path: str, typ):
         return typ(val, path)
     if typ is not None:
         types, name = _TYPES[typ]
-        if not isinstance(val, types):
+        # bool subclasses int, but true and false are no numbers
+        if not isinstance(val, types) or (isinstance(val, bool) and typ != "bool"):
             raise ConfigError(f"{path}: expected {name}, got {type(val).__name__}")
     return val
 
@@ -591,7 +592,7 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
 
 @_experiment(
     "positivity",
-    {"flavor": (_one_of(POSITIVITY_FLAVORS), "sharp_garding"), "probes": ("int", 48)},
+    {"flavor": (_one_of(POSITIVITY_FLAVORS), "sharp_garding"), "probes": (_positive_int, 48)},
     requires=("grid",),
 )
 def _exp_positivity(cfg, run, rng, outdir, prefix):

@@ -449,19 +449,19 @@ def _nonlinear_steps(
     xi_cap: float,
     T: float,
     dt: Optional[float],
-    coeff: Optional[np.ndarray],
+    coeff: np.ndarray,
     mult: np.ndarray,
 ) -> tuple[int, float]:
     """(steps, dt) of the nonlinear solves, which propagate the multiplier
     exactly and step the remainder and a forcing coeff(x) * Op(mult(xi)),
-    bounded by max|coeff| max|mult| (no forcing when coeff is None).
+    bounded by max|coeff| max|mult|; both solves pass coeff = u0^p conj(u0)^q.
     dt=None picks the step by `_clock_steps`: stability over the stepped
     part, accuracy over the whole operator on the active band |xi| <= xi_cap
     (the datum's `WrapGuard.xi_cap`).  The accuracy magnitude counts the
     exactly propagated multiplier, which `solve_linear`'s clock counts only
     when it steps it, and every picked step is taken: Picard's norms
     integrate over every step."""
-    extra_mag = 0.0 if coeff is None else float(np.max(np.abs(coeff)) * np.max(np.abs(mult)))
+    extra_mag = float(np.max(np.abs(coeff)) * np.max(np.abs(mult)))
     stab_mag = op.max_abs_remainder(None) + extra_mag
     if dt is not None:
         return _time_steps(T, dt, stab_mag)
@@ -510,7 +510,6 @@ def solve_linear(
     dt: Optional[float] = None,
     scheme: str = "if_rk4",
     store_stride: int = 1,
-    enforce_wrap_guard: bool = True,
     guard: Optional[WrapGuard] = None,
     consume: Optional[FrameConsumer] = None,
 ) -> Solution:
@@ -521,7 +520,8 @@ def solve_linear(
     x-independent multiplier part exactly and steps the remainder (with no
     multiplier part the two take the same steps).  `guard` is
     `wrap_guard(a, u0, f)` when the caller has it already; it also sets the
-    active band below.
+    active band below, and a T beyond its horizon raises WrapGuardError (a
+    guard with horizon None refuses no T).
 
     An explicit dt takes equal steps no longer than dt (a dt violating the
     stability bound C_STAB/max|a| raises) and stores a frame every
@@ -555,8 +555,7 @@ def solve_linear(
 
     if guard is None:
         guard = wrap_guard(a, u0, f)
-    if enforce_wrap_guard:
-        guard.check(T)
+    guard.check(T)
 
     integrating_factor = scheme == "if_rk4"  # else the multiplier is stepped
     stab_mag = op.max_abs_remainder(None)

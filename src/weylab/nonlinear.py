@@ -102,6 +102,8 @@ class NonlinearitySpec:
             raise ValueError("powers p, q must be nonnegative")
         if (self.p, self.q) == (0, 0):
             raise ValueError("(p, q) = (0, 0) is excluded (no linear terms)")
+        if any(k < 0 for k in self.alpha):
+            raise ValueError(f"alpha entries must be nonnegative, got alpha={self.alpha}")
         if sum(self.alpha) > 2:
             raise ValueError("derivative order |alpha| must not exceed 2")
 
@@ -179,21 +181,11 @@ class _Nonlinearity:
         return out
 
 
-def nonlinearity_eval(
-    u: Field,
-    spec: NonlinearitySpec,
-    u0: Optional[Field] = None,
-    *,
-    frozen: bool = False,
-) -> Field:
-    """Evaluate N(u) = u^p conj(u)^q D^alpha u (or Ntil when frozen=True),
-    de-aliased with the 2/3 mask."""
-    if frozen and u0 is None:
-        raise ValueError("the frozen variant requires the datum u0")
+def nonlinearity_eval(u: Field, spec: NonlinearitySpec) -> Field:
+    """Evaluate N(u) = u^p conj(u)^q D^alpha u, de-aliased with the 2/3 mask."""
     g = u.grid
-    c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
     out, spare = np.empty((2, *g.shape), dtype=complex)
-    return Field(g, _Nonlinearity(g, spec, c_frozen)(u.values, out, spare))
+    return Field(g, _Nonlinearity(g, spec)(u.values, out, spare))
 
 
 @dataclass
@@ -324,10 +316,10 @@ def picard_solve(
     tol: float = 1e-6,
     max_iter: int = 25,
     dt: Optional[float] = None,
-    frozen: bool = True,
     store_stride: int = 1,
 ) -> PicardRun:
-    """Solve the NLIVP by Picard iteration on the Duhamel equation.
+    """Solve the NLIVP by Picard iteration on the frozen-datum Duhamel
+    equation of the module docstring.
 
     [0, T] is cut into the fewest equal steps no longer than dt (picked when
     None); a dt beyond the stability bound raises ValueError.  Raises
@@ -352,10 +344,10 @@ def picard_solve(
     guard.check(T)
 
     op = build_evolution_operator(a, g)
-    c_frozen = _monomial(u0.values, spec.p, spec.q) if frozen else None
+    c_frozen = _monomial(u0.values, spec.p, spec.q)
     nonlinearity = _Nonlinearity(g, spec, c_frozen)
     mult_alpha = nonlinearity.mult
-    frozen_term = _frozen_forcing(g, c_frozen, mult_alpha) if frozen else None
+    frozen_term = _frozen_forcing(g, c_frozen, mult_alpha)
     bound = "clock" if dt is None else "given"
     steps, dt = _nonlinear_steps(op, guard.xi_cap, T, dt, c_frozen, mult_alpha)
     times = dt * np.arange(steps + 1)
@@ -374,13 +366,12 @@ def picard_solve(
         nonlinearity(hom[sl], nl[sl], work[0, : sl.stop - sl.start])
 
     def rhs(traj, nl_traj, spare):
-        # du/dt of the stepped equation: i A u + Ntil (+ the frozen part), in
+        # du/dt of the stepped equation: i A u + Ntil + the frozen part, in
         # the operand order the products had on whole stacks
         out = op.apply(traj)
         np.multiply(out, 1j, out=out)
         out += nl_traj
-        if frozen:
-            out += np.multiply(c_frozen, nonlinearity.dalpha(traj, spare), out=spare)
+        out += np.multiply(c_frozen, nonlinearity.dalpha(traj, spare), out=spare)
         return out
 
     half = dt / 2.0
@@ -466,7 +457,7 @@ def picard_solve(
     # PDE residual of the converged iterate against the original equation,
     # with du/dt from centered differences of the stored trajectory: interior
     # frames a chunk at a time, each with a one-frame halo
-    plain = _Nonlinearity(g, spec) if frozen else None
+    plain = _Nonlinearity(g, spec)
     resid = 0.0
     for sl in _chunks(g, 1, steps):
         r, plain_nl, spare = work[:3, : sl.stop - sl.start]
@@ -474,7 +465,7 @@ def picard_solve(
         np.divide(r, 2.0 * dt, out=r)
         a_u = op.apply(current[sl])
         np.subtract(r, np.multiply(a_u, 1j, out=a_u), out=r)
-        r -= plain(current[sl], plain_nl, spare) if frozen else nl[sl]
+        r -= plain(current[sl], plain_nl, spare)
         resid = np.max(np.sqrt(_sobolev_sq(g, _spectrum(g, r), s - 3.0)), initial=resid)
     del nl, work
 

@@ -167,15 +167,14 @@ def _envelope_fit(q: Symbol, S: SampleSet) -> dict:
 def garding_weight(
     a: Symbol,
     S: SampleSet,
-    C1: Optional[float] = None,
     ellipticity: Optional[ConditionReport] = None,
 ) -> GardingWeight:
-    """Build q = 2 C1 C^2 <xi>^{-(m-1)} sum_j x_j d_{xi_j} a.
+    """Build q = 2 C1 C^2 <xi>^{-(m-1)} sum_j x_j d_{xi_j} a with
+    C1 = 1/(2 C^2), so the prefactor is 1.
 
     Requires a sympy-backed symbol (TypeError otherwise) and a (passing)
     gradient-ellipticity report, which supplies C; without one, the check
     runs on the caller's sample set S, which also carries the envelope fit.
-    C1 defaults to 1/(2 C^2), normalizing the prefactor to 1.
     """
     if not isinstance(a, SympySymbol):
         raise TypeError("the Garding weight is derived from a sympy expression; pass a SympySymbol")
@@ -184,9 +183,7 @@ def garding_weight(
     if ellipticity.verdict == "fail":
         raise ValueError("symbol failed gradient ellipticity; no Garding weight available")
     C = float(ellipticity.constants["C"])
-    if C1 is None:
-        C1 = 1.0 / (2.0 * C**2)
-    C1 = float(C1)
+    C1 = 1.0 / (2.0 * C**2)
     q = qdelta_symbol(a, 1.0, 2.0 * C1 * C**2)
     gw = GardingWeight(q=q, C1=C1, C=C)
     gw.bound_fit = _envelope_fit(q, S)

@@ -391,9 +391,7 @@ def test_criterion_10_appendix():
                 worst = max(worst, lemmatec1_residual(sym, N_w, g).residual)
     identity_ok = worst <= 1e-10
 
-    scan = lemmatec3_scan(
-        m_values=(2, 3), delta_list=(0.01, 0.1, 0.5, 1.0), xi_grid=np.linspace(-10, 10, 401)
-    )
+    scan = lemmatec3_scan(delta_list=(0.01, 0.1, 0.5, 1.0))
     scan_ok = scan.passed and scan.constants == {"c": 0.5, "c1": 4.0}
 
     gp = make_grid(1, 60 * np.pi, 1024)

@@ -1,5 +1,6 @@
 """Config validation, experiment dispatch, determinism, exit codes."""
 
+import copy
 import json
 import re
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from weylab import cli
 from weylab.cli import ConfigError, _validate_config, list_catalog, run
 
 
@@ -431,8 +433,25 @@ _AIRY_GRID = {"n": 1, "L": 62.83185307179586, "N": 256}
             {"experiment": "smoothing-report", "grid": _AIRY_GRID, "run": {"store_stride": -1}},
             "config.run.store_stride",
         ),
+        # a JSON boolean is no number: true ran as T = 1, or failed at run time
+        ({"experiment": "trace-bichar", "run": {"T": True}}, "config.run.T"),
+        ({"experiment": "solve-linear", "grid": _AIRY_GRID, "run": {"T": True}}, "config.run.T"),
+        # a probe count below 1 fitted no probe
+        ({"experiment": "positivity", "grid": _AIRY_GRID, "run": {"probes": 0}}, "config.run.probes"),
+        ({"experiment": "positivity", "grid": _AIRY_GRID, "run": {"probes": -3}}, "config.run.probes"),
     ],
-    ids=["missing-grid", "missing-symbol", "no-carriers", "weight-exponent", "stride-0", "stride-negative"],
+    ids=[
+        "missing-grid",
+        "missing-symbol",
+        "no-carriers",
+        "weight-exponent",
+        "stride-0",
+        "stride-negative",
+        "bichar-T-true",
+        "linear-T-true",
+        "probes-0",
+        "probes-negative",
+    ],
 )
 def test_config_errors_stop_the_run_before_any_experiment(tmp_path, capsys, cfg, where):
     with pytest.raises(ConfigError, match=rf"^{re.escape(where)}:"):
@@ -440,6 +459,66 @@ def test_config_errors_stop_the_run_before_any_experiment(tmp_path, capsys, cfg,
     out = tmp_path / "out"
     assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
     assert where in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+# a valid value of each section that has no default
+_SECTIONS = {
+    "grid": _AIRY_GRID,
+    "symbol": {"coefficients": [["1 + 0.02*exp(-x1**2)"]], "n": 1},
+}
+
+
+def _numeric_leaves() -> list[tuple[str, tuple]]:
+    """(kind, key path) of every numeric key in the experiment table, nested
+    sections included; a numeric key added to the table is listed here."""
+    numeric = ("number", "int", cli._positive_int)
+    leaves = []
+
+    def walk(kind, schema, path):
+        for key, (typ, _) in schema.items():
+            if isinstance(typ, dict):
+                walk(kind, typ, path + (key,))
+            elif typ in numeric:
+                leaves.append((kind, path + (key,)))
+
+    for kind, entry in cli._EXPERIMENT_TABLE.items():
+        walk(kind, entry.schema, ())
+    # kdv-type-build's symbol section is checked by a function, not a table schema
+    return leaves + [("kdv-type-build", ("symbol", "n"))]
+
+
+def _with_true_at(kind: str, path: tuple) -> dict:
+    """A valid config of `kind` whose key at `path` is true; each section on
+    the path starts from its default, or from _SECTIONS."""
+    schema = cli._EXPERIMENT_TABLE[kind].schema
+    cfg = {"experiment": kind}
+    for key, (_, default) in schema.items():
+        if default is cli._REQUIRED and key in _SECTIONS:
+            cfg[key] = copy.deepcopy(_SECTIONS[key])
+    node = cfg
+    for key in path[:-1]:
+        typ, default = schema[key]
+        if key not in node:
+            node[key] = copy.deepcopy(default if isinstance(default, dict) else _SECTIONS[key])
+        node, schema = node[key], typ
+    node[path[-1]] = True
+    return cfg
+
+
+_BOOLEAN_CASES = [(_with_true_at(kind, path), "config." + ".".join(path)) for kind, path in _numeric_leaves()]
+_BOOLEAN_CASES += [
+    ({"experiments": [{"experiment": "appendix"}], key: True}, f"config.{key}") for key in ("threads", "seed")
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, where", _BOOLEAN_CASES, ids=[f"{c.get('experiment', 'batch')}:{w}" for c, w in _BOOLEAN_CASES]
+)
+def test_every_numeric_key_refuses_a_boolean(tmp_path, capsys, cfg, where):
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
+    assert f"{where}: expected" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

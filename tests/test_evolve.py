@@ -1,6 +1,6 @@
 """Linear IVP solver, wrap guard, smoothing reports, weighted propagator probe."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -42,6 +42,12 @@ from weylab.symbol.core import phase_symbols
 
 def airy_packet(g, k=4.0, width2=8.0):
     return Field.from_function(g, lambda x: np.exp(1j * k * x) * np.exp(-(x**2) / width2))
+
+
+def _unguarded(a, u0, f=None):
+    """The wrap guard of (a, u0, f) without its horizon: a solve given it
+    runs past T_wrap."""
+    return replace(wrap_guard(a, u0, f), horizon=None)
 
 
 # -- dispersion and conservation ---------------------------------------------------
@@ -466,7 +472,7 @@ def test_evolution_builds_no_dense_matrix(monkeypatch):
     dt = 2.0 / build_evolution_operator(a, g).max_abs_remainder()
     u0 = gaussian_wavepacket(g, [2.0], width2=2.0)
     norms = NormSeries(g)
-    solve_linear(a, u0, T=4 * dt, dt=dt, enforce_wrap_guard=False, consume=norms)
+    solve_linear(a, u0, T=4 * dt, dt=dt, consume=norms)
     assert len(norms.times) == 5
     # a frame with a non-finite sample has a non-finite L^2 norm
     assert np.all(np.isfinite(norms.l2)) and norms.l2_drift() < 1e-6
@@ -480,7 +486,7 @@ def test_complex_symbol_steps_with_integrating_factor():
     a = SympySymbol(xis[0] ** 3 - sp.I / 2 / (1 + xs[0] ** 2) * xis[0] ** 2, 1, 3.0)
     g = make_grid(1, 16 * np.pi, 256)
     u0 = gaussian_wavepacket(g, 4.0, 8.0)
-    sol = solve_linear(a, u0, T=1.0, enforce_wrap_guard=False, store_stride=10**6)
+    sol = solve_linear(a, u0, T=1.0, store_stride=10**6, guard=_unguarded(a, u0))
     assert round(1.0 / sol.dt) <= 1100
     assert l2_norm(sol.final) > l2_norm(u0)  # Im a < 0 makes the norm grow
 
@@ -686,14 +692,14 @@ def test_duhamel_consistency():
     u0 = Field.from_function(g, lambda x: np.exp(-(x**2) / 2))
     T, nsteps = 0.05, 16
     dt = T / nsteps
-    full = solve_linear(a, u0, fsrc, T=T, dt=dt, enforce_wrap_guard=False)
-    hom = solve_linear(a, u0, T=T, dt=dt, enforce_wrap_guard=False)
+    full = solve_linear(a, u0, fsrc, T=T, dt=dt, guard=_unguarded(a, u0, fsrc))
+    hom = solve_linear(a, u0, T=T, dt=dt, guard=_unguarded(a, u0))
     # trapezoid Duhamel: I = sum w_j W(T - t_j) f
     acc = np.zeros(g.shape, dtype=complex)
     for j, tj in enumerate(np.linspace(0.0, T, nsteps + 1)):
         wgt = dt if 0 < j < nsteps else dt / 2
         if T - tj > 0:
-            prop = solve_linear(a, fsrc, T=T - tj, dt=dt, enforce_wrap_guard=False).final.values
+            prop = solve_linear(a, fsrc, T=T - tj, dt=dt, guard=_unguarded(a, fsrc)).final.values
         else:
             prop = fsrc.values
         acc += wgt * prop
@@ -1068,10 +1074,8 @@ def test_smoothing_report_iii_forced():
 def test_smoothing_report_iii_requires_source():
     g = make_grid(1, 10.0, 64)
     u0 = Field.from_function(g, lambda x: np.exp(-(x**2)))
-    with pytest.raises(ValueError):
-        smoothing_report(
-            catalog("airy"), u0, None, "iii", 0.0, T=0.01, dt=1e-3, enforce_wrap_guard=False
-        )
+    with pytest.raises(ValueError, match="requires the source term"):
+        smoothing_report(catalog("airy"), u0, None, "iii", 0.0, T=0.01, dt=1e-3)
 
 
 def test_smoothing_lhs_monotone_in_T():

@@ -27,6 +27,7 @@ from weylab.nonlinear import (
     _direct_forcing,
     _frozen_forcing,
     _monomial,
+    _Nonlinearity,
     _xi_alpha,
     _XtsReducer,
     direct_nonlinear_solve,
@@ -60,6 +61,14 @@ def test_spec_validation():
         NonlinearitySpec(-1, 0, (1,))
 
 
+@pytest.mark.parametrize("alpha", [(-1,), (2, -1), (-1, -2)])
+def test_spec_refuses_negative_alpha(alpha):
+    # a negative entry used to reach the step rule as an infinite multiplier
+    # and surface as "violates the stability bound 0"
+    with pytest.raises(ValueError, match="alpha"):
+        NonlinearitySpec(1, 0, alpha)
+
+
 def test_nonlinearity_zero_field(setup):
     g, _, _ = setup
     out = nonlinearity_eval(Field.zero(g), SPEC)
@@ -77,8 +86,9 @@ def test_nonlinearity_plane_wave():
 
 def test_nonlinearity_frozen_vanishes_at_datum(setup):
     g, _, u0 = setup
-    out = nonlinearity_eval(u0, SPEC, u0, frozen=True)
-    assert np.max(np.abs(out.values)) == 0.0
+    out, spare = np.empty((2, *g.shape), dtype=complex)
+    _Nonlinearity(g, SPEC, _monomial(u0.values, 1, 0))(u0.values, out, spare)
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_nonlinearity_conjugate_power():
@@ -119,7 +129,7 @@ def test_xts_norm_stationary_zero_symbol(setup):
     g, _, u0 = setup
     zero = SympySymbol(0, 1, 0.0, zero_nyquist=False)
     T = 0.25
-    sol = solve_linear(zero, u0, T=T, dt=0.025, enforce_wrap_guard=False)
+    sol = solve_linear(zero, u0, T=T, dt=0.025)  # no group speed: no horizon to pass
     out = _xts(zero, sol, 15.0)
     s = 15.0
     expect = (
@@ -264,22 +274,22 @@ def test_picard_agrees_with_direct_integration(setup):
     assert agree <= 1e-4
 
 
-def test_picard_frozen_equivalence(setup):
+def test_picard_matches_the_direct_solve_to_round_off(setup):
+    # the frozen-datum iteration against the method-of-lines cross-check, at
+    # the bound that held frozen against the plain Picard iteration
     g, a, u0 = setup
-    kw = dict(s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
-    run_f = picard_solve(a, u0, SPEC, frozen=True, **kw)
-    run_p = picard_solve(a, u0, SPEC, frozen=False, **kw)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
+    direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=2e-4, store_stride=8)
     agree = max(
-        l2_norm(run_f.solution.field(i) - run_p.solution.field(i))
-        for i in range(len(run_f.solution.times))
+        l2_norm(run.solution.field(i) - direct.field(i)) for i in range(len(direct.times))
     )
     assert agree <= 1e-8
 
 
-def _criterion_9(T=0.1, p=1, frozen=True):
+def _criterion_9(T=0.1, p=1):
     g = make_grid(1, 20 * np.pi, 256)
     u0 = gaussian_wavepacket(g, 0.0, 8.0, amplitude=0.01)
-    kw = dict(s=15.0, T=T, tol=1e-8, dt=2e-4, store_stride=8, frozen=frozen)
+    kw = dict(s=15.0, T=T, tol=1e-8, dt=2e-4, store_stride=8)
     return catalog("airy"), u0, NonlinearitySpec(p, 0, (1,)), kw
 
 
@@ -339,16 +349,6 @@ PICARD_GOLDEN = {
          "0x1.6358364a89249p+1", "0x1.6358364a89249p+1"],
         "0x1.5e38357d260cbp-14",
         "78620b72988c3e85",
-    ),
-    "criterion-9-plain": (
-        lambda: _criterion_9(frozen=False),
-        6,
-        ["0x1.e407cb3f96207p-7", "0x1.33dd505f89b69p-8", "0x1.c0e6278a058bep-4",
-         "0x1.498e10018f227p-7", "0x1.00097bb39516fp+1"],
-        ["0x1.6354733a39658p+1", "0x1.635838104020dp+1", "0x1.6358393d4dc53p+1",
-         "0x1.6358393d94d96p+1", "0x1.6358393d9874ep+1", "0x1.6358393d9951ap+1"],
-        "0x1.a82c74e77a1cep-16",
-        "0f01c3d1d99c80b9",
     ),
     "p2-q0": (
         lambda: _criterion_9(p=2),
@@ -449,6 +449,13 @@ def test_nonlinear_solves_share_the_step_rule(setup):
     direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=0.0096)
     for sol in (run.solution, direct):
         assert len(sol.times) == 12 and sol.dt == 0.1 / 11
+    # a picked dt: both solves step the same forcing, so the clock gives
+    # them one dt and one step count
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, max_iter=2)
+    direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1)
+    assert run.solution.dt == direct.dt
+    assert len(run.solution.times) == len(direct.times)
+    assert run.solution.step_bound == direct.step_bound == "clock"
     # and a dt beyond the stability bound is refused, as in solve_linear
     bumpy = catalog("gaussian_kdv", eps=0.5)
     with pytest.raises(ValueError, match="stability"):
