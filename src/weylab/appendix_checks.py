@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 import sympy as sp
 
+from .calculus import apply_fast
 from .grid import Field, Grid, wavepacket_probes
 from .symbol.core import (
     Symbol,
@@ -88,8 +89,6 @@ def lemmatec1_residual(p_sym: Symbol, N_w: int, g: Grid) -> LemmaA1Report:
     identity is exact; any other symbol raises ValueError.  Operators act
     through `calculus.apply_fast` (KN).
     """
-    from .calculus import apply_fast
-
     if N_w < 1:
         raise ValueError("N_w must be a positive integer")
     if not isinstance(p_sym, SympySymbol):

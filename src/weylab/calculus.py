@@ -40,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import sympy as sp
 
 from .grid import Field, Grid, inner_product, sobolev_norm, wavepacket_probes
 from .symbol.checks import SampleSet
@@ -48,7 +49,6 @@ from .symbol.core import (
     SympySymbol,
     _derivative_expr,
     bessel_symbol,
-    kn_to_weyl_expr,
     weyl_product_expr,
 )
 
@@ -59,7 +59,6 @@ __all__ = [
     "quantize_dense",
     "apply_fast",
     "compose_symbols",
-    "change_quantization",
     "poisson_bracket",
     "positivity_diagnostic",
     "POSITIVITY_FLAVORS",
@@ -335,25 +334,6 @@ def compose_symbols(a: SympySymbol, b: SympySymbol, K: int = 3) -> SympySymbol:
     )
 
 
-def change_quantization(a_kn: SympySymbol, K: int = 3) -> SympySymbol:
-    """Weyl symbol of Op_KN(a): truncated exp((i/2) sum_j d_xj d_xij) a, exact
-    in sympy.
-
-    Exact at K = 1 for symbols first-order in xi (vector fields).
-    """
-    if K < 0:
-        raise ValueError("truncation order K must be nonnegative")
-    if not isinstance(a_kn, SympySymbol):
-        raise TypeError("change_quantization is exact and needs a sympy-backed symbol")
-    return SympySymbol(
-        kn_to_weyl_expr(a_kn.expr, a_kn.n, K=K),
-        a_kn.n,
-        a_kn.order,
-        zero_nyquist=a_kn.zero_nyquist,
-        label=f"weyl[{a_kn.label}]",
-    )
-
-
 def poisson_bracket(a: SympySymbol, b: SympySymbol) -> SympySymbol:
     """{a, b} = grad_xi a . grad_x b - grad_x a . grad_xi b, exact in sympy.
 
@@ -364,8 +344,6 @@ def poisson_bracket(a: SympySymbol, b: SympySymbol) -> SympySymbol:
         raise ValueError("symbols have different dimensions")
     if not (isinstance(a, SympySymbol) and isinstance(b, SympySymbol)):
         raise TypeError("poisson_bracket is exact and needs sympy-backed symbols")
-    import sympy as sp
-
     n, zero = a.n, (0,) * a.n
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     expr = sp.expand(

@@ -40,13 +40,33 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+import sympy as sp
 
 from . import __version__
-from .calculus import POSITIVITY_FLAVORS
-from .evolve import ESTIMATES, SCHEMES
+from .appendix_checks import lemmatec1_residual, lemmatec3_scan
+from .calculus import POSITIVITY_FLAVORS, positivity_diagnostic
+from .evolve import ESTIMATES, SCHEMES, NormSeries, SmoothingSeries, solve_linear, wrap_guard
 from .export import write_csv
 from .grid import Field, gaussian_wavepacket, make_grid
-from .symbol import CATALOG, SampleSet, catalog
+from .hamilton import (
+    classify_strong_ellipticity,
+    escape_verdict,
+    integrate_bicharacteristic,
+    qdelta_monotonicity,
+    trajectory_to_csv,
+)
+from .nonlinear import NonlinearitySpec, PicardDivergenceError, picard_solve
+from .symbol import (
+    CATALOG,
+    SampleSet,
+    SympySymbol,
+    VectorFieldSystem,
+    build_kdv_type,
+    catalog,
+    check_im_smallness,
+    phase_symbols,
+)
+from .weights import admissibility_report, doi_slack, doi_weight, garding_weight
 
 __all__ = ["run", "list_catalog", "main", "ConfigError"]
 
@@ -68,8 +88,20 @@ class ConfigError(ValueError):
 # None (any value), a nested schema, or a function check(value, path) that
 # raises ConfigError or returns the value.  The default _REQUIRED makes a
 # key mandatory; a default of None leaves the value to the code that reads it.
+# A nested schema that is a _Built is resolved and then built into an object.
 
 _REQUIRED = object()
+
+
+class _Built(dict):
+    """A nested schema whose resolved section becomes `build(**section)`; a
+    ValueError that `build` raises is a ConfigError at the section's path, so
+    the object's own checks are the config's."""
+
+    def __init__(self, build: Callable, schema: dict):
+        super().__init__(schema)
+        self.build = build
+
 
 _TYPES = {
     "number": ((int, float), "a number"),
@@ -96,13 +128,19 @@ def _resolve(cfg, path: str, schema: dict) -> dict:
         if key in cfg:
             out[key] = _check_value(cfg[key], f"{path}.{key}", typ)
         elif isinstance(typ, dict) and default is not None:
-            out[key] = _resolve(default, f"{path}.{key}", typ)
+            out[key] = _check_value(default, f"{path}.{key}", typ)
         else:
             out[key] = default
     return out
 
 
 def _check_value(val, path: str, typ):
+    if isinstance(typ, _Built):
+        section = _resolve(val, path, typ)
+        try:
+            return typ.build(**section)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if isinstance(typ, dict):
         return _resolve(val, path, typ)
     if callable(typ):
@@ -324,8 +362,6 @@ def _datum(grid, spec: dict):
 
 @_experiment("check-admissible", _SAMPLES)
 def _exp_check_admissible(cfg, run, rng, outdir, prefix):
-    from .weights import admissibility_report
-
     a = _build_symbol(cfg)
     rep = admissibility_report(a, _sample_set(a, run))
     artifacts = []
@@ -338,8 +374,6 @@ def _exp_check_admissible(cfg, run, rng, outdir, prefix):
 
 @_experiment("doi-weight", _SAMPLES)
 def _exp_doi_weight(cfg, run, rng, outdir, prefix):
-    from .weights import doi_slack, doi_weight, garding_weight
-
     a = _build_symbol(cfg)
     S = _sample_set(a, run)
     gw = garding_weight(a, S=S)
@@ -373,14 +407,6 @@ def _exp_doi_weight(cfg, run, rng, outdir, prefix):
     },
 )
 def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
-    from .hamilton import (
-        classify_strong_ellipticity,
-        escape_verdict,
-        integrate_bicharacteristic,
-        qdelta_monotonicity,
-        trajectory_to_csv,
-    )
-
     a = _build_symbol(cfg)
     x0 = run["x0"] if run["x0"] is not None else [0.0] * a.n
     xi0 = run["xi0"] if run["xi0"] is not None else [1.0] + [0.0] * (a.n - 1)
@@ -434,8 +460,6 @@ def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
     requires=("grid",),
 )
 def _exp_solve_linear(cfg, run, rng, outdir, prefix):
-    from .evolve import NormSeries, solve_linear
-
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
     u0 = _datum(g, run["datum"])
@@ -483,8 +507,6 @@ def _family_T(guards):
     requires=("grid",),
 )
 def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
-    from .evolve import SmoothingSeries, solve_linear, wrap_guard
-
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
     s, estimate, carriers, stride = run["s"], run["estimate"], run["carriers"], run["store_stride"]
@@ -549,17 +571,16 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
         "tol": ("number", 1e-8),
         "amplitude": ("number", 0.01),
         "width2": ("number", 8.0),
-        "nonlinearity": ({"p": ("int", 1), "q": ("int", 0), "alpha": ("list", [1])}, {}),
+        "nonlinearity": (
+            _Built(NonlinearitySpec, {"p": ("int", 1), "q": ("int", 0), "alpha": ("list", [1])}),
+            {},
+        ),
     },
     requires=("grid",),
 )
 def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
-    from .nonlinear import NonlinearitySpec, PicardDivergenceError, picard_solve
-
     a = _build_symbol(cfg)
     g = _build_grid(cfg)
-    nl = run["nonlinearity"]
-    spec = NonlinearitySpec(nl["p"], nl["q"], tuple(nl["alpha"]))
     u0 = gaussian_wavepacket(g, [0.0] * g.n, run["width2"], run["amplitude"])
     try:
         # the regularity-floor warning is not caught: catch_warnings() swaps the
@@ -567,7 +588,7 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
         picard = picard_solve(
             a,
             u0,
-            spec,
+            run["nonlinearity"],
             s=run["s"],
             T=run["T"],
             tol=run["tol"],
@@ -596,8 +617,6 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
     requires=("grid",),
 )
 def _exp_positivity(cfg, run, rng, outdir, prefix):
-    from .calculus import positivity_diagnostic
-
     a, g = _build_symbol(cfg), _build_grid(cfg)
     rep = positivity_diagnostic(a, g, run["flavor"], probes=run["probes"], seed=int(rng.integers(2**31)))
     stable = 0.5 <= rep.stability_ratio <= 2.0 or all(c <= 1e-10 for c in rep.fitted_C.values())
@@ -614,9 +633,6 @@ def _exp_positivity(cfg, run, rng, outdir, prefix):
     grid={"n": 1, "L": 10.0, "N": 64},
 )
 def _exp_appendix(cfg, run, rng, outdir, prefix):
-    from .appendix_checks import lemmatec1_residual, lemmatec3_scan
-    from .symbol import SympySymbol, phase_symbols
-
     g = _build_grid(cfg)
     xs, xis = phase_symbols(1)
     reports = [
@@ -641,12 +657,6 @@ def _exp_appendix(cfg, run, rng, outdir, prefix):
     symbol=_coefficient_symbol,
 )
 def _exp_kdv_type_build(cfg, run, rng, outdir, prefix):
-    import sympy as sp
-
-    from .symbol import VectorFieldSystem, build_kdv_type
-    from .symbol.checks import check_im_smallness
-    from .weights import admissibility_report
-
     n = cfg["symbol"]["n"]
     xs_names = {f"x{i + 1}": sp.Symbol(f"x{i + 1}", real=True) for i in range(n)}
     coeffs = [[sp.sympify(c, locals=xs_names) for c in row] for row in cfg["symbol"]["coefficients"]]

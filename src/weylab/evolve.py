@@ -372,7 +372,7 @@ def lawson_stepper(
 
 def _check_stride(store_stride) -> None:
     """ValueError unless store_stride, the steps between stored frames, is a
-    positive integer; every solve checks it before it steps."""
+    positive integer; `solve_linear` checks it before it steps."""
     if not isinstance(store_stride, (int, np.integer)) or store_stride < 1:
         raise ValueError(f"store_stride must be a positive integer, got {store_stride!r}")
 

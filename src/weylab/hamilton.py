@@ -69,8 +69,8 @@ def hamilton_derivative(a: Symbol, b: Symbol, x, xi) -> np.ndarray:
     return total
 
 
-def qdelta_symbol(a: Symbol, delta: float, scale: float = 1.0) -> SympySymbol:
-    """scale <xi>_delta^{-(m-1)} sum_j x_j d_{xi_j} a, <xi>_delta = (delta+|xi|^2)^{1/2},
+def qdelta_symbol(a: Symbol, delta: float) -> SympySymbol:
+    """<xi>_delta^{-(m-1)} sum_j x_j d_{xi_j} a, <xi>_delta = (delta+|xi|^2)^{1/2},
     derived from the sympy expression of a (delta = 1 gives the Garding weight)."""
     if not isinstance(a, SympySymbol):
         raise TypeError("q_delta is derived from the sympy expression; pass a SympySymbol")
@@ -79,7 +79,7 @@ def qdelta_symbol(a: Symbol, delta: float, scale: float = 1.0) -> SympySymbol:
         -sp.Rational(1, 2) * sp.nsimplify(a.order - 1)
     )
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    expr = sp.nsimplify(scale, rational=False) * bes * sum(
+    expr = bes * sum(
         xs[i] * _derivative_expr(a.expr, n, e, (0,) * n) for i, e in enumerate(units)
     )
     return SympySymbol(expr, a.n, 0.0, zero_nyquist=False, label="q")

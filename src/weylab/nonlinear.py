@@ -48,10 +48,8 @@ import numpy as np
 from .evolve import (
     Solution,
     SpectralMap,
-    _check_stride,
     _march,
     _nonlinear_steps,
-    _stored_steps,
     build_evolution_operator,
     lawson_stepper,
     wrap_guard,
@@ -83,6 +81,7 @@ __all__ = [
 
 SCHWARTZ_TAIL_TOL = 1e-8
 DIVERGENCE_PATIENCE = 3
+MAX_SWEEPS = 25  # a Picard solve that has not converged after this many sweeps stops
 # A Picard sweep and the X-norm take this many bytes of frames per chunk (at
 # least one frame).
 CHUNK_BYTES = 1 << 16
@@ -97,7 +96,10 @@ class NonlinearitySpec:
     alpha: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
+        object.__setattr__(self, "alpha", tuple(self.alpha))
+        # refused, not truncated; bool is named because it subclasses int
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in self.alpha):
+            raise ValueError(f"alpha entries must be integers, got alpha={self.alpha}")
         if self.p < 0 or self.q < 0:
             raise ValueError("powers p, q must be nonnegative")
         if (self.p, self.q) == (0, 0):
@@ -314,12 +316,10 @@ def picard_solve(
     T: float,
     *,
     tol: float = 1e-6,
-    max_iter: int = 25,
     dt: Optional[float] = None,
-    store_stride: int = 1,
 ) -> PicardRun:
     """Solve the NLIVP by Picard iteration on the frozen-datum Duhamel
-    equation of the module docstring.
+    equation of the module docstring; the solution keeps every frame.
 
     [0, T] is cut into the fewest equal steps no longer than dt (picked when
     None); a dt beyond the stability bound raises ValueError.  Raises
@@ -327,7 +327,6 @@ def picard_solve(
     when the contraction factor stays >= 1 for three consecutive sweeps or an
     iterate blows past the overflow guard.
     """
-    _check_stride(store_stride)
     g = u0.grid
     if tail_mass_fraction(u0, g.L / 2.0) > SCHWARTZ_TAIL_TOL and np.max(np.abs(u0.values)) > 0:
         raise ValueError("datum is not localized enough (tail mass above 1e-8 outside L/2)")
@@ -419,7 +418,7 @@ def picard_solve(
     bad_streak = 0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         d_norm, x_norm = sweep()
         try:
             dn, xn = d_norm.norm(times).value, x_norm.norm(times).value
@@ -469,12 +468,10 @@ def picard_solve(
         resid = np.max(np.sqrt(_sobolev_sq(g, _spectrum(g, r), s - 3.0)), initial=resid)
     del nl, work
 
-    keep = _stored_steps(steps, store_stride)
     sol = Solution(
         grid=g,
-        times=times[keep],
-        # the iterate itself when every frame is kept
-        values=current if len(keep) == steps + 1 else current[keep],
+        times=times,
+        values=current,
         dt=dt,
         guard=guard,
         step_bound=bound,
@@ -496,11 +493,9 @@ def direct_nonlinear_solve(
     T: float,
     *,
     dt: Optional[float] = None,
-    store_stride: int = 1,
 ) -> Solution:
     """Method-of-lines integration of du/dt = i A u + N(u) with Lawson RK4,
-    on the step rule of `picard_solve`."""
-    _check_stride(store_stride)
+    on the step rule of `picard_solve`; the solution keeps every frame."""
     g = u0.grid
     guard = wrap_guard(a, u0)
     guard.check(T)
@@ -511,7 +506,7 @@ def direct_nonlinear_solve(
         op, guard.xi_cap, T, dt, _monomial(u0.values, spec.p, spec.q), _xi_alpha(g, spec.alpha)
     )
     step = lawson_stepper(op, dt, _direct_forcing(g, spec))
-    times, stored = _march(step, g, u0.values, steps, dt, store_stride)
+    times, stored = _march(step, g, u0.values, steps, dt)
     return Solution(
         grid=g,
         times=times,

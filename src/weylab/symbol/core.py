@@ -355,17 +355,16 @@ def weyl_product_expr(a_expr, b_expr, n: int, K: Optional[int] = None):
     return sp.expand(total)
 
 
-def kn_to_weyl_expr(a_expr, n: int, K: Optional[int] = None):
-    """Weyl symbol of Op_KN(a): truncated exp((i/2) sum_j d_xj d_xij) a.
-
-    Exact (terminating) for symbols polynomial in xi when K=None.
+def kn_to_weyl_expr(a_expr, n: int):
+    """Weyl symbol of Op_KN(a): exp((i/2) sum_j d_xj d_xij) a, exact for
+    symbols polynomial in xi, where the series terminates at their xi-degree;
+    any other symbol raises ValueError.
     """
     _, xis = phase_symbols(n)
     a_expr = sp.sympify(a_expr)
+    K = _xi_degree(a_expr, xis)
     if K is None:
-        K = _xi_degree(a_expr, xis)
-        if K is None:
-            raise ValueError("K=None requires a polynomial-in-xi symbol")
+        raise ValueError("the change of quantization needs a symbol polynomial in xi")
     total = sp.Integer(0)
     for g in multi_indices_upto(n, K):
         e = _derivative_expr(a_expr, n, g, g)

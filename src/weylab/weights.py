@@ -51,7 +51,7 @@ from .symbol.checks import (
     check_im_smallness,
     check_x_decay,
 )
-from .symbol.core import FuncSymbol, Symbol, SympySymbol, multi_indices_upto
+from .symbol.core import FuncSymbol, Symbol, SympySymbol, as_points, multi_indices_upto
 
 __all__ = [
     "GardingWeight",
@@ -170,7 +170,8 @@ def garding_weight(
     ellipticity: Optional[ConditionReport] = None,
 ) -> GardingWeight:
     """Build q = 2 C1 C^2 <xi>^{-(m-1)} sum_j x_j d_{xi_j} a with
-    C1 = 1/(2 C^2), so the prefactor is 1.
+    C1 = 1/(2 C^2): the prefactor is 1, and q is `hamilton.qdelta_symbol`
+    at delta = 1.
 
     Requires a sympy-backed symbol (TypeError otherwise) and a (passing)
     gradient-ellipticity report, which supplies C; without one, the check
@@ -184,7 +185,7 @@ def garding_weight(
         raise ValueError("symbol failed gradient ellipticity; no Garding weight available")
     C = float(ellipticity.constants["C"])
     C1 = 1.0 / (2.0 * C**2)
-    q = qdelta_symbol(a, 1.0, 2.0 * C1 * C**2)
+    q = qdelta_symbol(a, 1.0)
     gw = GardingWeight(q=q, C1=C1, C=C)
     gw.bound_fit = _envelope_fit(q, S)
     return gw
@@ -264,8 +265,6 @@ class DoiWeight:
         """Region code per point: 0 where psi_0 = 1, +-1 on the outer plateaus,
         9 inside the cutoff transitions."""
         q_vals = np.real(self.garding.q.eval(x, xi))
-        from .symbol.core import as_points
-
         X = as_points(x, self.symbol.n)
         xw = np.sqrt(1.0 + np.sum(X**2, axis=-1))
         r = q_vals / xw

@@ -334,19 +334,19 @@ def test_criterion_9_nlivp():
     a = catalog("airy")
     spec = NonlinearitySpec(1, 0, (1,))
     u0 = gaussian_wavepacket(g, 0.0, 8.0, amplitude=0.01)
-    kw = dict(s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
+    kw = dict(s=15.0, T=0.1, tol=1e-8, dt=2e-4)
     run = picard_solve(a, u0, spec, **kw)
     rho_ok = run.converged and all(r < 0.5 for r in run.contraction_factors)
     res_ok = run.residual <= 1e-4
 
-    direct = direct_nonlinear_solve(a, u0, spec, T=0.1, dt=2e-4, store_stride=8)
+    direct = direct_nonlinear_solve(a, u0, spec, T=0.1, dt=2e-4)
     agree = max(
         l2_norm(run.solution.field(i) - direct.field(i)) for i in range(len(direct.times))
     )
     agree_ok = agree <= 1e-4
 
     pert = Field.from_function(g, lambda x: np.exp(-(x**2) / 6) * np.exp(1j * x))
-    kw_c = dict(s=15.0, T=0.05, tol=1e-10, dt=2e-4, store_stride=8)
+    kw_c = dict(s=15.0, T=0.05, tol=1e-10, dt=2e-4)
     base_run = picard_solve(a, u0, spec, **kw_c)
     ratios = []
     for delta in (1e-3, 5e-4, 2.5e-4):

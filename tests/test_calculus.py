@@ -9,7 +9,6 @@ import sympy as sp
 from weylab import calculus
 from weylab.calculus import (
     apply_fast,
-    change_quantization,
     compose_symbols,
     poisson_bracket,
     positivity_diagnostic,
@@ -27,6 +26,7 @@ from weylab.symbol import (
     catalog_names,
     phase_symbols,
 )
+from weylab.symbol.core import kn_to_weyl_expr
 
 
 def brute_force_dense(a, g, tag):
@@ -472,13 +472,19 @@ def test_compose_truncation_order_gain():
 # -- change of quantization --------------------------------------------------------
 
 
+def _kn_to_weyl(a_kn: SympySymbol) -> SympySymbol:
+    # the Weyl symbol of Op_KN(a_kn), as VectorFieldSystem takes it
+    return SympySymbol(kn_to_weyl_expr(a_kn.expr, a_kn.n), a_kn.n, a_kn.order, zero_nyquist=a_kn.zero_nyquist)
+
+
 def test_change_quantization_vector_field():
-    # Op_KN(b xi) = b(x) D has Weyl symbol b xi + (i/2) b'(x); exact at K = 1.
-    # The sign is fixed by the dense-operator oracle below.
+    # Op_KN(b xi) = b(x) D has Weyl symbol b xi + (i/2) b'(x); the series
+    # stops at its xi-degree 1.  The sign is fixed by the dense-operator
+    # oracle below.
     xs, xis = phase_symbols(1)
     b = 1 + sp.Rational(1, 2) * sp.exp(-xs[0] ** 2)
     a_kn = SympySymbol(b * xis[0], 1, 1.0, zero_nyquist=False)
-    w = change_quantization(a_kn, K=1)
+    w = _kn_to_weyl(a_kn)
     expected = b * xis[0] + sp.I / 2 * sp.diff(b, xs[0])
     assert sp.expand(w.expr - expected) == 0
 
@@ -492,14 +498,13 @@ def test_change_quantization_vector_field():
 
 def test_change_quantization_x_independent_unchanged():
     a = catalog("airy")
-    w = change_quantization(a, K=3)
-    assert sp.expand(w.expr - a.expr) == 0
+    assert sp.expand(kn_to_weyl_expr(a.expr, 1) - a.expr) == 0
 
 
 def test_change_quantization_polynomial_dense_oracle():
     xs, xis = phase_symbols(1)
     a_kn = SympySymbol(xs[0] * xis[0] ** 2, 1, 2.0, zero_nyquist=False)
-    w = change_quantization(a_kn, K=3)
+    w = _kn_to_weyl(a_kn)
     g = make_grid(1, 8.0, 64)
     u = gaussian_probe(g, k=2.0, width=1.0)
     ref = quantize_dense(a_kn, g, "kn").apply(u)
@@ -526,11 +531,7 @@ def test_poisson_bracket_airy():
     assert garding.order == 2.0 and not garding.zero_nyquist
 
 
-@pytest.mark.parametrize(
-    "op",
-    [poisson_bracket, compose_symbols, lambda a, f: change_quantization(f)],
-    ids=["poisson_bracket", "compose_symbols", "change_quantization"],
-)
+@pytest.mark.parametrize("op", [poisson_bracket, compose_symbols], ids=["poisson_bracket", "compose_symbols"])
 def test_poisson_bracket_rejects_numeric_symbols(op):
     # the calculus is exact: numeric symbols are refused, not approximated
     from weylab.symbol import FuncSymbol

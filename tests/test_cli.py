@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weylab import cli
+from weylab import cli, evolve
 from weylab.cli import ConfigError, _validate_config, list_catalog, run
 
 
@@ -462,6 +462,32 @@ def test_config_errors_stop_the_run_before_any_experiment(tmp_path, capsys, cfg,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "nonlinearity",
+    [
+        # a non-integer entry ran silently as alpha = 1
+        {"alpha": [1.5]},
+        {"alpha": [1.0]},
+        {"alpha": [True]},
+        # the rest validated and then failed only as an experiment error
+        {"p": -1},
+        {"alpha": [-1]},
+        {"alpha": ["x"]},
+        {"p": 0, "q": 0},
+        {"alpha": [3]},
+    ],
+    ids=["alpha-1.5", "alpha-1.0", "alpha-true", "p-negative", "alpha-negative", "alpha-str", "p0-q0", "alpha-3"],
+)
+def test_nonlinearity_is_checked_at_validation(tmp_path, capsys, nonlinearity):
+    # the section is built into its NonlinearitySpec at validation, whose
+    # checks are the only ones
+    cfg = {"experiment": "solve-nlivp", "grid": _AIRY_GRID, "run": {"nonlinearity": nonlinearity}}
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
+    assert "error: config.run.nonlinearity: " in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # a valid value of each section that has no default
 _SECTIONS = {
     "grid": _AIRY_GRID,
@@ -678,9 +704,8 @@ def test_csv_artifacts_match_golden_hashes(tmp_path):
 
 @pytest.mark.parametrize("estimate", ["ii", "iii"])
 def test_smoothing_report_takes_each_wrap_guard_once(tmp_path, monkeypatch, estimate):
-    # the guard that sets the family horizon also serves the datum's solve
-    from weylab import evolve
-
+    # the guard that sets the family horizon also serves the datum's solve,
+    # which is handed the guards and takes none itself; cli binds its own name
     calls = []
     real = evolve.wrap_guard
 
@@ -689,6 +714,7 @@ def test_smoothing_report_takes_each_wrap_guard_once(tmp_path, monkeypatch, esti
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evolve, "wrap_guard", counted)
+    monkeypatch.setattr(cli, "wrap_guard", counted)
     cfg = {
         "experiment": "smoothing-report",
         "symbol": {"name": "airy"},

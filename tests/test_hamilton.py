@@ -129,9 +129,10 @@ def test_qdelta_symbol_is_derived_from_sympy_only():
     f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0)
     with pytest.raises(TypeError):
         qdelta_symbol(f, 0.5)
-    # delta = 1 and a scale give the Garding normalization 2 C1 C^2 = 54 for airy
-    q = qdelta_symbol(catalog("airy"), 1.0, 54.0)
-    assert np.isclose(q.eval(1.0, 2.0).real.item(), 54.0 * 3 * 4 / 5, rtol=1e-14)
+    # delta = 1 gives <xi>^{-2} x d_xi a = 3 x xi^2 / (1 + xi^2) for airy;
+    # a normalization such as 54 scales the value outside the call
+    q = qdelta_symbol(catalog("airy"), 1.0)
+    assert np.isclose(54.0 * q.eval(1.0, 2.0).real.item(), 54.0 * 3 * 4 / 5, rtol=1e-14)
 
 
 def test_integrate_airy_straight_line():

@@ -1,8 +1,9 @@
 """Static checks of the package sources: every imported name is used, every
 private definition is referenced, every dataclass field is read, sympy's
 calculus runs only where the package keeps it, no function takes the spatial
-weight as an argument, and every run key is set by a test or benchmark
-config."""
+weight as an argument, every run key is set by a test or benchmark config,
+every defaulted parameter is passed by some package caller, and modules
+import at their top."""
 
 import ast
 from pathlib import Path
@@ -300,3 +301,124 @@ def test_unset_run_key_is_found():
         'E = {"experiment": "other", "run": {"cap": 1.0}}\n'
     )
     assert unset_run_keys(schemas, [source]) == ["solve: run.datum.amplitude", "scan: run.cap"]
+
+
+def _defaulted_params(fn: ast.FunctionDef, method: bool) -> list[tuple]:
+    """(name, position) of the parameters of `fn` that have a default; the
+    position counts call arguments (a method's first parameter is bound, not
+    passed) and is None for a keyword-only parameter."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args][1 if method else 0 :]
+    params = [(p.arg, i) for i, p in enumerate(positional)][len(positional) - len(a.defaults) :]
+    return params + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def unpassed_defaults(sources: dict, exempt: tuple = ()) -> list[str]:
+    """Parameters with a default that no call in `sources` (file name ->
+    source) passes, of every module function and method that some call
+    names: `f(...)`, `obj.f(...)`, and `Cls(...)` or `super().__init__(...)`
+    for `Cls.__init__`.  A parameter counts as passed by keyword, by
+    position, or through `*args` or `**kwargs`; calls are pooled by name, so
+    methods of one name share their calls.  `exempt` lists "file: qualname(param)" labels."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    # callee name -> [(positional count, keyword names, has **)]
+    calls: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            count = float("inf") if starred else len(node.args)
+            names = {kw.arg for kw in node.keywords}
+            calls.setdefault(callee, []).append((count, names - {None}, None in names))
+    found = []
+    for file, tree in trees.items():
+        defs = [((top.name,), top.name, top, False) for top in tree.body if isinstance(top, ast.FunctionDef)]
+        for cls in (top for top in tree.body if isinstance(top, ast.ClassDef)):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    callees = (cls.name, "__init__") if fn.name == "__init__" else (fn.name,)
+                    defs.append((callees, f"{cls.name}.{fn.name}", fn, not static))
+        for callees, qualname, fn, method in defs:
+            sites = [site for callee in callees for site in calls.get(callee, [])]
+            if not sites:
+                continue
+            for param, position in _defaulted_params(fn, method):
+                passed = any(
+                    param in names or spread or (position is not None and count > position)
+                    for count, names, spread in sites
+                )
+                label = f"{file}: {qualname}({param})"
+                if not passed and label not in exempt:
+                    found.append(f"{label} (line {fn.lineno})")
+    return found
+
+
+def test_every_default_is_passed_by_some_caller():
+    # a default that no caller in the package overrides is a switch only a
+    # test can set; `main(argv)` is set by the console script's caller
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert unpassed_defaults(sources, exempt=("cli.py: main(argv)",)) == []
+
+
+def test_unpassed_default_is_found():
+    source = (
+        "def solve(a, tol=1e-6, *, steps=25, stride=1, dt=None):\n    return a\n"
+        "def unused(a, flag=False):\n    return a\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, fill=0, label=''):\n        self.size = size\n"
+        "    def grow(self, by=1, cap=None):\n        return self\n"
+        "    @staticmethod\n"
+        "    def make(n=2):\n        return Box(n)\n"
+        "class Crate(Box):\n"
+        "    def __init__(self):\n        super().__init__(label='crate')\n"
+        "opts = {'stride': 2}\n"
+        "solve(1, 1e-8, dt=0.1)\n"
+        "solve(*[1, 2], **opts)\n"
+        "Box(3).grow(2)\n"
+        "Box.make()\n"
+    )
+    assert unpassed_defaults({"m.py": source}, exempt=("m.py: Box.grow(cap)",)) == [
+        "m.py: Box.__init__(fill) (line 6)",
+        "m.py: Box.make(n) (line 11)",
+    ]
+
+
+def function_imports(source: str) -> list[tuple]:
+    """(function name, line) of each import statement inside a function body;
+    an import in a nested function is listed under the innermost one."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if where is not None and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((where, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# the one function-local import: scipy.fft is loaded on the first transform,
+# which keeps about 0.09 s off the start-up of every process
+LAZY_IMPORTS = {SRC / "grid.py": ["_scipy_fft"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_modules_import_at_their_top(path):
+    assert [where for where, _ in function_imports(path.read_text())] == LAZY_IMPORTS.get(path, [])
+
+
+def test_function_import_is_found():
+    source = (
+        "import numpy as np\n"
+        "def run():\n    import json\n    return json\n"
+        "class Box:\n"
+        "    def load(self):\n"
+        "        def inner():\n            from . import grid\n            return grid\n"
+        "        return inner\n"
+        "if np:\n    import os\n"
+    )
+    assert function_imports(source) == [("run", 3), ("inner", 8)]

@@ -7,7 +7,14 @@ import pytest
 
 from weylab import nonlinear
 from weylab.calculus import EvolutionOperator
-from weylab.evolve import WrapGuardError, build_evolution_operator, lawson_stepper, solve_linear, wrap_guard
+from weylab.evolve import (
+    WrapGuardError,
+    _stored_steps,
+    build_evolution_operator,
+    lawson_stepper,
+    solve_linear,
+    wrap_guard,
+)
 from weylab.grid import (
     LAM_EXPONENT,
     Field,
@@ -258,7 +265,7 @@ def test_picard_zero_datum_fixed_point(setup):
 
 def test_picard_small_datum_converges(setup):
     g, a, u0 = setup
-    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4)
     assert run.converged
     assert all(r < 0.5 for r in run.contraction_factors)
     assert run.residual <= 1e-4
@@ -266,8 +273,8 @@ def test_picard_small_datum_converges(setup):
 
 def test_picard_agrees_with_direct_integration(setup):
     g, a, u0 = setup
-    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
-    direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=2e-4, store_stride=8)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4)
+    direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=2e-4)
     agree = max(
         l2_norm(run.solution.field(i) - direct.field(i)) for i in range(len(direct.times))
     )
@@ -278,8 +285,8 @@ def test_picard_matches_the_direct_solve_to_round_off(setup):
     # the frozen-datum iteration against the method-of-lines cross-check, at
     # the bound that held frozen against the plain Picard iteration
     g, a, u0 = setup
-    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4, store_stride=8)
-    direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=2e-4, store_stride=8)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, tol=1e-8, dt=2e-4)
+    direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=2e-4)
     agree = max(
         l2_norm(run.solution.field(i) - direct.field(i)) for i in range(len(direct.times))
     )
@@ -289,7 +296,7 @@ def test_picard_matches_the_direct_solve_to_round_off(setup):
 def _criterion_9(T=0.1, p=1):
     g = make_grid(1, 20 * np.pi, 256)
     u0 = gaussian_wavepacket(g, 0.0, 8.0, amplitude=0.01)
-    kw = dict(s=15.0, T=T, tol=1e-8, dt=2e-4, store_stride=8)
+    kw = dict(s=15.0, T=T, tol=1e-8, dt=2e-4)
     return catalog("airy"), u0, NonlinearitySpec(p, 0, (1,)), kw
 
 
@@ -335,13 +342,16 @@ def _small_2d():
 
 # Taken with float.hex from the solve as it was before sweeps were built one
 # chunk of frames at a time, when every series was one whole-trajectory stack;
-# "frames" is the first 16 hex digits of the sha256 of the stored frames.
+# "frames" is the first 16 hex digits of the sha256 of frame 0, every
+# stride-th frame and the last, for the stride given after the config: the
+# frames that solve stored.
 # Floor-level factors such as criterion 9's 0.364 are round-off noise, so any
 # drift could cross the benchmark's rho < 0.5 check: the solve must not move
 # a bit.
 PICARD_GOLDEN = {
     "criterion-9": (
         _criterion_9,
+        8,
         5,
         ["0x1.07b551aacf167p-9", "0x1.b3574ad1b7e29p-6", "0x1.74a9de20a11fcp-2",
          "0x1.004f4337eadd5p-13"],
@@ -352,6 +362,7 @@ PICARD_GOLDEN = {
     ),
     "p2-q0": (
         lambda: _criterion_9(p=2),
+        8,
         3,
         ["0x1.4dd5788d75127p-11", "0x1.2d7c66a5c49d2p-18"],
         ["0x1.62ea914c6dd14p+1", "0x1.62ea914bbde02p+1", "0x1.62ea914bbd1e3p+1"],
@@ -360,6 +371,7 @@ PICARD_GOLDEN = {
     ),
     "2d-p1-q1": (
         _small_2d,
+        1,
         3,
         ["0x1.9883be60a8d5cp-16", "0x1.f1b1a441d137ap-15"],
         ["0x1.192c6f877dbbep+12", "0x1.192c6f877de37p+12", "0x1.192c6f877de39p+12"],
@@ -371,14 +383,15 @@ PICARD_GOLDEN = {
 
 @pytest.mark.parametrize("case", list(PICARD_GOLDEN))
 def test_picard_golden_bits(case):
-    config, iterations, rhos, history, residual, frames = PICARD_GOLDEN[case]
+    config, stride, iterations, rhos, history, residual, frames = PICARD_GOLDEN[case]
     a, u0, spec, kw = config()
     run = picard_solve(a, u0, spec, **kw)
+    stored = run.solution.values[_stored_steps(len(run.solution.times) - 1, stride)]
     assert run.converged and run.iterations == iterations
     assert [float(r).hex() for r in run.contraction_factors] == rhos
     assert [float(x).hex() for x in run.xts_history] == history
     assert float(run.residual).hex() == residual
-    assert hashlib.sha256(run.solution.values.tobytes()).hexdigest()[:16] == frames
+    assert hashlib.sha256(stored.tobytes()).hexdigest()[:16] == frames
 
 
 @pytest.mark.parametrize("T", [0.1, 0.2])
@@ -404,7 +417,7 @@ def test_picard_contraction_improves_with_smaller_T(setup):
     u0 = Field.from_function(g, lambda x: 0.5 * np.exp(-(x**2) / 8))
     rhos = []
     for T in (0.1, 0.05, 0.025):
-        run = picard_solve(a, u0, SPEC, s=15.0, T=T, tol=1e-12, dt=2e-4, max_iter=14)
+        run = picard_solve(a, u0, SPEC, s=15.0, T=T, tol=1e-12, dt=2e-4)
         rhos.append(run.contraction_factors[0])
     assert rhos[0] > rhos[1] > rhos[2]
 
@@ -412,7 +425,7 @@ def test_picard_contraction_improves_with_smaller_T(setup):
 def test_picard_datum_continuity(setup):
     g, a, u0 = setup
     pert = Field.from_function(g, lambda x: np.exp(-(x**2) / 6) * np.exp(1j * x))
-    kw = dict(s=15.0, T=0.05, tol=1e-10, dt=2e-4, store_stride=8)
+    kw = dict(s=15.0, T=0.05, tol=1e-10, dt=2e-4)
     run0 = picard_solve(a, u0, SPEC, **kw)
     ratios = []
     for delta in (1e-3, 5e-4, 2.5e-4):
@@ -445,13 +458,13 @@ def test_nonlinear_solves_share_the_step_rule(setup):
     # an explicit dt is never exceeded: T = 0.1 at dt = 0.0096 takes 11 steps,
     # not 10 steps of 0.01
     g, a, u0 = setup
-    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, dt=0.0096, max_iter=2)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, dt=0.0096)
     direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=0.0096)
     for sol in (run.solution, direct):
         assert len(sol.times) == 12 and sol.dt == 0.1 / 11
     # a picked dt: both solves step the same forcing, so the clock gives
     # them one dt and one step count
-    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1, max_iter=2)
+    run = picard_solve(a, u0, SPEC, s=15.0, T=0.1)
     direct = direct_nonlinear_solve(a, u0, SPEC, T=0.1)
     assert run.solution.dt == direct.dt
     assert len(run.solution.times) == len(direct.times)
@@ -465,16 +478,15 @@ def test_nonlinear_solves_share_the_step_rule(setup):
 
 
 @pytest.mark.parametrize("stride", [0, -1])
-@pytest.mark.parametrize("solve", ["linear-picked", "linear-given", "picard", "direct"])
+@pytest.mark.parametrize("solve", ["linear-picked", "linear-given"])
 def test_every_solve_names_a_bad_store_stride(setup, solve, stride):
     # a stride below 1 is refused by name before any step; it used to surface
-    # as ZeroDivisionError, IndexError or range()'s "arg 3 must not be zero"
+    # as ZeroDivisionError, IndexError or range()'s "arg 3 must not be zero".
+    # The nonlinear solves take no stride: they keep every frame
     g, a, u0 = setup
     calls = {
         "linear-picked": lambda: solve_linear(a, u0, T=0.1, store_stride=stride),
         "linear-given": lambda: solve_linear(a, u0, T=0.1, dt=1e-3, store_stride=stride),
-        "picard": lambda: picard_solve(a, u0, SPEC, s=15.0, T=0.1, dt=2e-4, store_stride=stride),
-        "direct": lambda: direct_nonlinear_solve(a, u0, SPEC, T=0.1, dt=2e-4, store_stride=stride),
     }
     with pytest.raises(ValueError, match="store_stride must be a positive integer"):
         calls[solve]()

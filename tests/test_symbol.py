@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylab.calculus import change_quantization, compose_symbols, poisson_bracket
+from weylab.calculus import compose_symbols, poisson_bracket
 from weylab.grid import lam
 from weylab.hamilton import qdelta_symbol
 from weylab.symbol import (
@@ -23,7 +23,7 @@ from weylab.symbol import (
     multi_indices_upto,
     phase_symbols,
 )
-from weylab.symbol.core import _derivative_closure, _derivative_expr
+from weylab.symbol.core import _derivative_closure, _derivative_expr, kn_to_weyl_expr
 from weylab.weights import garding_weight
 
 
@@ -86,18 +86,18 @@ def test_derivative_tree_makes_one_diff_per_closure(monkeypatch):
 
 
 def _symbolic_op(name):
-    """One exact symbolic operation, built afresh on each call."""
+    """The expression of one exact symbolic operation, built afresh on each call."""
     (x,), (xi,) = phase_symbols(1)
     x_xi2 = SympySymbol(x * xi**2, 1, 2.0)
     if name == "compose_symbols":
-        return compose_symbols(catalog("gaussian_kdv", eps=0.3), x_xi2, K=3)
-    if name == "change_quantization":
-        return change_quantization(x_xi2, K=3)
+        return compose_symbols(catalog("gaussian_kdv", eps=0.3), x_xi2, K=3).expr
+    if name == "change_quantization":  # KN -> Weyl
+        return kn_to_weyl_expr(x_xi2.expr, 1)
     if name == "poisson_bracket":
-        return poisson_bracket(catalog("gaussian_kdv", eps=0.3), x_xi2)
+        return poisson_bracket(catalog("gaussian_kdv", eps=0.3), x_xi2).expr
     xs, _ = phase_symbols(2)
     bump = sp.exp(-xs[0] ** 2 - xs[1] ** 2) / 9
-    return build_kdv_type(VectorFieldSystem(2, [[1 + bump, bump], [0, 1 - bump]])).full
+    return build_kdv_type(VectorFieldSystem(2, [[1 + bump, bump], [0, 1 - bump]])).full.expr
 
 
 @pytest.mark.parametrize(
@@ -110,7 +110,7 @@ def test_symbolic_calculus_reads_the_derivative_tree(name, monkeypatch):
     monkeypatch.setattr(sp, "diff", lambda *args, **kw: calls.append(args) or diff(*args, **kw))
     second = _symbolic_op(name)
     assert calls == []
-    assert sp.srepr(second.expr) == sp.srepr(first.expr)
+    assert sp.srepr(second) == sp.srepr(first)
 
 
 def test_qdelta_reads_the_derivatives_the_symbol_built(monkeypatch):
@@ -237,8 +237,6 @@ def test_build_kdv_type_rejects_complex_coefficients():
 
 def test_build_kdv_type_variable_matches_kn_route():
     # independent oracle: compose in KN quantization, then change quantization
-    from weylab.symbol.core import kn_to_weyl_expr
-
     xs, xis = phase_symbols(1)
     x, xi = xs[0], xis[0]
     sys1 = VectorFieldSystem(1, [[1 + sp.Rational(1, 10) * sp.exp(-(x**2))]])
