@@ -93,7 +93,6 @@ from .grid import (
 from .symbol.core import Symbol
 
 __all__ = [
-    "EvolutionOperator",
     "WrapGuard",
     "WrapGuardError",
     "Solution",
@@ -707,7 +706,7 @@ def smoothing_report(
     estimate: str,
     s: float,
     **solve,
-) -> tuple[SmoothingReport, Solution]:
+) -> SmoothingReport:
     """Solve du/dt = i A u + f from u0 (`solve_linear` with the keywords
     `solve`) and assemble LHS/RHS of the homogeneous/inhomogeneous smoothing
     estimates over its frames.
@@ -720,11 +719,11 @@ def smoothing_report(
     The exponential prefactor in T is never folded in: boundedness of the
     ratio across run families is the measured content.  The report also
     carries the unweighted integral int ||u||_{s+(m-1)/2}^2 dt.  The frames
-    stream into a `SmoothingSeries`, so the solution keeps only its final one.
+    stream into a `SmoothingSeries`, and the solution is dropped.
     """
     series = SmoothingSeries(u0.grid, a.order, estimate, s, f)
-    sol = solve_linear(a, u0, f, consume=series, **solve)
-    return series.report(), sol
+    solve_linear(a, u0, f, consume=series, **solve)
+    return series.report()
 
 
 # -- weighted propagator probe (polynomial-weight bound) --------------------------------

@@ -40,7 +40,7 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-XI_FLOOR = 1e-6
+XI_HALT = 1e-6  # a bicharacteristic halts where |xi| falls below this
 DRIFT_TOLERANCE = 1e-6  # largest accepted |a(x(t), xi(t)) - a(x0, xi0)| on a trajectory
 ELLIPTIC_TOL = 1e-10  # |a_m| below this (relative to its max) is a degeneracy
 ESCAPE_REFINE_TOL = 1e-8  # time resolution of the bisected escape time
@@ -111,7 +111,7 @@ def _rk4_path(a: Symbol, z0: np.ndarray, T: float, h: float, signs) -> list:
     """Fixed-step RK4 of a batch of states z0 (P, 2n), row p from 0 to signs[p]*T.
 
     Every row takes the same number of steps, of size signs[p]*T/steps.  A row
-    whose |xi| falls below XI_FLOOR stops there and the others go on.
+    whose |xi| falls below XI_HALT stops there and the others go on.
     Returns, per row, its times, its states and whether it stopped early.
     """
     P, n = z0.shape[0], z0.shape[1] // 2
@@ -135,7 +135,7 @@ def _rk4_path(a: Symbol, z0: np.ndarray, T: float, h: float, signs) -> list:
         k3 = f(z + 0.5 * hl * k2)
         k4 = f(z + hl * k3)
         z = z + (hl / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        low = np.linalg.norm(z[:, n:], axis=1) < XI_FLOOR
+        low = np.linalg.norm(z[:, n:], axis=1) < XI_HALT
         if low.any():
             taken[live[low]] = k - 1
             live, z = live[~low], z[~low]
@@ -157,7 +157,7 @@ def integrate_bicharacteristic(
     n = a_m.n
     x0 = as_points(x0, n).reshape(n)
     xi0 = as_points(xi0, n).reshape(n)
-    if np.linalg.norm(xi0) <= XI_FLOOR:
+    if np.linalg.norm(xi0) <= XI_HALT:
         raise ValueError("initial frequency must satisfy |xi0| > 0")
     if h <= 0 or T <= 0:
         raise ValueError("horizon T and step h must be positive")

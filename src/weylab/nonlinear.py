@@ -109,14 +109,18 @@ class NonlinearitySpec:
         if sum(self.alpha) > 2:
             raise ValueError("derivative order |alpha| must not exceed 2")
 
+    def check_dimension(self, n: int) -> None:
+        """Refuse an alpha with more entries than the n variables D^alpha acts on."""
+        if len(self.alpha) > n:
+            raise ValueError(f"multi-index {self.alpha} has more entries than the dimension {n}")
 
-def _xi_alpha(g: Grid, alpha: tuple) -> np.ndarray:
+
+def _xi_alpha(g: Grid, spec: NonlinearitySpec) -> np.ndarray:
     """Multiplier of D^alpha = prod_j (-i d_j)^{alpha_j}, namely xi^alpha."""
-    if len(alpha) > g.n:
-        raise ValueError(f"multi-index {alpha} has more entries than the dimension {g.n}")
+    spec.check_dimension(g.n)
     out = np.ones(g.shape, dtype=complex)
     mesh = g.xi_mesh
-    for j, a in enumerate(alpha):
+    for j, a in enumerate(spec.alpha):
         if a:
             out = out * mesh[..., j] ** a
     return out
@@ -158,7 +162,7 @@ class _Nonlinearity:
 
     def __init__(self, g: Grid, spec: NonlinearitySpec, c_frozen: Optional[np.ndarray] = None):
         self.grid, self.spec, self.c_frozen = g, spec, c_frozen
-        self.mult = _xi_alpha(g, spec.alpha)
+        self.mult = _xi_alpha(g, spec)
         self.drop = ~g.dealias_mask
 
     def dalpha(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -503,7 +507,7 @@ def direct_nonlinear_solve(
     op = build_evolution_operator(a, g)
     bound = "clock" if dt is None else "given"
     steps, dt = _nonlinear_steps(
-        op, guard.xi_cap, T, dt, _monomial(u0.values, spec.p, spec.q), _xi_alpha(g, spec.alpha)
+        op, guard.xi_cap, T, dt, _monomial(u0.values, spec.p, spec.q), _xi_alpha(g, spec)
     )
     step = lawson_stepper(op, dt, _direct_forcing(g, spec))
     times, stored = _march(step, g, u0.values, steps, dt)

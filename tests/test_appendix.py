@@ -6,7 +6,7 @@ import sympy as sp
 
 from weylab.appendix_checks import _a3_slack, lemmatec1_residual, lemmatec3_scan
 from weylab.grid import make_grid
-from weylab.symbol import SympySymbol, phase_symbols
+from weylab.symbol.core import SympySymbol, phase_symbols
 
 
 @pytest.fixture(scope="module")

@@ -15,18 +15,10 @@ from weylab.calculus import (
     quantize_dense,
 )
 from weylab.grid import Field, Grid, apply_bessel, make_grid
-from weylab.symbol import (
-    CATALOG,
-    FuncSymbol,
-    SympySymbol,
-    VectorFieldSystem,
-    bessel_symbol,
-    build_kdv_type,
-    catalog,
-    catalog_names,
-    phase_symbols,
-)
-from weylab.symbol.core import kn_to_weyl_expr
+from weylab.hamilton import qdelta_symbol
+from weylab.symbol.catalog import CATALOG, catalog, catalog_names
+from weylab.symbol.core import FuncSymbol, SympySymbol, bessel_symbol, kn_to_weyl_expr, phase_symbols
+from weylab.symbol.kdv import VectorFieldSystem, build_kdv_type
 
 
 def brute_force_dense(a, g, tag):
@@ -518,8 +510,6 @@ def test_change_quantization_polynomial_dense_oracle():
 
 def test_poisson_bracket_airy():
     # each term of {a, b} takes one xi-derivative: the order is m1 + m2 - 1
-    from weylab.hamilton import qdelta_symbol
-
     xs, xis = phase_symbols(1)
     q = SympySymbol(xs[0] * xis[0] ** 2, 1, 2.0, zero_nyquist=False)
     br = poisson_bracket(catalog("airy"), q)
@@ -534,8 +524,6 @@ def test_poisson_bracket_airy():
 @pytest.mark.parametrize("op", [poisson_bracket, compose_symbols], ids=["poisson_bracket", "compose_symbols"])
 def test_poisson_bracket_rejects_numeric_symbols(op):
     # the calculus is exact: numeric symbols are refused, not approximated
-    from weylab.symbol import FuncSymbol
-
     f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0)
     with pytest.raises(TypeError):
         op(catalog("airy"), f)

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from weylab import cli, evolve
-from weylab.cli import ConfigError, _validate_config, list_catalog, run
+from weylab.cli import ConfigError, _validate_config, list_catalog, main, run
+from weylab.evolve import NormSeries, smoothing_report, solve_linear, wrap_guard
+from weylab.grid import Field, gaussian_wavepacket, make_grid
+from weylab.symbol.catalog import catalog
+from weylab.symbol.kdv import VectorFieldSystem, build_kdv_type
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -133,10 +137,6 @@ def test_solve_linear_conservation_and_series(tmp_path):
     assert len(series) > 3
     # the CLI streams its frames into the norms; the same solve streamed in
     # process gives the same columns and drift bit for bit
-    from weylab.evolve import NormSeries, solve_linear
-    from weylab.grid import gaussian_wavepacket, make_grid
-    from weylab.symbol import catalog
-
     g = make_grid(1, cfg["grid"]["L"], cfg["grid"]["N"])
     norms = NormSeries(g, (0.0, 1.0))
     u0 = gaussian_wavepacket(g, [2.0], 8.0)
@@ -257,8 +257,6 @@ def test_kdv_type_build_coefficient_symbol_unchanged(tmp_path):
     # the whitelist only gates the string; sympy still builds the same symbol
     import sympy as sp
 
-    from weylab.symbol import VectorFieldSystem, build_kdv_type
-
     text = "1 + 0.02*exp(-x1**2)"
     cfg = {"experiment": "kdv-type-build", "symbol": {"coefficients": [[text]], "n": 1}}
     assert run(write_cfg(tmp_path, cfg), out_dir=str(tmp_path)) == 0
@@ -358,16 +356,12 @@ def test_list_catalog_text_and_json():
 
 def test_list_json_matches_golden(capsys):
     # `weylab list --json` is a published interface: any change to it is deliberate
-    from weylab.cli import main
-
     assert main(["list", "--json"]) == 0
     golden = Path(__file__).parent / "data" / "list_catalog.json"
     assert capsys.readouterr().out == golden.read_text()
 
 
 def test_main_usage_error():
-    from weylab.cli import main
-
     assert main(["run"]) == 1  # argparse exits; wrapped to a code
     assert main(["list"]) == 0
 
@@ -377,16 +371,12 @@ _APPENDIX_SMALL = {"experiment": "appendix", "run": {"N_w_max": 1, "degree_max":
 
 
 def test_main_run_json_prints_the_written_report(tmp_path, capsys):
-    from weylab.cli import main
-
     path = write_cfg(tmp_path, dict(_APPENDIX_SMALL, output={"prefix": "one"}))
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--json"]) == 0
     assert capsys.readouterr().out == (tmp_path / "out" / "one_report.json").read_text()
 
 
 def test_main_run_json_prints_a_batch_as_its_reports(tmp_path, capsys):
-    from weylab.cli import main
-
     cfg = {"experiments": [dict(_APPENDIX_SMALL, output={"prefix": p}) for p in ("a", "b")]}
     path = write_cfg(tmp_path, cfg)
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--json"]) == 0
@@ -395,8 +385,6 @@ def test_main_run_json_prints_a_batch_as_its_reports(tmp_path, capsys):
 
 
 def test_list_text_matches_golden(capsys):
-    from weylab.cli import main
-
     assert main(["list"]) == 0
     golden = Path(__file__).parent / "data" / "list_catalog.txt"
     assert capsys.readouterr().out == golden.read_text()
@@ -485,6 +473,18 @@ def test_nonlinearity_is_checked_at_validation(tmp_path, capsys, nonlinearity):
     out = tmp_path / "out"
     assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
     assert "error: config.run.nonlinearity: " in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_alpha_longer_than_the_dimension_stops_the_batch_at_validation(tmp_path, capsys):
+    # the spec's check_dimension runs on the grid's n at validation, so the
+    # first experiment never runs
+    long_alpha = {"experiment": "solve-nlivp", "grid": _AIRY_GRID, "run": {"nonlinearity": {"alpha": [1, 0]}}}
+    cfg = {"experiments": [{"experiment": "solve-nlivp", "grid": _AIRY_GRID}, long_alpha]}
+    out = tmp_path / "out"
+    assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    assert "error: config.experiments[1].run.nonlinearity: multi-index (1, 0) has more entries" in err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -746,10 +746,6 @@ def test_smoothing_report_zero_horizon_is_an_error(tmp_path):
 def test_forced_smoothing_report_matches_the_library(tmp_path):
     # forced: true with estimate ii starts each carrier from rest with its
     # packet as the source; T and s are taken as given
-    from weylab.evolve import smoothing_report
-    from weylab.grid import Field, gaussian_wavepacket, make_grid
-    from weylab.symbol import catalog
-
     cfg = {
         "experiment": "smoothing-report",
         "symbol": {"name": "airy"},
@@ -763,7 +759,7 @@ def test_forced_smoothing_report_matches_the_library(tmp_path):
     g = make_grid(**_AIRY_GRID)
     for k in (4.0, 8.0):
         u0 = gaussian_wavepacket(g, [k], 8.0)
-        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), u0, "ii", 1.0, T=0.2, store_stride=4)
+        rep = smoothing_report(catalog("airy"), Field.zero(g), u0, "ii", 1.0, T=0.2, store_stride=4)
         assert details["ratios"][str(k)] == rep.ratio
 
 
@@ -798,10 +794,6 @@ def test_smoothing_report_unweighted_growth_verdict(tmp_path, carriers, scale, v
 def test_smoothing_report_records_each_carriers_steps(tmp_path, estimate):
     # per carrier: dt, steps, the bound that set them and the step-doubling
     # estimate, inside the determinism hash
-    from weylab.evolve import solve_linear, wrap_guard
-    from weylab.grid import Field, gaussian_wavepacket, make_grid
-    from weylab.symbol import catalog
-
     cfg = {
         "experiment": "smoothing-report",
         "symbol": {"name": "gaussian_kdv", "params": {"eps": 0.3}},

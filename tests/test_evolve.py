@@ -7,11 +7,10 @@ import pytest
 import sympy as sp
 
 from weylab import calculus, evolve
-from weylab.calculus import apply_fast, quantize_dense
+from weylab.calculus import EvolutionOperator, apply_fast, quantize_dense
 from weylab.evolve import (
     ESTIMATES,
     WRAP_MARGIN,
-    EvolutionOperator,
     NormSeries,
     SmoothingSeries,
     WrapGuardError,
@@ -36,8 +35,9 @@ from weylab.grid import (
     transform,
     weighted_pairing,
 )
-from weylab.symbol import SympySymbol, VectorFieldSystem, build_kdv_type, catalog
-from weylab.symbol.core import phase_symbols
+from weylab.symbol.catalog import catalog
+from weylab.symbol.core import SympySymbol, phase_symbols
+from weylab.symbol.kdv import VectorFieldSystem, build_kdv_type
 
 
 def airy_packet(g, k=4.0, width2=8.0):
@@ -848,7 +848,7 @@ class Frames:
 def test_smoothing_report_zero_solution():
     g = make_grid(1, 10.0, 64)
     for est in ("i", "ii", "iii"):
-        rep, _ = smoothing_report(catalog("airy"), Field.zero(g), None, est, 0.0, T=0.01, dt=1e-3)
+        rep = smoothing_report(catalog("airy"), Field.zero(g), None, est, 0.0, T=0.01, dt=1e-3)
         assert rep.lhs == 0.0 and rep.ratio == 0.0
 
 
@@ -1019,7 +1019,7 @@ def test_streamed_smoothing_report_matches_stored_bit_for_bit(family, estimate, 
     # the streamed solve keeps only its final frame, and smoothing_report
     # gives the same report
     assert sol.values.shape == (1, *g.shape) and sol.times[-1] == times[-1]
-    driven, _ = smoothing_report(a, datum, source, estimate, s, **run)
+    driven = smoothing_report(a, datum, source, estimate, s, **run)
     assert (driven.lhs, driven.rhs, driven.ratio) == (rep.lhs, rep.rhs, rep.ratio)
 
 
@@ -1067,7 +1067,7 @@ def test_smoothing_report_iii_forced():
     g = make_grid(1, 40 * np.pi, 1024)
     a = catalog("airy")
     fsrc = Field.from_function(g, lambda x: np.exp(4j * x) * np.exp(-(x**2) / 8))
-    rep, _ = smoothing_report(a, Field.zero(g), fsrc, "iii", 0.0, T=0.05, store_stride=4)
+    rep = smoothing_report(a, Field.zero(g), fsrc, "iii", 0.0, T=0.05, store_stride=4)
     assert np.isfinite(rep.ratio) and rep.ratio > 0
 
 
@@ -1088,8 +1088,6 @@ def test_smoothing_lhs_monotone_in_T():
     for tcut in (0.02, 0.035, 0.05):
         sel = sol.times <= tcut + 1e-12
         times = sol.times[sel]
-        from weylab.grid import weighted_pairing
-
         weighted = [weighted_pairing(sol.field(i), lam, 1.0) for i in range(sel.sum())]
         sup = max(sobolev_norm(sol.field(i), 0.0) for i in range(sel.sum()))
         lhs.append(sup**2 + np.trapezoid(weighted, times))

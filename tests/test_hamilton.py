@@ -8,7 +8,7 @@ import pytest
 from weylab import hamilton
 from weylab.calculus import poisson_bracket
 from weylab.hamilton import (
-    XI_FLOOR,
+    XI_HALT,
     Trajectory,
     classify_strong_ellipticity,
     escape_verdict,
@@ -21,7 +21,9 @@ from weylab.hamilton import (
     trajectory_to_csv,
     trapping_probe,
 )
-from weylab.symbol import FuncSymbol, SampleSet, SympySymbol, catalog, phase_symbols
+from weylab.symbol.catalog import catalog
+from weylab.symbol.checks import SampleSet
+from weylab.symbol.core import FuncSymbol, SympySymbol, phase_symbols
 from weylab.weights import garding_weight
 
 
@@ -66,7 +68,7 @@ def test_hamilton_derivative_sums_components_bit_for_bit(name):
 
 
 def _one_direction(a, z0, T, h, direction):
-    """RK4 from 0 to direction*T at one point per field call; stops below XI_FLOOR."""
+    """RK4 from 0 to direction*T at one point per field call; stops below XI_HALT."""
     n = z0.size // 2
 
     def f(z):
@@ -83,7 +85,7 @@ def _one_direction(a, z0, T, h, direction):
         k4 = f(z + hh * k3)
         z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += hh
-        if np.linalg.norm(z[n:]) < XI_FLOOR:
+        if np.linalg.norm(z[n:]) < XI_HALT:
             return np.array(ts), np.array(zs), True
         ts.append(t)
         zs.append(z.copy())
@@ -98,7 +100,7 @@ _XXI = SympySymbol(phase_symbols(1)[0][0] * phase_symbols(1)[1][0], 1, 2.0, labe
     [
         (catalog("gaussian_kdv"), [0.3], [1.0], 4.0, 0.005),
         (catalog("zk"), [0.1, -0.2], [1.0, 0.5], 1.0, 0.005),
-        # xi(t) = e^{-t}: only the forward path falls below XI_FLOOR
+        # xi(t) = e^{-t}: only the forward path falls below XI_HALT
         (_XXI, [0.5], [1.0], 20.0, 0.01),
     ],
     ids=["gaussian_kdv", "zk", "x_xi"],

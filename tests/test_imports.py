@@ -2,10 +2,12 @@
 private definition is referenced, every dataclass field is read, sympy's
 calculus runs only where the package keeps it, no function takes the spatial
 weight as an argument, every run key is set by a test or benchmark config,
-every defaulted parameter is passed by some package caller, and modules
-import at their top."""
+every defaulted parameter is passed by some package caller, modules
+import at their top, and every name has one home: it is imported from the
+module that defines it, and no two modules define it."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -422,3 +424,139 @@ def test_function_import_is_found():
         "if np:\n    import os\n"
     )
     assert function_imports(source) == [("run", 3), ("inner", 8)]
+
+
+def _module_of(path: str) -> tuple:
+    """(dotted name, is a package) of a module path under src, such as
+    "weylab/symbol/__init__.py" -> ("weylab.symbol", True)."""
+    parts = path.removesuffix(".py").split("/")
+    package = parts[-1] == "__init__"
+    return ".".join(parts[:-1] if package else parts), package
+
+
+def _definitions(tree: ast.Module) -> dict:
+    """name -> line of what a module's own top-level statements define: its
+    functions, classes and assigned names.  An import binds a name but
+    defines none."""
+    lines = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            lines[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            lines.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return lines
+
+
+def _imported_module(node: ast.ImportFrom, importer: str, is_package: bool) -> str:
+    """The dotted name of the module a `from ... import` names, a relative
+    one read from the module `importer`."""
+    if not node.level:
+        return node.module
+    base = importer if is_package else importer.rpartition(".")[0]
+    for _ in range(node.level - 1):
+        base = base.rpartition(".")[0]
+    return f"{base}.{node.module}" if node.module else base
+
+
+def misplaced_names(package: dict, importers: dict) -> list[str]:
+    """Breaches of "one home per name", each as "path (line n): what".
+    `package` maps each module's path under src (as in `_module_of`) to its
+    source, and `importers` maps the paths of other sources, the tests, to
+    theirs.  A module defines what its own top-level statements define, and
+    a package also its submodules.  Listed are
+    - a `from weylab... import name`, anywhere in either, whose module does
+      not define `name` (so a package is named for its submodules only);
+    - an import in a package's `__init__` of anything but its submodules;
+    - a name in a module's `__all__` that the module does not define;
+    - a public top-level name that an earlier module of `package` defines."""
+    trees = {path: ast.parse(source) for path, source in {**package, **importers}.items()}
+    modules = {path: _module_of(path) for path in package}
+    submodules = {}
+    for name, _ in modules.values():
+        parent, _, child = name.rpartition(".")
+        submodules.setdefault(parent, set()).add(child)
+    defined = {
+        name: {*_definitions(trees[path]), *submodules.get(name, ())} for path, (name, _) in modules.items()
+    }
+    found, homes = [], {}
+    for path, tree in trees.items():
+        name, is_package = modules.get(path, ("", False))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            module = _imported_module(node, name, is_package) if isinstance(node, ast.ImportFrom) else None
+            names = [alias.name for alias in node.names]
+            where = f"{path} (line {node.lineno})"
+            if is_package:
+                if module != name or not set(names) <= submodules[name]:
+                    found.append(f"{where}: the package imports {', '.join(names)}, not only its submodules")
+            elif module is not None and module.partition(".")[0] == "weylab":
+                if module not in defined:
+                    found.append(f"{where}: no module {module}")
+                else:
+                    found += [
+                        f"{where}: {module} does not define {n}" for n in names if n not in defined[module]
+                    ]
+        if path not in package:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                found += [
+                    f"{path} (line {node.lineno}): __all__ lists {n}, which the module does not define"
+                    for n in ast.literal_eval(node.value)
+                    if n not in defined[name]
+                ]
+        for public, line in _definitions(tree).items():
+            if not public.startswith("_"):
+                if public in homes:
+                    found.append(f"{path} (line {line}): {public} is also defined in {homes[public]}")
+                homes.setdefault(public, path)
+    return found
+
+
+PACKAGE = {str(p.relative_to(SRC.parent)): p.read_text() for p in MODULES}
+TEST_SOURCES = {str(p.relative_to(ROOT)): p.read_text() for p in sorted((ROOT / "tests").rglob("*.py"))}
+
+
+@functools.cache
+def tree_breaches() -> tuple:
+    return tuple(misplaced_names(PACKAGE, TEST_SOURCES))
+
+
+@pytest.mark.parametrize(
+    "path", [*PACKAGE, *TEST_SOURCES], ids=lambda p: _module_of(p)[0] if p in PACKAGE else p
+)
+def test_every_name_has_one_home(path):
+    # one case per module (weylab.cli included) and per test file
+    assert [b for b in tree_breaches() if b.startswith(f"{path} (")] == []
+
+
+def test_misplaced_name_is_found():
+    package = {
+        "weylab/__init__.py": "from . import grid, sub\n__version__ = '1'\n__all__ = ['grid', '__version__']\n",
+        "weylab/grid.py": "import numpy as np\nFLOOR = 1\ndef make():\n    pass\n__all__ = ['make', 'np']\n",
+        "weylab/sub/__init__.py": "from . import core\nfrom .core import Thing\n__all__ = ['core', 'Thing']\n",
+        "weylab/sub/core.py": "from ..grid import make, np\nFLOOR = 2\nclass Thing:\n    pass\n",
+    }
+    tests = {
+        "tests/test_m.py": (
+            "from weylab import __version__, grid, nowhere\n"
+            "from weylab.sub import Thing\n"
+            "from weylab.sub.core import Thing, make\n"
+            "from weylab.missing import x\n"
+            "import weylab.sub.core\n"
+            "def test():\n    from weylab.grid import make\n"
+        )
+    }
+    assert misplaced_names(package, tests) == [
+        "weylab/grid.py (line 5): __all__ lists np, which the module does not define",
+        "weylab/sub/__init__.py (line 2): the package imports Thing, not only its submodules",
+        "weylab/sub/__init__.py (line 3): __all__ lists Thing, which the module does not define",
+        "weylab/sub/core.py (line 1): weylab.grid does not define np",
+        "weylab/sub/core.py (line 2): FLOOR is also defined in weylab/grid.py",
+        "tests/test_m.py (line 1): weylab does not define nowhere",
+        "tests/test_m.py (line 2): weylab.sub does not define Thing",
+        "tests/test_m.py (line 3): weylab.sub.core does not define make",
+        "tests/test_m.py (line 4): no module weylab.missing",
+    ]

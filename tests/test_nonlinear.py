@@ -41,7 +41,8 @@ from weylab.nonlinear import (
     nonlinearity_eval,
     picard_solve,
 )
-from weylab.symbol import SympySymbol, catalog
+from weylab.symbol.catalog import catalog
+from weylab.symbol.core import SympySymbol
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -320,7 +321,7 @@ def test_frozen_picard_steps_allocate_no_state_array(traced_peak):
     # the frozen forcing writes its transforms into its own buffer, allocated
     # with the stepper's arrays before the first step
     def frozen(g, u0):
-        return _frozen_forcing(g, _monomial(u0.values, SPEC.p, SPEC.q), _xi_alpha(g, SPEC.alpha))
+        return _frozen_forcing(g, _monomial(u0.values, SPEC.p, SPEC.q), _xi_alpha(g, SPEC))
 
     peak, state = _ten_steps_peak(traced_peak, frozen)
     assert peak < state

@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 from weylab.calculus import compose_symbols, poisson_bracket
 from weylab.grid import lam
 from weylab.hamilton import qdelta_symbol
-from weylab.symbol import (
+from weylab.symbol.catalog import catalog, catalog_names
+from weylab.symbol.checks import SampleSet, check_grad_ellipticity, check_im_smallness, check_x_decay
+from weylab.symbol.core import (
     FuncSymbol,
-    SampleSet,
     SympySymbol,
-    VectorFieldSystem,
-    build_kdv_type,
-    catalog,
-    catalog_names,
-    check_grad_ellipticity,
-    check_im_smallness,
-    check_x_decay,
+    _derivative_closure,
+    _derivative_expr,
+    kn_to_weyl_expr,
     multi_indices_upto,
     phase_symbols,
 )
-from weylab.symbol.core import _derivative_closure, _derivative_expr, kn_to_weyl_expr
+from weylab.symbol.kdv import VectorFieldSystem, build_kdv_type
 from weylab.weights import garding_weight
 
 

@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from weylab.grid import LAM_EXPONENT, lam, lam_deriv, lam_primitive, make_grid
-from weylab.symbol import SampleSet, catalog, check_grad_ellipticity
+from weylab.grid import LAM_EXPONENT, Field, lam, lam_deriv, lam_primitive, make_grid, wavepacket_probes
+from weylab.symbol.catalog import catalog
+from weylab.symbol.checks import SampleSet, check_grad_ellipticity
+from weylab.symbol.core import FuncSymbol, SympySymbol, phase_symbols
 from weylab.weights import (
     F_FIT_T_MAX_K,
     _fit_lower_bound,
@@ -68,8 +70,6 @@ def test_garding_weight_airy_closed_form(S1):
 
 def test_garding_weight_zero_scale(S1):
     # a zero weight has no Hamilton slack to fit
-    from weylab.symbol import SympySymbol
-
     a = catalog("airy")
     zero = SympySymbol(0, 1, 0.0, zero_nyquist=False)
     assert np.max(np.abs(zero.eval(S1.X[:100], S1.XI[:100]))) == 0.0
@@ -78,16 +78,12 @@ def test_garding_weight_zero_scale(S1):
 
 
 def test_garding_weight_needs_sympy_symbol(S1):
-    from weylab.symbol import FuncSymbol
-
     f = FuncSymbol(lambda X, XI: XI[..., 0] ** 3, 1, 3.0, real_valued=True)
     with pytest.raises(TypeError):
         garding_weight(f, S=S1)
 
 
 def test_garding_weight_rejects_degenerate():
-    from weylab.symbol import SympySymbol
-
     a = SympySymbol(1, 1, 0.0)  # constant symbol: gradient vanishes identically
     with pytest.raises(ValueError):
         garding_weight(a, S=SampleSet.standard(1))
@@ -284,8 +280,6 @@ def test_doi_slack_airy_and_gaussian(S1):
 
 
 def test_doi_slack_zero_weight_fails(S1):
-    from weylab.symbol import SympySymbol
-
     fit = doi_slack(catalog("airy"), SympySymbol(0, 1, 0.0, zero_nyquist=False), S1)
     assert fit.C1 == 0.0 and not fit.passed
 
@@ -314,8 +308,6 @@ def test_doi_weight_rejects_bad_eps(S1):
 
 
 def test_exp_weights_identity_for_zero_p():
-    from weylab.symbol import SympySymbol
-
     g = make_grid(1, 8.0, 64)
     pair = exp_weight_operators(SympySymbol(0, 1, 0.0, zero_nyquist=False), g)
     assert np.allclose(pair.E.matrix, np.eye(g.size), atol=1e-12)
@@ -344,8 +336,6 @@ def test_exp_weights_conjugation_order(airy_doi):
 
 def test_probe_generator_reproduces_band_probes():
     # reference: the exp-weight probe loop the shared generator replaced
-    from weylab.grid import Field, wavepacket_probes
-
     g = make_grid(1, 8.0, 64)
     rng = np.random.default_rng(0)
     ref = []
@@ -387,8 +377,6 @@ def test_admissibility_pass_1d(S1, name, kw):
 
 def test_admissibility_fail_cases(S1):
     assert admissibility_report(catalog("gaussian_kdv", eps=5.0), S1).verdict == "fail"
-    from weylab.symbol import SympySymbol, phase_symbols
-
     _, xis = phase_symbols(2)
     bad = SympySymbol(xis[0] ** 3, 2, 3.0)
     S2 = SampleSet.standard(2, x_points=5)
