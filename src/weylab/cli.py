@@ -90,7 +90,7 @@ _REQUIRED = object()
 class _Built(dict):
     """A nested schema whose resolved section becomes `build(**section)`; a
     ValueError that `build` raises is a ConfigError at the section's path, so
-    the object's own checks are the config's.  The object acts on the
+    the object's own checks are the config's.  A built run key acts on the
     experiment's grid, which its experiment requires: once the experiment is
     resolved, its `check_dimension(n)` runs on the grid's n the same way."""
 
@@ -158,6 +158,14 @@ def _nonempty_list(val, path: str) -> list:
 def _positive_int(val, path: str) -> int:
     if not isinstance(val, int) or isinstance(val, bool) or val < 1:
         raise ConfigError(f"{path}: expected a positive integer, got {val!r}")
+    return val
+
+
+def _number_list(val, path: str) -> list:
+    """A non-empty list of numbers."""
+    for i, v in enumerate(_nonempty_list(val, path)):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ConfigError(f"{path}[{i}]: expected a number, got {v!r}")
     return val
 
 
@@ -244,7 +252,16 @@ def _coefficient_symbol(sym, path: str) -> dict:
 
 
 _CATALOG_SYMBOL = {"name": (_catalog_name, _REQUIRED), "params": ("dict", {})}
-_GRID = {"n": ("int", _REQUIRED), "L": ("number", _REQUIRED), "N": ("int", _REQUIRED)}
+
+
+def _checked_grid(**grid) -> dict:
+    """The grid section, once `Grid`'s own checks have passed on it; each
+    experiment builds its grid when it runs, and drops it with its caches."""
+    make_grid(**grid)
+    return grid
+
+
+_GRID = _Built(_checked_grid, {"n": ("int", _REQUIRED), "L": ("number", _REQUIRED), "N": ("int", _REQUIRED)})
 # the sample-set extent; _sample_set derives what is not given
 _SAMPLES = {"x_radius": ("number", None), "xi_max": ("number", None)}
 
@@ -487,7 +504,11 @@ def _exp_solve_linear(cfg, run, rng, outdir, prefix):
 
 
 def _step_record(sol) -> dict:
-    """The step a solve took, how many, what set them and the step-doubling estimate."""
+    """The step a solve took, how many, what set them and the step-doubling
+    estimate.  The estimate is that of the first window at or under
+    STEP_TOL, else of the widest: the window widens from one step of 2h
+    against two of h only while the estimate exceeds STEP_TOL
+    (`evolve._step_error`)."""
     return {"dt": sol.dt, "steps": sol.steps, "step_bound": sol.step_bound, "step_error": sol.step_error}
 
 
@@ -503,7 +524,7 @@ def _family_T(guards):
     {
         "s": ("number", 0.0),
         "estimate": (_one_of(ESTIMATES), "ii"),
-        "carriers": (_nonempty_list, [4, 8, 16, 32]),
+        "carriers": (_number_list, [4, 8, 16, 32]),
         "width2": ("number", 8.0),
         "T": ("number", None),
         "store_stride": (_positive_int, 4),

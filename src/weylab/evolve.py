@@ -17,9 +17,12 @@ solve that picks its step (dt=None) keeps frames and steps apart.  Its frame
 clock, the steps that stability, the accuracy target Y_ACC and the floor
 MIN_STEPS call for, sets equal frame intervals of `store_stride` clock steps,
 so the frame times do not move with the step rule.  Each interval then takes
-only the steps that stability and a step-doubling error estimate (one step
-of 2h against two of h, Hairer-Norsett-Wanner, Solving ODEs I, II.4) at
-STEP_TOL need, and never more than the clock's.
+only the steps that stability and a windowed step-doubling error estimate
+(m steps of h against m/2 of 2h, Hairer-Norsett-Wanner, Solving ODEs I,
+II.4) at STEP_TOL need, and never more than the clock's.  The window starts
+at one step of 2h against two of h and doubles, up to STEP_WINDOW steps, only
+while the estimate exceeds STEP_TOL; only when the widest window also
+exceeds it does the interval take more steps.
 
 A solve either stores its frames in one (frames, *grid.shape) array or hands
 each frame, as `_march` makes it, to a consumer that keeps a few numbers per
@@ -116,6 +119,7 @@ C_STAB = 2.5  # RK4 stability margin for imaginary spectra (|y| < 2.828)
 Y_ACC = 0.03
 MIN_STEPS = 64
 STEP_TOL = 1e-6  # step-doubling error target of a picked solve_linear, relative, over [0, T]
+STEP_WINDOW = 32  # the widest window of the step-doubling estimate, in steps
 WRAP_MARGIN = 0.05  # wrap-guard margin, as a fraction of the half-width L
 ACTIVE_REL_THRESHOLD = 1e-8
 DATA_RADIUS_REL_THRESHOLD = 1e-9
@@ -234,7 +238,7 @@ class Solution:
     # "error" (the fewest steps per frame interval that meet the stability
     # bound or STEP_TOL)
     step_bound: str
-    # the step-doubling estimate at the chosen dt (None when none was taken)
+    # the windowed step-doubling estimate at the chosen dt (None when none was taken)
     step_error: Optional[float] = None
 
     def field(self, i: int) -> Field:
@@ -481,23 +485,43 @@ def _step_error(
     h: float,
     integrating_factor: bool,
 ) -> float:
-    """Step doubling: the estimated error of a solve of [0, T] in steps of h,
+    """Windowed step doubling: the estimated error of a solve of [0, T] in
+    steps of h, over a window of m steps,
 
-        (T / 2h) ||S_2h u0 - S_h S_h u0|| / 15  relative to  max(||u0||, ||S_h S_h u0||),
+        (T / m h) ||S_2h^{m/2} u0 - S_h^m u0|| / 15  relative to  max(||u0||, ||S_h^m u0||),
 
     with S_h one Lawson step of h from the datum's coefficients uhat0 and the
-    source's fhat.  Lawson RK4 has order 4, so the two steps of h are off by
-    about the difference / 15, and the estimate scales as h^4.  Each stepper
-    is freed once its step is taken, and nothing state-sized outlives the call."""
+    source's fhat.  Lawson RK4 has order 4, so the m steps of h are off by
+    about the difference / 15, and the estimate scales as h^4.  The first
+    window is m = 2, one step of 2h against two of h.  While its estimate
+    exceeds STEP_TOL the window doubles, up to STEP_WINDOW steps and never
+    beyond the solve's T / h: over a longer window, step errors that a
+    fast-rotating frame makes cancel, as they do in the solve, and the
+    estimate sees it.  Each doubling continues the fine and coarse states it
+    has.  Returns the first estimate at or under STEP_TOL, else the widest
+    window's.  One stepper is alive at a time, and nothing state-sized
+    outlives the call."""
     forcing = None if fhat is None else lambda uhat, t: fhat
-    step = lawson_stepper(op, h, forcing, integrating_factor=integrating_factor)
-    fine = step(step(uhat0, 0.0), h)
-    del step  # all but its output, fine
-    coarse = lawson_stepper(op, 2.0 * h, forcing, integrating_factor=integrating_factor)(uhat0, 0.0)
-    scale = max(np.linalg.norm(uhat0), np.linalg.norm(fine))
-    if scale == 0.0:
-        return 0.0
-    return float(T / (2.0 * h) * np.linalg.norm(np.subtract(coarse, fine, out=coarse)) / 15.0 / scale)
+    widest = min(STEP_WINDOW, int(round(T / h)))
+    norm0 = np.linalg.norm(uhat0)
+    fine = coarse = uhat0
+    taken, m = 0, 2  # the fine steps taken, and the window
+    while True:
+        step = lawson_stepper(op, h, forcing, integrating_factor=integrating_factor)
+        for k in range(taken, m):
+            fine = step(fine, k * h)
+        del step  # all but its output, fine
+        step = lawson_stepper(op, 2.0 * h, forcing, integrating_factor=integrating_factor)
+        for k in range(taken // 2, m // 2):
+            coarse = step(coarse, 2 * k * h)
+        del step  # all but its output, coarse
+        scale = max(norm0, np.linalg.norm(fine))
+        if scale == 0.0:
+            return 0.0
+        error = float(T / (m * h) * np.linalg.norm(np.subtract(coarse, fine)) / 15.0 / scale)
+        if error <= STEP_TOL or 2 * m > widest:
+            return error
+        taken, m = m, 2 * m
 
 
 def solve_linear(
@@ -530,9 +554,10 @@ def solve_linear(
     clock cuts [0, T] into F = ceil(n_clock / store_stride) equal frame
     intervals, so store_stride counts clock steps, and the solve takes r steps
     per interval: r_stab, the fewest that meet stability, or more while the
-    step-doubling estimate `_step_error` exceeds STEP_TOL, but never more than
-    the clock's ceil(n_clock / F).  The estimate scales as h^4, so each
-    evaluation predicts the r it needs and is measured again there.  A
+    windowed step-doubling estimate `_step_error` exceeds STEP_TOL in its
+    widest window, but never more than the clock's ceil(n_clock / F).  The
+    estimate scales as h^4, so each rejection predicts the r it needs, and
+    the estimate is taken again there, from its first window.  A
     stride-1 solve thus takes the clock's steps, and a pure multiplier with no
     source, which steps exactly, takes r_stab (one per frame).
     `Solution.step_bound` and `Solution.step_error` record the choice.

@@ -427,6 +427,15 @@ _AIRY_GRID = {"n": 1, "L": 62.83185307179586, "N": 256}
         # a probe count below 1 fitted no probe
         ({"experiment": "positivity", "grid": _AIRY_GRID, "run": {"probes": 0}}, "config.run.probes"),
         ({"experiment": "positivity", "grid": _AIRY_GRID, "run": {"probes": -3}}, "config.run.probes"),
+        # Grid's own checks, and a carrier that is no number, stop the run
+        # at validation, not as an experiment error
+        ({"experiment": "solve-linear", "grid": {**_AIRY_GRID, "N": 7}}, "config.grid"),
+        ({"experiment": "solve-linear", "grid": {**_AIRY_GRID, "n": 3}}, "config.grid"),
+        ({"experiment": "smoothing-report", "grid": _AIRY_GRID, "run": {"carriers": ["a"]}}, "config.run.carriers[0]"),
+        (
+            {"experiment": "smoothing-report", "grid": _AIRY_GRID, "run": {"carriers": [4, True]}},
+            "config.run.carriers[1]",
+        ),
     ],
     ids=[
         "missing-grid",
@@ -439,6 +448,10 @@ _AIRY_GRID = {"n": 1, "L": 62.83185307179586, "N": 256}
         "linear-T-true",
         "probes-0",
         "probes-negative",
+        "grid-N-odd",
+        "grid-n-3",
+        "carrier-str",
+        "carrier-true",
     ],
 )
 def test_config_errors_stop_the_run_before_any_experiment(tmp_path, capsys, cfg, where):

@@ -578,8 +578,10 @@ def test_user_dt_stability_rejection():
 
 # -- the picked step rule ----------------------------------------------------------------
 # A picked solve keeps the frame clock's frames and takes only the steps that
-# stability and the step-doubling estimate need.  Test-sized members of the
-# benchmark families: gkdv (eps 0.3 on a 512-node line) and uh (64^2 nodes).
+# stability and the windowed step-doubling estimate need.  Test-sized members
+# of the benchmark families: gkdv (eps 0.3 on a 512-node line) and uh (64^2
+# nodes).  At stride 4 the uh member accepts its first window (m = 2); the
+# gkdv member's first window rejects, and a wider one accepts.
 
 
 def _member(name, grid, carrier, width2, **params):
@@ -596,19 +598,36 @@ _MEMBERS = {
 }
 
 
-@pytest.mark.parametrize("member, factor", [("gkdv", 1e3), ("uh", 2.0)])
+def _final_error(a, u0, gw, T, dt, finer):
+    """The relative L^2 error of the final state of an explicit solve at dt
+    against one at dt / finer."""
+    fine = solve_linear(a, u0, T=T, dt=dt / finer, store_stride=10**6, guard=gw)
+    coarse = solve_linear(a, u0, T=T, dt=dt, store_stride=10**6, guard=gw)
+    return l2_norm(coarse.final - fine.final) / l2_norm(fine.final)
+
+
+@pytest.mark.parametrize("member, factor", [("gkdv", 1e2), ("uh", 2.0)])
 def test_step_error_tracks_the_error_against_a_4x_finer_solve(member, factor):
-    # the estimate (T/2h) ||S_2h u0 - S_h S_h u0|| / 15 bounds the relative
-    # error of the final state from above, within the stated factor: in 2D
-    # it is 1.6x the error; in 1D the phases of a fast-rotating frame make the
-    # step errors cancel, and it is 190x
+    # the estimate bounds the relative error of the final state from above,
+    # within the stated factor: in 2D it is 1.6x the error at m = 2; in 1D
+    # the phases of a fast-rotating frame make the step errors cancel, and at
+    # the window that accepts it is 33x
     a, u0, gw, T = _MEMBERS[member]()
     sol = solve_linear(a, u0, T=T, store_stride=4, guard=gw)
     assert sol.step_error is not None
-    fine = solve_linear(a, u0, T=T, dt=sol.dt / 4, store_stride=10**6, guard=gw)
-    coarse = solve_linear(a, u0, T=T, dt=sol.dt, store_stride=10**6, guard=gw)
-    error = l2_norm(coarse.final - fine.final) / l2_norm(fine.final)
+    error = _final_error(a, u0, gw, T, sol.dt, 4)
     assert error <= sol.step_error <= factor * error
+
+
+# the members' picked solves: the first window accepts (uh), a wider window
+# accepts (gkdv, stride 4), and every window rejects, so r rises (gkdv,
+# stride 16: 3 steps per frame interval)
+@pytest.mark.parametrize("member, stride", [("uh", 4), ("gkdv", 4), ("gkdv", 16)])
+def test_step_error_is_at_least_the_error_against_an_8x_finer_solve(member, stride):
+    a, u0, gw, T = _MEMBERS[member]()
+    sol = solve_linear(a, u0, T=T, store_stride=stride, guard=gw)
+    assert sol.step_error <= evolve.STEP_TOL
+    assert sol.step_error >= _final_error(a, u0, gw, T, sol.dt, 8)
 
 
 def test_stride_one_picked_solve_keeps_the_clock():
@@ -641,37 +660,59 @@ def test_thinned_solve_steps_between_stability_and_the_clock(member, stride):
     assert sol.step_error <= evolve.STEP_TOL or sol.step_bound == "clock"
 
 
-def test_member_above_step_tol_takes_more_than_one_step_per_frame():
-    # negative control: the 1D member's estimate at one step per frame
-    # exceeds STEP_TOL, so it takes two
+def test_member_above_step_tol_in_its_pair_escalates_the_window(monkeypatch):
+    # negative control: the 1D member's one-pair estimate at one step per
+    # frame exceeds STEP_TOL, yet the member takes one step per frame at
+    # STEP_TOL: a wider window accepted
     a, u0, gw, T = _MEMBERS["gkdv"]()
     sol = solve_linear(a, u0, T=T, store_stride=4, guard=gw)
     frames = len(sol.times) - 1
     op = build_evolution_operator(a, u0.grid)
-    one = evolve._step_error(op, u0.grid.fftn(u0.values), None, T, T / frames, True)
-    assert one > evolve.STEP_TOL
-    assert sol.step_bound == "error" and sol.steps // frames == 2
+    monkeypatch.setattr(evolve, "STEP_WINDOW", 2)  # the first window alone
+    pair = evolve._step_error(op, u0.grid.fftn(u0.values), None, T, T / frames, True)
+    assert pair > evolve.STEP_TOL
+    assert sol.step_bound == "stability" and sol.steps == frames
+    assert sol.step_error <= evolve.STEP_TOL
+
+
+def test_member_above_step_tol_takes_more_than_one_step_per_frame():
+    # negative control: at stride 16 even the widest window rejects one step
+    # per frame, so the solve raises the steps per frame interval and
+    # estimates again there
+    a, u0, gw, T = _MEMBERS["gkdv"]()
+    sol = solve_linear(a, u0, T=T, store_stride=16, guard=gw)
+    frames = len(sol.times) - 1
+    op = build_evolution_operator(a, u0.grid)
+    widest = evolve._step_error(op, u0.grid.fftn(u0.values), None, T, T / frames, True)
+    assert widest > evolve.STEP_TOL and frames >= evolve.STEP_WINDOW
+    assert sol.step_bound == "error" and sol.steps // frames > 1
     assert sol.step_error <= evolve.STEP_TOL
 
 
 def test_step_error_keeps_no_state_array(traced_peak):
-    # nothing state-sized outlives the estimate, and the thinned solve's peak
-    # is the march's: no more than the explicit solve at its dt
+    # nothing state-sized outlives the estimate, whether its first window
+    # accepts (uh) or it widens the window (gkdv), and the thinned solve's
+    # peak is the march's: no more than the explicit solve at its dt
     import tracemalloc
+
+    for member in ("gkdv", "uh"):
+        a, u0, gw, T = _MEMBERS[member]()
+        frames = len(solve_linear(a, u0, T=T, store_stride=4, guard=gw).times) - 1
+        g = u0.grid
+        op = build_evolution_operator(a, g)
+        uhat0 = g.fftn(u0.values)
+        evolve._step_error(op, uhat0, None, T, T / frames, True)  # fills the operator's row stack
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            evolve._step_error(op, uhat0, None, T, T / frames, True)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept - base < uhat0.nbytes / 16
 
     a, u0, gw, T = _MEMBERS["uh"]()
     g = u0.grid
-    op = build_evolution_operator(a, g)
-    uhat0 = g.fftn(u0.values)
-    evolve._step_error(op, uhat0, None, T, T / 16, True)  # fills the operator's row stack
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        evolve._step_error(op, uhat0, None, T, T / 16, True)
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept - base < uhat0.nbytes / 16
 
     def peak(dt):
         series = SmoothingSeries(g, a.order, "ii", 0.0, None)
@@ -680,7 +721,7 @@ def test_step_error_keeps_no_state_array(traced_peak):
     thinned = solve_linear(a, u0, T=T, store_stride=4, guard=gw)
     assert thinned.step_error is not None
     peak(None)  # fills the grid's and the symbol's caches
-    assert peak(None) - peak(thinned.dt) < uhat0.nbytes
+    assert peak(None) - peak(thinned.dt) < u0.values.nbytes
 
 
 def test_duhamel_consistency():

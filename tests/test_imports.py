@@ -467,6 +467,9 @@ def misplaced_names(package: dict, importers: dict) -> list[str]:
     a package also its submodules.  Listed are
     - a `from weylab... import name`, anywhere in either, whose module does
       not define `name` (so a package is named for its submodules only);
+    - a `from <package> import name` outside the package's `__init__` where
+      `name` is a submodule that also defines a top-level `name`: the import
+      binds the module, and a call of it raises TypeError;
     - an import in a package's `__init__` of anything but its submodules;
     - a name in a module's `__all__` that the module does not define;
     - a public top-level name that an earlier module of `package` defines."""
@@ -497,6 +500,11 @@ def misplaced_names(package: dict, importers: dict) -> list[str]:
                 else:
                     found += [
                         f"{where}: {module} does not define {n}" for n in names if n not in defined[module]
+                    ]
+                    found += [
+                        f"{where}: {n} is the module {module}.{n}, not the {n} it defines"
+                        for n in names
+                        if n in submodules.get(module, ()) and n in defined[f"{module}.{n}"]
                     ]
         if path not in package:
             continue
@@ -559,4 +567,25 @@ def test_misplaced_name_is_found():
         "tests/test_m.py (line 2): weylab.sub does not define Thing",
         "tests/test_m.py (line 3): weylab.sub.core does not define make",
         "tests/test_m.py (line 4): no module weylab.missing",
+    ]
+
+
+def test_submodule_named_for_its_definition_is_found():
+    # `from weylab.symbol import catalog` binds the module weylab.symbol.catalog,
+    # and catalog("airy") raises TypeError
+    package = {
+        "weylab/__init__.py": "from . import sub\n",
+        "weylab/sub/__init__.py": "from . import core, make\n",
+        "weylab/sub/core.py": "class Thing:\n    pass\n",
+        "weylab/sub/make.py": "from .core import Thing\ndef make():\n    return Thing()\n",
+    }
+    tests = {
+        "tests/test_m.py": (
+            "from weylab.sub import core, make\n"
+            "from weylab.sub.make import make\n"
+            "import weylab.sub.make as m\n"
+        )
+    }
+    assert misplaced_names(package, tests) == [
+        "tests/test_m.py (line 1): make is the module weylab.sub.make, not the make it defines"
     ]
