@@ -132,8 +132,7 @@ def quantize_dense(a: Symbol, g: Grid, tag: str = "weyl") -> DenseOperator:
         raise ValueError(f"unknown quantization tag {tag!r}")
     if not g.dense_eligible:
         raise ValueError(f"grid N={g.N}, n={g.n} exceeds the dense-operator budget")
-    if a.n != g.n:
-        raise ValueError("symbol and grid dimensions differ")
+    a.check_dimension(g.n)
     n, N = g.n, g.N
     weyl = tag == "weyl"
     if weyl:
@@ -202,8 +201,7 @@ class EvolutionOperator:
     def __init__(self, symbol: Symbol, grid: Grid, tag: str = "weyl"):
         if tag not in ("weyl", "kn"):
             raise ValueError(f"unknown quantization tag {tag!r}")
-        if symbol.n != grid.n:
-            raise ValueError("symbol and grid dimensions differ")
+        symbol.check_dimension(grid.n)
         self.symbol = symbol
         self.grid = grid
         self.tag = tag

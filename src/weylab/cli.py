@@ -1,7 +1,7 @@
 """Batch experiment driver: config parsing, orchestration, report emission.
 
 Configs are JSON: a single experiment object or {"experiments": [...], "threads": n}.
-Every experiment object supports
+An experiment object holds
 
     {
       "experiment": "solve-linear",                     # a kind from `weylab list`
@@ -14,8 +14,15 @@ Every experiment object supports
       "seed":    1234
     }
 
+and each kind takes only the sections its runner reads (`weylab list` shows
+them): a symbol for every kind but `appendix`, a grid for `solve-linear`,
+`smoothing-report`, `solve-nlivp`, `positivity` and `appendix`, and a weight
+for `doi-weight` alone.
 Validation, defaults, dispatch and `weylab list` all read one experiment table.
-Config errors name the offending path and stop the run before any experiment.
+Validation builds the symbol section into its symbol (a catalog symbol, or
+kdv-type-build's VectorFieldSystem), so the objects' own checks are the
+config's.  Config errors name the offending path and stop the run before any
+experiment.
 Reports embed the config as given, all paper-condition verdicts, the seed,
 artifact paths relative to the output directory, and a determinism hash (sha256
 over the report minus the wall-clock fields).  An experiment that raises gets a
@@ -40,7 +47,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import sympy as sp
 
 from . import __version__
 from .appendix_checks import lemmatec1_residual, lemmatec3_scan
@@ -89,10 +95,11 @@ _REQUIRED = object()
 
 class _Built(dict):
     """A nested schema whose resolved section becomes `build(**section)`; a
-    ValueError that `build` raises is a ConfigError at the section's path, so
-    the object's own checks are the config's.  A built run key acts on the
-    experiment's grid, which its experiment requires: once the experiment is
-    resolved, its `check_dimension(n)` runs on the grid's n the same way."""
+    ValueError or TypeError that `build` raises is a ConfigError at the
+    section's path, so the object's own checks are the config's.  A built
+    symbol or run key of a kind that takes a grid acts on that grid: once the
+    experiment is resolved, its `check_dimension(n)` runs on the grid's n the
+    same way."""
 
     def __init__(self, build: Callable, schema: dict):
         super().__init__(schema)
@@ -135,7 +142,7 @@ def _check_value(val, path: str, typ):
         section = _resolve(val, path, typ)
         try:
             return typ.build(**section)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if isinstance(typ, dict):
         return _resolve(val, path, typ)
@@ -166,6 +173,15 @@ def _number_list(val, path: str) -> list:
     for i, v in enumerate(_nonempty_list(val, path)):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ConfigError(f"{path}[{i}]: expected a number, got {v!r}")
+    return val
+
+
+def _number_or_list(val, path: str):
+    """A number, or a non-empty list of numbers."""
+    if isinstance(val, list):
+        return _number_list(val, path)
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError(f"{path}: expected a number or a non-empty list of numbers, got {val!r}")
     return val
 
 
@@ -238,20 +254,30 @@ def _check_coefficient(c, n: int, path: str) -> None:
         )
 
 
-def _coefficient_symbol(sym, path: str) -> dict:
-    """kdv-type-build's symbol section; `n` defaults to the number of rows."""
+def _coefficient_system(sym, path: str) -> VectorFieldSystem:
+    """kdv-type-build's symbol section, built into its VectorFieldSystem once
+    every coefficient has passed the whitelist; `n` defaults to the number of
+    rows, and the system's own checks (an n x n matrix, real Weyl
+    corrections) are the config's."""
     sym = _resolve(sym, path, {"coefficients": ("list", _REQUIRED), "n": ("int", None)})
-    if sym["n"] is None:
-        sym["n"] = len(sym["coefficients"])
+    n = len(sym["coefficients"]) if sym["n"] is None else sym["n"]
     for i, row in enumerate(sym["coefficients"]):
         if not isinstance(row, list):
             raise ConfigError(f"{path}.coefficients[{i}]: expected a list")
         for j, c in enumerate(row):
-            _check_coefficient(c, sym["n"], f"{path}.coefficients[{i}][{j}]")
-    return sym
+            _check_coefficient(c, n, f"{path}.coefficients[{i}][{j}]")
+    try:
+        return VectorFieldSystem(n, sym["coefficients"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-_CATALOG_SYMBOL = {"name": (_catalog_name, _REQUIRED), "params": ("dict", {})}
+# the symbol section of every kind but kdv-type-build and appendix: a catalog
+# symbol, airy when the config gives none
+_CATALOG_SYMBOL = (
+    _Built(lambda name, params: catalog(name, **params), {"name": (_catalog_name, _REQUIRED), "params": ("dict", {})}),
+    {"name": "airy"},
+)
 
 
 def _checked_grid(**grid) -> dict:
@@ -262,6 +288,7 @@ def _checked_grid(**grid) -> dict:
 
 
 _GRID = _Built(_checked_grid, {"n": ("int", _REQUIRED), "L": ("number", _REQUIRED), "N": ("int", _REQUIRED)})
+_GIVEN_GRID = (_GRID, _REQUIRED)
 # the sample-set extent; _sample_set derives what is not given
 _SAMPLES = {"x_radius": ("number", None), "xi_max": ("number", None)}
 
@@ -277,28 +304,24 @@ class _Experiment(NamedTuple):
 _EXPERIMENT_TABLE: dict[str, _Experiment] = {}
 
 
-def _experiment(kind: str, run: dict, requires: tuple = (), symbol=_CATALOG_SYMBOL, grid=None):
+def _experiment(kind: str, run: dict, **sections):
     """Register the decorated runner as experiment `kind`, in listing order.
 
-    `run` maps each run key to (type, default); `symbol` is the schema of the
-    symbol section, `grid` the grid used when the config gives none, and every
-    section named in `requires` must be given.  The runner is called as
-    runner(cfg, run, rng, outdir, prefix) with the defaults filled into `cfg`
-    and `run`, and returns (details, verdicts, artifact paths).
+    `run` maps each run key to (type, default), and `sections` each other
+    section the runner reads (symbol, grid, weight) to (schema, default); a
+    config that gives any other section fails validation.  The runner is
+    called as runner(cfg, run, rng, outdir, prefix) with the defaults filled
+    into `cfg` and `run`, and returns (details, verdicts, artifact paths).
     """
 
     def register(runner):
         schema = {
             "experiment": ("str", _REQUIRED),
-            "symbol": (symbol, {"name": "airy"}),
-            "grid": (_GRID, grid),
-            "weight": ({"eps": ("number", 0.1)}, {}),
+            **sections,
             "run": (run, {}),
             "output": ({"prefix": ("str", None)}, {}),
             "seed": ("int", None),
         }
-        for section in requires:
-            schema[section] = (schema[section][0], _REQUIRED)
         _EXPERIMENT_TABLE[kind] = _Experiment(runner, schema)
         return runner
 
@@ -317,15 +340,20 @@ def _validate_experiment(cfg, path: str) -> dict:
         raise ConfigError(f"{path}.experiment: unknown experiment {kind!r} (known: {known})")
     schema = _EXPERIMENT_TABLE[kind].schema
     resolved = _resolve(cfg, path, schema)
-    # the ValueError is converted here as in _check_value, not by a shared
-    # helper: with one, linear-2d's 2 MB-higher peak-RSS mode came up in 18
-    # of 40 batches (hash seeds 41-80), against 8 at the parent and 3 inline
-    for key, (typ, _) in schema["run"][0].items():
-        if isinstance(typ, _Built):
+    if "grid" in schema:
+        # the symbol and the built run objects act on the grid
+        built = [("symbol", resolved["symbol"])] if "symbol" in schema else []
+        for key, (typ, _) in schema["run"][0].items():
+            if isinstance(typ, _Built):
+                built.append((f"run.{key}", resolved["run"][key]))
+        # the ValueError is converted here as in _check_value, not by a shared
+        # helper: with one, linear-2d's 2 MB-higher peak-RSS mode came up in 18
+        # of 40 batches (hash seeds 41-80), against 8 at the parent and 3 inline
+        for where, obj in built:
             try:
-                resolved["run"][key].check_dimension(resolved["grid"]["n"])
+                obj.check_dimension(resolved["grid"]["n"])
             except ValueError as exc:
-                raise ConfigError(f"{path}.run.{key}: {exc}") from None
+                raise ConfigError(f"{path}.{where}: {exc}") from None
     return resolved
 
 
@@ -342,14 +370,6 @@ def _validate_config(cfg) -> list[tuple[dict, dict]]:
 
 
 # -- shared builders -----------------------------------------------------------------
-
-
-def _build_symbol(cfg: dict):
-    return catalog(cfg["symbol"]["name"], **cfg["symbol"]["params"])
-
-
-def _build_grid(cfg: dict):
-    return make_grid(**cfg["grid"])
 
 
 def _sample_set(a, run: dict) -> SampleSet:
@@ -384,9 +404,9 @@ def _datum(grid, spec: dict):
 # -- experiment implementations ---------------------------------------------------------
 
 
-@_experiment("check-admissible", _SAMPLES)
+@_experiment("check-admissible", _SAMPLES, symbol=_CATALOG_SYMBOL)
 def _exp_check_admissible(cfg, run, rng, outdir, prefix):
-    a = _build_symbol(cfg)
+    a = cfg["symbol"]
     rep = admissibility_report(a, _sample_set(a, run))
     artifacts = []
     if rep.slack is not None:
@@ -396,9 +416,9 @@ def _exp_check_admissible(cfg, run, rng, outdir, prefix):
     return rep.as_dict(), {"admissible": rep.verdict}, artifacts
 
 
-@_experiment("doi-weight", _SAMPLES)
+@_experiment("doi-weight", _SAMPLES, symbol=_CATALOG_SYMBOL, weight=({"eps": ("number", 0.1)}, {}))
 def _exp_doi_weight(cfg, run, rng, outdir, prefix):
-    a = _build_symbol(cfg)
+    a = cfg["symbol"]
     S = _sample_set(a, run)
     gw = garding_weight(a, S=S)
     dw = doi_weight(a, gw, eps=cfg["weight"]["eps"], S=S)
@@ -422,16 +442,17 @@ def _exp_doi_weight(cfg, run, rng, outdir, prefix):
 @_experiment(
     "trace-bichar",
     {
-        "x0": ("list", None),
-        "xi0": ("list", None),
+        "x0": (_number_list, None),
+        "xi0": (_number_list, None),
         "T": ("number", 4.0),
         "h": ("number", 0.01),
         "R": ("number", 10.0),
         "delta": ("number", 0.5),
     },
+    symbol=_CATALOG_SYMBOL,
 )
 def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
-    a = _build_symbol(cfg)
+    a = cfg["symbol"]
     x0 = run["x0"] if run["x0"] is not None else [0.0] * a.n
     xi0 = run["xi0"] if run["xi0"] is not None else [1.0] + [0.0] * (a.n - 1)
     T, delta = run["T"], run["delta"]
@@ -474,18 +495,19 @@ def _exp_trace_bichar(cfg, run, rng, outdir, prefix):
         "datum": (
             {
                 "kind": (_one_of(_DATUM_KINDS), _REQUIRED),
-                "carrier": (None, 1.0),
+                "carrier": (_number_or_list, 1.0),
                 "width2": ("number", 8.0),
                 "amplitude": ("number", 1.0),
             },
             {"kind": "wavepacket"},
         ),
     },
-    requires=("grid",),
+    symbol=_CATALOG_SYMBOL,
+    grid=_GIVEN_GRID,
 )
 def _exp_solve_linear(cfg, run, rng, outdir, prefix):
-    a = _build_symbol(cfg)
-    g = _build_grid(cfg)
+    a = cfg["symbol"]
+    g = make_grid(**cfg["grid"])
     u0 = _datum(g, run["datum"])
     norms = NormSeries(g, (0.0, 1.0))  # the frames are reduced as the march makes them
     # the solve takes the wrap guard itself: taken here, before the solve
@@ -532,11 +554,12 @@ def _family_T(guards):
         "growth_min": ("number", None),
         "forced": ("bool", None),
     },
-    requires=("grid",),
+    symbol=_CATALOG_SYMBOL,
+    grid=_GIVEN_GRID,
 )
 def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
-    a = _build_symbol(cfg)
-    g = _build_grid(cfg)
+    a = cfg["symbol"]
+    g = make_grid(**cfg["grid"])
     s, estimate, carriers, stride = run["s"], run["estimate"], run["carriers"], run["store_stride"]
     forced = run["forced"] if run["forced"] is not None else estimate == "iii"
     data = {
@@ -607,11 +630,12 @@ def _exp_smoothing_report(cfg, run, rng, outdir, prefix):
             {},
         ),
     },
-    requires=("grid",),
+    symbol=_CATALOG_SYMBOL,
+    grid=_GIVEN_GRID,
 )
 def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
-    a = _build_symbol(cfg)
-    g = _build_grid(cfg)
+    a = cfg["symbol"]
+    g = make_grid(**cfg["grid"])
     u0 = gaussian_wavepacket(g, [0.0] * g.n, run["width2"], run["amplitude"])
     try:
         # the regularity-floor warning is not caught: catch_warnings() swaps the
@@ -645,10 +669,11 @@ def _exp_solve_nlivp(cfg, run, rng, outdir, prefix):
 @_experiment(
     "positivity",
     {"flavor": (_one_of(POSITIVITY_FLAVORS), "sharp_garding"), "probes": (_positive_int, 48)},
-    requires=("grid",),
+    symbol=_CATALOG_SYMBOL,
+    grid=_GIVEN_GRID,
 )
 def _exp_positivity(cfg, run, rng, outdir, prefix):
-    a, g = _build_symbol(cfg), _build_grid(cfg)
+    a, g = cfg["symbol"], make_grid(**cfg["grid"])
     rep = positivity_diagnostic(a, g, run["flavor"], probes=run["probes"], seed=int(rng.integers(2**31)))
     stable = 0.5 <= rep.stability_ratio <= 2.0 or all(c <= 1e-10 for c in rep.fitted_C.values())
     return rep.as_dict(), {"refinement_stable": "pass" if stable else "inconclusive"}, []
@@ -661,10 +686,10 @@ def _exp_positivity(cfg, run, rng, outdir, prefix):
         "degree_max": (_positive_int, 3),
         "delta_list": (_delta_list, [0.01, 0.1, 0.5, 1.0]),
     },
-    grid={"n": 1, "L": 10.0, "N": 64},
+    grid=(_GRID, {"n": 1, "L": 10.0, "N": 64}),
 )
 def _exp_appendix(cfg, run, rng, outdir, prefix):
-    g = _build_grid(cfg)
+    g = make_grid(**cfg["grid"])
     xs, xis = phase_symbols(1)
     reports = [
         lemmatec1_residual(SympySymbol(xis[0] ** deg, 1, float(deg), zero_nyquist=False), N_w, g)
@@ -681,17 +706,9 @@ def _exp_appendix(cfg, run, rng, outdir, prefix):
     return details, verdicts, []
 
 
-@_experiment(
-    "kdv-type-build",
-    _SAMPLES,
-    requires=("symbol",),
-    symbol=_coefficient_symbol,
-)
+@_experiment("kdv-type-build", _SAMPLES, symbol=(_coefficient_system, _REQUIRED))
 def _exp_kdv_type_build(cfg, run, rng, outdir, prefix):
-    n = cfg["symbol"]["n"]
-    xs_names = {f"x{i + 1}": sp.Symbol(f"x{i + 1}", real=True) for i in range(n)}
-    coeffs = [[sp.sympify(c, locals=xs_names) for c in row] for row in cfg["symbol"]["coefficients"]]
-    system = VectorFieldSystem(n, coeffs)
+    system = cfg["symbol"]
     build = build_kdv_type(system)
     S = _sample_set(build.full, run)
     im_rep = check_im_smallness(build.full, S)
@@ -823,8 +840,7 @@ def run(
 
 def list_catalog(as_json: bool = False) -> str:
     """Deterministic listing of symbols, experiments, and config keys."""
-    # every kind has the same sections; only their contents differ
-    sections = list(next(iter(_EXPERIMENT_TABLE.values())).schema)
+    sections = {kind: list(e.schema) for kind, e in _EXPERIMENT_TABLE.items()}
     run_keys = {kind: sorted(e.schema["run"][0]) for kind, e in _EXPERIMENT_TABLE.items()}
     if as_json:
         payload = {
@@ -832,7 +848,7 @@ def list_catalog(as_json: bool = False) -> str:
                 name: {"summary": e.summary, "params": e.params} for name, e in sorted(CATALOG.items())
             },
             "experiments": list(run_keys),
-            "config_keys": {"common": sections, "run": run_keys},
+            "config_keys": {"sections": sections, "run": run_keys},
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     lines = ["catalog symbols:"]
@@ -842,8 +858,10 @@ def list_catalog(as_json: bool = False) -> str:
             lines.append(f"    param {pname}: {pdoc}")
     lines.append("experiments:")
     lines += [f"  {kind}" for kind in run_keys]
-    lines.append(f"config keys: {', '.join(sections)}")
-    lines += [f"  run keys for {kind}: {', '.join(keys) or '(none)'}" for kind, keys in run_keys.items()]
+    lines.append("config keys:")
+    for kind, keys in run_keys.items():
+        lines.append(f"  {kind}: {', '.join(sections[kind])}")
+        lines.append(f"    run keys: {', '.join(keys) or '(none)'}")
     return "\n".join(lines)
 
 

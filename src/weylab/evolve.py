@@ -625,6 +625,9 @@ def solve_linear(
     step = lawson_stepper(
         op, dt, None if f is None else lambda uhat, t: fhat, integrating_factor=integrating_factor
     )
+    # a pure multiplier's step keeps only its exponential: dropping the
+    # operator frees the multiplier's samples for the march
+    del op
     times, stored = _march(step, g, u0.values, steps, dt, stride, consume)
     return Solution(
         grid=g,

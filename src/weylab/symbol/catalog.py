@@ -119,7 +119,12 @@ def catalog_names() -> list[str]:
 
 
 def catalog(name: str, **params) -> SympySymbol:
-    """Build a catalog symbol by name; raises KeyError on unknown names."""
+    """Build a catalog symbol by name; raises KeyError on unknown names and
+    ValueError on a param that the entry does not list."""
     if name not in CATALOG:
         raise KeyError(f"unknown catalog symbol {name!r}; known: {catalog_names()}")
-    return CATALOG[name].build(**params)
+    entry = CATALOG[name]
+    for param in params:
+        if param not in entry.params:
+            raise ValueError(f"{name} has no param {param!r}; params: {sorted(entry.params)}")
+    return entry.build(**params)

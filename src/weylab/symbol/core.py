@@ -121,6 +121,11 @@ class Symbol:
         self.zero_nyquist = bool(zero_nyquist)
         self.label = label or type(self).__name__
 
+    def check_dimension(self, n: int) -> None:
+        """Refuse a grid of n variables when the symbol has another number."""
+        if self.n != n:
+            raise ValueError("symbol and grid dimensions differ")
+
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x, xi) -> np.ndarray:

@@ -25,7 +25,8 @@ QUALIFY_POINTS = 201  # nodes per axis of that scan
 
 @dataclass
 class VectorFieldSystem:
-    """Real smooth coefficients a_ij(x), i, j = 1..n (sympy expressions in x1..xn).
+    """Real smooth coefficients a_ij(x), i, j = 1..n (sympy expressions in x1..xn,
+    or strings that sympify to them).
 
     coefficients[i][j] is a_ij; column j defines the field X_j.
     """
@@ -37,10 +38,13 @@ class VectorFieldSystem:
 
     def __post_init__(self):
         self.n = int(self.n)
+        if self.n < 1:
+            raise ValueError(f"a system needs n >= 1 fields, got n={self.n}")
         xs, self._xis = phase_symbols(self.n)
         if len(self.coefficients) != self.n or any(len(row) != self.n for row in self.coefficients):
             raise ValueError(f"coefficients must be an {self.n}x{self.n} matrix")
-        coeffs = [[sp.sympify(c) for c in row] for row in self.coefficients]
+        names = {str(x): x for x in xs}
+        coeffs = [[sp.sympify(c, locals=names) for c in row] for row in self.coefficients]
         allowed = set(xs)
         for row in coeffs:
             for c in row:

@@ -436,6 +436,35 @@ _AIRY_GRID = {"n": 1, "L": 62.83185307179586, "N": 256}
             {"experiment": "smoothing-report", "grid": _AIRY_GRID, "run": {"carriers": [4, True]}},
             "config.run.carriers[1]",
         ),
+        # the symbol is built at validation, so the catalog's, the system's
+        # and the dimension checks are the config's
+        (
+            {"experiment": "check-admissible", "symbol": {"name": "gaussian_kdv", "params": {"eps": -1}}},
+            "config.symbol",
+        ),
+        ({"experiment": "check-admissible", "symbol": {"name": "airy", "params": {"bogus": 1}}}, "config.symbol"),
+        ({"experiment": "solve-linear", "symbol": {"name": "zk"}, "grid": _AIRY_GRID}, "config.symbol"),
+        ({"experiment": "kdv-type-build", "symbol": {"coefficients": [["1", "0"]], "n": 1}}, "config.symbol"),
+        ({"experiment": "kdv-type-build", "symbol": {"coefficients": [["1"]], "n": 2}}, "config.symbol"),
+        # a param of the wrong type raised TypeError, and no rows IndexError, at run time
+        (
+            {"experiment": "check-admissible", "symbol": {"name": "gaussian_kdv", "params": {"eps": [1]}}},
+            "config.symbol",
+        ),
+        ({"experiment": "kdv-type-build", "symbol": {"coefficients": []}}, "config.symbol"),
+        # sqrt(x1) passes the whitelist, but its Weyl correction is not real
+        ({"experiment": "kdv-type-build", "symbol": {"coefficients": [["sqrt(x1)"]]}}, "config.symbol"),
+        # a kind takes only the sections its runner reads
+        ({"experiment": "appendix", "symbol": {"name": "airy"}}, "config.symbol"),
+        ({"experiment": "check-admissible", "grid": _AIRY_GRID}, "config.grid"),
+        ({"experiment": "trace-bichar", "weight": {"eps": 0.1}}, "config.weight"),
+        # list leaves have element types
+        ({"experiment": "trace-bichar", "run": {"x0": ["a"]}}, "config.run.x0[0]"),
+        ({"experiment": "trace-bichar", "run": {"xi0": [True]}}, "config.run.xi0[0]"),
+        (
+            {"experiment": "solve-linear", "grid": _AIRY_GRID, "run": {"datum": {"kind": "wavepacket", "carrier": "k"}}},
+            "config.run.datum.carrier",
+        ),
     ],
     ids=[
         "missing-grid",
@@ -452,6 +481,20 @@ _AIRY_GRID = {"n": 1, "L": 62.83185307179586, "N": 256}
         "grid-n-3",
         "carrier-str",
         "carrier-true",
+        "gaussian-kdv-eps-negative",
+        "airy-param-bogus",
+        "zk-on-1d-grid",
+        "kdv-build-1x2-n1",
+        "kdv-build-1x1-n2",
+        "gaussian-kdv-eps-list",
+        "kdv-build-no-rows",
+        "kdv-build-complex-correction",
+        "appendix-symbol",
+        "check-admissible-grid",
+        "trace-bichar-weight",
+        "x0-str",
+        "xi0-true",
+        "datum-carrier-str",
     ],
 )
 def test_config_errors_stop_the_run_before_any_experiment(tmp_path, capsys, cfg, where):
@@ -510,26 +553,43 @@ _SECTIONS = {
 
 def _numeric_leaves() -> list[tuple[str, tuple]]:
     """(kind, key path) of every numeric key in the experiment table, nested
-    sections included; a numeric key added to the table is listed here."""
+    sections included, and of every numeric key of a section that another
+    kind takes; a numeric key added to the table is listed here."""
     numeric = ("number", "int", cli._positive_int)
-    leaves = []
+    leaves = {kind: [] for kind in cli._EXPERIMENT_TABLE}
 
     def walk(kind, schema, path):
         for key, (typ, _) in schema.items():
             if isinstance(typ, dict):
                 walk(kind, typ, path + (key,))
             elif typ in numeric:
-                leaves.append((kind, path + (key,)))
+                leaves[kind].append(path + (key,))
 
     for kind, entry in cli._EXPERIMENT_TABLE.items():
         walk(kind, entry.schema, ())
     # kdv-type-build's symbol section is checked by a function, not a table schema
-    return leaves + [("kdv-type-build", ("symbol", "n"))]
+    leaves["kdv-type-build"].append(("symbol", "n"))
+    sections = {path for paths in leaves.values() for path in paths if path[0] in ("symbol", "grid", "weight")}
+    return [(kind, path) for kind, paths in leaves.items() for path in paths + sorted(sections - set(paths))]
+
+
+def _undeclared(kind: str, path: tuple):
+    """The shortest prefix of `path` that the schema of `kind` does not
+    declare, or None when it declares the whole path."""
+    schema = cli._EXPERIMENT_TABLE[kind].schema
+    for i, key in enumerate(path):
+        if not isinstance(schema, dict):  # a section checked by a function
+            return None
+        if key not in schema:
+            return path[: i + 1]
+        schema = schema[key][0]
+    return None
 
 
 def _with_true_at(kind: str, path: tuple) -> dict:
     """A valid config of `kind` whose key at `path` is true; each section on
-    the path starts from its default, or from _SECTIONS."""
+    the path starts from its default, or from _SECTIONS, or empty when the
+    kind does not take it."""
     schema = cli._EXPERIMENT_TABLE[kind].schema
     cfg = {"experiment": kind}
     for key, (_, default) in schema.items():
@@ -537,7 +597,7 @@ def _with_true_at(kind: str, path: tuple) -> dict:
             cfg[key] = copy.deepcopy(_SECTIONS[key])
     node = cfg
     for key in path[:-1]:
-        typ, default = schema[key]
+        typ, default = schema.get(key, ({}, {}))
         if key not in node:
             node[key] = copy.deepcopy(default if isinstance(default, dict) else _SECTIONS[key])
         node, schema = node[key], typ
@@ -545,19 +605,33 @@ def _with_true_at(kind: str, path: tuple) -> dict:
     return cfg
 
 
-_BOOLEAN_CASES = [(_with_true_at(kind, path), "config." + ".".join(path)) for kind, path in _numeric_leaves()]
+def _refusal(kind: str, path: tuple) -> str:
+    """The start of the error that a boolean at `path` gets: a wrong type
+    where `kind` takes the key, an unknown key where it does not."""
+    undeclared = _undeclared(kind, path)
+    if undeclared is None:
+        return "config." + ".".join(path) + ": expected"
+    return "config." + ".".join(undeclared) + ": unknown key"
+
+
+_BOOLEAN_CASES = [
+    (_with_true_at(kind, path), "config." + ".".join(path), _refusal(kind, path)) for kind, path in _numeric_leaves()
+]
 _BOOLEAN_CASES += [
-    ({"experiments": [{"experiment": "appendix"}], key: True}, f"config.{key}") for key in ("threads", "seed")
+    ({"experiments": [{"experiment": "appendix"}], key: True}, f"config.{key}", f"config.{key}: expected")
+    for key in ("threads", "seed")
 ]
 
 
 @pytest.mark.parametrize(
-    "cfg, where", _BOOLEAN_CASES, ids=[f"{c.get('experiment', 'batch')}:{w}" for c, w in _BOOLEAN_CASES]
+    "cfg, where, refusal", _BOOLEAN_CASES, ids=[f"{c.get('experiment', 'batch')}:{w}" for c, w, _ in _BOOLEAN_CASES]
 )
-def test_every_numeric_key_refuses_a_boolean(tmp_path, capsys, cfg, where):
+def test_every_numeric_key_refuses_a_boolean(tmp_path, capsys, cfg, where, refusal):
+    # a section that the kind does not take is refused whole, so the boolean
+    # in it never reaches a runner either
     out = tmp_path / "out"
     assert run(write_cfg(tmp_path, cfg), out_dir=str(out)) == 1
-    assert f"{where}: expected" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 

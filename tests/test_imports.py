@@ -305,6 +305,57 @@ def test_unset_run_key_is_found():
     assert unset_run_keys(schemas, [source]) == ["solve: run.datum.amplitude", "scan: run.cap"]
 
 
+# the sections of every kind, which `cli._run_one` reads for the runner
+COMMON_SECTIONS = ("experiment", "run", "output", "seed")
+
+
+def unread_sections(sections: dict, source: str) -> list[str]:
+    """The sections of `sections` (kind -> section names) that the runner
+    registered as that kind in `source` (`@_experiment("kind", ...)`) does
+    not read as `cfg["<section>"]` in its own body."""
+    read = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for deco in node.decorator_list:
+            if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "_experiment":
+                read[deco.args[0].value] = {
+                    sub.slice.value
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Subscript)
+                    and getattr(sub.value, "id", None) == "cfg"
+                    and isinstance(sub.slice, ast.Constant)
+                }
+    return [
+        f"{kind}: {section}"
+        for kind, names in sections.items()
+        for section in names
+        if section not in read.get(kind, set())
+    ]
+
+
+def test_every_section_is_read_by_its_runner():
+    # a section that the runner does not read is an option that changes nothing
+    from weylab.cli import _EXPERIMENT_TABLE
+
+    sections = {kind: [s for s in e.schema if s not in COMMON_SECTIONS] for kind, e in _EXPERIMENT_TABLE.items()}
+    assert unread_sections(sections, (SRC / "cli.py").read_text()) == []
+
+
+def test_unread_section_is_found():
+    sections = {"solve": ["symbol", "grid"], "fit": ["symbol", "weight"], "scan": ["grid"]}
+    source = (
+        "def _grid(cfg):\n    return cfg['grid']\n"
+        "@_experiment('solve', {}, symbol=S, grid=G)\n"
+        "def _solve(cfg, run):\n    return cfg['symbol'], cfg['grid']['n']\n"
+        "@_experiment('fit', {}, symbol=S, weight=W)\n"
+        "def _fit(cfg, run):\n    return cfg['symbol'], run['weight']\n"
+        "@_experiment('scan', {}, grid=G)\n"
+        "def _scan(cfg, run):\n    return _grid(cfg)\n"
+    )
+    assert unread_sections(sections, source) == ["fit: weight", "scan: grid"]
+
+
 def _defaulted_params(fn: ast.FunctionDef, method: bool) -> list[tuple]:
     """(name, position) of the parameters of `fn` that have a default; the
     position counts call arguments (a method's first parameter is bound, not

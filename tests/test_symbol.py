@@ -161,6 +161,11 @@ def test_zk_gradient_at_characteristic_direction():
 def test_catalog_errors():
     with pytest.raises(KeyError):
         catalog("not_a_symbol")
+    # a param that the entry does not list is named, not passed on
+    with pytest.raises(ValueError, match="'bogus'"):
+        catalog("airy", bogus=1)
+    with pytest.raises(ValueError, match="'n'"):
+        catalog("gaussian_kdv", n=2)
     with pytest.raises(ValueError):
         catalog("ultrahyperbolic", matrix=[[1.0, 0.5], [0.0, -1.0]])
     with pytest.raises(ValueError):
